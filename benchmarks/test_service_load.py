@@ -1,10 +1,11 @@
-"""Placement-service load benchmark: sustained qps, tail latency, crash run.
+"""Placement-service load benchmark: goodput, tail latency, crash run.
 
 Two measurements against a real ``repro serve`` subprocess:
 
 * **steady** — a closed-loop mixed workload (placement / cost lookups plus
-  admission-gated bound solves) against a healthy daemon: sustained qps
-  and latency percentiles;
+  admission-gated bound solves) against a healthy daemon: goodput
+  (non-stale 2xx answers per second) and latency percentiles over 2xx
+  answers;
 * **crash** — the same workload while the daemon takes an injected
   ``crash_at_epoch`` kill mid-run and is restarted on the same state
   directory and port.  The service's accounting contract is asserted, not
@@ -173,12 +174,12 @@ def test_service_load(tmp_path):
         "placement service under closed-loop load",
         f"  workers={WORKERS} duration={DURATION_S:.1f}s scale={SCALE:g}",
         "",
-        f"  {'phase':<8} {'qps':>8} {'p50ms':>8} {'p99ms':>8} "
+        f"  {'phase':<8} {'good/s':>8} {'p50ms':>8} {'p99ms':>8} "
         f"{'ok':>7} {'shed':>5} {'stale':>5} {'conn':>5} {'lost':>5}",
     ]
     for name, report in (("steady", steady), ("crash", crash_report)):
         lines.append(
-            f"  {name:<8} {report.qps:>8.0f} "
+            f"  {name:<8} {report.goodput_rps:>8.0f} "
             f"{report.latency_percentile(50):>8.2f} "
             f"{report.latency_percentile(99):>8.2f} "
             f"{report.ok:>7} {report.shed:>5} {report.stale:>5} "

@@ -264,10 +264,8 @@ def compute_lower_bound(
     result.feasible = True
     result.lp_cost = form.bound_cost(solution)
     # Warm-start handle for callers that re-solve under drift (the service
-    # daemon); never serialized.  The basis is the preferred seed, the full
-    # solution lets basis-less (scipy) optima crash one on demand.
+    # daemon); never serialized.
     result.extras["basis"] = solution.basis
-    result.extras["warm_source"] = solution
 
     # Post-solve audit hook: certify the LP point before anything consumes
     # it.  Lazy import — repro.audit re-exports the certificate layer that

@@ -8,8 +8,9 @@ A small, self-contained LP modeling layer used by the MC-PERF formulation in
 * :class:`~repro.lp.model.LinearProgram` — a named-variable LP model with both
   an expression-based and a fast array-based constraint interface.
 * :class:`~repro.lp.solution.LPSolution` — solved values, objective and status.
-* :func:`~repro.lp.scipy_backend.solve_with_scipy` — the production backend,
-  built on ``scipy.optimize.linprog`` (HiGHS).
+* :func:`~repro.lp.scipy_backend.solve_with_scipy` — the production backend:
+  HiGHS through scipy's bindings, fed exactly what ``linprog`` would feed it,
+  returning HiGHS's optimal basis alongside values and duals.
 * :func:`~repro.lp.simplex.solve_with_simplex` — the scipy-free simplex used
   for differential testing and for environments without scipy; since ISSUE 9
   it is a revised simplex over sparse columns (:mod:`repro.lp.revised`) whose

@@ -192,7 +192,10 @@ class RevisedSimplexEngine:
         self._basis_pos = np.full(n + m, -1, dtype=np.int64)
         self._xB: Optional[np.ndarray] = None
         self._factor = None  # splu object or dense inverse
-        self._etas: List[Tuple[int, np.ndarray, float]] = []
+        #: Eta file: (pivot row, nonzero rows of w, their values, w[p]).
+        #: Eta columns are sparse (tens of nonzeros in thousands of rows),
+        #: so each update touches only its nonzeros.
+        self._etas: List[Tuple[int, np.ndarray, np.ndarray, float]] = []
         self._banned: set = set()
 
     # -- structure helpers -------------------------------------------------
@@ -288,18 +291,18 @@ class RevisedSimplexEngine:
     def _ftran(self, v: np.ndarray) -> np.ndarray:
         """``B^-1 v`` through the factor plus the eta file (chronological)."""
         x = self._factor_ftran(v)
-        for p, w, wp in self._etas:
+        for p, idx, vals, wp in self._etas:
             xp = x[p] / wp
             if xp != 0.0:
-                x -= xp * w
+                x[idx] -= xp * vals
             x[p] = xp
         return x
 
     def _btran(self, v: np.ndarray) -> np.ndarray:
         """``B^-T v`` — eta transposes in reverse order, then the factor."""
         y = v
-        for p, w, wp in reversed(self._etas):
-            y[p] = (y[p] - (w @ y - y[p] * wp)) / wp
+        for p, idx, vals, wp in reversed(self._etas):
+            y[p] = (y[p] - (vals @ y[idx] - y[p] * wp)) / wp
         return self._factor_btran(y)
 
     # -- basis installation ------------------------------------------------
@@ -420,7 +423,8 @@ class RevisedSimplexEngine:
         self._basis_pos[q] = p
         self._basis_cols[p] = q
         self._xB[p] = new_value
-        self._etas.append((p, w.copy(), float(w[p])))
+        idx = np.flatnonzero(w)
+        self._etas.append((p, idx, w[idx], float(w[p])))
         self._banned.clear()
         if len(self._etas) >= REFACTOR_EVERY:
             self._factorize()
@@ -758,204 +762,3 @@ def solve_revised(
     return get_engine(model).solve(
         warm_basis=warm_basis, max_iterations=max_iterations
     )
-
-
-def _match_binding_rows(candidates, binding, ptr, rows, vals, m):
-    """Maximum bipartite matching of binding rows onto candidate columns.
-
-    Returns ``(matched_columns, matched_rows)`` (parallel global-index
-    arrays) or None when scipy is unavailable — the caller then falls back
-    to the pure-Python greedy.  Entries below ``PIVOT_TOL`` are dropped so
-    a match is always numerically usable as a pivot.
-    """
-    try:
-        from scipy.sparse import csr_matrix
-        from scipy.sparse.csgraph import maximum_bipartite_matching
-    except Exception:
-        return None
-    binding_idx = np.flatnonzero(binding)
-    if len(binding_idx) == 0 or len(candidates) == 0:
-        return (
-            np.empty(0, dtype=np.int64),
-            np.empty(0, dtype=np.int64),
-        )
-    row_local = np.full(m, -1, dtype=np.int64)
-    row_local[binding_idx] = np.arange(len(binding_idx))
-    lengths = ptr[candidates + 1] - ptr[candidates]
-    gather = np.concatenate(
-        [np.arange(ptr[j], ptr[j + 1]) for j in candidates]
-    )
-    entry_rows = rows[gather]
-    keep = binding[entry_rows] & (np.abs(vals[gather]) > PIVOT_TOL)
-    col_local = np.repeat(np.arange(len(candidates)), lengths)[keep]
-    graph = csr_matrix(
-        (
-            np.ones(int(keep.sum())),
-            (row_local[entry_rows[keep]], col_local),
-        ),
-        shape=(len(binding_idx), len(candidates)),
-    )
-    match = maximum_bipartite_matching(graph, perm_type="column")
-    hit = match >= 0
-    cols = candidates[match[hit]]
-    prow = binding_idx[hit]
-
-    # A perfect transversal fixes a nonzero diagonal but the block can
-    # still cancel numerically.  Lower-triangularizability removes that
-    # risk: matched pair i must come after every pair whose pivot row its
-    # column touches, so any cycle in that precedence graph blocks a
-    # triangular ordering.  Cycles live inside strongly connected
-    # components; keeping one representative per component leaves the
-    # precedence graph acyclic (a surviving cycle would need two nodes of
-    # the same component) at the cost of a few uncovered rows.
-    from scipy.sparse.csgraph import connected_components
-
-    loc = np.full(m, -1, dtype=np.int64)
-    loc[prow] = np.arange(len(prow))
-    lengths2 = ptr[cols + 1] - ptr[cols]
-    gather2 = np.concatenate([np.arange(ptr[j], ptr[j + 1]) for j in cols])
-    dst = loc[rows[gather2]]
-    src = np.repeat(np.arange(len(cols)), lengths2)
-    edge = (dst >= 0) & (dst != src)
-    prec = csr_matrix(
-        (np.ones(int(edge.sum())), (src[edge], dst[edge])),
-        shape=(len(cols), len(cols)),
-    )
-    ncomp, labels = connected_components(prec, directed=True, connection="strong")
-    sizes = np.bincount(labels, minlength=ncomp)
-    keep = sizes[labels] == 1
-    _, first_idx = np.unique(labels, return_index=True)
-    keep[first_idx] = True
-    return cols[keep], prow[keep]
-
-
-def crash_basis_from_values(model, values, duals=None, strict=False) -> Optional[Basis]:
-    """Crash a starting basis from an (optimal) point with no basis attached.
-
-    scipy/HiGHS does not expose its basis, so a warm start from a cached
-    scipy solution reconstructs one.  Two constructions:
-
-    * **Complementarity crash** (``duals`` given, the default path): by
-      complementary slackness the rows with a nonzero dual have nonbasic
-      slacks, and basic structural columns have zero reduced cost — a
-      criterion that still identifies *degenerate* basics sitting exactly
-      at a bound, which interiority alone cannot see.  Zero-reduced-cost
-      columns are accepted greedily when their binding-row support is
-      disjoint from earlier picks (interior columns first), slacks cover
-      every row without a pivot; the same ``[[D, 0], [X, I]]`` argument as
-      below makes the result nonsingular by construction.
-    * **Triangular crash** (``strict=True`` or no duals): interior
-      structural columns are accepted greedily only when their nonzero
-      rows are disjoint from every previously accepted column's rows, and
-      every remaining row contributes its slack.  After a permutation the
-      basis matrix is ``[[D, 0], [X, I]]`` with nonzero diagonal ``D`` —
-      nonsingular by construction, never just by luck.
-    """
-    model.to_arrays()
-    cache = model._arrays
-    engine = get_engine(model)
-    n, m = engine._n, engine._m
-    x = np.asarray(values, dtype=float)
-    if len(x) != n:
-        return None
-    s = cache.b_all - engine._Av(x)
-    x_all = np.concatenate([x, s])
-    lb = np.concatenate([cache.lb, engine._slack_lb])
-    ub = np.concatenate([cache.ub, engine._slack_ub])
-    tol = 1e-7
-    dist_lo = x_all - lb
-    dist_hi = ub - x_all
-
-    # Everything starts at its nearest finite bound (free columns at 0).
-    statuses = np.where(dist_lo <= dist_hi, AT_LOWER, AT_UPPER).astype(np.int8)
-    statuses[(statuses == AT_LOWER) & np.isneginf(lb)] = NB_FREE
-    statuses[(statuses == AT_UPPER) & np.isposinf(ub)] = NB_FREE
-
-    interior = (dist_lo[:n] > tol) & (dist_hi[:n] > tol)
-
-    if duals is not None and not strict and len(duals) == m:
-        # Complementarity: rows with a nonzero dual have nonbasic slacks,
-        # and the structural basics covering them have zero reduced cost.
-        # Degenerate optima hide basics *at* their bounds, so candidacy is
-        # decided by reduced cost, not by interiority alone.  The goal is
-        # to pivot *every* binding row on a zero-reduced-cost column: if
-        # that succeeds, the duals implied by the crashed basis are exactly
-        # the ones handed in (slack-basic rows all carry a zero dual), and
-        # the warm re-solve starts dual feasible — every binding row left
-        # to its slack instead forces that dual to zero and leaks repair
-        # pivots.  Maximum bipartite matching between binding rows and
-        # candidate columns maximizes coverage; it guarantees a nonzero
-        # diagonal but not triangularity, so a numerically singular pick
-        # is possible — the caller's ``strict=True`` retry covers that.
-        y = np.asarray(duals, dtype=float)
-        binding = np.abs(y) > tol
-        d = cache.c - engine._Atv(y)
-        candidates = np.flatnonzero(np.abs(d) <= 1e-6)
-        ptr, rows, vals_all = engine._csc_ptr, engine._csc_rows, engine._csc_vals
-        pivot_rows = np.zeros(m, dtype=bool)
-        matched = _match_binding_rows(
-            candidates, binding, ptr, rows, vals_all, m
-        )
-        if matched is not None:
-            cols, row_idx = matched
-            statuses[cols] = BASIC
-            pivot_rows[row_idx] = True
-        else:
-            # No scipy: greedy triangular fallback.  A candidate is
-            # accepted when none of its binding rows is already a pivot
-            # row, then claims one as its pivot; in acceptance order every
-            # column is zero at all earlier pivot rows, so the permuted
-            # basis is lower triangular with nonzero diagonal.
-            order = np.lexsort(
-                (
-                    -np.minimum(dist_lo[candidates], dist_hi[candidates]),
-                    ~interior[candidates],
-                )
-            )
-            for j in candidates[order]:
-                span = rows[ptr[j] : ptr[j + 1]]
-                hot = span[binding[span]]
-                if len(hot) == 0 or pivot_rows[hot].any():
-                    continue
-                statuses[j] = BASIC
-                vals = vals_all[ptr[j] : ptr[j + 1]][binding[span]]
-                pivot_rows[hot[np.argmax(np.abs(vals))]] = True
-        statuses[n:][~pivot_rows] = BASIC
-        if int(np.count_nonzero(statuses == BASIC)) != m:
-            return None
-        PERF.count("lp.simplex.basis_crash")
-        return Basis(statuses.copy(), n, m)
-
-    candidates = np.flatnonzero(interior)
-    # Most interior first: those are the variables most clearly basic at
-    # the optimum, and the ones costliest to misplace at a bound.
-    interiority = np.minimum(dist_lo[candidates], dist_hi[candidates])
-    candidates = candidates[np.argsort(-interiority, kind="stable")]
-
-    ptr, rows = engine._csc_ptr, engine._csc_rows
-    row_taken = np.zeros(m, dtype=bool)
-    taken = 0
-    for j in candidates:
-        if taken == m:
-            break
-        span = rows[ptr[j] : ptr[j + 1]]
-        if len(span) == 0 or row_taken[span].any():
-            continue
-        statuses[j] = BASIC
-        row_taken[span] = True
-        taken += 1
-    # Slacks cover every row without an accepted structural column.  A
-    # structural column may own several rows; slacks of its non-pivot rows
-    # stay basic too, so counts still add up to m below.
-    pivot_rows = np.zeros(m, dtype=bool)
-    basics = np.flatnonzero(statuses[:n] == BASIC)
-    for j in basics:
-        span = rows[ptr[j] : ptr[j + 1]]
-        vals = engine._csc_vals[ptr[j] : ptr[j + 1]]
-        pivot_rows[span[np.argmax(np.abs(vals))]] = True
-    statuses[n:][~pivot_rows] = BASIC
-
-    if int(np.count_nonzero(statuses == BASIC)) != m:
-        return None
-    PERF.count("lp.simplex.basis_crash")
-    return Basis(statuses, n, m)

@@ -44,8 +44,8 @@ class LPSolution:
     #: None when the backend does not provide duals.
     duals: Optional[Sequence[float]] = None
     #: Opaque simplex basis handle (:class:`repro.lp.basis.Basis`) for
-    #: warm-started re-solves; None when the backend exposes no basis
-    #: (scipy/HiGHS) or the payload was produced before warm starts existed.
+    #: warm-started re-solves; None when the solve was not optimal, HiGHS
+    #: reported no valid basis, or the payload predates warm starts.
     basis: Optional[object] = None
     _name_index: Optional[Dict[str, int]] = None
 

@@ -30,7 +30,6 @@ Counter names in use across the tree::
     lp.simplex.iterations        revised-simplex pivots (all phases)
     lp.simplex.refactorizations  basis LU rebuilds (incl. the initial one)
     lp.simplex.warm_starts       solves that ran from a caller-provided basis
-    lp.simplex.basis_crash       bases reconstructed from a basis-less optimum
     lp.simplex.warm_degraded     warm attempts that fell back to a cold solve
     form.build.vectorized / form.build.legacy   formulation assembly mode
     form.retarget         set_qos_fraction() RHS-only re-target

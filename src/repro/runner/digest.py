@@ -12,6 +12,10 @@ are stable across Python versions and process boundaries:
 * floats hash by ``repr`` (shortest round-trip representation);
 * numpy arrays hash by dtype + shape + raw bytes;
 * dataclasses hash field-by-field in sorted field order;
+* a :class:`~repro.workload.trace.Trace` hashes its name, extent and
+  universe sizes, then its requests as four columns (time, node, object,
+  write flag) — tens of thousands of ``Request`` objects walked field by
+  field would dominate a cache hit;
 * enums hash by their value; dicts by sorted key.
 """
 
@@ -24,9 +28,11 @@ from typing import Any
 
 import numpy as np
 
+from repro.workload.trace import Trace
+
 #: Bump when the canonical encoding (or result schema) changes incompatibly,
 #: so stale cache entries from older code are never decoded.
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _walk(h: "hashlib._Hash", obj: Any) -> None:
@@ -51,6 +57,15 @@ def _walk(h: "hashlib._Hash", obj: Any) -> None:
         h.update(np.ascontiguousarray(obj).tobytes())
     elif isinstance(obj, np.generic):
         _walk(h, obj.item())
+    elif isinstance(obj, Trace):
+        h.update(b"\x00R")
+        for item in (obj.name, obj.duration_s, obj.num_nodes, obj.num_objects):
+            _walk(h, item)
+        reqs, count = obj.requests, len(obj.requests)
+        _walk(h, np.fromiter((r.time_s for r in reqs), dtype=np.float64, count=count))
+        _walk(h, np.fromiter((r.node for r in reqs), dtype=np.int64, count=count))
+        _walk(h, np.fromiter((r.obj for r in reqs), dtype=np.int64, count=count))
+        _walk(h, np.fromiter((r.is_write for r in reqs), dtype=np.bool_, count=count))
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(b"\x00D" + type(obj).__name__.encode())
         for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):

@@ -13,6 +13,12 @@ timeouts``, checked by :meth:`LoadReport.accounted`.  A dropped connection
 (chaos ``drop``) is a *connection error* — visible, counted — never a gap
 in a histogram.  ``lost`` exists only to make the invariant's violation
 impossible to miss: it is computed, asserted zero, and reported.
+
+Throughput is reported as **goodput** — non-stale 2xx answers per second —
+and latency percentiles cover 2xx answers only: a refused connect returns
+in microseconds, so counting it as throughput or latency would make an
+outage look like a speed-up.  After a refused connection a worker backs
+off exponentially (capped) instead of spinning on the closed port.
 """
 
 from __future__ import annotations
@@ -40,7 +46,7 @@ class LoadReport:
     errors: int = 0  # other non-2xx (400/404/500/504)
     connection_errors: int = 0  # refused / reset / chaos-dropped
     timeouts: int = 0
-    latencies_ms: List[float] = field(default_factory=list)
+    latencies_ms: List[float] = field(default_factory=list)  # 2xx answers only
 
     @property
     def accounted(self) -> int:
@@ -60,8 +66,9 @@ class LoadReport:
         return self.issued - self.accounted
 
     @property
-    def qps(self) -> float:
-        return 0.0 if self.duration_s <= 0 else self.accounted / self.duration_s
+    def goodput_rps(self) -> float:
+        """Non-stale 2xx answers per second."""
+        return 0.0 if self.duration_s <= 0 else self.ok / self.duration_s
 
     def latency_percentile(self, pct: float) -> float:
         if not self.latencies_ms:
@@ -93,7 +100,7 @@ class LoadReport:
             "connection_errors": self.connection_errors,
             "timeouts": self.timeouts,
             "lost": self.lost,
-            "qps": self.qps,
+            "goodput_rps": self.goodput_rps,
             "latency_ms": {
                 "p50": self.latency_percentile(50),
                 "p90": self.latency_percentile(90),
@@ -114,6 +121,12 @@ DEFAULT_MIX: Sequence[Dict[str, object]] = (
 )
 
 
+#: Backoff after a refused connection: the first wait, doubled per further
+#: consecutive refusal up to the cap, reset by any answer.
+BACKOFF_FIRST_S = 0.01
+BACKOFF_MAX_S = 0.2
+
+
 def _worker(
     client: ServiceClient,
     mix: Sequence[Dict[str, object]],
@@ -122,6 +135,7 @@ def _worker(
     report: LoadReport,
 ) -> None:
     rng = random.Random(seed)
+    backoff_s = BACKOFF_FIRST_S
     while time.monotonic() < stop_at:
         query = dict(mix[rng.randrange(len(mix))])
         report.issued += 1
@@ -133,8 +147,12 @@ def _worker(
             continue
         except (ServiceConnectionError, OSError):
             report.connection_errors += 1
+            time.sleep(max(0.0, min(backoff_s, stop_at - time.monotonic())))
+            backoff_s = min(2 * backoff_s, BACKOFF_MAX_S)
             continue
-        report.latencies_ms.append((time.perf_counter() - t0) * 1000.0)
+        backoff_s = BACKOFF_FIRST_S
+        if response.ok:
+            report.latencies_ms.append((time.perf_counter() - t0) * 1000.0)
         if response.status == 429:
             report.shed += 1
             time.sleep(min(response.retry_after_s or 0.05, 0.5))

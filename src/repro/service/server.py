@@ -394,9 +394,7 @@ class PlacementService:
                 t0 = time.perf_counter()
                 result = task.run()
                 if not approx:
-                    warm = result.extras.get("basis") or result.extras.get(
-                        "warm_source"
-                    )
+                    warm = result.extras.get("basis")
                     if warm is not None:
                         self._warm[class_name] = warm
                 return {

@@ -416,15 +416,13 @@ def _remap_master_warm(prev_solution, prev_counts, counts, num_keys, num_rows):
     by one slack per scope key; pricing only *appends* columns inside each
     block, so old variable ``j`` of block ``i`` shifts by the number of new
     columns in earlier blocks.  Rows (one per key + one convexity per
-    object) are unchanged.  Returns a warm-start hint for the new model —
-    a remapped :class:`~repro.lp.basis.Basis` when the previous round
-    carried one, else a values-remapped solution the registry can crash a
-    basis from — or None when the layouts cannot be reconciled.
+    object) are unchanged.  Returns the previous round's
+    :class:`~repro.lp.basis.Basis` remapped onto the new model, or None
+    when it carried none or the layouts cannot be reconciled.
     """
     import numpy as np
 
     from repro.lp.basis import AT_LOWER, Basis
-    from repro.lp.solution import LPSolution, SolveStatus
 
     if prev_solution is None or prev_counts is None:
         return None
@@ -449,18 +447,6 @@ def _remap_master_warm(prev_solution, prev_counts, counts, num_keys, num_rows):
         statuses[index_map] = basis.statuses[:n_old]
         statuses[n_new:] = basis.statuses[n_old:]
         return Basis(statuses=statuses, nvars=n_new, nrows=num_rows)
-    if (
-        prev_solution.status is SolveStatus.OPTIMAL
-        and len(prev_solution.values) == n_old
-    ):
-        values = np.zeros(n_new)
-        values[index_map] = np.asarray(prev_solution.values, dtype=float)
-        return LPSolution(
-            status=SolveStatus.OPTIMAL,
-            objective=float(prev_solution.objective),
-            values=values,
-            backend=prev_solution.backend,
-        )
     return None
 
 

@@ -86,7 +86,7 @@ def _solve_simplex(model, **kwargs):
 
 def _scipy_available() -> bool:
     try:
-        import scipy.optimize  # noqa: F401
+        import scipy.optimize._highspy._core  # noqa: F401
     except Exception:
         return False
     return True
@@ -136,7 +136,7 @@ register_backend(
         name=BACKEND_SCIPY,
         solve=_solve_scipy,
         available=_scipy_available,
-        description="scipy.optimize.linprog (HiGHS)",
+        description="HiGHS via scipy's bindings (returns its optimal basis)",
     )
 )
 register_backend(
@@ -178,54 +178,26 @@ def _try_warm_solve(model, warm_start, **kwargs):
     """Attempt a warm revised-simplex solve; None means "cold solve instead".
 
     Accepts a :class:`~repro.lp.basis.Basis` or an
-    :class:`~repro.lp.solution.LPSolution` (using its basis when present,
-    else crashing one from its optimal point).  *Any* failure — stale
-    shape, singular basis, iteration cap, non-optimal outcome — degrades
-    to the cold path and counts ``lp.simplex.warm_degraded``; a warm start
-    is a performance hint, never a correctness dependency.
+    :class:`~repro.lp.solution.LPSolution` carrying one (every backend
+    returns its optimal basis); a hint without a basis solves cold.  *Any*
+    failure of a usable-looking basis — singular, iteration cap,
+    non-optimal outcome — degrades to the cold path and counts
+    ``lp.simplex.warm_degraded``; a warm start is a performance hint,
+    never a correctness dependency.
     """
     from repro.lp.basis import Basis
     from repro.lp.solution import LPSolution, SolveStatus
 
-    basis = None
-    crashed_from = None
-    if isinstance(warm_start, Basis):
-        basis = warm_start
-    elif isinstance(warm_start, LPSolution):
-        basis = warm_start.basis if isinstance(warm_start.basis, Basis) else None
-        if basis is None and warm_start.status is SolveStatus.OPTIMAL and len(
-            warm_start.values
-        ) == model.num_variables:
-            from repro.lp.revised import crash_basis_from_values
-
-            crashed_from = warm_start
-            basis = crash_basis_from_values(
-                model, warm_start.values, duals=warm_start.duals
-            )
-    if basis is None or not basis.matches(model.num_variables, model.num_constraints):
+    basis = warm_start.basis if isinstance(warm_start, LPSolution) else warm_start
+    if not isinstance(basis, Basis) or not basis.matches(
+        model.num_variables, model.num_constraints
+    ):
         return None
     try:
         from repro.lp.revised import SimplexError, _SingularBasis, solve_revised
 
         max_iterations = kwargs.get("max_iterations", _WARM_ITERATION_LIMIT)
-        try:
-            solution = solve_revised(
-                model, warm_basis=basis, max_iterations=max_iterations
-            )
-        except _SingularBasis:
-            # A complementarity crash can be singular under degeneracy;
-            # retry once with the triangular (nonsingular-by-construction)
-            # crash before giving up on the warm path.
-            if crashed_from is None:
-                raise
-            from repro.lp.revised import crash_basis_from_values
-
-            basis = crash_basis_from_values(model, crashed_from.values, strict=True)
-            if basis is None:
-                raise
-            solution = solve_revised(
-                model, warm_basis=basis, max_iterations=max_iterations
-            )
+        solution = solve_revised(model, warm_basis=basis, max_iterations=max_iterations)
     except (SimplexError, _SingularBasis):
         solution = None
     except Exception:  # pragma: no cover - defensive: never block the cold path

@@ -1,19 +1,20 @@
 """Revised-simplex engine tests (ISSUE 9): cold contract, duals,
-anti-cycling, the pure-Python kernel, and basis crashing."""
+anti-cycling, the pure-Python kernel, and warm starts from HiGHS's basis."""
+
+import dataclasses
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
 from repro.audit.certificates import check_solution
-from repro.lp.basis import BASIC, Basis
+from repro.lp.basis import Basis
 from repro.lp.model import LinearProgram
-from repro.lp.revised import (
-    crash_basis_from_values,
-    get_engine,
-    solve_revised,
-)
+from repro.lp.revised import get_engine, solve_revised
 from repro.lp.solution import SolveStatus
 from repro.perf import PERF
+from repro.solvers.registry import solve_lp
+from tests.lp.test_warm_start import build_random_lp
 
 
 def mixed_lp():
@@ -123,26 +124,51 @@ def test_iteration_and_refactorization_counters():
     assert PERF.get("lp.simplex.refactorizations") > before_refac
 
 
-def test_crash_basis_from_scipy_point():
+def test_scipy_solution_carries_warm_startable_basis():
     lp = mixed_lp()
     sol = lp.solve(backend="scipy")
-    assert sol.basis is None  # scipy exposes no basis: the crash earns one
-    basis = crash_basis_from_values(lp, sol.values, duals=sol.duals)
-    assert basis is not None
-    assert basis.matches(lp.num_variables, lp.num_constraints)
-    warm = solve_revised(lp, warm_basis=basis)
+    assert isinstance(sol.basis, Basis)
+    assert sol.basis.matches(lp.num_variables, lp.num_constraints)
+    assert sol.basis.is_wellformed()
+    # HiGHS's optimal basis is already optimal for the revised simplex.
+    before = PERF.get("lp.simplex.iterations")
+    warm = solve_revised(lp, warm_basis=sol.basis)
+    assert PERF.get("lp.simplex.iterations") == before
     assert warm.status is SolveStatus.OPTIMAL
-    assert warm.objective == pytest.approx(sol.objective, abs=1e-8)
+    assert warm.objective == pytest.approx(sol.objective, abs=1e-9)
 
 
-def test_crash_rejects_wrong_length():
+def test_scipy_values_and_duals_match_linprog():
+    # linprog is the oracle: same HiGHS model, so the same point exactly;
+    # its marginals come in <=-block/==-block order with >= rows negated.
+    nonzero = {"<=": 0, ">=": 0, "==": 0}
+    for seed in range(12):
+        lp = build_random_lp(seed, senses=("<=", ">=", "=="))
+        sol = lp.solve(backend="scipy")
+        c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        assert sol.is_optimal == (ref.status == 0)
+        if not sol.is_optimal:
+            continue
+        np.testing.assert_array_equal(sol.values, ref.x)
+        assert sol.objective == ref.fun
+        ineq, eq = iter(ref.ineqlin.marginals), iter(ref.eqlin.marginals)
+        for row, dual in enumerate(sol.duals):
+            sense = lp.constraints[row].sense.value
+            want = next(eq) if sense == "==" else next(ineq)
+            assert dual == (-want if sense == ">=" else want)
+            nonzero[sense] += dual != 0.0
+    assert all(nonzero.values()), nonzero  # every sense had a binding row
+
+
+def test_basisless_hint_solves_cold_without_degrading():
     lp = mixed_lp()
-    assert crash_basis_from_values(lp, np.zeros(lp.num_variables + 1)) is None
-
-
-def test_crash_without_duals_is_triangular():
-    lp = mixed_lp()
-    sol = lp.solve(backend="scipy")
-    basis = crash_basis_from_values(lp, sol.values)
-    assert basis is not None
-    assert int(np.count_nonzero(basis.statuses == BASIC)) == lp.num_constraints
+    hint = dataclasses.replace(lp.solve(backend="scipy"), basis=None)
+    lp.set_rhs(1, 3.0)
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
+    sol = solve_lp(lp, backend="scipy", warm_start=hint)
+    assert sol.backend == "scipy"  # HiGHS solved it: no warm attempt
+    assert PERF.get("lp.simplex.warm_starts") == warm0
+    assert PERF.get("lp.simplex.warm_degraded") == degraded0
+    assert sol.objective == pytest.approx(solve_revised(lp).objective, abs=1e-8)

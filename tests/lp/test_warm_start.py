@@ -19,7 +19,7 @@ from repro.perf import PERF
 from repro.solvers.registry import solve_lp
 
 
-def build_random_lp(seed, nvars=8, nrows=6):
+def build_random_lp(seed, nvars=8, nrows=6, senses=(">=", "<=")):
     rng = np.random.default_rng(seed)
     lp = LinearProgram(name=f"warm-{seed}")
     for j in range(nvars):
@@ -28,7 +28,7 @@ def build_random_lp(seed, nvars=8, nrows=6):
         k = int(rng.integers(2, 5))
         idx = sorted(int(i) for i in rng.choice(nvars, size=k, replace=False))
         coeffs = [float(v) for v in rng.uniform(0.2, 2.0, size=k)]
-        sense = [">=", "<="][int(rng.integers(0, 2))]
+        sense = senses[int(rng.integers(0, len(senses)))]
         rhs = float(rng.uniform(0.5, 2.5))
         lp.add_row(idx, coeffs, sense, rhs)
     return lp
@@ -66,6 +66,38 @@ def test_warm_equals_cold_across_patches(seed, patches):
     assert warm.status is cold.status
     if cold.is_optimal:
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    patches=st.lists(
+        st.tuples(st.integers(0, 5), st.floats(0.3, 2.5)), min_size=1, max_size=4
+    ),
+)
+def test_warm_from_scipy_basis_equals_cold_on_mixed_senses(seed, patches):
+    # The first link of every warm chain: HiGHS's own optimal basis,
+    # re-certified after RHS patches on <=/>=/== rows.
+    senses = ("<=", ">=", "==")
+    warm_lp = build_random_lp(seed, senses=senses)
+    cold_lp = build_random_lp(seed, senses=senses)
+    prev = warm_lp.solve(backend="scipy")
+    if not prev.is_optimal:
+        return
+    assert isinstance(prev.basis, Basis)
+    for row, rhs in patches:
+        warm_lp.set_rhs(row, rhs)
+        cold_lp.set_rhs(row, rhs)
+    degraded = PERF.get("lp.simplex.warm_degraded")
+    warm = solve_lp(warm_lp, backend="scipy", warm_start=prev)
+    cold = cold_lp.solve(backend="scipy")
+    assert warm.status is cold.status
+    if cold.is_optimal:
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+        # An RHS patch keeps the basis dual feasible: the dual simplex
+        # must finish the job itself, not hand it back to HiGHS.
+        assert warm.backend == "simplex"
+        assert PERF.get("lp.simplex.warm_degraded") == degraded
 
 
 def test_chained_warm_solves_keep_exactness():

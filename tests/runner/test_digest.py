@@ -11,6 +11,7 @@ import pytest
 from repro.core.goals import GoalScope, QoSGoal
 from repro.core.properties import HeuristicProperties
 from repro.runner.digest import digest_of, short_digest
+from repro.workload.trace import Request, Trace
 
 
 def test_digest_is_deterministic():
@@ -79,3 +80,29 @@ def test_short_digest_prefixes_full_digest():
     full = digest_of("abc")
     assert full.startswith(short_digest("abc"))
     assert len(short_digest("abc")) == 12
+
+
+def _trace(requests):
+    return Trace(requests=requests, duration_s=100.0, num_nodes=4, num_objects=3)
+
+
+def test_digest_of_trace_covers_every_request_column():
+    base = [Request(1.0, 0, 0), Request(2.0, 1, 1), Request(3.0, 2, 2, True)]
+    assert digest_of(_trace(base)) == digest_of(_trace(list(base)))
+    variants = [
+        [Request(1.5, 0, 0), *base[1:]],  # time
+        [Request(1.0, 3, 0), *base[1:]],  # node
+        [Request(1.0, 0, 2), *base[1:]],  # object
+        [Request(1.0, 0, 0, True), *base[1:]],  # write flag
+    ]
+    digests = {digest_of(_trace(v)) for v in variants} | {digest_of(_trace(base))}
+    assert len(digests) == len(variants) + 1
+
+
+def test_digest_of_trace_is_order_sensitive():
+    trace = _trace([Request(1.0, 0, 0), Request(2.0, 1, 1)])
+    swapped = _trace(list(trace.requests))
+    # Trace sorts on construction; swap afterwards so the columns differ
+    # only in order.
+    swapped.requests.reverse()
+    assert digest_of(trace) != digest_of(swapped)
