@@ -49,7 +49,10 @@ def test_chaos_campaign(tmp_path):
     assert report.passed, f"campaign failed invariants: {failed}"
     assert report.restarts >= 1, "the injected crash never fired"
     assert report.load["lost"] == 0
-    assert sum(report.brownout.values()) > 0, "brownout ladder never engaged"
+    # Server counters plus what the client saw, as overload_adaptation
+    # counts them: a crash can beat the last /stats poll of a launch.
+    engaged = sum(report.brownout.values()) + report.load["shed"] + report.load["stale"]
+    assert engaged > 0, "brownout ladder never engaged"
     assert report.baseline_digest == report.recovered_digest
 
     record = {

@@ -202,11 +202,11 @@ def compute_lower_bound(
         cached artifact.
     warm_start:
         Basis hint for the LP solve — a :class:`~repro.lp.basis.Basis` or
-        a previous :class:`~repro.lp.solution.LPSolution`.  When omitted,
-        a reused ``formulation`` supplies its own ``last_solution`` (set
-        by the previous call), which is how QoS sweeps warm-start each
-        level from the one before.  Unusable hints silently degrade to a
-        cold solve.
+        a previous :class:`~repro.lp.solution.LPSolution` — from another
+        LP of the same shape.  A reused ``formulation`` needs none: its LP
+        keeps the HiGHS instance of its last optimal solve, which is how
+        QoS sweeps hot-start each level from the one before.  Unusable
+        hints silently degrade to a cold solve.
     """
     props = properties or HeuristicProperties()
     if backend == BACKEND_STRUCTURE:
@@ -240,13 +240,11 @@ def compute_lower_bound(
         logger.debug("class %s structurally infeasible: %s", props.describe(), result.reason)
         return result
 
-    warm = warm_start if warm_start is not None else form.last_solution
     t0 = time.perf_counter()
-    solution = form.lp.solve(backend=backend, warm_start=warm)
+    solution = form.lp.solve(backend=backend, warm_start=warm_start)
     result.solve_seconds = time.perf_counter() - t0
     result.status = solution.status.value
     result.backend_used = solution.backend
-    form.last_solution = solution if solution.is_optimal else None
 
     if solution.status is SolveStatus.INFEASIBLE:
         result.reason = "LP relaxation infeasible: the class cannot meet the goal"

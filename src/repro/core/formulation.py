@@ -43,12 +43,6 @@ from repro.core.properties import (
 from repro.lp.model import LinearProgram
 from repro.perf import PERF
 
-#: Largest QoS-fraction re-target that keeps the previous basis as a warm
-#: hint.  Drift-sized moves (daemon epochs, fine sweeps) repair in tens of
-#: pivots; coarse sweep jumps (0.95 -> 0.99) move the optimum by thousands
-#: and are faster solved cold.
-WARM_RETARGET_DELTA = 2e-3
-
 
 @dataclass
 class Formulation:
@@ -77,11 +71,6 @@ class Formulation:
     # QoS-row metadata for set_qos_fraction(): scope key ->
     # (row index or -1, total reads, origin-covered reads, max coverable).
     qos_meta: Dict[object, Tuple[int, float, float, float]] = field(default_factory=dict)
-    # Most recent optimal LPSolution for this formulation; sweeps that
-    # re-target the QoS rows (set_qos_fraction) warm-start the next solve
-    # from its basis.  Never serialized; None whenever the last solve was
-    # not optimal.
-    last_solution: Optional[object] = None
 
     # -- solution accessors --------------------------------------------------
 
@@ -149,7 +138,8 @@ class Formulation:
 
         QoS sweeps (Figures 1-3) call this to reuse one formulation per
         class across all sweep levels; only the constraint right-hand sides
-        and the structural-feasibility flags change.
+        and the structural-feasibility flags change, so the next solve
+        hot-starts from the LP's retained HiGHS instance.
         """
         import dataclasses
 
@@ -159,12 +149,6 @@ class Formulation:
             raise TypeError("set_qos_fraction needs a QoS-goal formulation")
         if not self.qos_meta:
             raise RuntimeError("formulation carries no QoS rows to re-target")
-        # Warm-start policy: a drift-sized re-target keeps the previous
-        # basis nearly optimal (tens of repair pivots); a coarse jump moves
-        # the optimum by thousands of pivots and a warm attempt costs more
-        # than a cold solve.  Past WARM_RETARGET_DELTA the hint is dropped.
-        if abs(fraction - self.problem.goal.fraction) > WARM_RETARGET_DELTA:
-            self.last_solution = None
         goal = dataclasses.replace(self.problem.goal, fraction=fraction)
         self.problem = dataclasses.replace(self.problem, goal=goal)
         self.structurally_infeasible = False

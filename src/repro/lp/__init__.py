@@ -10,11 +10,12 @@ A small, self-contained LP modeling layer used by the MC-PERF formulation in
 * :class:`~repro.lp.solution.LPSolution` — solved values, objective and status.
 * :func:`~repro.lp.scipy_backend.solve_with_scipy` — the production backend:
   HiGHS through scipy's bindings, fed exactly what ``linprog`` would feed it,
-  returning HiGHS's optimal basis alongside values and duals.
+  returning HiGHS's optimal basis alongside values and duals, and re-solving
+  patched models hot inside the HiGHS instance it keeps on the model.
 * :func:`~repro.lp.simplex.solve_with_simplex` — the scipy-free simplex used
-  for differential testing and for environments without scipy; since ISSUE 9
-  it is a revised simplex over sparse columns (:mod:`repro.lp.revised`) whose
-  :class:`~repro.lp.basis.Basis` handles warm-start every backend's re-solves.
+  for differential testing and for environments without scipy: a revised
+  simplex over sparse columns (:mod:`repro.lp.revised`) that warm-starts
+  from a :class:`~repro.lp.basis.Basis` handle.
 * :func:`~repro.audit.certificates.check_solution` — an independent
   feasibility checker used by tests and by the rounding algorithm
   (re-exported here; it lives in the audit subsystem).

@@ -10,10 +10,10 @@ variables first, then the row slacks:
 * ``NB_FREE`` — nonbasic free variable, held at zero.
 
 The handle is deliberately *opaque* to every caller: ``lp/branch_bound``,
-``core/bounds`` sweeps, the decomposition master and the placement service
-only move it from one :class:`~repro.lp.solution.LPSolution` to the next
-``solve(warm_start=...)`` call.  Validation happens at the point of use
-(:func:`repro.lp.revised.solve_revised`): a handle whose shape no longer
+the decomposition master and the placement service only move it from one
+:class:`~repro.lp.solution.LPSolution` to the next ``solve(warm_start=...)``
+call.  Validation happens at the point of use (HiGHS's ``setBasis``,
+:func:`repro.lp.revised.solve_revised`): a handle whose shape no longer
 matches the model — stale cache entries, structurally edited models —
 degrades to a cold solve instead of erroring.
 """

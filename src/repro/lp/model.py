@@ -352,36 +352,6 @@ class _ArrayCache:
         self.nrows = len(row_pos)
 
 
-class PatchLog:
-    """Which rows/columns the patch API touched since the last drain.
-
-    The warm-start machinery reads this to attribute counters and decide
-    whether a cached basis is even worth re-certifying; it never affects
-    correctness (the engine re-reads the patched arrays wholesale).
-    """
-
-    __slots__ = ("rows", "bounds", "objective")
-
-    def __init__(self) -> None:
-        self.rows: set = set()
-        self.bounds: set = set()
-        self.objective: set = set()
-
-    def clear(self) -> None:
-        self.rows.clear()
-        self.bounds.clear()
-        self.objective.clear()
-
-    def __bool__(self) -> bool:
-        return bool(self.rows or self.bounds or self.objective)
-
-    def __repr__(self) -> str:
-        return (
-            f"PatchLog(rows={len(self.rows)}, bounds={len(self.bounds)}, "
-            f"objective={len(self.objective)})"
-        )
-
-
 @dataclass
 class LinearProgram:
     """A minimization LP over continuous bounded variables."""
@@ -391,11 +361,13 @@ class LinearProgram:
     constraints: "ConstraintList" = field(default_factory=ConstraintList)
     _names: Dict[str, int] = field(default_factory=dict)
     _arrays: Optional[_ArrayCache] = field(default=None, repr=False, compare=False)
-    #: Patch-API change log (rows / bounds / objective indices touched).
-    patch_log: PatchLog = field(default_factory=PatchLog, repr=False, compare=False)
     #: Cached revised-simplex engine (see :mod:`repro.lp.revised`); holds an
     #: LU factor, so it is dropped on pickling/deepcopy and rebuilt lazily.
     _engine: Optional[object] = field(default=None, repr=False, compare=False)
+    #: HiGHS instance retained after an optimal scipy solve (see
+    #: :mod:`repro.lp.scipy_backend`); dropped on pickling/deepcopy like
+    #: the engine.
+    _highs: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Accept a plain list of Constraint objects (diagnostics build
@@ -505,13 +477,11 @@ class LinearProgram:
         self.variables[index].objective = float(coeff)
         if self._arrays is not None:
             self._arrays.c[index] = self.variables[index].objective
-        self.patch_log.objective.add(index)
 
     def add_objective(self, index: int, coeff: float) -> None:
         self.variables[index].objective += float(coeff)
         if self._arrays is not None:
             self._arrays.c[index] = self.variables[index].objective
-        self.patch_log.objective.add(index)
 
     def set_bounds(self, index: int, lower: float = 0.0, upper: Optional[float] = None) -> None:
         """Patch a variable's bounds, updating cached arrays in place."""
@@ -525,7 +495,6 @@ class LinearProgram:
             cache.bounds[index] = (lower, upper)
             cache.lb[index] = lower
             cache.ub[index] = float("inf") if upper is None else upper
-        self.patch_log.bounds.add(index)
         PERF.count("lp.patch.bound")
 
     # ``set_bound`` is the patch-API name from the performance layer;
@@ -654,7 +623,6 @@ class LinearProgram:
             else:
                 cache.b_ub[pos] = -rhs if cache.row_flip[row] else rhs
             cache.b_all[row] = rhs
-        self.patch_log.rows.add(row)
         PERF.count("lp.patch.rhs")
 
     # -- assembly ----------------------------------------------------------
@@ -778,13 +746,15 @@ class LinearProgram:
         return solve_lp(self, backend, **kwargs)
 
     def __getstate__(self):
-        """Drop the engine on pickle/deepcopy: it holds an LU factor.
+        """Drop the engine and HiGHS instance on pickle/deepcopy.
 
-        The assembled arrays travel (they are plain numpy/scipy data); the
-        engine rebuilds lazily on the first solve in the new process.
+        Both hold a factor; the assembled arrays travel (they are plain
+        numpy/scipy data), and the next solve in the new process starts
+        cold.
         """
         state = self.__dict__.copy()
         state["_engine"] = None
+        state["_highs"] = None
         return state
 
     def __repr__(self) -> str:

@@ -1,7 +1,7 @@
 """Revised simplex over sparse columns with basis reuse (ISSUE 9).
 
-This is the engine behind the ``"simplex"`` backend *and* the warm-start
-path every other backend can hand a basis to.  It replaces the dense
+This is the engine behind the ``"simplex"`` backend, warm-started from a
+caller's basis or cold.  It replaces the dense
 two-phase tableau: instead of carrying an m×(n+m) tableau through every
 pivot, it keeps the constraint matrix in sparse column form and represents
 the basis inverse as a **product-form factorization** — a periodically
@@ -757,7 +757,8 @@ def solve_revised(
 
     Raises :class:`SimplexError` on the iteration cap and
     :class:`_SingularBasis` (internal) when a warm basis cannot seed the
-    model — callers in the registry catch both and degrade to a cold solve.
+    model — :func:`repro.lp.simplex.solve_with_simplex` catches both and
+    degrades to a cold solve.
     """
     return get_engine(model).solve(
         warm_basis=warm_basis, max_iterations=max_iterations

@@ -8,10 +8,22 @@ DESIGN.md.
 The model is handed to HiGHS exactly as ``scipy.optimize.linprog(method=
 "highs")`` would hand it — same matrix, row order, bounds and options — but
 through ``scipy.optimize._highspy._core`` directly, because ``linprog``
-discards the optimal basis HiGHS ends with.  That basis is returned as a
-:class:`~repro.lp.basis.Basis`, so the next drift-sized re-solve warm-starts
-the revised simplex from it instead of rebuilding one.  This is the only
-module that touches the private bindings.
+neither returns the optimal basis nor keeps its HiGHS instance.  This backend
+keeps both:
+
+* The ``_Highs`` instance stays on the model (``model._highs``) after an
+  optimal solve.  A re-solve of the same assembled arrays pushes only the
+  rows, column bounds and costs the patch API changed since the last run,
+  and HiGHS's dual simplex restarts from its retained basis and factor —
+  the hot start every QoS sweep level, branch-and-bound child and pricing
+  round takes.
+* A :class:`~repro.lp.basis.Basis` from another LP of the same shape (the
+  service's per-class warm store, the DW master's remapped basis) enters a
+  fresh instance through ``setBasis``.
+
+Either warm start is a hint: a non-optimal warm outcome is re-solved cold
+and counts ``lp.simplex.warm_degraded``.  This is the only module that
+touches the private bindings.
 """
 
 from __future__ import annotations
@@ -20,147 +32,241 @@ import numpy as np
 
 from repro.lp.basis import AT_LOWER, AT_UPPER, BASIC, NB_FREE, Basis
 from repro.lp.solution import LPSolution, SolveStatus
+from repro.perf import PERF
 
 #: ``linprog``'s post-solve feasibility tolerance (``sqrt(1e-9) * 10``): an
 #: "optimal" point violating a bound or row by more is reported as an error.
 _CHECK_TOL = float(np.sqrt(1e-9) * 10)
 
 
-def solve_with_scipy(model, **options) -> LPSolution:
+class _HighsRun:
+    """A HiGHS instance plus the costs, bounds and rows it was last given.
+
+    Valid for re-solves while the model's assembled cache is the same
+    object (no structural edit since) and the options are unchanged; the
+    copies are what a re-solve diffs the patched cache against.
+    """
+
+    __slots__ = ("highs", "accepted", "cache", "options", "n_ub", "c", "lb", "ub", "rhs")
+
+    def __init__(self, h, cache, options):
+        from scipy import sparse
+
+        self.cache, self.options = cache, options
+        self.n_ub = 0 if cache.b_ub is None else len(cache.b_ub)
+        self._remember(cache)
+        n, m = cache.nvars, len(self.rhs)
+        blocks = [a for a in (cache.a_ub, cache.a_eq) if a is not None]
+        a = sparse.csc_array(sparse.vstack(blocks)) if blocks else sparse.csc_array((0, n))
+        lp = h.HighsLp()
+        lp.num_col_ = lp.a_matrix_.num_col_ = n
+        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cache.c, cache.lb, cache.ub
+        # HiGHS sees rows as lhs <= A x <= rhs: the <= block (>= rows
+        # negated by to_arrays) over the == block, as linprog stacks them.
+        lp.row_lower_ = np.concatenate([np.full(self.n_ub, -np.inf), self.rhs[self.n_ub:]])
+        lp.row_upper_ = self.rhs
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
+            a.indptr, a.indices, a.data
+        )
+        self.highs = h._Highs()
+        settings = {
+            "presolve": "on",
+            "output_flag": False,
+            "log_to_console": False,
+            "highs_debug_level": int(h.HighsDebugLevel.kHighsDebugLevelNone),
+            "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+        }
+        for key, value in {**settings, **options}.items():
+            if self.highs.setOptionValue(key, value) == h.HighsStatus.kError:
+                raise ValueError(f"bad HiGHS option {key}={value!r}")
+        self.accepted = self.highs.passModel(lp) != h.HighsStatus.kError
+
+    def _remember(self, cache) -> None:
+        self.c, self.lb, self.ub = cache.c.copy(), cache.lb.copy(), cache.ub.copy()
+        self.rhs = np.concatenate(
+            [np.zeros(0)] + [b for b in (cache.b_ub, cache.b_eq) if b is not None]
+        )
+
+    def push(self) -> None:
+        """Hand HiGHS the rows, column bounds and costs patched since the last run."""
+        cache, highs, old_rhs = self.cache, self.highs, self.rhs
+        changed_c = np.flatnonzero(cache.c != self.c)
+        changed_b = np.flatnonzero((cache.lb != self.lb) | (cache.ub != self.ub))
+        self._remember(cache)
+        for i in np.flatnonzero(self.rhs != old_rhs).tolist():
+            rhs = self.rhs[i]
+            highs.changeRowBounds(i, -np.inf if i < self.n_ub else rhs, rhs)
+        if len(changed_b):
+            highs.changeColsBounds(
+                len(changed_b), changed_b.astype(np.int32), cache.lb[changed_b],
+                cache.ub[changed_b],
+            )
+        if len(changed_c):
+            highs.changeColsCost(len(changed_c), changed_c.astype(np.int32), cache.c[changed_c])
+
+    def set_basis(self, h, basis: Basis) -> bool:
+        """Start from a foreign basis (the inverse of :func:`_basis`); False if rejected."""
+        if not (self.accepted and basis.is_wellformed()):
+            return False
+        b = h.HighsBasisStatus
+        # HiGHS's status for each of our codes, indexed BASIC..NB_FREE.
+        theirs = np.array([b.kBasic, b.kLower, b.kUpper, b.kZero], dtype=object)
+        row_basic = np.empty(basis.nrows, dtype=bool)
+        row_basic[self.highs_row()] = basis.statuses[basis.nvars:] == BASIC
+        # A nonbasic row sits at its only finite bound: the upper one for
+        # the <= block, either for == rows.
+        in_ub = np.arange(basis.nrows) < self.n_ub
+        highs_basis = h.HighsBasis()
+        highs_basis.col_status = theirs[basis.statuses[: basis.nvars]].tolist()
+        highs_basis.row_status = theirs[
+            np.where(row_basic, BASIC, np.where(in_ub, AT_UPPER, AT_LOWER))
+        ].tolist()
+        highs_basis.alien = False  # have HiGHS check it rather than repair it
+        return self.highs.setBasis(highs_basis) != h.HighsStatus.kError
+
+    def highs_row(self) -> np.ndarray:
+        """HiGHS row of each model row: row i sits at row_pos[i] of its block."""
+        cache = self.cache
+        return np.where(cache.row_is_eq, self.n_ub + cache.row_pos, cache.row_pos)
+
+    def solve(self, h) -> LPSolution:
+        """Run HiGHS and read the outcome back in model terms."""
+        cache, highs, n_ub = self.cache, self.highs, self.n_ub
+        model_status = h.HighsModelStatus.kModelError
+        if self.accepted:
+            highs.run()
+            model_status = highs.getModelStatus()
+            PERF.count("lp.simplex.iterations", highs.getInfo().simplex_iteration_count)
+        message = highs.modelStatusToString(model_status)
+        # linprog's mapping, including "a model HiGHS rejects is infeasible".
+        status = {
+            h.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+            h.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+            h.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
+            h.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
+        }.get(model_status, SolveStatus.ERROR)
+        if status is not SolveStatus.OPTIMAL:
+            return LPSolution(
+                status=status, values=np.zeros(cache.nvars), backend="scipy", message=message
+            )
+
+        solution = highs.getSolution()
+        values = np.array(solution.col_value, dtype=float)
+        slack = self.rhs - np.array(solution.row_value, dtype=float)
+        if not (
+            np.all(values >= cache.lb - _CHECK_TOL)
+            and np.all(values <= cache.ub + _CHECK_TOL)
+            and np.all(slack[:n_ub] >= -_CHECK_TOL)
+            and np.all(np.abs(slack[n_ub:]) <= _CHECK_TOL)
+        ):
+            return LPSolution(
+                status=SolveStatus.ERROR, values=values, backend="scipy",
+                message="HiGHS optimum violates the constraints beyond tolerance",
+            )
+
+        highs_row = self.highs_row()
+        duals = np.array(solution.row_dual, dtype=float)[highs_row]
+        # A >= row was negated into <= form, so its sensitivity to the original
+        # rhs flips sign: duals of >= rows come out >= 0 (more requirement
+        # costs more), the shadow-price convention callers use.
+        duals[cache.row_flip] = -duals[cache.row_flip]
+        ok, basic = h.HighsStatus.kOk, np.zeros(0, dtype=np.int32)
+        if len(highs_row):
+            ok, basic = highs.getBasicVariables()
+        col_dual = np.array(solution.col_dual, dtype=float)
+        return LPSolution(
+            status=SolveStatus.OPTIMAL,
+            objective=float(highs.getInfo().objective_function_value),
+            values=values,
+            backend="scipy",
+            message=message,
+            duals=duals,
+            basis=_basis(basic, values, col_dual, cache, highs_row)
+            if ok == h.HighsStatus.kOk else None,
+        )
+
+
+def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
     """Solve a :class:`repro.lp.model.LinearProgram` with HiGHS.
 
     Parameters
     ----------
     model:
         The LP to solve (minimization).
+    warm_start:
+        A :class:`~repro.lp.basis.Basis` (or an
+        :class:`~repro.lp.solution.LPSolution` carrying one) from another
+        LP of the same shape.  Used only when the model has no retained
+        HiGHS instance to hot-start from; a rejected basis solves cold.
     options:
         HiGHS options set on top of ``linprog``'s defaults, by their HiGHS
         names (e.g. ``presolve="off"``).
     """
     # Imported here so ``import repro.lp`` stays cheap; the "auto" backend
     # turns an import failure into a warned fallback.
-    from scipy import sparse
     from scipy.optimize._highspy import _core as h
 
-    c, a_ub, b_ub, a_eq, b_eq, _bounds = model.to_arrays()
+    from repro.solvers.registry import warm_starts_enabled
+
+    model.to_arrays()
     cache = model._arrays
-    n = len(c)
-    if n == 0:
+    run, model._highs = model._highs, None
+    if cache.nvars == 0:
         return LPSolution(
             status=SolveStatus.OPTIMAL, objective=0.0, values=np.zeros(0), backend="scipy"
         )
-
-    # HiGHS sees rows as lhs <= A x <= rhs: the <= block (>= rows negated
-    # by to_arrays) over the == block, as linprog stacks them.
-    blocks = [a for a in (a_ub, a_eq) if a is not None]
-    n_ub = 0 if b_ub is None else len(b_ub)
-    b_eq = np.zeros(0) if b_eq is None else b_eq
-    rhs = np.concatenate([np.zeros(0) if b_ub is None else b_ub, b_eq])
-    lhs = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    a = sparse.csc_array(sparse.vstack(blocks)) if blocks else sparse.csc_array((0, n))
-
-    lp = h.HighsLp()
-    lp.num_col_ = n
-    lp.num_row_ = len(rhs)
-    lp.a_matrix_.num_col_ = n
-    lp.a_matrix_.num_row_ = len(rhs)
-    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-    lp.col_cost_ = c
-    lp.col_lower_ = cache.lb
-    lp.col_upper_ = cache.ub
-    lp.row_lower_ = lhs
-    lp.row_upper_ = rhs
-    lp.a_matrix_.start_ = a.indptr
-    lp.a_matrix_.index_ = a.indices
-    lp.a_matrix_.value_ = a.data
-
-    highs = h._Highs()
-    settings = {
-        "presolve": "on",
-        "output_flag": False,
-        "log_to_console": False,
-        "highs_debug_level": int(h.HighsDebugLevel.kHighsDebugLevelNone),
-        "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-    }
-    settings.update(options)
-    for key, value in settings.items():
-        if highs.setOptionValue(key, value) == h.HighsStatus.kError:
-            raise ValueError(f"bad HiGHS option {key}={value!r}")
-    if highs.passModel(lp) == h.HighsStatus.kError:
-        model_status = h.HighsModelStatus.kModelError
+    warm = warm_starts_enabled()
+    if run is not None and warm and run.cache is cache and run.options == options:
+        run.push()
     else:
-        highs.run()
-        model_status = highs.getModelStatus()
-    message = highs.modelStatusToString(model_status)
-    # linprog's mapping, including "a model HiGHS rejects is infeasible".
-    status = {
-        h.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
-        h.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-        h.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
-        h.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
-    }.get(model_status, SolveStatus.ERROR)
-    if status is not SolveStatus.OPTIMAL:
-        return LPSolution(
-            status=status, values=np.zeros(n), backend="scipy", message=message
-        )
-
-    solution = highs.getSolution()
-    values = np.array(solution.col_value, dtype=float)
-    row_value = np.array(solution.row_value, dtype=float)
-    slack = rhs - row_value
-    if not (
-        np.all(values >= cache.lb - _CHECK_TOL)
-        and np.all(values <= cache.ub + _CHECK_TOL)
-        and np.all(slack[:n_ub] >= -_CHECK_TOL)
-        and np.all(np.abs(slack[n_ub:]) <= _CHECK_TOL)
-    ):
-        return LPSolution(
-            status=SolveStatus.ERROR, values=values, backend="scipy",
-            message="HiGHS optimum violates the constraints beyond tolerance",
-        )
-
-    # HiGHS row i of the model lives at position row_pos[i] of its block.
-    highs_row = np.where(cache.row_is_eq, n_ub + cache.row_pos, cache.row_pos)
-    duals = np.array(solution.row_dual, dtype=float)[highs_row]
-    # A >= row was negated into <= form, so its sensitivity to the original
-    # rhs flips sign: duals of >= rows come out >= 0 (more requirement
-    # costs more), the shadow-price convention callers use.
-    duals[cache.row_flip] = -duals[cache.row_flip]
-    return LPSolution(
-        status=SolveStatus.OPTIMAL,
-        objective=float(highs.getInfo().objective_function_value),
-        values=values,
-        backend="scipy",
-        message=message,
-        duals=duals,
-        basis=_basis(h, highs.getBasis(), cache, highs_row),
-    )
+        run = None
+        basis = getattr(warm_start, "basis", warm_start)
+        if warm and isinstance(basis, Basis) and basis.matches(cache.nvars, cache.nrows):
+            run = _HighsRun(h, cache, options)
+            if not run.set_basis(h, basis):
+                PERF.count("lp.simplex.warm_degraded")
+                run = None
+    if run is not None:
+        PERF.count("lp.simplex.warm_starts")
+        solution = run.solve(h)
+        if solution.is_optimal:
+            model._highs = run
+            return solution
+        # A warm start is a hint, never a correctness dependency: a
+        # non-optimal warm outcome is re-established by a cold solve.
+        PERF.count("lp.simplex.warm_degraded")
+    run = _HighsRun(h, cache, options)
+    solution = run.solve(h)
+    if solution.is_optimal and warm:
+        model._highs = run
+    return solution
 
 
-def _basis(h, highs_basis, cache, highs_row) -> "Basis | None":
+def _basis(basic, values, col_dual, cache, highs_row) -> "Basis | None":
     """HiGHS's final basis in :mod:`repro.lp.basis` terms, or None.
 
-    Structural columns map status for status.  Row statuses describe the
+    Built from HiGHS's basic-variable list (``>= 0`` a column, ``-1 - i``
+    row ``i``) and the column values against their bounds, as HiGHS itself
+    labels a nonbasic column: at its upper bound, free at zero, or — when
+    fixed — by the sign of its reduced cost.  Row statuses describe the
     row activity ``A x``; the revised simplex's slack is ``s = b - A x``,
     so a nonbasic row puts its slack at zero — the slack's upper bound for
     ``>=`` rows, its lower bound for ``<=`` and ``==`` rows.
     """
-    if not highs_basis.valid:
-        return None
-    b = h.HighsBasisStatus
-    code = np.full(max(map(int, b.__members__.values())) + 1, -1, dtype=np.int8)
-    for theirs, ours in (
-        (b.kLower, AT_LOWER), (b.kUpper, AT_UPPER), (b.kBasic, BASIC), (b.kZero, NB_FREE)
-    ):
-        code[int(theirs)] = ours
-    cols = code[np.fromiter(map(int, highs_basis.col_status), dtype=np.int64)]
-    if (cols < 0).any():
-        return None
-    row_basic = (
-        np.fromiter(map(int, highs_basis.row_status), dtype=np.int64) == int(b.kBasic)
-    )[highs_row]
+    lb, ub = cache.lb, cache.ub
+    fixed = lb == ub
+    cols = np.where(
+        np.where(fixed, col_dual < 0, values == ub),
+        AT_UPPER,
+        np.where(np.isinf(lb) & np.isinf(ub), NB_FREE, AT_LOWER),
+    ).astype(np.int8)
+    cols[basic[basic >= 0]] = BASIC
+    row_basic = np.zeros(len(highs_row), dtype=bool)
+    row_basic[-1 - basic[basic < 0]] = True
     rows = np.where(
-        row_basic, BASIC, np.where(cache.row_flip, AT_UPPER, AT_LOWER)
+        row_basic[highs_row], BASIC, np.where(cache.row_flip, AT_UPPER, AT_LOWER)
     ).astype(np.int8)
     basis = Basis(np.concatenate([cols, rows]), len(cols), len(rows))
     return basis if basis.is_wellformed() else None

@@ -12,8 +12,8 @@ over :mod:`repro.lp.revised` — a revised simplex over sparse columns with
 product-form basis updates.  The pivot logic shares *nothing* with
 scipy/HiGHS (only the LU factorization uses ``scipy.sparse.linalg.splu``
 when scipy happens to be importable; a numpy dense-inverse kernel covers
-scipy-less installs), so the differential-testing value is preserved while
-the same engine powers warm-started re-solves for every backend.
+scipy-less installs), so the differential-testing value is preserved; the
+backend warm-starts from a caller's basis itself.
 
 Problem form solved::
 
@@ -31,9 +31,12 @@ from __future__ import annotations
 
 from typing import Optional
 
+from repro.lp.basis import Basis
+
 # Re-exported: the historical public names of this module.
-from repro.lp.revised import SimplexError, solve_revised
+from repro.lp.revised import SimplexError, _SingularBasis, solve_revised
 from repro.lp.solution import LPSolution
+from repro.perf import PERF
 
 __all__ = ["SimplexError", "solve_with_simplex"]
 
@@ -46,30 +49,18 @@ def solve_with_simplex(
     """Solve a :class:`repro.lp.model.LinearProgram` with the fallback simplex.
 
     ``warm_start`` may be a :class:`~repro.lp.basis.Basis` or an
-    :class:`~repro.lp.solution.LPSolution` carrying one; an unusable basis
-    degrades to a cold solve here (the registry's warm dispatch does its
-    own degrading — this path is for direct ``backend="simplex"`` callers).
+    :class:`~repro.lp.solution.LPSolution` carrying one.  The revised
+    simplex re-certifies it against the current arrays; a singular basis,
+    the iteration cap or a non-optimal warm outcome re-solves cold and
+    counts ``lp.simplex.warm_degraded``.
     """
-    basis = _coerce_basis(model, warm_start)
-    if basis is not None:
-        from repro.lp.revised import _SingularBasis
-
+    basis = getattr(warm_start, "basis", warm_start)
+    if isinstance(basis, Basis) and basis.matches(model.num_variables, model.num_constraints):
         try:
-            return solve_revised(model, warm_basis=basis, max_iterations=max_iterations)
-        except _SingularBasis:
-            pass  # fall through to the cold solve
+            solution = solve_revised(model, warm_basis=basis, max_iterations=max_iterations)
+        except (SimplexError, _SingularBasis):
+            solution = None
+        if solution is not None and solution.is_optimal:
+            return solution
+        PERF.count("lp.simplex.warm_degraded")
     return solve_revised(model, max_iterations=max_iterations)
-
-
-def _coerce_basis(model, warm_start):
-    """Extract a shape-compatible Basis from a warm-start argument, or None."""
-    if warm_start is None:
-        return None
-    from repro.lp.basis import Basis
-
-    basis = warm_start if isinstance(warm_start, Basis) else getattr(warm_start, "basis", None)
-    if isinstance(basis, Basis) and basis.matches(
-        model.num_variables, model.num_constraints
-    ):
-        return basis
-    return None

@@ -27,9 +27,9 @@ Counter names in use across the tree::
     lp.patch.bound        set_bound() patched cached bounds in place
     lp.patch.rhs          set_rhs() patched a cached RHS entry in place
     lp.solve              LinearProgram.solve() calls
-    lp.simplex.iterations        revised-simplex pivots (all phases)
-    lp.simplex.refactorizations  basis LU rebuilds (incl. the initial one)
-    lp.simplex.warm_starts       solves that ran from a caller-provided basis
+    lp.simplex.iterations        simplex pivots (HiGHS's and the revised simplex's)
+    lp.simplex.refactorizations  revised-simplex LU rebuilds (incl. the initial one)
+    lp.simplex.warm_starts       solves started hot or from a caller-provided basis
     lp.simplex.warm_degraded     warm attempts that fell back to a cold solve
     form.build.vectorized / form.build.legacy   formulation assembly mode
     form.retarget         set_qos_fraction() RHS-only re-target

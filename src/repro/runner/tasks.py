@@ -36,10 +36,11 @@ from repro.topology.graph import Topology
 from repro.workload.trace import Trace
 
 #: Per-process formulation memo: reuse_key -> Formulation.  Bounded because a
-#: formulation holds the full LP; sweeps walk classes one group at a time, so
-#: a tiny capacity already captures every reuse the schedule allows.
+#: formulation holds the full LP and its retained HiGHS instance; chunks run
+#: one reuse group at a time, so one entry captures every reuse the schedule
+#: allows.
 _FORMULATIONS: "OrderedDict[str, object]" = OrderedDict()
-_FORMULATION_CAPACITY = 4
+_FORMULATION_CAPACITY = 1
 
 
 def _memoize_formulation(key: str, form: object) -> None:

@@ -355,9 +355,6 @@ class _ObjectPricer:
         self.form = form
         self.base_obj = np.array([v.objective for v in form.lp.variables])
         self.constant = float(form.objective_constant)
-        #: Last optimal solution — re-pricing only patches objectives, so
-        #: its basis stays primal feasible and warm-starts the next round.
-        self.last: Optional[object] = None
         self.rows: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
         for key, (row, _denom, _const, _maxp) in form.qos_meta.items():
             if row < 0:
@@ -380,8 +377,9 @@ class _ObjectPricer:
             lam = duals.get(key, 0.0)
             for idx, coeff in zip(indices, coeffs):
                 lp.set_objective(int(idx), self.base_obj[idx] - lam * coeff)
-        solution = lp.solve(backend=BACKEND_AUTO, warm_start=self.last).require_optimal()
-        self.last = solution
+        # Re-pricing only patches objectives: the LP's retained HiGHS
+        # instance re-solves hot from the previous round's basis.
+        solution = lp.solve(backend=BACKEND_AUTO).require_optimal()
         values = np.asarray(solution.values, dtype=float)
         cost = float(self.base_obj @ values) + self.constant
         coverage = {
@@ -522,11 +520,9 @@ def _solve_dantzig_wolfe(
         # object can meet the target alone: if every object can, their sum
         # meets the aggregate target and the master starts feasible.
         seeds: List[Tuple[float, Dict[object, float]]] = []
-        seed_solution = None
         if not form.structurally_infeasible:
             solution = form.lp.solve(backend=BACKEND_AUTO)
             if solution.status is SolveStatus.OPTIMAL:
-                seed_solution = solution
                 values = np.asarray(solution.values, dtype=float)
                 base = np.array([v.objective for v in form.lp.variables])
                 cov = {}
@@ -539,7 +535,6 @@ def _solve_dantzig_wolfe(
                     cov[key] = float(cf @ values[idx])
                 seeds.append((float(base @ values) + float(form.objective_constant), cov))
         pricer = _ObjectPricer(k, form)  # relaxes the QoS rows in place
-        pricer.last = seed_solution  # warm seed for the first pricing round
         seeds.append((pricer.constant, {}))  # the empty placement, always valid
         pricers.append(pricer)
         columns.append(seeds)

@@ -69,7 +69,7 @@ def _solve_auto(model, **kwargs):
             RuntimeWarning,
             stacklevel=3,
         )
-        return solve_with_simplex(model)
+        return solve_with_simplex(model, warm_start=kwargs.get("warm_start"))
 
 
 def _solve_scipy(model, **kwargs):
@@ -174,49 +174,6 @@ def warm_starts_enabled() -> bool:
     return os.environ.get("REPRO_LP_WARM", "1") not in ("0", "off", "no")
 
 
-def _try_warm_solve(model, warm_start, **kwargs):
-    """Attempt a warm revised-simplex solve; None means "cold solve instead".
-
-    Accepts a :class:`~repro.lp.basis.Basis` or an
-    :class:`~repro.lp.solution.LPSolution` carrying one (every backend
-    returns its optimal basis); a hint without a basis solves cold.  *Any*
-    failure of a usable-looking basis — singular, iteration cap,
-    non-optimal outcome — degrades to the cold path and counts
-    ``lp.simplex.warm_degraded``; a warm start is a performance hint,
-    never a correctness dependency.
-    """
-    from repro.lp.basis import Basis
-    from repro.lp.solution import LPSolution, SolveStatus
-
-    basis = warm_start.basis if isinstance(warm_start, LPSolution) else warm_start
-    if not isinstance(basis, Basis) or not basis.matches(
-        model.num_variables, model.num_constraints
-    ):
-        return None
-    try:
-        from repro.lp.revised import SimplexError, _SingularBasis, solve_revised
-
-        max_iterations = kwargs.get("max_iterations", _WARM_ITERATION_LIMIT)
-        solution = solve_revised(model, warm_basis=basis, max_iterations=max_iterations)
-    except (SimplexError, _SingularBasis):
-        solution = None
-    except Exception:  # pragma: no cover - defensive: never block the cold path
-        solution = None
-    if solution is not None and solution.status is SolveStatus.OPTIMAL:
-        return solution
-    # Non-optimal warm outcomes (infeasible/unbounded) are re-established by
-    # a cold solve rather than trusted from a recycled basis.
-    from repro.perf import PERF
-
-    PERF.count("lp.simplex.warm_degraded")
-    return None
-
-
-#: Iteration cap for warm re-solves: past this, a cold solve is a better
-#: bet than continuing to repair a stale basis.
-_WARM_ITERATION_LIMIT = 20_000
-
-
 def solve_lp(model, backend: str = BACKEND_AUTO, warm_start=None, **kwargs):
     """Dispatch ``model`` to the named LP backend.
 
@@ -227,25 +184,21 @@ def solve_lp(model, backend: str = BACKEND_AUTO, warm_start=None, **kwargs):
     breaker), the dispatch routes through it.
 
     ``warm_start`` (a :class:`~repro.lp.basis.Basis` or a previous
-    :class:`~repro.lp.solution.LPSolution`) routes the solve through the
-    revised simplex's dual warm start first — the basis is re-certified
-    against the patched arrays, and any problem with it falls back to the
-    named backend's cold solve.  Only the stock LP backends
-    (:data:`LP_BACKENDS`) are intercepted: a custom registered backend was
-    named for a reason, and a warm shortcut would mask its behaviour (and
-    its failures) from callers like the service's circuit breaker.
+    :class:`~repro.lp.solution.LPSolution`) is handed to the backend
+    itself: ``scipy`` starts HiGHS from it through ``setBasis`` when the
+    model has no retained instance to hot-start from, and ``simplex``
+    starts its revised simplex from it.  Either degrades to a cold solve
+    on any problem with the hint.  Only the stock LP backends
+    (:data:`LP_BACKENDS`) get the hint, and only while
+    :func:`warm_starts_enabled`: a custom registered backend was named for
+    a reason, and its own solve must stay what callers like the service's
+    circuit breaker see.
     """
     solver = get_backend(backend)
+    if warm_start is not None and backend in LP_BACKENDS and warm_starts_enabled():
+        kwargs["warm_start"] = warm_start
 
     def thunk():
-        if (
-            warm_start is not None
-            and backend in LP_BACKENDS
-            and warm_starts_enabled()
-        ):
-            solution = _try_warm_solve(model, warm_start, **kwargs)
-            if solution is not None:
-                return solution
         return solver.solve(model, **kwargs)
 
     if _GUARD is None:

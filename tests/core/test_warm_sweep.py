@@ -1,9 +1,10 @@
-"""Warm-started QoS sweeps (ISSUE 9): counter wiring, exactness, auditing.
+"""Warm-started QoS sweeps: counter wiring, exactness, auditing.
 
-Fine (drift-sized) re-targets must reuse the previous basis; coarse jumps
-must drop the hint (a warm attempt there costs more than a cold solve);
-and a warm-started sweep must survive the full audit — the certificates
-cannot tell (and must not care) how the optimum was reached.
+Every re-target — drift-sized or coarse — re-solves inside the LP's
+retained HiGHS instance, hot from its last optimal basis; only an optimal
+outcome keeps the instance.  A warm-started sweep must survive the full
+audit — the certificates cannot tell (and must not care) how the optimum
+was reached.
 """
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 
 from repro.audit.certificates import audit_bound_result
 from repro.core.bounds import compute_lower_bound
-from repro.core.formulation import WARM_RETARGET_DELTA, build_formulation
+from repro.core.formulation import build_formulation
 from repro.core.goals import QoSGoal
 from repro.core.problem import MCPerfProblem
 from repro.perf import PERF
@@ -54,20 +55,40 @@ def test_fine_sweep_fires_warm_starts():
         assert cost == pytest.approx(fresh.lp_cost, abs=1e-8)
 
 
-def test_coarse_retarget_drops_warm_hint():
+def retarget_and_solve(form, fraction):
+    """Re-target ``form`` and solve it; returns (result, warm starts, degraded)."""
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
+    form.set_qos_fraction(fraction)
+    result = compute_lower_bound(form.problem, None, do_rounding=False, formulation=form)
+    return (
+        result,
+        PERF.get("lp.simplex.warm_starts") - warm0,
+        PERF.get("lp.simplex.warm_degraded") - degraded0,
+    )
+
+
+def test_coarse_retarget_hot_starts_retained_instance():
     form = build_formulation(tiny_problem(0.5))
     compute_lower_bound(form.problem, None, do_rounding=False, formulation=form)
-    assert form.last_solution is not None
-    form.set_qos_fraction(0.5 + 10 * WARM_RETARGET_DELTA)
-    assert form.last_solution is None
+    assert form.lp._highs is not None
+    result, warm, degraded = retarget_and_solve(form, 0.7)
+    assert (warm, degraded) == (1, 0)
+    assert form.lp._highs is not None
+    fresh = compute_lower_bound(tiny_problem(0.7), None, do_rounding=False)
+    assert result.lp_cost == pytest.approx(fresh.lp_cost, abs=1e-8)
 
 
 def test_fine_retarget_keeps_warm_hint():
     form = build_formulation(tiny_problem(0.5))
     compute_lower_bound(form.problem, None, do_rounding=False, formulation=form)
-    assert form.last_solution is not None
-    form.set_qos_fraction(0.5 + WARM_RETARGET_DELTA / 2)
-    assert form.last_solution is not None
+    retained = form.lp._highs
+    assert retained is not None
+    result, warm, degraded = retarget_and_solve(form, 0.5005)
+    assert (warm, degraded) == (1, 0)
+    assert form.lp._highs is retained
+    fresh = compute_lower_bound(tiny_problem(0.5005), None, do_rounding=False)
+    assert result.lp_cost == pytest.approx(fresh.lp_cost, abs=1e-8)
 
 
 def test_warm_sweep_passes_full_audit():
@@ -89,12 +110,15 @@ def test_warm_sweep_passes_full_audit():
 def test_non_optimal_outcome_clears_warm_hint():
     form = build_formulation(tiny_problem(0.5))
     compute_lower_bound(form.problem, None, do_rounding=False, formulation=form)
-    assert form.last_solution is not None
-    # An unreachable fraction makes the LP infeasible; the stored hint must
-    # not survive a non-optimal solve.
-    form.set_qos_fraction(1.0)
+    assert form.lp._highs is not None
+    # More required coverage than there are reads: LP-infeasible, past the
+    # structural precheck.  The retained instance must not survive it.
+    row = next(row for row, *_rest in form.qos_meta.values() if row >= 0)
+    form.lp.set_rhs(row, 1e6)
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
     result = compute_lower_bound(
         form.problem, None, do_rounding=False, formulation=form
     )
-    if not result.feasible:
-        assert form.last_solution is None
+    assert result.status == "infeasible"
+    assert PERF.get("lp.simplex.warm_degraded") == degraded0 + 1
+    assert form.lp._highs is None

@@ -1,0 +1,230 @@
+"""Re-solves inside the retained HiGHS instance.
+
+The scipy backend keeps its HiGHS instance on the model after an optimal
+solve; a re-solve pushes only what the patch API changed and restarts
+HiGHS's dual simplex from its retained basis.  The invariant: for any
+sequence of patches the hot re-solve lands where a fresh cold solve does,
+in status and objective.
+"""
+
+import copy
+import pickle
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.bounds import compute_lower_bound
+from repro.core.formulation import build_formulation
+from repro.lp.basis import AT_LOWER, AT_UPPER, BASIC, NB_FREE, Basis
+from repro.lp.model import LinearProgram
+from repro.perf import PERF
+from repro.solvers.registry import solve_lp
+from tests.core.test_warm_sweep import tiny_problem
+
+
+def enum_walk_basis(highs_basis, cache):
+    """Reference conversion: walk HiGHS's per-variable status enums.
+
+    The backend's conversion used to be exactly this; it is kept as the
+    oracle the vectorized one (basic-variable list plus values against
+    bounds) must reproduce status for status.
+    """
+    from scipy.optimize._highspy import _core as h
+
+    b = h.HighsBasisStatus
+    code = np.full(max(map(int, b.__members__.values())) + 1, -1, dtype=np.int8)
+    for theirs, ours in (
+        (b.kLower, AT_LOWER), (b.kUpper, AT_UPPER), (b.kBasic, BASIC), (b.kZero, NB_FREE)
+    ):
+        code[int(theirs)] = ours
+    cols = code[np.fromiter(map(int, highs_basis.col_status), dtype=np.int64)]
+    n_ub = 0 if cache.b_ub is None else len(cache.b_ub)
+    highs_row = np.where(cache.row_is_eq, n_ub + cache.row_pos, cache.row_pos)
+    row_basic = (
+        np.fromiter(map(int, highs_basis.row_status), dtype=np.int64) == int(b.kBasic)
+    )[highs_row]
+    rows = np.where(row_basic, BASIC, np.where(cache.row_flip, AT_UPPER, AT_LOWER))
+    return np.concatenate([cols, rows]).astype(np.int8)
+
+
+def random_lp(seed, nvars=10, nrows=7):
+    """A feasible LP over every column kind (boxed, fixed, free) and row sense."""
+    rng = np.random.default_rng(seed)
+    lp = LinearProgram(name=f"hot-{seed}")
+    x0 = np.empty(nvars)
+    for j in range(nvars):
+        kind = rng.integers(0, 6)
+        cost = float(rng.choice([0.0, rng.uniform(-2, 2)], p=[0.15, 0.85]))
+        if kind == 0:  # fixed
+            x0[j] = float(rng.uniform(0.0, 1.0))
+            lp.var(f"x{j}", lower=x0[j], upper=x0[j], obj=cost)
+        elif kind == 1:  # free, kept bounded by a box row below
+            x0[j] = 0.0
+            lp.var(f"x{j}", lower=-np.inf, upper=None, obj=cost)
+            lp.add_row([j], [1.0], "<=", 2.0)
+            lp.add_row([j], [1.0], ">=", -2.0)
+        else:
+            upper = float(rng.uniform(0.5, 3.0))
+            x0[j] = float(rng.uniform(0.0, upper))
+            lp.var(f"x{j}", upper=upper, obj=cost)
+    for _ in range(nrows):
+        k = int(rng.integers(2, 5))
+        idx = sorted(int(i) for i in rng.choice(nvars, size=k, replace=False))
+        coeffs = rng.uniform(0.2, 2.0, size=k)
+        activity = float(coeffs @ x0[idx])
+        sense = ("<=", ">=", "==")[int(rng.integers(0, 3))]
+        slack = 0.0 if sense == "==" else float(rng.uniform(0.0, 1.0))
+        rhs = activity + slack if sense == "<=" else activity - slack
+        lp.add_row(idx, [float(c) for c in coeffs], sense, rhs)
+    lp.var("idle", lower=-np.inf, upper=None)  # free, in no row: nonbasic at zero
+    return lp
+
+
+def assert_same_outcome(hot, cold):
+    assert hot.status is cold.status
+    if cold.is_optimal:
+        assert abs(hot.objective - cold.objective) <= 1e-9 * max(1.0, abs(cold.objective))
+
+
+def cold_solve(lp):
+    """A fresh cold solve of ``lp`` as it stands (the copy retains nothing)."""
+    fresh = copy.deepcopy(lp)
+    assert fresh._highs is None
+    return fresh.solve(backend="scipy")
+
+
+patch_step = st.tuples(
+    st.sampled_from(["rhs", "bounds", "objective", "infeasible"]),
+    st.integers(0, 1_000),
+    st.floats(0.0, 1.0),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), steps=st.lists(patch_step, min_size=1, max_size=6))
+def test_hot_resolve_equals_cold_across_patch_sequences(seed, steps):
+    lp = random_lp(seed)
+    assert_same_outcome(lp.solve(backend="scipy"), cold_solve(lp))
+    infeasible_row = None
+    for kind, pick, u in steps:
+        if kind == "rhs":
+            row = pick % lp.num_constraints
+            lp.set_rhs(row, lp.constraints[row].rhs * (0.5 + u))
+        elif kind == "bounds":
+            j = pick % lp.num_variables
+            lo = lp.variables[j].lower
+            lo = 0.0 if not np.isfinite(lo) else lo
+            lp.set_bounds(j, lower=lo, upper=lo + 3.0 * u)
+        elif kind == "objective":
+            lp.set_objective(pick % lp.num_variables, 4.0 * u - 2.0)
+        elif infeasible_row is None:  # infeasible <-> feasible
+            infeasible_row = lp.num_constraints - 1
+            con = lp.constraints[infeasible_row]
+            saved = con.rhs
+            lp.set_rhs(infeasible_row, -1e6 if con.sense.value == "<=" else 1e6)
+        else:
+            lp.set_rhs(infeasible_row, saved)
+            infeasible_row = None
+        hot = lp.solve(backend="scipy")
+        assert_same_outcome(hot, cold_solve(lp))
+        assert (lp._highs is not None) == hot.is_optimal
+
+
+@settings(max_examples=15, deadline=None)
+@given(levels=st.lists(st.floats(0.05, 1.0), min_size=2, max_size=5))
+def test_coarse_qos_jumps_equal_fresh_cold_builds(levels):
+    form = build_formulation(tiny_problem(levels[0]))
+    for level in levels:
+        form.set_qos_fraction(level)
+        hot = compute_lower_bound(form.problem, None, do_rounding=False, formulation=form)
+        cold = compute_lower_bound(tiny_problem(level), None, do_rounding=False)
+        assert hot.status == cold.status
+        if cold.feasible:
+            assert hot.lp_cost == pytest.approx(cold.lp_cost, rel=1e-9, abs=1e-9)
+
+
+def test_resolve_pushes_only_changes_and_starts_hot():
+    lp = random_lp(11)
+    lp.solve(backend="scipy")
+    retained = lp._highs
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    lp.set_rhs(0, lp.constraints[0].rhs)  # a no-op patch
+    again = lp.solve(backend="scipy")
+    assert again.is_optimal and lp._highs is retained
+    assert PERF.get("lp.simplex.warm_starts") == warm0 + 1
+
+
+def test_non_optimal_hot_outcome_resolves_cold():
+    lp = random_lp(15)
+    lp.solve(backend="scipy")
+    # Starve the retained instance: its hot run stops at the iteration
+    # limit, which no fresh instance shares.
+    lp._highs.highs.setOptionValue("simplex_iteration_limit", 0)
+    row = next(r for r, con in enumerate(lp.constraints) if con.sense.value == ">=")
+    lp.set_rhs(row, 1e6)
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
+    sol = lp.solve(backend="scipy")
+    assert sol.status is cold_solve(lp).status
+    assert PERF.get("lp.simplex.warm_degraded") == degraded0 + 1
+    assert lp._highs is None
+
+
+def test_structural_edit_or_new_options_solve_cold():
+    lp = random_lp(12)
+    lp.solve(backend="scipy")
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    lp.solve(backend="scipy", presolve="off")  # options changed
+    lp.var("extra", upper=1.0, obj=1.0)  # new assembled arrays
+    sol = lp.solve(backend="scipy", presolve="off")
+    assert sol.is_optimal
+    assert PERF.get("lp.simplex.warm_starts") == warm0
+    assert lp._highs.cache is lp._arrays
+
+
+def test_kill_switch_retains_nothing(monkeypatch):
+    monkeypatch.setenv("REPRO_LP_WARM", "0")
+    lp = random_lp(13)
+    assert lp.solve(backend="scipy").is_optimal
+    assert lp._highs is None
+
+
+def test_pickling_drops_the_instance():
+    lp = random_lp(14)
+    want = lp.solve(backend="scipy")
+    assert lp._highs is not None
+    for clone in (pickle.loads(pickle.dumps(lp)), copy.deepcopy(lp)):
+        assert clone._highs is None
+        assert clone._arrays is not None  # the assembled arrays travel
+        assert clone.solve(backend="scipy").objective == want.objective
+    assert lp._highs is not None  # the original keeps its own
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_vectorized_basis_matches_enum_walk(seed):
+    lp = random_lp(seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(3):  # the cold solve, then hot re-solves
+        sol = lp.solve(backend="scipy")
+        if sol.is_optimal:
+            want = enum_walk_basis(lp._highs.highs.getBasis(), lp._arrays)
+            np.testing.assert_array_equal(sol.basis.statuses, want)
+        row = int(rng.integers(0, lp.num_constraints))
+        lp.set_rhs(row, lp.constraints[row].rhs * float(rng.uniform(0.7, 1.3)))
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_foreign_basis_round_trips_through_set_basis(seed):
+    lp = random_lp(seed)
+    sol = lp.solve(backend="scipy")
+    assert isinstance(sol.basis, Basis)
+    other = copy.deepcopy(lp)
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    iters0 = PERF.get("lp.simplex.iterations")
+    again = solve_lp(other, backend="scipy", warm_start=sol)
+    assert PERF.get("lp.simplex.warm_starts") == warm0 + 1
+    # Already optimal: HiGHS accepts it and pivots no further.
+    assert PERF.get("lp.simplex.iterations") == iters0
+    assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
+    np.testing.assert_array_equal(again.basis.statuses, sol.basis.statuses)

@@ -1,5 +1,5 @@
-"""Revised-simplex engine tests (ISSUE 9): cold contract, duals,
-anti-cycling, the pure-Python kernel, and warm starts from HiGHS's basis."""
+"""Revised-simplex engine tests: cold contract, duals, anti-cycling, the
+pure-Python kernel, and warm starts from HiGHS's basis."""
 
 import dataclasses
 
@@ -162,13 +162,15 @@ def test_scipy_values_and_duals_match_linprog():
 
 
 def test_basisless_hint_solves_cold_without_degrading():
+    # The hint comes from another LP (a fresh model retains no HiGHS
+    # instance), and without a basis there is nothing to start from.
+    hint = dataclasses.replace(mixed_lp().solve(backend="scipy"), basis=None)
     lp = mixed_lp()
-    hint = dataclasses.replace(lp.solve(backend="scipy"), basis=None)
     lp.set_rhs(1, 3.0)
     warm0 = PERF.get("lp.simplex.warm_starts")
     degraded0 = PERF.get("lp.simplex.warm_degraded")
     sol = solve_lp(lp, backend="scipy", warm_start=hint)
-    assert sol.backend == "scipy"  # HiGHS solved it: no warm attempt
+    assert sol.backend == "scipy"
     assert PERF.get("lp.simplex.warm_starts") == warm0
     assert PERF.get("lp.simplex.warm_degraded") == degraded0
     assert sol.objective == pytest.approx(solve_revised(lp).objective, abs=1e-8)

@@ -1,10 +1,12 @@
-"""Warm-start equivalence and degradation tests (ISSUE 9).
+"""Warm-start equivalence and degradation tests.
 
 The invariant: a warm-started re-solve is a *performance hint only* — for
 any patch sequence it must land on the same optimum a cold solve finds,
 and any defect in the hint (stale shape, malformed statuses, disabled via
 environment) must degrade to the cold path rather than fail.
 """
+
+import copy
 
 import numpy as np
 import pytest
@@ -76,8 +78,8 @@ def test_warm_equals_cold_across_patches(seed, patches):
     ),
 )
 def test_warm_from_scipy_basis_equals_cold_on_mixed_senses(seed, patches):
-    # The first link of every warm chain: HiGHS's own optimal basis,
-    # re-certified after RHS patches on <=/>=/== rows.
+    # HiGHS's own optimal basis, re-used after RHS patches on <=/>=/== rows:
+    # hot inside the retained instance, and through setBasis on a copy.
     senses = ("<=", ">=", "==")
     warm_lp = build_random_lp(seed, senses=senses)
     cold_lp = build_random_lp(seed, senses=senses)
@@ -88,16 +90,20 @@ def test_warm_from_scipy_basis_equals_cold_on_mixed_senses(seed, patches):
     for row, rhs in patches:
         warm_lp.set_rhs(row, rhs)
         cold_lp.set_rhs(row, rhs)
-    degraded = PERF.get("lp.simplex.warm_degraded")
-    warm = solve_lp(warm_lp, backend="scipy", warm_start=prev)
+    copied_lp = copy.deepcopy(warm_lp)  # drops the retained instance
     cold = cold_lp.solve(backend="scipy")
-    assert warm.status is cold.status
-    if cold.is_optimal:
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-        # An RHS patch keeps the basis dual feasible: the dual simplex
-        # must finish the job itself, not hand it back to HiGHS.
-        assert warm.backend == "simplex"
-        assert PERF.get("lp.simplex.warm_degraded") == degraded
+    for lp in (warm_lp, copied_lp):
+        warm0 = PERF.get("lp.simplex.warm_starts")
+        degraded0 = PERF.get("lp.simplex.warm_degraded")
+        warm = solve_lp(lp, backend="scipy", warm_start=prev)
+        assert warm.status is cold.status
+        assert warm.backend == "scipy"
+        assert PERF.get("lp.simplex.warm_starts") == warm0 + 1
+        if cold.is_optimal:
+            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
+            # An RHS patch keeps the basis dual feasible: HiGHS's dual
+            # simplex finishes from it without falling back cold.
+            assert PERF.get("lp.simplex.warm_degraded") == degraded0
 
 
 def test_chained_warm_solves_keep_exactness():
@@ -157,13 +163,23 @@ def test_stale_shape_basis_falls_back_to_cold():
 def test_malformed_statuses_degrade_not_crash():
     lp = build_random_lp(8)
     n, m = lp.num_variables, lp.num_constraints
-    # Right shape, nonsense content: zero basic columns.
+    # Right shape, nonsense content: zero basic columns.  setBasis is never
+    # offered it; the fresh model solves cold.
     bogus = Basis(statuses=np.full(n + m, AT_LOWER, dtype=np.int8), nvars=n, nrows=m)
-    before = PERF.get("lp.simplex.warm_degraded")
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
     sol = solve_lp(lp, backend="scipy", warm_start=bogus)
     assert sol.status is SolveStatus.OPTIMAL
-    assert sol.objective == pytest.approx(lp.solve(backend="scipy").objective, abs=1e-8)
-    assert PERF.get("lp.simplex.warm_degraded") > before
+    assert PERF.get("lp.simplex.warm_starts") == warm0
+    assert PERF.get("lp.simplex.warm_degraded") == degraded0 + 1
+    assert sol.objective == pytest.approx(
+        build_random_lp(8).solve(backend="scipy").objective, abs=1e-8
+    )
+    # The simplex backend degrades the same hint on its own.
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
+    sol = solve_lp(build_random_lp(8), backend="simplex", warm_start=bogus)
+    assert sol.status is SolveStatus.OPTIMAL
+    assert PERF.get("lp.simplex.warm_degraded") == degraded0 + 1
 
 
 def test_kill_switch_disables_warm_path(monkeypatch):
