@@ -17,6 +17,10 @@ equivalents at Figure-2 scale and records the speedups in
 * **Simulator replay** — a serve-heavy trace replay answered by the
   nearest-live-replica cache vs the seed's full-scan ``holders()`` path.
   Target: >= 2x.
+* **Greedy rounding** — the Appendix-C rounder on arrays vs the per-cell
+  loop it replaced (``tests/core/rounding_oracle.py``) on the WEB
+  replica-constrained 90% cell, the slowest of the Figure-2 sweep.
+  Identical placements in every mode; target: >= 3x.
 
 ``REPRO_BENCH_QUICK=1`` (CI's perf-smoke job) runs single repetitions and
 skips the wall-clock ratio assertions — CI machines are too noisy for
@@ -37,9 +41,11 @@ import pytest
 from benchmarks.conftest import OUT_DIR, SCALE, TLAT_MS, write_report
 from repro.core.classes import get_class
 from repro.core.formulation import build_formulation
+from repro.core.rounding import _Rounder
 from repro.heuristics import CooperativeLRUCaching
 from repro.perf import PERF
 from repro.simulator.engine import Simulator
+from tests.core.rounding_oracle import LoopRounder
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 REPS = 1 if QUICK else 3
@@ -262,12 +268,48 @@ def test_replay_speedup(topology, web_trace):
         assert speedup >= 2.0, f"replay speedup {speedup:.2f}x below the 2x target"
 
 
+# -- 4. greedy rounding --------------------------------------------------------
+
+
+def test_rounding_speedup(web_problem):
+    """The array rounder against the per-cell loop on one LP point."""
+    form = build_formulation(web_problem, get_class("replica-constrained").properties)
+    solution = form.lp.solve(backend="scipy").require_optimal()
+    lp_store = form.store_array(solution.values)
+    lp_store.clip(0.0, 1.0, out=lp_store)
+
+    def rounded(rounder_cls):
+        rounder = rounder_cls(form, lp_store.copy(), run_length=False)
+        rounder.run()
+        return rounder
+
+    t_loop, loop = best_of(lambda: rounded(LoopRounder))
+    t_array, array = best_of(lambda: rounded(_Rounder))
+    # Same choices, same placement, to the byte.
+    assert array.store.tobytes() == loop.store.tobytes()
+    assert (array.rounded_up, array.rounded_down) == (loop.rounded_up, loop.rounded_down)
+    speedup = t_loop / t_array
+    RESULTS["rounding"] = {
+        "class": "replica-constrained",
+        "qos": web_problem.goal.fraction,
+        "units": len(array.units),
+        "rounded_up": array.rounded_up,
+        "rounded_down": array.rounded_down,
+        "loop_ms": round(t_loop * 1000, 2),
+        "array_ms": round(t_array * 1000, 2),
+        "speedup": round(speedup, 2),
+        "target": 3.0,
+    }
+    if not QUICK:
+        assert speedup >= 3.0, f"rounding speedup {speedup:.2f}x below the 3x target"
+
+
 # -- report ------------------------------------------------------------------
 
 
 def test_write_hot_paths_report():
     """Runs last (file order): persists the JSON record + a readable table."""
-    assert {"assembly", "resolve", "resolve_warm", "replay"} <= set(RESULTS), (
+    assert {"assembly", "resolve", "resolve_warm", "replay", "rounding"} <= set(RESULTS), (
         "hot-path benches must run before the report (run the whole module)"
     )
     OUT_DIR.mkdir(exist_ok=True)
@@ -275,7 +317,7 @@ def test_write_hot_paths_report():
         json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
     )
     a, r, s = RESULTS["assembly"], RESULTS["resolve"], RESULTS["replay"]
-    w = RESULTS["resolve_warm"]
+    w, g = RESULTS["resolve_warm"], RESULTS["rounding"]
     lines = [
         "Hot-path micro-benchmarks (min over %d reps, scale=%s)" % (REPS, SCALE),
         "",
@@ -291,6 +333,8 @@ def test_write_hot_paths_report():
         f"  {w['coarse_speedup']:7.2f}x",
         f"  replay (coop-lru) {s['scan_ms']:7.1f}ms {s['cached_ms']:7.1f}ms"
         f"  {s['speedup']:7.2f}x",
+        f"  rounding (greedy) {g['loop_ms']:7.1f}ms {g['array_ms']:7.1f}ms"
+        f"  {g['speedup']:7.2f}x",
         "",
         f"  assembly: {a['variables']} vars / {a['constraints']} rows;"
         f" replay: {s['requests']} requests,"
@@ -300,5 +344,7 @@ def test_write_hot_paths_report():
         f" {len(w['coarse_levels'])} coarse levels,"
         f" {w['warm_starts']} warm starts / {w['warm_degraded']} degraded,"
         f" setBasis start {w['set_basis_ms']:.0f}ms",
+        f"  rounding: {g['class']} at {g['qos']:.0%}, {g['units']} units"
+        f" ({g['rounded_up']} up / {g['rounded_down']} down), identical placements",
     ]
     write_report("hot_paths", "\n".join(lines))

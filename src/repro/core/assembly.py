@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.goals import AverageLatencyGoal, GoalScope, QoSGoal
+from repro.core.goals import AverageLatencyGoal, QoSGoal, scope_key
 from repro.core.problem import MCPerfProblem
 from repro.core.properties import (
     HeuristicProperties,
@@ -287,15 +287,6 @@ def build_formulation_vectorized(
         total_reads: Dict[object, float] = {}
         scope = goal.scope
 
-        def scope_key(nd: int, k: int):
-            if scope is GoalScope.PER_USER:
-                return nd
-            if scope is GoalScope.OVERALL:
-                return "all"
-            if scope is GoalScope.PER_OBJECT:
-                return ("k", k)
-            return (nd, k)
-
         # Pass 1 (per demander): locate demand cells, extract each cell's
         # reachable holders, and accumulate covered-variable names/objectives
         # so the whole family lands in one bulk block.
@@ -359,7 +350,7 @@ def build_formulation_vectorized(
             run_ends = np.r_[run_starts[1:], len(ka_c)]
             if elig is None:  # origin-covered demander: constants only
                 for s, e in zip(run_starts.tolist(), run_ends.tolist()):
-                    key = scope_key(nd, int(k_c[s]))
+                    key = scope_key(scope, nd, int(k_c[s]))
                     rsum = float(r_c[s:e].sum())
                     total_reads[key] = total_reads.get(key, 0.0) + rsum
                     covered_const[key] = covered_const.get(key, 0.0) + rsum
@@ -397,7 +388,7 @@ def build_formulation_vectorized(
                     ],
                 )
             for s, e in zip(run_starts.tolist(), run_ends.tolist()):
-                key = scope_key(nd, int(k_c[s]))
+                key = scope_key(scope, nd, int(k_c[s]))
                 total_reads[key] = total_reads.get(key, 0.0) + float(r_c[s:e].sum())
                 sel = elig[s:e]
                 if sel.any():

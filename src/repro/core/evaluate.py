@@ -22,7 +22,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.core.costs import CostModel
-from repro.core.goals import AverageLatencyGoal, GoalScope, PerformanceGoal, QoSGoal
+from repro.core.goals import AverageLatencyGoal, GoalScope, PerformanceGoal, QoSGoal, scope_key
 from repro.core.problem import PlacementInstance
 from repro.core.properties import (
     HeuristicProperties,
@@ -119,16 +119,6 @@ def average_latency_by_scope(
     lat_num: Dict[object, float] = {}
     lat_den: Dict[object, float] = {}
 
-    def scope_key(nd: int, k: int):
-        scope = goal.scope
-        if scope is GoalScope.PER_USER:
-            return nd
-        if scope is GoalScope.OVERALL:
-            return "all"
-        if scope is GoalScope.PER_OBJECT:
-            return ("k", k)
-        return (nd, k)
-
     for nd in range(nd_count):
         servable = np.nonzero(instance.serve[nd])[0]
         base = float(instance.origin_latency[nd])
@@ -139,7 +129,7 @@ def average_latency_by_scope(
                 for ns in servable:
                     if holders[ns, i, k]:
                         best = min(best, float(instance.latency[nd, ns]))
-                key = scope_key(nd, k)
+                key = scope_key(goal.scope, nd, k)
                 lat_num[key] = lat_num.get(key, 0.0) + best * float(col[i])
                 lat_den[key] = lat_den.get(key, 0.0) + float(col[i])
     return {key: lat_num[key] / lat_den[key] for key in lat_den}

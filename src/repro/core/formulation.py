@@ -33,7 +33,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.goals import AverageLatencyGoal, GoalScope, QoSGoal
+from repro.core.goals import AverageLatencyGoal, QoSGoal, scope_key
 from repro.core.problem import MCPerfProblem, PlacementInstance
 from repro.core.properties import (
     HeuristicProperties,
@@ -438,16 +438,6 @@ def _build_formulation_legacy(
         covered_const: Dict[object, float] = {}
         total_reads: Dict[object, float] = {}
 
-        def scope_key(nd: int, k: int):
-            scope = goal.scope
-            if scope is GoalScope.PER_USER:
-                return nd
-            if scope is GoalScope.OVERALL:
-                return "all"
-            if scope is GoalScope.PER_OBJECT:
-                return ("k", k)
-            return (nd, k)
-
         for nd in range(nd_count):
             reachable = np.nonzero(inst.reach[nd])[0]
             for k in read_active:
@@ -455,7 +445,7 @@ def _build_formulation_legacy(
                 nz = np.nonzero(col)[0]
                 for i in nz:
                     r = float(col[i])
-                    key = scope_key(nd, int(k))
+                    key = scope_key(goal.scope, nd, int(k))
                     total_reads[key] = total_reads.get(key, 0.0) + r
                     if inst.origin_covers[nd]:
                         covered_const[key] = covered_const.get(key, 0.0) + r
@@ -561,23 +551,13 @@ def _build_average_latency(
     latency_terms: Dict[object, List[Tuple[int, float]]] = {}
     total_reads: Dict[object, float] = {}
 
-    def scope_key(nd: int, k: int):
-        scope = goal.scope
-        if scope is GoalScope.PER_USER:
-            return nd
-        if scope is GoalScope.OVERALL:
-            return "all"
-        if scope is GoalScope.PER_OBJECT:
-            return ("k", k)
-        return (nd, k)
-
     for nd in range(nd_count):
         servable = np.nonzero(inst.serve[nd])[0]
         for k in read_active:
             col = reads[nd, :, k]
             for i in np.nonzero(col)[0]:
                 r = float(col[i])
-                key = scope_key(nd, int(k))
+                key = scope_key(goal.scope, nd, int(k))
                 total_reads[key] = total_reads.get(key, 0.0) + r
                 ns_list, var_list = [], []
                 for ns in servable:

@@ -28,6 +28,18 @@ class GoalScope(str, enum.Enum):
     PER_USER_OBJECT = "per_user_object"  # one constraint per (node, object)
 
 
+def scope_key(scope: GoalScope, nd: int, k: int) -> object:
+    """The key of the goal constraint that demand node ``nd``'s reads of
+    object ``k`` count toward."""
+    if scope is GoalScope.PER_USER:
+        return nd
+    if scope is GoalScope.OVERALL:
+        return "all"
+    if scope is GoalScope.PER_OBJECT:
+        return ("k", k)
+    return (nd, k)
+
+
 @dataclass(frozen=True)
 class QoSGoal:
     """Serve at least ``fraction`` of reads within ``tlat_ms``.

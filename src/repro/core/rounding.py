@@ -19,6 +19,14 @@ matrix with the storage/replica-constraint capacity adjustments of Figure 5.
 The run-length optimization the paper reports (rounding runs of consecutive
 intervals with the same fractional value as one unit, ~10× faster for <5 %
 extra cost) is available via ``run_length=True``.
+
+The loop runs on arrays: each step prices every pending unit in one NumPy
+pass (``bincount``/``add.at`` sums in the cell-by-cell order, the same
+float expressions and tie-break keys), so it makes exactly the choices of
+the per-cell Python loop it replaced — frozen as the test oracle in
+``tests/core/rounding_oracle.py`` — at ~8× its speed on the slowest
+Figure-2 cell.  ``PERF`` records the ``round.greedy`` timer and the
+``round.greedy.up``/``round.greedy.down`` step counts.
 """
 
 from __future__ import annotations
@@ -35,25 +43,11 @@ from repro.core.evaluate import (
     solution_cost,
 )
 from repro.core.formulation import Formulation
-from repro.core.goals import GoalScope, QoSGoal
+from repro.core.goals import GoalScope, QoSGoal, scope_key
+from repro.perf import PERF
 
 _FRAC_TOL = 1e-6
 _QOS_TOL = 1e-7
-
-
-@dataclass
-class _Unit:
-    """A roundable unit: one fractional cell, or a run of equal cells."""
-
-    ns: int
-    k: int
-    start: int  # first interval of the run
-    end: int  # last interval (inclusive)
-    value: float
-
-    @property
-    def length(self) -> int:
-        return self.end - self.start + 1
 
 
 @dataclass
@@ -115,7 +109,17 @@ class RoundingResult:
 
 
 class _Rounder:
-    """Stateful implementation of the Figure-5 loop."""
+    """The Figure-5 loop on arrays: one NumPy pricing pass per step.
+
+    Each unit owns a contiguous block of *entries*, one per demand cell it
+    can move toward the goal: a (reaching demander, interval) pair with
+    reads that the origin does not already cover, demander outer and
+    interval inner.  An entry holds the flat cell index into ``cov`` /
+    ``int_cov``, the QoS read and the goal-scope id of its demander/object.
+    Consecutive entries of one unit with one scope id form a *pair*, in
+    first-appearance order.  Every sum is a ``bincount`` or ``add.at`` in
+    entry order, so the float results equal a cell-by-cell loop's.
+    """
 
     def __init__(self, form: Formulation, store: np.ndarray, run_length: bool):
         self.form = form
@@ -132,223 +136,227 @@ class _Rounder:
         )
         self.run_length = run_length
 
-        reach = self.inst.reach.astype(bool)
-        self.reachers: List[np.ndarray] = [
-            np.nonzero(reach[:, ns])[0] for ns in range(self.inst.num_storers)
-        ]
-        # Fractional coverage sums per demand cell.
-        self.cov = np.einsum("ds,sik->dik", self.inst.reach.astype(float), store)
-        self.reads = self.inst.qos_reads()
-        # Integral-replica coverage counts (for Figure 6's reward): number of
-        # already-rounded-to-1 stores reaching each demand cell.  Maintained
-        # incrementally by _apply so reward lookups are O(affected cells).
+        reads = np.asarray(self.inst.qos_reads(), dtype=float)
+        # Fractional coverage sums and integral-replica counts (for Figure
+        # 6's reward) per demand cell, flattened for entry lookups.
+        cov = np.einsum("ds,sik->dik", self.inst.reach.astype(float), store)
         self.int_cov = np.einsum(
             "ds,sik->dik",
             self.inst.reach.astype(np.int64),
             (store >= 1.0 - _FRAC_TOL).astype(np.int64),
-        )
+        ).ravel()
 
-        # Per-scope satisfied coverage and requirements.
-        self.sat: Dict[object, float] = {}
-        self.req: Dict[object, float] = {}
-        self._init_scope_tracking()
+        # Per-scope satisfied coverage and requirements, indexed by scope id.
+        self._init_scope_tracking(reads, cov)
+        self.cov = cov.ravel()
 
         self.units = self._collect_units()
+        self._index_units(reads)
         self.rounded_up = 0
         self.rounded_down = 0
 
     # -- scope bookkeeping ---------------------------------------------------
 
-    def _scope_key(self, nd: int, k: int):
+    def _scope_ids(self, nd: np.ndarray, k: np.ndarray) -> np.ndarray:
         scope = self.goal.scope
         if scope is GoalScope.PER_USER:
             return nd
         if scope is GoalScope.OVERALL:
-            return "all"
+            return np.zeros_like(nd)
         if scope is GoalScope.PER_OBJECT:
-            return ("k", k)
-        return (nd, k)
+            return k
+        return nd * self.store.shape[2] + k
 
-    def _init_scope_tracking(self) -> None:
-        inst = self.inst
-        for nd in range(inst.num_demanders):
-            origin = bool(inst.origin_covers[nd])
-            nz = np.nonzero(self.reads[nd])
-            for i, k in zip(*nz):
-                r = float(self.reads[nd, i, k])
-                key = self._scope_key(nd, int(k))
-                self.req[key] = self.req.get(key, 0.0) + r
-                covered = r if origin else r * min(1.0, float(self.cov[nd, i, k]))
-                self.sat[key] = self.sat.get(key, 0.0) + covered
-        for key in self.req:
-            self.req[key] *= self.goal.fraction
+    def _init_scope_tracking(self, reads: np.ndarray, cov: np.ndarray) -> None:
+        num_d, _intervals, num_k = reads.shape
+        # Scope ids are dense: the last (demander, object) has the largest.
+        num_scopes = int(self._scope_ids(np.array([num_d - 1]), np.array([num_k - 1]))[0]) + 1
+        nd, i, k = np.nonzero(reads)
+        r = reads[nd, i, k]
+        origin = self.inst.origin_covers.astype(bool)[nd]
+        scope = self._scope_ids(nd, k)
+        self.req = np.zeros(num_scopes)
+        np.add.at(self.req, scope, r)
+        self.req *= self.goal.fraction
+        self.sat = np.zeros(num_scopes)
+        np.add.at(self.sat, scope, np.where(origin, r, r * np.minimum(1.0, cov[nd, i, k])))
+        # A scope may not fall below its requirement minus the QoS slack.
+        self._floor = self.req - _QOS_TOL * np.maximum(1.0, self.req)
 
     # -- unit collection -------------------------------------------------------
 
-    def _collect_units(self) -> List[_Unit]:
-        ns_count, intervals, _objects = self.store.shape
+    def _collect_units(self) -> np.ndarray:
+        """Roundable units as ``(ns, k, start, end)`` rows: one fractional
+        cell each, or with ``run_length`` a run of consecutive equal cells."""
         # Snap near-integral values.
         self.store[self.store < _FRAC_TOL] = 0.0
         self.store[self.store > 1.0 - _FRAC_TOL] = 1.0
-        units: List[_Unit] = []
-        frac_ns, frac_i, frac_k = np.nonzero(
-            (self.store > 0.0) & (self.store < 1.0)
-        )
+        frac_ns, frac_i, frac_k = np.nonzero((self.store > 0.0) & (self.store < 1.0))
         if not self.run_length:
-            for ns, i, k in zip(frac_ns, frac_i, frac_k):
-                units.append(_Unit(int(ns), int(k), int(i), int(i), float(self.store[ns, i, k])))
-            return units
+            return np.stack([frac_ns, frac_k, frac_i, frac_i], axis=1)
         # Group consecutive equal-valued intervals per (ns, k).
         by_pair: Dict[Tuple[int, int], List[int]] = {}
         for ns, i, k in zip(frac_ns, frac_i, frac_k):
             by_pair.setdefault((int(ns), int(k)), []).append(int(i))
+        units: List[Tuple[int, int, int, int]] = []
         for (ns, k), idxs in by_pair.items():
-            idxs.sort()
-            start = idxs[0]
-            prev = idxs[0]
-            value = float(self.store[ns, prev, k])
+            start = prev = idxs[0]
+            value = float(self.store[ns, start, k])
             for i in idxs[1:]:
-                v = float(self.store[ns, i, k])
-                if i == prev + 1 and abs(v - value) < 1e-9:
-                    prev = i
-                    continue
-                units.append(_Unit(ns, k, start, prev, value))
-                start, prev, value = i, i, v
-            units.append(_Unit(ns, k, start, prev, value))
-        return units
+                if i != prev + 1 or abs(float(self.store[ns, i, k]) - value) >= 1e-9:
+                    units.append((ns, k, start, prev))
+                    start, value = i, float(self.store[ns, i, k])
+                prev = i
+            units.append((ns, k, start, prev))
+        return np.array(units, dtype=np.int64).reshape(-1, 4)
+
+    def _index_units(self, reads: np.ndarray) -> None:
+        """Unit columns, run neighbours, and the entry and pair index."""
+        ns_count, intervals, objects = self.store.shape
+        ns, k, start, end = self.units.T
+        self._ns, self._k, self._start, self._end = ns, k, start, end
+        self._value = self.store[ns, start, k]
+        self._length = (end - start + 1).astype(float)
+        # Run boundaries for the creation-cost delta: the cell before the
+        # run (or the initial placement) and the cell after it, if any.
+        self._has_prev, self._has_succ = start > 0, end + 1 < intervals
+        self._prev_at = (ns * intervals + np.maximum(start - 1, 0)) * objects + k
+        self._succ_at = (ns * intervals + np.minimum(end + 1, intervals - 1)) * objects + k
+        self._initial_at = self.initial[ns, k]
+
+        # Entries: per unit, reaching non-origin-covered demanders x the
+        # run's intervals, keeping the cells with reads.
+        live = self.inst.reach.astype(bool) & ~self.inst.origin_covers.astype(bool)[:, None]
+        live_ns, live_nd = np.nonzero(live.T)
+        ptr = np.concatenate(([0], np.cumsum(np.bincount(live_ns, minlength=ns_count))))
+        span = (ptr[ns + 1] - ptr[ns]) * (end - start + 1)
+        unit = np.repeat(np.arange(len(self.units)), span)
+        offset = np.arange(unit.size) - np.repeat(np.cumsum(span) - span, span)
+        length = end[unit] - start[unit] + 1
+        nd = live_nd[ptr[ns[unit]] + offset // length]
+        cell = (nd * intervals + start[unit] + offset % length) * objects + k[unit]
+        read = reads.ravel()[cell]
+        keep = read > 0
+        self._e_unit, self._e_cell, self._e_read = unit[keep], cell[keep], read[keep]
+        self._e_scope = self._scope_ids(nd[keep], k[unit[keep]])
+        self._first = np.searchsorted(self._e_unit, np.arange(len(self.units) + 1))
+        # Under every scope a unit's entries for one key are contiguous and
+        # keys ascend, so sorted (unit, scope) pairs are in first-appearance
+        # order.
+        pairs, self._e_pair = np.unique(
+            self._e_unit * self.sat.size + self._e_scope, return_inverse=True
+        )
+        self._p_unit, self._p_scope = np.divmod(pairs, self.sat.size)
 
     # -- pricing ------------------------------------------------------------------
 
-    def _beta_delta(self, unit: _Unit, target: float) -> float:
-        """Exact change in replica-creation cost from setting the unit to target.
+    def _cost_delta(self, target: float) -> np.ndarray:
+        """Storage + creation cost change of setting each unit to target.
 
-        Only the run boundaries change: the create into ``start`` and the
-        create into ``end + 1`` (interior creates of an equal-valued run are
-        zero before and after).
+        Only the run boundaries change the creation cost: the create into
+        ``start`` and the create into ``end + 1`` (interior creates of an
+        equal-valued run are zero before and after).
         """
-        ns, k = unit.ns, unit.k
-        before_prev = (
-            self.store[ns, unit.start - 1, k] if unit.start > 0 else self.initial[ns, k]
+        flat = self.store.reshape(-1)
+        prev = np.where(self._has_prev, flat[self._prev_at], self._initial_at)
+        succ = flat[self._succ_at]
+        value = self._value
+        delta = _pos(target - prev) - _pos(value - prev)
+        delta = np.where(
+            self._has_succ, delta + (_pos(succ - target) - _pos(succ - value)), delta
         )
-        old_in = max(0.0, unit.value - before_prev)
-        new_in = max(0.0, target - before_prev)
-        delta = new_in - old_in
-        if unit.end + 1 < self.store.shape[1]:
-            succ = self.store[ns, unit.end + 1, k]
-            old_out = max(0.0, succ - unit.value)
-            new_out = max(0.0, succ - target)
-            delta += new_out - old_out
-        return self.costs.beta * delta
+        alpha_part = self.costs.alpha * (target - value) * self._length
+        return alpha_part + self.costs.beta * delta
 
-    def _cost_delta(self, unit: _Unit, target: float) -> float:
-        """Storage + creation cost change of rounding the unit to target."""
-        alpha_part = self.costs.alpha * (target - unit.value) * unit.length
-        return alpha_part + self._beta_delta(unit, target)
+    def _gains(self, target: float) -> np.ndarray:
+        """Per-entry coverage gain of setting each entry's unit to target."""
+        old = self.cov[self._e_cell]
+        new = old + (target - self._value)[self._e_unit]
+        return np.minimum(1.0, new) - np.minimum(1.0, old)
 
-    def _qos_effects(self, unit: _Unit, target: float) -> Dict[object, float]:
-        """Per-scope-key change in satisfied coverage (without mutating state)."""
-        deltas: Dict[object, float] = {}
-        change = target - unit.value
-        for nd in self.reachers[unit.ns]:
-            for i in range(unit.start, unit.end + 1):
-                r = self.reads[nd, i, unit.k]
-                if r <= 0 or self.inst.origin_covers[nd]:
-                    continue
-                old = float(self.cov[nd, i, unit.k])
-                gain = min(1.0, old + change) - min(1.0, old)
-                if gain != 0.0:
-                    key = self._scope_key(int(nd), unit.k)
-                    deltas[key] = deltas.get(key, 0.0) + float(r) * gain
-        return deltas
+    def _reward(self) -> np.ndarray:
+        """Figure-6 reward: reachable demand no integral replica covers yet."""
+        uncovered = self.int_cov[self._e_cell] == 0
+        return np.bincount(
+            self._e_unit,
+            weights=np.where(uncovered, self._e_read, 0.0),
+            minlength=len(self.units),
+        )
 
-    def _reward(self, unit: _Unit) -> float:
-        """Figure-6 reward: demand reachable from the unit's node that no
-        integral replica already covers (cached counts, O(affected cells))."""
-        reward = 0.0
-        for nd in self.reachers[unit.ns]:
-            if self.inst.origin_covers[nd]:
-                continue
-            for i in range(unit.start, unit.end + 1):
-                r = self.reads[nd, i, unit.k]
-                if r > 0 and self.int_cov[nd, i, unit.k] == 0:
-                    reward += float(r)
-        return reward
+    def _down_price(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(feasible, savings, savings per coverage lost) of rounding down."""
+        n = len(self.units)
+        gain = self._gains(0.0)
+        delta = np.bincount(
+            self._e_pair, weights=self._e_read * gain, minlength=self._p_unit.size
+        )
+        keyed = np.zeros(self._p_unit.size, dtype=bool)
+        keyed[self._e_pair[gain != 0.0]] = True
+        scope = self._p_scope
+        breaks = keyed & (self.sat[scope] + delta < self._floor[scope])
+        feasible = np.bincount(self._p_unit, weights=breaks, minlength=n) == 0
+        savings = -self._cost_delta(0.0)
+        lost = -np.bincount(
+            self._p_unit, weights=np.where(0.0 < delta, 0.0, delta), minlength=n
+        )
+        return feasible, savings, savings / (lost + 1e-12)
+
+    def _pick(self, mask: np.ndarray, *keys: np.ndarray) -> Optional[int]:
+        """The unit under ``mask`` with the smallest key tuple, or None."""
+        idx = np.flatnonzero(mask)
+        if idx.size == 0:
+            return None
+        tie_break = (self._k[idx], self._start[idx], self._ns[idx])
+        order = np.lexsort(tie_break + tuple(key[idx] for key in reversed(keys)))
+        return int(idx[order[0]])
 
     # -- mutation -------------------------------------------------------------------
 
-    def _apply(self, unit: _Unit, target: float) -> None:
-        change = target - unit.value
-        int_delta = 1 if target >= 1.0 - _FRAC_TOL else 0
-        for nd in self.reachers[unit.ns]:
-            for i in range(unit.start, unit.end + 1):
-                r = self.reads[nd, i, unit.k]
-                old = float(self.cov[nd, i, unit.k])
-                self.cov[nd, i, unit.k] = old + change
-                if int_delta:
-                    # A fractional unit became an integral replica.
-                    self.int_cov[nd, i, unit.k] += 1
-                if r <= 0 or self.inst.origin_covers[nd]:
-                    continue
-                gain = min(1.0, old + change) - min(1.0, old)
-                if gain != 0.0:
-                    key = self._scope_key(int(nd), unit.k)
-                    self.sat[key] = self.sat.get(key, 0.0) + float(r) * gain
-        self.store[unit.ns, unit.start : unit.end + 1, unit.k] = target
-        unit.value = target
-
-    def _down_feasible(self, unit: _Unit) -> Optional[Dict[object, float]]:
-        """QoS deltas of rounding down, or None when the goal would break."""
-        deltas = self._qos_effects(unit, 0.0)
-        for key, delta in deltas.items():
-            slack = _QOS_TOL * max(1.0, self.req.get(key, 0.0))
-            if self.sat.get(key, 0.0) + delta < self.req.get(key, 0.0) - slack:
-                return None
-        return deltas
+    def _apply(self, u: int, target: float) -> None:
+        entries = slice(self._first[u], self._first[u + 1])
+        cells = self._e_cell[entries]
+        old = self.cov[cells]
+        new = old + (target - self._value[u])
+        self.cov[cells] = new
+        if target >= 1.0 - _FRAC_TOL:
+            # A fractional unit became an integral replica.
+            self.int_cov[cells] += 1
+        gain = np.minimum(1.0, new) - np.minimum(1.0, old)
+        np.add.at(self.sat, self._e_scope[entries], self._e_read[entries] * gain)
+        self.store[self._ns[u], self._start[u] : self._end[u] + 1, self._k[u]] = target
+        self._value[u] = target
 
     # -- the Figure-5 loop ---------------------------------------------------------
 
     def run(self) -> Tuple[int, int]:
-        pending = list(self.units)
-        while pending:
+        pending = np.ones(len(self.units), dtype=bool)
+        while pending.any():
             # Round-up step: lowest cost / reward ratio.
-            best = None
-            best_key = None
-            for unit in pending:
-                cost = max(self._cost_delta(unit, 1.0), 0.0)
-                reward = self._reward(unit)
-                ratio = cost / reward if reward > 0 else float("inf")
-                key = (ratio, cost, unit.ns, unit.start, unit.k)
-                if best_key is None or key < best_key:
-                    best, best_key = unit, key
-            assert best is not None
+            cost = self._cost_delta(1.0)
+            cost = np.where(0.0 > cost, 0.0, cost)
+            reward = self._reward()
+            ratio = np.full(cost.shape, np.inf)
+            np.divide(cost, reward, out=ratio, where=reward > 0)
+            best = self._pick(pending, ratio, cost)
             self._apply(best, 1.0)
             self.rounded_up += 1
-            pending.remove(best)
+            pending[best] = False
 
             # Round-down sweep: best savings per coverage lost, repeatedly.
             while True:
-                candidate = None
-                candidate_key = None
-                candidate_deltas = None
-                for unit in pending:
-                    deltas = self._down_feasible(unit)
-                    if deltas is None:
-                        continue
-                    savings = -self._cost_delta(unit, 0.0)
-                    if savings <= 0:
-                        continue
-                    lost = -sum(min(d, 0.0) for d in deltas.values())
-                    ratio = savings / (lost + 1e-12)
-                    key = (-ratio, -savings, unit.ns, unit.start, unit.k)
-                    if candidate_key is None or key < candidate_key:
-                        candidate, candidate_key, candidate_deltas = unit, key, deltas
+                feasible, savings, ratio = self._down_price()
+                candidate = self._pick(pending & feasible & (savings > 0), -ratio, -savings)
                 if candidate is None:
                     break
-                del candidate_deltas  # applied via _apply below
                 self._apply(candidate, 0.0)
                 self.rounded_down += 1
-                pending.remove(candidate)
+                pending[candidate] = False
         return self.rounded_up, self.rounded_down
+
+
+def _pos(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(0.0, x)`` with Python's tie rule (a zero stays 0.0)."""
+    return np.where(x > 0.0, x, 0.0)
 
 
 def _attach_audit(form: Formulation, result: RoundingResult, audit) -> RoundingResult:
@@ -389,9 +397,12 @@ def round_solution(
     """
     store = form.store_array(solution.values)
     np.clip(store, 0.0, 1.0, out=store)
-    rounder = _Rounder(form, store, run_length=run_length)
-    num_units = len(rounder.units)
-    up, down = rounder.run()
+    with PERF.timer("round.greedy"):
+        rounder = _Rounder(form, store, run_length=run_length)
+        num_units = len(rounder.units)
+        up, down = rounder.run()
+    PERF.count("round.greedy.up", up)
+    PERF.count("round.greedy.down", down)
     store = rounder.store
     # Proposition 1 keeps zeros at zero, but independent up/down roundings in
     # one column can still imply a creation at a forbidden interval for
@@ -457,7 +468,6 @@ def round_solution_iterative(
     across sweep levels afterwards.
     """
     from repro.lp.solution import SolveStatus
-    from repro.perf import PERF
 
     if not isinstance(form.problem.goal, QoSGoal):
         raise TypeError("rounding is defined for the QoS goal metric")
@@ -600,6 +610,7 @@ def _repair(form: Formulation, store: np.ndarray, max_steps: int = 10_000) -> in
     goal = form.problem.goal
     if not isinstance(goal, QoSGoal):
         return 0
+    reads = inst.qos_reads()
     steps = 0
     for _ in range(max_steps):
         achieved = qos_by_scope(inst, goal, store)
@@ -624,10 +635,10 @@ def _repair(form: Formulation, store: np.ndarray, max_steps: int = 10_000) -> in
             for nd in np.nonzero(inst.reach[:, ns])[0]:
                 if inst.origin_covers[nd]:
                     continue
-                key = _scope_key_for(goal, int(nd), int(k))
+                key = scope_key(goal.scope, int(nd), int(k))
                 if key not in failing:
                     continue
-                r = inst.qos_reads()[nd, i, k] if inst.warmup_intervals else inst.reads[nd, i, k]
+                r = reads[nd, i, k]
                 if r > 0 and cov[nd, i, k] < 1.0:
                     gain += float(r) * (min(1.0, cov[nd, i, k] + 1.0) - min(1.0, cov[nd, i, k]))
             if gain > best_gain:
@@ -639,14 +650,3 @@ def _repair(form: Formulation, store: np.ndarray, max_steps: int = 10_000) -> in
         store[ns, i, k] = 1.0
         steps += 1
     raise RuntimeError("rounding repair exceeded the step limit")
-
-
-def _scope_key_for(goal: QoSGoal, nd: int, k: int):
-    scope = goal.scope
-    if scope is GoalScope.PER_USER:
-        return nd
-    if scope is GoalScope.OVERALL:
-        return "all"
-    if scope is GoalScope.PER_OBJECT:
-        return ("k", k)
-    return (nd, k)

@@ -66,7 +66,7 @@ class ResultCache:
         fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as fh:
-                json.dump(entry, fh)
+                fh.write(json.dumps(entry))
             os.replace(tmp, path)
         except BaseException:
             try:

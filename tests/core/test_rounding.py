@@ -3,20 +3,22 @@ property-based soundness checks."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import compute_lower_bound
+from repro.core.classes import FIGURE1_CLASSES, get_class
 from repro.core.costs import CostModel
 from repro.core.evaluate import meets_goal
 from repro.core.formulation import build_formulation
 from repro.core.goals import GoalScope, QoSGoal
 from repro.core.problem import MCPerfProblem
 from repro.core.properties import HeuristicProperties, StorageConstraint
-from repro.core.rounding import round_solution
-from repro.topology.generators import star_topology
+from repro.core.rounding import _repair, _Rounder, round_solution
+from repro.topology.generators import as_level_topology, star_topology
 from repro.workload.demand import DemandMatrix
 from tests.core.brute import brute_force_optimum
+from tests.core.rounding_oracle import LoopRounder, loop_repair
 
 
 def make_problem(reads, fraction, num_leaves, scope=GoalScope.PER_USER, **kwargs):
@@ -137,7 +139,6 @@ def test_rounding_brute_force_sandwich_sc():
 
 def test_rounding_rejects_average_latency_goal():
     from repro.core.goals import AverageLatencyGoal
-    from repro.core.rounding import _Rounder
 
     reads = np.zeros((2, 1, 1))
     reads[1, 0, 0] = 1
@@ -194,3 +195,143 @@ def test_rounding_soundness_random(case):
     assert rounding.total_cost >= result.lp_cost - 1e-6
     inst = problem.instance(props)
     assert meets_goal(inst, problem.goal, store)
+
+
+# -- the array rounder against the frozen per-cell loop ------------------------
+
+
+@st.composite
+def oracle_cases(draw):
+    """A small instance with a fractional LP point.  An AS-level topology
+    lets several demanders reach each storer and the origin cover some; a
+    symmetric star (equal demand at every leaf, interval and object) makes
+    many units tie on price, so the (ns, start, k) tie-break decides."""
+    nodes = draw(st.integers(min_value=4, max_value=6))
+    intervals = draw(st.integers(min_value=2, max_value=5))
+    objects = draw(st.integers(min_value=1, max_value=3))
+    if draw(st.booleans()):
+        topology = star_topology(num_leaves=nodes - 1, hub_latency_ms=200.0)
+        reads = np.full((nodes, intervals, objects), float(draw(st.integers(1, 3))))
+        reads[0] = 0.0
+    else:
+        topology = as_level_topology(num_nodes=nodes, seed=draw(st.integers(0, 20)))
+        reads = np.array(
+            draw(
+                st.lists(
+                    st.sampled_from([0, 0, 1, 1, 2]),
+                    min_size=nodes * intervals * objects,
+                    max_size=nodes * intervals * objects,
+                )
+            ),
+            dtype=float,
+        ).reshape(nodes, intervals, objects)
+    initial = None
+    if draw(st.booleans()):
+        initial = np.array(
+            draw(st.lists(st.booleans(), min_size=nodes * objects, max_size=nodes * objects)),
+            dtype=float,
+        ).reshape(nodes, objects)
+    problem = MCPerfProblem(
+        topology=topology,
+        demand=DemandMatrix(reads=reads),
+        goal=QoSGoal(
+            tlat_ms=draw(st.sampled_from([120.0, 150.0, 200.0])),
+            fraction=draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+            scope=draw(st.sampled_from(list(GoalScope))),
+        ),
+        costs=CostModel.paper_defaults(),
+        initial_placement=initial,
+        warmup_intervals=draw(st.integers(min_value=0, max_value=1)),
+    )
+    cls = draw(st.sampled_from(FIGURE1_CLASSES))
+    return problem, get_class(cls).properties, draw(st.booleans())
+
+
+def unit_demand_star(leaves, intervals, objects, goal, cls, run_length, initial=None):
+    """A star with one read per leaf, interval and object (pinned cases)."""
+    reads = np.ones((leaves + 1, intervals, objects))
+    reads[0] = 0.0
+    problem = MCPerfProblem(
+        topology=star_topology(num_leaves=leaves, hub_latency_ms=200.0),
+        demand=DemandMatrix(reads=reads),
+        goal=goal,
+        costs=CostModel.paper_defaults(),
+        initial_placement=None if initial is None else np.array(initial, dtype=float),
+    )
+    return problem, get_class(cls).properties, run_length
+
+
+# Shrunk counterexamples for swapped tie-break keys ((ns, start), (start, k))
+# and a swapped round-down (ratio, savings) key; random draws find those
+# only sometimes.
+@example(unit_demand_star(3, 2, 2, QoSGoal(120.0, 0.5), "replica-constrained", False))
+@example(
+    unit_demand_star(
+        4, 2, 3, QoSGoal(120.0, 0.3, GoalScope.PER_OBJECT), "storage-constrained", False,
+        initial=[[0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 0, 1], [0, 1, 0]],
+    )
+)
+@example(
+    unit_demand_star(
+        4, 3, 3, QoSGoal(120.0, 0.5, GoalScope.OVERALL), "caching", True,
+        initial=[[0, 0, 0], [0, 1, 0], [0, 1, 1], [0, 1, 0], [0, 0, 1]],
+    )
+)
+@settings(max_examples=200, deadline=None)
+@given(oracle_cases())
+def test_array_rounder_matches_loop_oracle(case):
+    """Same units, same round-up/round-down choices, same placement bytes."""
+    problem, props, run_length = case
+    if problem.demand.reads.sum() == 0:
+        return
+    form = build_formulation(problem, props)
+    if form.structurally_infeasible:
+        return
+    sol = form.lp.solve()
+    if not sol.is_optimal:
+        return
+    store = form.store_array(sol.values)
+    np.clip(store, 0.0, 1.0, out=store)
+    oracle = LoopRounder(form, store.copy(), run_length=run_length)
+    rounder = _Rounder(form, store.copy(), run_length=run_length)
+    assert len(rounder.units) == len(oracle.units)
+    assert rounder.run() == oracle.run()
+    assert rounder.store.tobytes() == oracle.store.tobytes()
+
+
+@pytest.mark.parametrize("cls, fraction", [("general", 0.9), ("cooperative-caching", 0.8)])
+def test_repair_restores_goal_with_permitted_replicas(cls, fraction):
+    """Dropping replicas from a rounded placement at warm-up 1: repair brings
+    the goal back, only on cells the class may hold and create on, and picks
+    the same replicas as the loop that re-read the QoS reads per demander."""
+    rng = np.random.default_rng(5)
+    reads = rng.choice([0.0, 1.0, 3.0], size=(6, 4, 3))
+    problem = MCPerfProblem(
+        topology=as_level_topology(num_nodes=6, seed=3),
+        demand=DemandMatrix(reads=reads),
+        goal=QoSGoal(tlat_ms=150.0, fraction=fraction),
+        warmup_intervals=1,
+    )
+    form = build_formulation(problem, get_class(cls).properties)
+    sol = form.lp.solve().require_optimal()
+    rounded = round_solution(form, sol, audit="off").store
+    held = np.argwhere(rounded >= 0.5)
+    assert len(held) >= 2
+    dropped = rounded.copy()
+    for ns, i, k in held[: len(held) // 2]:
+        dropped[ns, i, k] = 0.0
+    assert not meets_goal(form.instance, problem.goal, dropped)
+
+    store, expected = dropped.copy(), dropped.copy()
+    added = _repair(form, store)
+    assert added == loop_repair(form, expected) > 0
+    assert store.tobytes() == expected.tobytes()
+    assert meets_goal(form.instance, problem.goal, store)
+    allowed = form.allowed_create
+    for ns, i, k in np.argwhere(store > dropped):
+        assert form.store_idx[ns, i, k] >= 0
+        assert (
+            allowed is None
+            or allowed[ns, i, k]
+            or (i > 0 and store[ns, i - 1, k] >= 0.5)
+        ), f"replica added where no create is permitted: {(ns, i, k)}"

@@ -58,3 +58,20 @@ def test_store_leaves_no_temp_files(tmp_path):
     leftovers = list(tmp_path.rglob("*.tmp"))
     assert leftovers == []
     assert len(cache) == 5
+
+
+def test_store_writes_exactly_json_dumps_of_the_entry(tmp_path):
+    """The file holds the C encoder's compact output: one ``json.dumps`` of
+    the entry, nothing streamed piecewise, no trailing newline."""
+    cache = ResultCache(tmp_path)
+    key = digest_of("entry")
+    payload = {"lp_cost": 0.1 + 0.2, "store": [[0.0, 1.0], [1e-300, -0.0]], "s": "é\n"}
+    cache.store(key, "bound", payload, seconds=1.5)
+    entry = {
+        "schema": SCHEMA_VERSION,
+        "kind": "bound",
+        "key": key,
+        "seconds": 1.5,
+        "payload": payload,
+    }
+    assert cache._path(key).read_text() == json.dumps(entry)
