@@ -21,6 +21,10 @@ equivalents at Figure-2 scale and records the speedups in
   loop it replaced (``tests/core/rounding_oracle.py``) on the WEB
   replica-constrained 90% cell, the slowest of the Figure-2 sweep.
   Identical placements in every mode; target: >= 3x.
+* **Fast LP audit** — ``audit_lp_solution(mode="fast")`` checking every
+  bound and row in one NumPy pass vs the per-row audit it replaced
+  (``tests/audit/fast_audit_oracle.py``, every row) on the WEB general
+  LP.  Identical reports; target: >= 3x.
 
 ``REPRO_BENCH_QUICK=1`` (CI's perf-smoke job) runs single repetitions and
 skips the wall-clock ratio assertions — CI machines are too noisy for
@@ -31,6 +35,7 @@ ratios wherever the bench runs.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import pickle
@@ -39,12 +44,14 @@ import time
 import pytest
 
 from benchmarks.conftest import OUT_DIR, SCALE, TLAT_MS, write_report
+from repro.audit import audit_lp_solution
 from repro.core.classes import get_class
 from repro.core.formulation import build_formulation
 from repro.core.rounding import _Rounder
 from repro.heuristics import CooperativeLRUCaching
 from repro.perf import PERF
 from repro.simulator.engine import Simulator
+from tests.audit.fast_audit_oracle import oracle_fast_audit
 from tests.core.rounding_oracle import LoopRounder
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
@@ -304,12 +311,55 @@ def test_rounding_speedup(web_problem):
         assert speedup >= 3.0, f"rounding speedup {speedup:.2f}x below the 3x target"
 
 
+# -- 5. fast LP audit ---------------------------------------------------------
+
+
+def test_fast_audit_speedup(web_problem):
+    """The vectorized fast audit against the per-row oracle, every row both."""
+    form = build_formulation(web_problem, get_class("general").properties)
+    lp = form.lp
+    solution = lp.solve(backend="scipy").require_optimal()
+    # A second point with violated bounds and rows, so identical reports
+    # are compared on violations, not only on two clean passes.
+    bent = dataclasses.replace(solution, values=solution.values * 1.01 - 0.002)
+
+    def triples(report):
+        return [(v.check, v.subject, v.amount) for v in report.violations]
+
+    for point in (solution, bent):
+        want = oracle_fast_audit(lp, point)
+        got = audit_lp_solution(lp, point, mode="fast")
+        assert (got.checks, triples(got), got.skipped) == (
+            want.checks, triples(want), want.skipped
+        )
+    assert triples(audit_lp_solution(lp, bent, mode="fast"))
+
+    t_loop, _ = best_of(lambda: oracle_fast_audit(lp, solution))
+    PERF.reset()
+    t_vec, report = best_of(lambda: audit_lp_solution(lp, solution, mode="fast"))
+    assert report.ok, report.render()
+    assert PERF.get("audit.lp.rows") == REPS * lp.num_constraints
+    speedup = t_loop / t_vec
+    RESULTS["audit"] = {
+        "class": "general",
+        "variables": lp.num_variables,
+        "constraints": lp.num_constraints,
+        "rows_checked": lp.num_constraints,
+        "loop_ms": round(t_loop * 1000, 2),
+        "vectorized_ms": round(t_vec * 1000, 2),
+        "speedup": round(speedup, 2),
+        "target": 3.0,
+    }
+    if not QUICK:
+        assert speedup >= 3.0, f"fast audit speedup {speedup:.2f}x below the 3x target"
+
+
 # -- report ------------------------------------------------------------------
 
 
 def test_write_hot_paths_report():
     """Runs last (file order): persists the JSON record + a readable table."""
-    assert {"assembly", "resolve", "resolve_warm", "replay", "rounding"} <= set(RESULTS), (
+    assert {"assembly", "resolve", "resolve_warm", "replay", "rounding", "audit"} <= set(RESULTS), (
         "hot-path benches must run before the report (run the whole module)"
     )
     OUT_DIR.mkdir(exist_ok=True)
@@ -317,7 +367,7 @@ def test_write_hot_paths_report():
         json.dumps(RESULTS, indent=2, sort_keys=True) + "\n"
     )
     a, r, s = RESULTS["assembly"], RESULTS["resolve"], RESULTS["replay"]
-    w, g = RESULTS["resolve_warm"], RESULTS["rounding"]
+    w, g, d = RESULTS["resolve_warm"], RESULTS["rounding"], RESULTS["audit"]
     lines = [
         "Hot-path micro-benchmarks (min over %d reps, scale=%s)" % (REPS, SCALE),
         "",
@@ -335,6 +385,8 @@ def test_write_hot_paths_report():
         f"  {s['speedup']:7.2f}x",
         f"  rounding (greedy) {g['loop_ms']:7.1f}ms {g['array_ms']:7.1f}ms"
         f"  {g['speedup']:7.2f}x",
+        f"  audit (fast LP)   {d['loop_ms']:7.1f}ms {d['vectorized_ms']:7.1f}ms"
+        f"  {d['speedup']:7.2f}x",
         "",
         f"  assembly: {a['variables']} vars / {a['constraints']} rows;"
         f" replay: {s['requests']} requests,"
@@ -346,5 +398,7 @@ def test_write_hot_paths_report():
         f" setBasis start {w['set_basis_ms']:.0f}ms",
         f"  rounding: {g['class']} at {g['qos']:.0%}, {g['units']} units"
         f" ({g['rounded_up']} up / {g['rounded_down']} down), identical placements",
+        f"  fast audit: {d['class']} LP, every one of {d['rows_checked']} rows"
+        f" and {d['variables']} bounds checked, identical reports",
     ]
     write_report("hot_paths", "\n".join(lines))

@@ -8,8 +8,9 @@ heuristic's cost sits at or above its class's bound.  This package
 * :mod:`repro.audit.report` — :class:`AuditReport` / :class:`AuditViolation`,
   the structured outcome every audit produces (violations are records, not
   exceptions — they flow into run manifests and post-hoc reports);
-* :mod:`repro.audit.exact` — exact :class:`fractions.Fraction` re-checking
-  of LP solutions (primal feasibility, variable bounds, objective);
+* :mod:`repro.audit.exact` — LP solution checks (primal feasibility,
+  variable bounds, objective): vectorized floats in ``fast`` mode, exact
+  :class:`fractions.Fraction` arithmetic in ``full``;
 * :mod:`repro.audit.certificates` — placement/rounding/bound-result
   certificates recomputed from scratch, plus the historical
   ``check_solution`` / ``verify_placement`` APIs (one source of truth;
@@ -21,9 +22,10 @@ heuristic's cost sits at or above its class's bound.  This package
   simulated-cost >= bound gates.
 
 Modes (``--audit`` / ``REPRO_AUDIT``): ``off`` (default), ``fast``
-(float-arithmetic objective recomputation + sampled constraint
-spot-checks + from-scratch placement certificates), ``full`` (exact
-arithmetic on every row/bound + differential re-solve).  See docs/AUDIT.md.
+(float arithmetic on every LP row and bound in one vectorized pass +
+objective recomputation + from-scratch placement certificates), ``full``
+(exact arithmetic on every row/bound + differential re-solve).  See
+docs/AUDIT.md.
 """
 
 from __future__ import annotations

@@ -101,7 +101,9 @@ def check_solution(model: LinearProgram, values, tol: float = 1e-6) -> Validatio
     """Check ``values`` against every bound and constraint of ``model``.
 
     Returns a :class:`ValidationReport`; ``report.feasible`` is True when all
-    bounds and constraints hold within ``tol``.
+    values are finite and all bounds and constraints hold within ``tol``.
+    Violations come in model order: ``non-finite`` values first, then
+    ``lower``/``upper`` per variable, then ``constraint`` per row.
     """
     from repro.lp.model import Sense
 
@@ -109,25 +111,38 @@ def check_solution(model: LinearProgram, values, tol: float = 1e-6) -> Validatio
         raise ValueError(
             f"value vector has length {len(values)}, model has {model.num_variables} variables"
         )
-    violations: List[Violation] = []
+    x = np.asarray(values, dtype=np.float64)
+    model.to_arrays()
+    cache = model._arrays
+    violations: List[Violation] = [
+        Violation("non-finite", model.variables[j].name, float("inf"))
+        for j in np.flatnonzero(~np.isfinite(x)).tolist()
+    ]
 
-    for v in model.variables:
-        x = float(values[v.index])
-        if x < v.lower - tol:
-            violations.append(Violation("lower", v.name, v.lower - x))
-        if v.upper is not None and x > v.upper + tol:
-            violations.append(Violation("upper", v.name, x - v.upper))
+    # lower <= upper, so at most one of the two fires per variable.
+    low = x < cache.lb - tol
+    flagged = np.flatnonzero(low | (x > cache.ub + tol))
+    amounts = np.where(low, cache.lb - x, x - cache.ub)[flagged]
+    violations.extend(
+        Violation("lower" if low[j] else "upper", model.variables[j].name, amount)
+        for j, amount in zip(flagged.tolist(), amounts.tolist())
+    )
 
-    for con in model.constraints:
-        act = con.activity(values)
-        if con.sense is Sense.LE and act > con.rhs + tol:
-            violations.append(Violation("constraint", con.name, act - con.rhs))
-        elif con.sense is Sense.GE and act < con.rhs - tol:
-            violations.append(Violation("constraint", con.name, con.rhs - act))
-        elif con.sense is Sense.EQ and abs(act - con.rhs) > tol:
-            violations.append(Violation("constraint", con.name, abs(act - con.rhs)))
+    act, senses, rhs = model.row_activities(x)
+    le = senses == Sense.LE.code
+    ge = senses == Sense.GE.code
+    eq = ~(le | ge)
+    flagged = np.flatnonzero(
+        (le & (act > rhs + tol)) | (ge & (act < rhs - tol)) | (eq & (np.abs(act - rhs) > tol))
+    )
+    amounts = np.where(ge, rhs - act, np.where(le, act - rhs, np.abs(act - rhs)))
+    violations.extend(
+        Violation("constraint", model.constraints[row].name, amount)
+        for row, amount in zip(flagged.tolist(), amounts[flagged].tolist())
+    )
 
-    objective = sum(v.objective * float(values[v.index]) for v in model.variables)
+    # Every term, left to right by ``sum``, like the per-variable loop.
+    objective = sum((cache.c * x).tolist())
     return ValidationReport(feasible=not violations, objective=objective, violations=violations)
 
 

@@ -13,9 +13,9 @@ Two entry points:
 
 * :func:`audit_lp_solution` — the in-solve certificate: primal feasibility,
   variable bounds and objective recomputation for an :class:`LPSolution`
-  against its :class:`LinearProgram`.  ``mode="fast"`` spot-checks a
-  deterministic, evenly-spaced sample of constraint rows in float
-  arithmetic; ``mode="full"`` checks every row and every bound exactly.
+  against its :class:`LinearProgram`.  ``mode="fast"`` checks every row
+  and every bound in float arithmetic, in one vectorized pass over the
+  model's arrays; ``mode="full"`` checks every row and every bound exactly.
 * :func:`exact_objective` — the rational objective value of a point.
 
 Reports are capped at ``max_reported`` *worst* violations per family (sorted
@@ -28,12 +28,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import List, Optional, Sequence
 
+import numpy as np
+
 from repro.audit.report import DEFAULT_TOL, AuditReport, AuditViolation
 from repro.lp.model import LinearProgram, Sense
 from repro.lp.solution import LPSolution, SolveStatus
-
-#: How many constraint rows a fast-mode audit samples (evenly spaced).
-FAST_CONSTRAINT_SAMPLE = 512
+from repro.perf import PERF
 
 
 def exact_objective(model: LinearProgram, values: Sequence[float]) -> Fraction:
@@ -60,18 +60,6 @@ def _constraint_violation_exact(con, values, tol: Fraction) -> Optional[Fraction
     return excess if excess > tol else None
 
 
-def _constraint_violation_float(con, values, tol: float) -> Optional[float]:
-    """Float violation magnitude of one row, or None when satisfied."""
-    act = con.activity(values)
-    if con.sense is Sense.LE:
-        excess = act - con.rhs
-    elif con.sense is Sense.GE:
-        excess = con.rhs - act
-    else:
-        excess = abs(act - con.rhs)
-    return excess if excess > tol else None
-
-
 def _keep_worst(
     report: AuditReport, found: List[AuditViolation], check: str, max_reported: int
 ) -> None:
@@ -92,109 +80,141 @@ def audit_lp_solution(
     mode: str = "fast",
     tol: float = DEFAULT_TOL,
     max_reported: int = 25,
-    constraint_sample: int = FAST_CONSTRAINT_SAMPLE,
 ) -> AuditReport:
     """Certify an LP solution against the original model.
 
     Checks (all recorded in the report's ``checks`` list):
 
-    * ``status`` — the solve claims optimality;
+    * ``status`` — the solve claims optimality, and every value is finite;
     * ``var-bound`` — every value within its variable's [lower, upper];
-    * ``constraint`` — primal feasibility of every row (``full``) or an
-      evenly-spaced sample of ``constraint_sample`` rows (``fast``);
+    * ``constraint`` — primal feasibility of every row;
     * ``objective`` — ``c . x`` matches the solver-reported objective
       within ``tol`` (relative to the objective's magnitude).
 
     ``full`` runs every comparison in exact :class:`fractions.Fraction`
-    arithmetic; ``fast`` uses floats.
+    arithmetic; ``fast`` uses floats, one vectorized pass per check.
     """
     report = AuditReport(mode=mode)
-    report.ran("status")
-    if solution.status is not SolveStatus.OPTIMAL:
-        report.flag(
-            "status", solution.status.value,
-            message="audited solution does not claim optimality",
-        )
-        return report
-
-    values = solution.values
-    if len(values) != model.num_variables:
-        report.flag(
-            "status", "shape", amount=abs(len(values) - model.num_variables),
-            message=f"value vector has length {len(values)}, "
-            f"model has {model.num_variables} variables",
-        )
-        return report
-
-    exact = mode == "full"
-    ftol = Fraction(tol) if exact else tol
-
-    # Variable bounds.
-    report.ran("var-bound")
-    found: List[AuditViolation] = []
-    for v in model.variables:
-        x = float(values[v.index])
-        if exact:
-            fx = Fraction(x)
-            below = Fraction(v.lower) - fx
-            above = (
-                fx - Fraction(v.upper) if v.upper is not None else Fraction(-1)
+    with PERF.timer("audit.lp"):
+        report.ran("status")
+        if solution.status is not SolveStatus.OPTIMAL:
+            report.flag(
+                "status", solution.status.value,
+                message="audited solution does not claim optimality",
             )
-            if below > ftol:
-                found.append(AuditViolation("var-bound", v.name, float(below)))
-            elif above > ftol:
-                found.append(AuditViolation("var-bound", v.name, float(above)))
+            return report
+
+        values = solution.values
+        if len(values) != model.num_variables:
+            report.flag(
+                "status", "shape", amount=abs(len(values) - model.num_variables),
+                message=f"value vector has length {len(values)}, "
+                f"model has {model.num_variables} variables",
+            )
+            return report
+
+        # Every comparison with NaN is False, so a non-finite value would
+        # pass the float checks silently (and cannot be lifted to a
+        # Fraction): flag it before any other check runs.
+        x = np.asarray(values, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(x))
+        if len(bad):
+            shown = ", ".join(
+                f"{model.variables[j].name}={x[j]}" for j in bad[:max_reported]
+            )
+            report.flag(
+                "status", "non-finite", amount=float(len(bad)),
+                message=f"{len(bad)} non-finite value(s): {shown}",
+            )
+            return report
+
+        if mode == "full":
+            _check_exact(report, model, solution, values, tol, max_reported)
         else:
-            if x < v.lower - tol:
-                found.append(AuditViolation("var-bound", v.name, v.lower - x))
-            elif v.upper is not None and x > v.upper + tol:
-                found.append(AuditViolation("var-bound", v.name, x - v.upper))
+            _check_float(report, model, solution, x, tol, max_reported)
+        PERF.count("audit.lp.rows", model.num_constraints)
+    return report
+
+
+def _check_float(report, model, solution, x, tol, max_reported) -> None:
+    """The float checks, each one vectorized pass over the model's arrays.
+
+    Bounds and costs come from the assembled cache, which the patch API
+    keeps in step with the :class:`~repro.lp.model.Variable` objects; rows
+    come from :meth:`~repro.lp.model.LinearProgram.row_activities`.  Names
+    are looked up only for flagged entries.
+    """
+    model.to_arrays()
+    cache = model._arrays
+
+    report.ran("var-bound")
+    lb, ub = cache.lb, cache.ub
+    below = x < lb - tol
+    flagged = np.flatnonzero(below | (x > ub + tol))
+    amounts = np.where(below, lb - x, x - ub)[flagged]
+    found = [
+        AuditViolation("var-bound", model.variables[j].name, float(a))
+        for j, a in zip(flagged.tolist(), amounts.tolist())
+    ]
     _keep_worst(report, found, "var-bound", max_reported)
 
-    # Primal feasibility.
     report.ran("constraint")
-    found = []
-    rows = len(model.constraints)
-    if exact or rows <= constraint_sample:
-        iter_rows = range(rows)
-    else:
-        stride = max(1, rows // constraint_sample)
-        iter_rows = range(0, rows, stride)
-        report.skip(
-            "constraint",
-            f"fast mode sampled {len(iter_rows)} of {rows} rows "
-            f"(stride {stride}); use --audit full for every row",
-        )
-    for row in iter_rows:
-        con = model.constraints[row]
-        if exact:
-            excess = _constraint_violation_exact(con, values, ftol)
-        else:
-            excess = _constraint_violation_float(con, values, tol)
-        if excess is not None:
-            found.append(
-                AuditViolation("constraint", con.name, float(excess))
-            )
+    activity, senses, rhs = model.row_activities(x)
+    excess = np.where(
+        senses == Sense.LE.code,
+        activity - rhs,
+        np.where(senses == Sense.GE.code, rhs - activity, np.abs(activity - rhs)),
+    )
+    flagged = np.flatnonzero(excess > tol)
+    found = [
+        AuditViolation("constraint", model.constraints[row].name, float(e))
+        for row, e in zip(flagged.tolist(), excess[flagged].tolist())
+    ]
     _keep_worst(report, found, "constraint", max_reported)
 
-    # Objective recomputation.
     report.ran("objective")
-    if exact:
-        recomputed = exact_objective(model, values)
-        drift = abs(recomputed - Fraction(float(solution.objective)))
-        allowance = Fraction(tol) * max(Fraction(1), abs(recomputed))
-    else:
-        recomputed = sum(
-            v.objective * float(values[v.index])
-            for v in model.variables
-            if v.objective
-        )
-        drift = abs(recomputed - float(solution.objective))
-        allowance = tol * max(1.0, abs(recomputed))
-    if drift > allowance:
+    # Non-zero costs in index order, added left to right by ``sum``.
+    nz = np.flatnonzero(cache.c)
+    recomputed = sum((cache.c[nz] * x[nz]).tolist())
+    drift = abs(recomputed - float(solution.objective))
+    if drift > tol * max(1.0, abs(recomputed)):
         report.flag(
             "objective", "objective", float(drift),
             message=f"recomputed c.x = {float(recomputed):.9g}, "
             f"solver reported {float(solution.objective):.9g}",
         )
-    return report
+
+
+def _check_exact(report, model, solution, values, tol, max_reported) -> None:
+    """The same checks in exact :class:`fractions.Fraction` arithmetic."""
+    ftol = Fraction(tol)
+
+    report.ran("var-bound")
+    found: List[AuditViolation] = []
+    for v in model.variables:
+        fx = Fraction(float(values[v.index]))
+        below = Fraction(v.lower) - fx
+        above = fx - Fraction(v.upper) if v.upper is not None else Fraction(-1)
+        if below > ftol:
+            found.append(AuditViolation("var-bound", v.name, float(below)))
+        elif above > ftol:
+            found.append(AuditViolation("var-bound", v.name, float(above)))
+    _keep_worst(report, found, "var-bound", max_reported)
+
+    report.ran("constraint")
+    found = []
+    for con in model.constraints:
+        excess = _constraint_violation_exact(con, values, ftol)
+        if excess is not None:
+            found.append(AuditViolation("constraint", con.name, float(excess)))
+    _keep_worst(report, found, "constraint", max_reported)
+
+    report.ran("objective")
+    recomputed = exact_objective(model, values)
+    drift = abs(recomputed - Fraction(float(solution.objective)))
+    if drift > Fraction(tol) * max(Fraction(1), abs(recomputed)):
+        report.flag(
+            "objective", "objective", float(drift),
+            message=f"recomputed c.x = {float(recomputed):.9g}, "
+            f"solver reported {float(solution.objective):.9g}",
+        )

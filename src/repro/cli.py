@@ -161,8 +161,9 @@ def _build_parser() -> argparse.ArgumentParser:
             default=None,
             help=(
                 "re-certify results (default: the REPRO_AUDIT env var, else "
-                "off): fast = recomputed objective + sampled constraint "
-                "spot-checks + from-scratch placement certificates; full = "
+                "off): fast = float checks of every LP row/bound + "
+                "recomputed objective + from-scratch placement "
+                "certificates; full = "
                 "exact Fraction arithmetic on every row/bound + cross-"
                 "backend differential re-solve.  Cache hits are re-audited "
                 "and quarantined on failure.  Violations exit nonzero."

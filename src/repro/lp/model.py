@@ -87,6 +87,11 @@ class Sense(str, enum.Enum):
         except ValueError as exc:
             raise ValueError(f"unknown constraint sense: {value!r}") from exc
 
+    @property
+    def code(self) -> int:
+        """The sense's code in :meth:`ConstraintList.columnar` (LE=0, GE=1, EQ=2)."""
+        return _SENSE_CODE[self]
+
 
 @dataclass
 class Variable:
@@ -114,7 +119,13 @@ class Constraint:
     rhs: float
 
     def activity(self, values) -> float:
-        return sum(c * float(values[i]) for i, c in zip(self.indices, self.coeffs))
+        # An explicit left-to-right sum from 0.0: ``sum()`` compensates float
+        # rounding since Python 3.12, which would make the result depend on
+        # the interpreter and differ from :meth:`LinearProgram.row_activities`.
+        act = 0.0
+        for i, c in zip(self.indices, self.coeffs):
+            act += c * float(values[i])
+        return act
 
     def satisfied(self, values, tol: float = 1e-6) -> bool:
         act = self.activity(values)
@@ -624,6 +635,27 @@ class LinearProgram:
                 cache.b_ub[pos] = -rhs if cache.row_flip[row] else rhs
             cache.b_all[row] = rhs
         PERF.count("lp.patch.rhs")
+
+    def row_activities(self, values):
+        """Every row's activity at ``values``, with its sense and RHS.
+
+        Returns ``(activity, sense_codes, rhs)`` in model row order, read
+        from :meth:`ConstraintList.columnar`: the rows as written, with
+        their original senses and RHS (not the sign-flipped ``A_ub`` the
+        solver sees).  ``np.bincount`` adds each row's terms left to right
+        from 0.0, so every entry equals that row's
+        :meth:`Constraint.activity` bit for bit, in one vectorized pass.
+        """
+        np = _numpy()
+        x = np.asarray(values, dtype=np.float64)
+        lengths, sense_codes, rhs, flat_idx, flat_cf = self.constraints.columnar()
+        rows = len(lengths)
+        activity = np.bincount(
+            np.repeat(np.arange(rows), lengths),
+            weights=flat_cf * x[flat_idx],
+            minlength=rows,
+        )
+        return activity, sense_codes, rhs
 
     # -- assembly ----------------------------------------------------------
 

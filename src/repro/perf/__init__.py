@@ -34,6 +34,7 @@ Counter names in use across the tree::
     form.build.vectorized / form.build.legacy   formulation assembly mode
     form.retarget         set_qos_fraction() RHS-only re-target
     round.iterative.fix   LP-guided rounding fixings (== re-solves)
+    audit.lp.rows         LP rows audit_lp_solution checked (its time: timer audit.lp)
     sim.serve.fast        _served_latency answered from the replica cache
     sim.serve.scan        _served_latency fell back to the full scan
     sim.cache.repair      nearest-replica cache column recomputed

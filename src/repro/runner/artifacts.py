@@ -12,8 +12,9 @@ Every runner invocation can persist what it did under
 * ``timing.txt`` — a human-readable per-task timing summary.
 
 Tasks are *planned* before execution (status ``pending``) and updated to
-``ok`` or ``failed`` as they finish; the manifest is flushed incrementally so
-a run that crashes mid-sweep still leaves a resumable record behind
+``ok`` or ``failed`` as they finish; the manifest is flushed incrementally
+(compact JSON; :meth:`RunWriter.finalize` writes it indented) so a run that
+crashes mid-sweep still leaves a resumable record behind
 (:class:`~repro.runner.resume.ResumeState` re-executes only the non-``ok``
 rows).
 
@@ -248,11 +249,16 @@ class RunWriter:
         return data
 
     def _flush_manifest(self, extra: Optional[Dict[str, Any]] = None) -> None:
-        """Write the current manifest snapshot (cheap; called per record)."""
+        """Write the current manifest snapshot (called per record).
+
+        Compact on purpose: the snapshot grows with every task, so the
+        flushes' total cost grows quadratically with the task count, and
+        any ``indent`` would run that through ``json``'s pure-Python
+        encoder instead of the C one.  Only :meth:`finalize`, which runs
+        once, writes the indented form.
+        """
         run_dir = self._ensure_dir()
-        atomic_write_text(
-            run_dir / "manifest.json", json.dumps(self.manifest(extra), indent=2)
-        )
+        atomic_write_text(run_dir / "manifest.json", json.dumps(self.manifest(extra)))
 
     def finalize(self, extra: Optional[Dict[str, Any]] = None) -> Path:
         """Write the final ``manifest.json`` and ``timing.txt``; return the run dir."""

@@ -353,7 +353,7 @@ class _ObjectPricer:
     def __init__(self, obj: int, form) -> None:
         self.obj = obj
         self.form = form
-        self.base_obj = np.array([v.objective for v in form.lp.variables])
+        self.base_obj = form.lp.to_arrays()[0].copy()
         self.constant = float(form.objective_constant)
         self.rows: Dict[object, Tuple[np.ndarray, np.ndarray]] = {}
         for key, (row, _denom, _const, _maxp) in form.qos_meta.items():
@@ -524,7 +524,7 @@ def _solve_dantzig_wolfe(
             solution = form.lp.solve(backend=BACKEND_AUTO)
             if solution.status is SolveStatus.OPTIMAL:
                 values = np.asarray(solution.values, dtype=float)
-                base = np.array([v.objective for v in form.lp.variables])
+                base = form.lp.to_arrays()[0]
                 cov = {}
                 for key, (row, _d, _c, _m) in form.qos_meta.items():
                     if row < 0:

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.runner import make_runner
+from repro.runner import ExperimentRunner, ResumeState, RunWriter, make_runner
 from repro.runner.artifacts import atomic_write_text
 from repro.runner.cache import ResultCache
 from repro.runner.tasks import ContinuousTask, HeuristicSpec
 from repro.simulator.continuous import install_stop_check
 from repro.topology.generators import line_topology
 from repro.topology.graph import Topology
+from tests.runner.test_resilience import probe
 
 
 # -- atomic_write_text --------------------------------------------------------
@@ -47,6 +48,43 @@ def test_manifest_written_atomically_through_runner(tmp_path):
     payload = json.loads(manifests[0].read_text())
     assert payload["task_records"][0]["status"] == "ok"
     assert not list((tmp_path / "runs").glob("*/*.tmp"))
+
+
+def test_mid_run_manifest_is_the_writers_manifest_and_resumes(tmp_path):
+    """A per-record flush is compact JSON of exactly ``manifest()``."""
+    tasks = [probe(tmp_path, ident) for ident in ("a", "b", "c")]
+    writer = RunWriter(root=tmp_path / "runs", label="mid-run")
+    ids = writer.plan([(t.kind, t.label, t.cache_key()) for t in tasks])
+    writer.record(
+        index=ids[0], kind=tasks[0].kind, label=tasks[0].label,
+        key=tasks[0].cache_key(), cached=False, seconds=0.5, status="ok",
+        attempts=1, payload={"ident": "a", "attempts": 1},
+        audit={"mode": "fast", "checks": ["status"], "violations": [], "skipped": []},
+    )
+    writer.record(
+        index=ids[1], kind=tasks[1].kind, label=tasks[1].label,
+        key=tasks[1].cache_key(), cached=False, seconds=0.2, status="failed",
+        attempts=2, error="boom", failure={"error": "boom"},
+    )
+    # ids[2] stays pending: the run "crashed" before finalize().
+
+    text = (writer.run_dir / "manifest.json").read_text()
+    assert "\n" not in text  # compact: the C encoder, not indent=2
+    on_disk = json.loads(text)
+    expected = writer.manifest()
+    for manifest in (on_disk, expected):
+        del manifest["wall_seconds"]
+    assert on_disk == expected
+
+    resumed = ExperimentRunner(resume=ResumeState(writer.run_dir))
+    results = resumed.map(tasks)
+    assert resumed.resumed == 1  # only the ok row is served
+    assert resumed.executed == 2  # the failed and the pending rows re-run
+    assert results[0] == {"ident": "a", "attempts": 1}
+
+    final = json.loads((writer.finalize() / "manifest.json").read_text())
+    assert final["pending"] == 1 and final["failed"] == 1  # finalize is indented
+    assert (writer.run_dir / "manifest.json").read_text().startswith("{\n  ")
 
 
 # -- interrupted results ------------------------------------------------------
