@@ -25,6 +25,11 @@ equivalents at Figure-2 scale and records the speedups in
   bound and row in one NumPy pass vs the per-row audit it replaced
   (``tests/audit/fast_audit_oracle.py``, every row) on the WEB general
   LP.  Identical reports; target: >= 3x.
+* **Cell payload bytes** — one Figure-2 WEB bound cell with rounding, as
+  the cache stores it: the compressed array codec vs the dense JSON
+  number list it replaced (``tests/runner/dense_codec.py``).  Identical
+  decoded placements; target: the entry shrinks >= 10x.  Byte-based, so
+  it is asserted in quick mode too.
 
 ``REPRO_BENCH_QUICK=1`` (CI's perf-smoke job) runs single repetitions and
 skips the wall-clock ratio assertions — CI machines are too noisy for
@@ -41,6 +46,7 @@ import os
 import pickle
 import time
 
+import numpy as np
 import pytest
 
 from benchmarks.conftest import OUT_DIR, SCALE, TLAT_MS, write_report
@@ -50,9 +56,13 @@ from repro.core.formulation import build_formulation
 from repro.core.rounding import _Rounder
 from repro.heuristics import CooperativeLRUCaching
 from repro.perf import PERF
+from repro.runner.cache import ResultCache
+from repro.runner.tasks import BoundTask
+from repro.serialize import array_to_jsonable
 from repro.simulator.engine import Simulator
 from tests.audit.fast_audit_oracle import oracle_fast_audit
 from tests.core.rounding_oracle import LoopRounder
+from tests.runner.dense_codec import dense_array_from_jsonable, dense_array_to_jsonable
 
 QUICK = os.environ.get("REPRO_BENCH_QUICK", "") not in ("", "0")
 REPS = 1 if QUICK else 3
@@ -198,6 +208,7 @@ def test_warm_resolve_speedup(web_problem):
         "coarse_speedup": round(coarse_speedup, 2),
         "warm_starts": PERF.get("lp.simplex.warm_starts"),
         "warm_degraded": PERF.get("lp.simplex.warm_degraded"),
+        "basis_materialized": PERF.get("lp.basis.materialized"),
         "iterations": PERF.get("lp.simplex.iterations"),
         "rebuilds_on_patched_path": PERF.get("lp.assembly.rebuild"),
         "target": 5.0,
@@ -207,6 +218,8 @@ def test_warm_resolve_speedup(web_problem):
     assert PERF.get("lp.assembly.rebuild") == 0
     assert PERF.get("lp.simplex.warm_starts") == 1 + steps + len(coarse)
     assert PERF.get("lp.simplex.warm_degraded") == 0
+    # The foreign link hands HiGHS its own snapshot: no statuses derived.
+    assert PERF.get("lp.basis.materialized") == 0
     if not QUICK:
         assert speedup >= 5.0, f"warm re-solve speedup {speedup:.2f}x below the 5x target"
         assert coarse_speedup >= 1.5, (
@@ -354,12 +367,54 @@ def test_fast_audit_speedup(web_problem):
         assert speedup >= 3.0, f"fast audit speedup {speedup:.2f}x below the 3x target"
 
 
+# -- 6. cell payload bytes ----------------------------------------------------
+
+
+def test_cell_payload_bytes(web_problem, tmp_path):
+    """One rounded cell's cache entry: compressed arrays vs dense lists."""
+    task = BoundTask(web_problem, get_class("general").properties, backend="scipy")
+    result = task.run()
+    store = result.rounding.store
+    new = task.encode(result)
+    old = task.encode(result)
+    old["rounding"]["store"] = dense_array_to_jsonable(store)
+
+    def entry_bytes(payload, name):
+        cache = ResultCache(tmp_path / name)
+        cache.store(task.cache_key(), task.kind, json.dumps(payload), 1.0)
+        return cache._path(task.cache_key()).stat().st_size
+
+    new_bytes, old_bytes = entry_bytes(new, "new"), entry_bytes(old, "old")
+    decoded = task.decode(json.loads(json.dumps(new))).rounding.store
+    dense = dense_array_from_jsonable(json.loads(json.dumps(old))["rounding"]["store"])
+    assert decoded.dtype == dense.dtype and decoded.shape == dense.shape
+    assert decoded.tobytes() == dense.tobytes() == store.tobytes()
+    t_old, _ = best_of(lambda: json.dumps(dense_array_to_jsonable(store)))
+    t_new, _ = best_of(lambda: json.dumps(array_to_jsonable(store)))
+    ratio = old_bytes / new_bytes
+    RESULTS["payload"] = {
+        "class": "general",
+        "qos": web_problem.goal.fraction,
+        "store_shape": list(store.shape),
+        "store_ones": int(np.count_nonzero(store)),
+        "dense_bytes": old_bytes,
+        "compressed_bytes": new_bytes,
+        "shrink": round(ratio, 2),
+        "dense_store_ms": round(t_old * 1000, 3),
+        "compressed_store_ms": round(t_new * 1000, 3),
+        "target": 10.0,
+    }
+    assert ratio >= 10.0, f"payload shrank only {ratio:.2f}x (target 10x)"
+
+
 # -- report ------------------------------------------------------------------
 
 
 def test_write_hot_paths_report():
     """Runs last (file order): persists the JSON record + a readable table."""
-    assert {"assembly", "resolve", "resolve_warm", "replay", "rounding", "audit"} <= set(RESULTS), (
+    assert {
+        "assembly", "resolve", "resolve_warm", "replay", "rounding", "audit", "payload"
+    } <= set(RESULTS), (
         "hot-path benches must run before the report (run the whole module)"
     )
     OUT_DIR.mkdir(exist_ok=True)
@@ -368,6 +423,7 @@ def test_write_hot_paths_report():
     )
     a, r, s = RESULTS["assembly"], RESULTS["resolve"], RESULTS["replay"]
     w, g, d = RESULTS["resolve_warm"], RESULTS["rounding"], RESULTS["audit"]
+    b = RESULTS["payload"]
     lines = [
         "Hot-path micro-benchmarks (min over %d reps, scale=%s)" % (REPS, SCALE),
         "",
@@ -387,6 +443,8 @@ def test_write_hot_paths_report():
         f"  {g['speedup']:7.2f}x",
         f"  audit (fast LP)   {d['loop_ms']:7.1f}ms {d['vectorized_ms']:7.1f}ms"
         f"  {d['speedup']:7.2f}x",
+        f"  cell entry bytes  {b['dense_bytes']:9d} {b['compressed_bytes']:9d}"
+        f"  {b['shrink']:7.2f}x",
         "",
         f"  assembly: {a['variables']} vars / {a['constraints']} rows;"
         f" replay: {s['requests']} requests,"
@@ -400,5 +458,8 @@ def test_write_hot_paths_report():
         f" ({g['rounded_up']} up / {g['rounded_down']} down), identical placements",
         f"  fast audit: {d['class']} LP, every one of {d['rows_checked']} rows"
         f" and {d['variables']} bounds checked, identical reports",
+        f"  cell entry: {b['class']} at {b['qos']:.0%}, store {b['store_shape']}"
+        f" ({b['store_ones']} ones), identical decoded placement;"
+        f" store to JSON {b['dense_store_ms']:.2f}ms -> {b['compressed_store_ms']:.2f}ms",
     ]
     write_report("hot_paths", "\n".join(lines))

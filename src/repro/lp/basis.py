@@ -16,14 +16,20 @@ call.  Validation happens at the point of use (HiGHS's ``setBasis``,
 :func:`repro.lp.revised.solve_revised`): a handle whose shape no longer
 matches the model — stale cache entries, structurally edited models —
 degrades to a cold solve instead of erroring.
+
+A solve that nobody warm-starts from never needs the statuses, so a backend
+may hand out a *deferred* handle (:meth:`Basis.deferred`): it keeps the
+backend's own snapshot and derives the statuses on first read, counting
+``lp.basis.materialized``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
+
+from repro.perf import PERF
 
 #: Column status codes (int8 in the statuses array).
 BASIC = 0
@@ -34,29 +40,49 @@ NB_FREE = 3
 _VALID_STATUSES = frozenset((BASIC, AT_LOWER, AT_UPPER, NB_FREE))
 
 
-@dataclass(frozen=True)
 class Basis:
     """One simplex basis: per-column statuses plus the shape it belongs to.
 
     ``statuses`` has ``nvars + nrows`` entries (structural columns, then one
-    slack per row).  The handle is immutable and picklable — it travels
-    through the runner's process pool and the service's in-memory caches.
+    slack per row).  The handle is treated as immutable and is picklable —
+    it travels through the runner's process pool and the service's
+    in-memory caches; a deferred handle materializes its statuses to pickle.
     """
 
-    statuses: np.ndarray  # int8, length nvars + nrows
-    nvars: int
-    nrows: int
+    __slots__ = ("nvars", "nrows", "source", "_statuses")
 
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.statuses, dtype=np.int8)
-        object.__setattr__(self, "statuses", arr)
+    def __init__(self, statuses: np.ndarray, nvars: int, nrows: int):
+        self._statuses = np.asarray(statuses, dtype=np.int8)
+        self.nvars, self.nrows = nvars, nrows
+        #: The backend snapshot a deferred handle derives from (None otherwise).
+        self.source = None
+
+    @classmethod
+    def deferred(cls, source, nvars: int, nrows: int) -> "Basis":
+        """A handle whose statuses ``source.statuses()`` derives on first read."""
+        basis = cls.__new__(cls)
+        basis._statuses, basis.source = None, source
+        basis.nvars, basis.nrows = nvars, nrows
+        return basis
+
+    @property
+    def statuses(self) -> np.ndarray:
+        """int8 status per column, structural columns then row slacks."""
+        if self._statuses is None:
+            self._statuses = np.asarray(self.source.statuses(), dtype=np.int8)
+            PERF.count("lp.basis.materialized")
+        return self._statuses
+
+    def __reduce__(self):
+        return (Basis, (self.statuses, self.nvars, self.nrows))
 
     def matches(self, nvars: int, nrows: int) -> bool:
         """Does this basis describe a model of the given shape?"""
+        # A deferred handle has the right length by construction.
         return (
             self.nvars == nvars
             and self.nrows == nrows
-            and len(self.statuses) == nvars + nrows
+            and (self._statuses is None or len(self._statuses) == nvars + nrows)
         )
 
     def is_wellformed(self) -> bool:

@@ -21,12 +21,19 @@ keeps both:
   service's per-class warm store, the DW master's remapped basis) enters a
   fresh instance through ``setBasis``.
 
+An optimal solve returns HiGHS's values and row duals, and its basis as a
+deferred handle over HiGHS's ``getBasis()`` snapshot (a copy, a few
+microseconds): statuses are derived only if someone reads them, and a
+snapshot handed back to ``setBasis`` needs no conversion at all.
+
 Either warm start is a hint: a non-optimal warm outcome is re-solved cold
 and counts ``lp.simplex.warm_degraded``.  This is the only module that
 touches the private bindings.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -47,7 +54,7 @@ class _HighsRun:
     copies are what a re-solve diffs the patched cache against.
     """
 
-    __slots__ = ("highs", "accepted", "cache", "options", "n_ub", "c", "lb", "ub", "rhs")
+    __slots__ = ("highs", "accepted", "cache", "options", "n_ub", "a", "c", "lb", "ub", "rhs")
 
     def __init__(self, h, cache, options):
         from scipy import sparse
@@ -58,6 +65,8 @@ class _HighsRun:
         n, m = cache.nvars, len(self.rhs)
         blocks = [a for a in (cache.a_ub, cache.a_eq) if a is not None]
         a = sparse.csc_array(sparse.vstack(blocks)) if blocks else sparse.csc_array((0, n))
+        # Kept for the post-solve row check; the patch API never edits it.
+        self.a = a
         lp = h.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
@@ -107,8 +116,18 @@ class _HighsRun:
             highs.changeColsCost(len(changed_c), changed_c.astype(np.int32), cache.c[changed_c])
 
     def set_basis(self, h, basis: Basis) -> bool:
-        """Start from a foreign basis (the inverse of :func:`_basis`); False if rejected."""
-        if not (self.accepted and basis.is_wellformed()):
+        """Start from a foreign basis; False if rejected.
+
+        A deferred handle over a snapshot of the same row layout goes to
+        HiGHS as is; any other handle is translated from its statuses (the
+        inverse of :meth:`_HighsSnapshot.statuses`).
+        """
+        if not self.accepted:
+            return False
+        source = basis.source
+        if isinstance(source, _HighsSnapshot) and source.fits(self.cache):
+            return self.highs.setBasis(source.highs_basis) != h.HighsStatus.kError
+        if not basis.is_wellformed():
             return False
         b = h.HighsBasisStatus
         # HiGHS's status for each of our codes, indexed BASIC..NB_FREE.
@@ -154,7 +173,8 @@ class _HighsRun:
 
         solution = highs.getSolution()
         values = np.array(solution.col_value, dtype=float)
-        slack = self.rhs - np.array(solution.row_value, dtype=float)
+        # Checked against the model's own matrix, not HiGHS's row values.
+        slack = self.rhs - self.a @ values
         if not (
             np.all(values >= cache.lb - _CHECK_TOL)
             and np.all(values <= cache.ub + _CHECK_TOL)
@@ -172,10 +192,7 @@ class _HighsRun:
         # rhs flips sign: duals of >= rows come out >= 0 (more requirement
         # costs more), the shadow-price convention callers use.
         duals[cache.row_flip] = -duals[cache.row_flip]
-        ok, basic = h.HighsStatus.kOk, np.zeros(0, dtype=np.int32)
-        if len(highs_row):
-            ok, basic = highs.getBasicVariables()
-        col_dual = np.array(solution.col_dual, dtype=float)
+        snapshot = highs.getBasis()
         return LPSolution(
             status=SolveStatus.OPTIMAL,
             objective=float(highs.getInfo().objective_function_value),
@@ -183,9 +200,62 @@ class _HighsRun:
             backend="scipy",
             message=message,
             duals=duals,
-            basis=_basis(basic, values, col_dual, cache, highs_row)
-            if ok == h.HighsStatus.kOk else None,
+            basis=Basis.deferred(_HighsSnapshot(snapshot, cache), cache.nvars, cache.nrows)
+            if snapshot.valid else None,
         )
+
+
+class _HighsSnapshot:
+    """HiGHS's basis after one solve, in HiGHS's row order.
+
+    Keeps the two row-kind arrays of the assembled cache (not the cache),
+    which a structural edit replaces but never mutates, so the snapshot
+    stays convertible after the model moves on.
+    """
+
+    __slots__ = ("highs_basis", "row_is_eq", "row_flip")
+
+    def __init__(self, highs_basis, cache):
+        self.highs_basis = highs_basis
+        self.row_is_eq, self.row_flip = cache.row_is_eq, cache.row_flip
+
+    def fits(self, cache) -> bool:
+        """Is HiGHS's row order the same in ``cache``'s model?"""
+        return self.row_is_eq is cache.row_is_eq or np.array_equal(
+            self.row_is_eq, cache.row_is_eq
+        )
+
+    def statuses(self) -> np.ndarray:
+        """The basis in :mod:`repro.lp.basis` terms.
+
+        Columns map status for status.  Row statuses describe the row
+        activity ``A x``; the revised simplex's slack is ``s = b - A x``, so
+        a nonbasic row puts its slack at zero — the slack's upper bound for
+        ``>=`` rows, its lower bound for ``<=`` and ``==`` rows.
+        """
+        codes, basis = _status_codes(), self.highs_basis
+        cols = codes[np.fromiter(map(int, basis.col_status), dtype=np.intp)]
+        # HiGHS holds the <= block, then the == block, each in model order.
+        row_basic = np.empty(len(self.row_is_eq), dtype=bool)
+        row_basic[np.argsort(self.row_is_eq, kind="stable")] = (
+            codes[np.fromiter(map(int, basis.row_status), dtype=np.intp)] == BASIC
+        )
+        rows = np.where(row_basic, BASIC, np.where(self.row_flip, AT_UPPER, AT_LOWER))
+        return np.concatenate([cols, rows.astype(np.int8)])
+
+
+@functools.lru_cache(maxsize=None)
+def _status_codes() -> np.ndarray:
+    """Our status code for each HiGHS ``HighsBasisStatus`` value (-1: none)."""
+    from scipy.optimize._highspy import _core as h
+
+    b = h.HighsBasisStatus
+    codes = np.full(max(map(int, b.__members__.values())) + 1, -1, dtype=np.int8)
+    for theirs, ours in (
+        (b.kLower, AT_LOWER), (b.kUpper, AT_UPPER), (b.kBasic, BASIC), (b.kZero, NB_FREE)
+    ):
+        codes[int(theirs)] = ours
+    return codes
 
 
 def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
@@ -242,31 +312,3 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
     if solution.is_optimal and warm:
         model._highs = run
     return solution
-
-
-def _basis(basic, values, col_dual, cache, highs_row) -> "Basis | None":
-    """HiGHS's final basis in :mod:`repro.lp.basis` terms, or None.
-
-    Built from HiGHS's basic-variable list (``>= 0`` a column, ``-1 - i``
-    row ``i``) and the column values against their bounds, as HiGHS itself
-    labels a nonbasic column: at its upper bound, free at zero, or — when
-    fixed — by the sign of its reduced cost.  Row statuses describe the
-    row activity ``A x``; the revised simplex's slack is ``s = b - A x``,
-    so a nonbasic row puts its slack at zero — the slack's upper bound for
-    ``>=`` rows, its lower bound for ``<=`` and ``==`` rows.
-    """
-    lb, ub = cache.lb, cache.ub
-    fixed = lb == ub
-    cols = np.where(
-        np.where(fixed, col_dual < 0, values == ub),
-        AT_UPPER,
-        np.where(np.isinf(lb) & np.isinf(ub), NB_FREE, AT_LOWER),
-    ).astype(np.int8)
-    cols[basic[basic >= 0]] = BASIC
-    row_basic = np.zeros(len(highs_row), dtype=bool)
-    row_basic[-1 - basic[basic < 0]] = True
-    rows = np.where(
-        row_basic[highs_row], BASIC, np.where(cache.row_flip, AT_UPPER, AT_LOWER)
-    ).astype(np.int8)
-    basis = Basis(np.concatenate([cols, rows]), len(cols), len(rows))
-    return basis if basis.is_wellformed() else None

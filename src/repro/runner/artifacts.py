@@ -31,9 +31,22 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.digest import SCHEMA_VERSION, digest_of
+
+#: A task's encoded result: the ``task.encode`` dict, or that dict already
+#: serialized to JSON text (the scheduler serializes each payload once and
+#: hands the same text to the cache and the run artifact).
+Payload = Union[Dict[str, Any], str]
+
+
+def envelope_json(fields: Dict[str, Any], payload: Payload) -> str:
+    """``json.dumps({**fields, "payload": payload})`` for non-empty ``fields``,
+    with a payload already in JSON text spliced in as is."""
+    if not isinstance(payload, str):
+        payload = json.dumps(payload)
+    return f'{json.dumps(fields)[:-1]}, "payload": {payload}}}'
 
 
 def atomic_write_text(path: Path, text: str) -> None:
@@ -42,8 +55,8 @@ def atomic_write_text(path: Path, text: str) -> None:
     The manifest is rewritten after every task; a crash (or a ``kill -9``)
     mid-flush must never leave a torn ``manifest.json`` behind — readers
     (``--resume``, ``repro audit``, the service checkpoint recovery) always
-    see either the previous complete snapshot or the new one.  Same pattern
-    as :meth:`repro.runner.cache.ResultCache.store`.
+    see either the previous complete snapshot or the new one.
+    :meth:`repro.runner.cache.ResultCache.store` writes through it too.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -145,7 +158,7 @@ class RunWriter:
         status: str = "ok",
         attempts: int = 0,
         error: str = "",
-        payload: Optional[Dict[str, Any]] = None,
+        payload: Optional[Payload] = None,
         failure: Optional[Dict[str, Any]] = None,
         audit: Optional[Dict[str, Any]] = None,
         meta: Optional[Dict[str, Any]] = None,
@@ -171,15 +184,15 @@ class RunWriter:
         rec.error = error
         rec.audit = audit
         rec.meta = meta
-        body: Optional[Dict[str, Any]] = None
+        body: Optional[str] = None
         if failure is not None:
-            body = {"kind": kind, "key": key, "failure": failure}
+            body = json.dumps({"kind": kind, "key": key, "failure": failure})
         elif payload is not None:
-            body = {"kind": kind, "key": key, "payload": payload}
+            body = envelope_json({"kind": kind, "key": key}, payload)
         if body is not None:
             run_dir = self._ensure_dir()
             rec.file = f"tasks/{rec.index:03d}-{key[:12]}.json"
-            atomic_write_text(run_dir / rec.file, json.dumps(body))
+            atomic_write_text(run_dir / rec.file, body)
         self._flush_manifest()
 
     def manifest(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:

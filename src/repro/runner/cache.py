@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional
 
+from repro.runner.artifacts import Payload, atomic_write_text, envelope_json
 from repro.runner.digest import SCHEMA_VERSION
 
 
@@ -52,28 +52,15 @@ class ResultCache:
         entry = self.load_entry(key, kind)
         return None if entry is None else entry["payload"]
 
-    def store(self, key: str, kind: str, payload: Dict[str, Any], seconds: float) -> None:
-        """Persist a result atomically (write-to-temp + rename)."""
+    def store(self, key: str, kind: str, payload: Payload, seconds: float) -> None:
+        """Persist a result atomically (write-to-temp + rename).
+
+        ``payload`` is the task's encoded result, or its JSON text.
+        """
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        entry = {
-            "schema": SCHEMA_VERSION,
-            "kind": kind,
-            "key": key,
-            "seconds": seconds,
-            "payload": payload,
-        }
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(json.dumps(entry))
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        fields = {"schema": SCHEMA_VERSION, "kind": kind, "key": key, "seconds": seconds}
+        atomic_write_text(path, envelope_json(fields, payload))
 
     def quarantine(self, key: str) -> bool:
         """Move a suspect entry aside as ``<key>.json.quarantined``.

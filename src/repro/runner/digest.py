@@ -31,8 +31,9 @@ import numpy as np
 from repro.workload.trace import Trace
 
 #: Bump when the canonical encoding (or result schema) changes incompatibly,
-#: so stale cache entries from older code are never decoded.
-SCHEMA_VERSION = "2"
+#: so stale cache entries from older code are never decoded.  "3": arrays
+#: are stored as compressed binary (:func:`repro.serialize.array_to_jsonable`).
+SCHEMA_VERSION = "3"
 
 
 def _walk(h: "hashlib._Hash", obj: Any) -> None:

@@ -33,6 +33,7 @@ A task that exhausted every recovery path occupies its slot as a
 
 from __future__ import annotations
 
+import json
 from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -329,14 +330,17 @@ class ExperimentRunner:
             # its manifest row carries status "interrupted", which
             # ResumeState refuses to serve.
             interrupted = bool(getattr(outcome.result, "interrupted", False))
-            if self.cache is not None and not interrupted:
-                self.cache.store(
-                    keys[i], tasks[i].kind, tasks[i].encode(outcome.result),
-                    outcome.seconds,
-                )
+            # Encoded and serialized once; the cache entry and the task
+            # artifact splice in the same JSON text.
+            cache = self.cache is not None and not interrupted
+            payload = None
+            if cache or self.artifacts is not None:
+                payload = json.dumps(tasks[i].encode(outcome.result))
+            if cache:
+                self.cache.store(keys[i], tasks[i].kind, payload, outcome.seconds)
             self._record(
                 i, tasks, keys, record_ids, cached=False,
-                seconds=outcome.seconds, result=outcome.result,
+                seconds=outcome.seconds, result=outcome.result, payload=payload,
                 attempts=outcome.attempts,
                 audit=getattr(outcome.result, "audit", None),
                 status="interrupted" if interrupted else "ok",
@@ -344,7 +348,7 @@ class ExperimentRunner:
 
     def _record(
         self, i, tasks, keys, record_ids, *, cached, seconds,
-        result=None, failure=None, attempts=0, audit=None, status="ok",
+        result=None, payload=None, failure=None, attempts=0, audit=None, status="ok",
     ) -> None:
         if self.artifacts is None:
             return
@@ -369,7 +373,7 @@ class ExperimentRunner:
             self.artifacts.record(
                 index=index, kind=task.kind, label=task.label, key=keys[i],
                 cached=cached, seconds=seconds, status=status, attempts=attempts,
-                payload=task.encode(result), meta=meta,
+                payload=task.encode(result) if payload is None else payload, meta=meta,
                 audit=None if audit is None else audit.to_dict(),
             )
 

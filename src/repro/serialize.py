@@ -10,34 +10,61 @@ result dataclasses (:class:`~repro.core.bounds.LowerBoundResult`,
 need: numpy arrays and the heterogeneous goal-scope keys
 (ints, strings and tuples like ``("k", 3)``) that JSON cannot express as
 dictionary keys.
+
+Arrays travel as compressed binary, not as JSON number lists: a rounded
+placement is a dense 0/1 float array that a number list spells out at
+~5 bytes per entry, written to the cache and again to the run artifact.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
+import zlib
 from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 
 def array_to_jsonable(arr: Optional[np.ndarray]) -> Optional[Dict[str, Any]]:
-    """Encode an ndarray as ``{"dtype", "shape", "data"}`` (None passes through)."""
+    """Encode an ndarray as ``{"dtype", "shape", "zlib"}`` (None passes through).
+
+    ``zlib`` is the array's raw bytes in C order and little-endian byte
+    order, compressed at level 1 and base64-encoded; ``dtype`` keeps the
+    array's own byte order, so :func:`array_from_jsonable` restores it bit
+    for bit.
+    """
     if arr is None:
         return None
     arr = np.asarray(arr)
+    if arr.dtype.hasobject:
+        raise TypeError("object arrays have no raw-byte encoding")
+    raw = np.ascontiguousarray(arr, dtype=arr.dtype.newbyteorder("<")).tobytes()
     return {
         "dtype": str(arr.dtype),
         "shape": list(arr.shape),
-        "data": arr.ravel().tolist(),
+        "zlib": base64.b64encode(zlib.compress(raw, 1)).decode("ascii"),
     }
 
 
 def array_from_jsonable(payload: Optional[Dict[str, Any]]) -> Optional[np.ndarray]:
-    """Decode :func:`array_to_jsonable` output back into an ndarray."""
+    """Decode :func:`array_to_jsonable` output back into a writable ndarray.
+
+    A garbled blob — bad base64, a zlib error, or a byte count that does
+    not fill ``shape`` — raises ``ValueError``; callers treat it as a
+    corrupt entry.
+    """
     if payload is None:
         return None
-    return np.array(payload["data"], dtype=np.dtype(payload["dtype"])).reshape(
-        payload["shape"]
-    )
+    dtype = np.dtype(payload["dtype"])
+    shape = tuple(int(n) for n in payload["shape"])
+    try:
+        raw = zlib.decompress(base64.b64decode(payload["zlib"], validate=True))
+    except (binascii.Error, zlib.error) as exc:
+        raise ValueError(f"corrupt array blob: {exc}") from None
+    if len(raw) != dtype.itemsize * int(np.prod(shape)):
+        raise ValueError(f"array blob holds {len(raw)} bytes, not a {dtype} array of {shape}")
+    return np.frombuffer(raw, dtype=dtype.newbyteorder("<")).reshape(shape).astype(dtype)
 
 
 def scope_items_to_jsonable(mapping: Dict[object, float]) -> List[List[Any]]:

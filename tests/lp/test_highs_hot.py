@@ -27,9 +27,8 @@ from tests.core.test_warm_sweep import tiny_problem
 def enum_walk_basis(highs_basis, cache):
     """Reference conversion: walk HiGHS's per-variable status enums.
 
-    The backend's conversion used to be exactly this; it is kept as the
-    oracle the vectorized one (basic-variable list plus values against
-    bounds) must reproduce status for status.
+    The oracle the backend's deferred basis must reproduce status for
+    status, whenever its statuses are first read.
     """
     from scipy.optimize._highspy import _core as h
 
@@ -212,6 +211,78 @@ def test_vectorized_basis_matches_enum_walk(seed):
             np.testing.assert_array_equal(sol.basis.statuses, want)
         row = int(rng.integers(0, lp.num_constraints))
         lp.set_rhs(row, lp.constraints[row].rhs * float(rng.uniform(0.7, 1.3)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_basis_read_late_is_the_snapshot_of_its_own_solve(seed):
+    """A basis read only after the instance has hot-solved to another
+    vertex still describes the solve that returned it."""
+    lp = random_lp(seed)
+    sol = lp.solve(backend="scipy")
+    if not sol.is_optimal:
+        return
+    want = enum_walk_basis(lp._highs.highs.getBasis(), lp._arrays)
+    rng = np.random.default_rng(seed)
+    for _ in range(10):
+        # New costs keep the point feasible, so the instance re-solves hot;
+        # "idle" (the last column, in no row) keeps its zero cost.
+        for j in range(lp.num_variables - 1):
+            lp.set_objective(j, float(rng.uniform(-2.0, 2.0)))
+        assert lp.solve(backend="scipy").is_optimal
+        if not np.array_equal(enum_walk_basis(lp._highs.highs.getBasis(), lp._arrays), want):
+            break
+    else:
+        pytest.fail("no cost patch moved HiGHS to another vertex")
+    np.testing.assert_array_equal(sol.basis.statuses, want)
+
+
+def test_statuses_are_derived_once_and_only_when_read():
+    lp = random_lp(21)
+    before = PERF.get("lp.basis.materialized")
+    sol = lp.solve(backend="scipy")
+    lp.solve(backend="scipy")
+    assert PERF.get("lp.basis.materialized") == before
+    first = sol.basis.statuses
+    assert PERF.get("lp.basis.materialized") == before + 1
+    assert sol.basis.statuses is first
+    assert PERF.get("lp.basis.materialized") == before + 1
+
+
+def test_deferred_basis_pickles_as_its_statuses():
+    lp = random_lp(22)
+    sol = lp.solve(backend="scipy")
+    clone = pickle.loads(pickle.dumps(sol.basis))
+    assert clone.source is None
+    assert (clone.nvars, clone.nrows) == (sol.basis.nvars, sol.basis.nrows)
+    np.testing.assert_array_equal(clone.statuses, sol.basis.statuses)
+    np.testing.assert_array_equal(copy.deepcopy(sol.basis).statuses, sol.basis.statuses)
+
+
+def test_snapshot_enters_set_basis_without_conversion():
+    lp = random_lp(23)
+    sol = lp.solve(backend="scipy")
+    other = copy.deepcopy(lp)
+    before = PERF.get("lp.basis.materialized")
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    iters0 = PERF.get("lp.simplex.iterations")
+    again = solve_lp(other, backend="scipy", warm_start=sol)
+    assert PERF.get("lp.simplex.warm_starts") == warm0 + 1
+    assert PERF.get("lp.simplex.iterations") == iters0
+    assert PERF.get("lp.basis.materialized") == before
+    assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
+
+
+def test_sweep_without_a_basis_consumer_derives_no_statuses():
+    from repro.analysis.sweep import qos_sweep
+    from repro.core.classes import get_class
+
+    before = PERF.get("lp.basis.materialized")
+    sweep = qos_sweep(
+        tiny_problem(0.5), levels=[0.5, 0.5001, 0.7], classes=[get_class("general")],
+        do_rounding=True,
+    )
+    assert all(cell.feasible for cell in sweep.results["general"].values())
+    assert PERF.get("lp.basis.materialized") == before
 
 
 @pytest.mark.parametrize("seed", range(10))

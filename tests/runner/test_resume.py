@@ -133,3 +133,38 @@ def test_resumed_tasks_report_original_seconds(tmp_path):
     record = manifest["task_records"][0]
     assert record["cached"] is True
     assert record["seconds"] == 3.25
+
+
+@pytest.mark.parametrize("digests", ["schema-2", "current"])
+def test_resume_from_a_schema_2_run_dir_re_executes(web_problem, tmp_path, monkeypatch, digests):
+    """A run directory written before the compressed array codec holds
+    dense ``"data"`` arrays (under schema-2 digests).  Resuming from it
+    re-executes its tasks instead of failing on the old payloads."""
+    import repro.runner.artifacts
+    import repro.runner.digest
+    from repro.analysis.sweep import sweep_tasks
+    from repro.core.classes import get_class
+    from tests.runner.dense_codec import dense_array_to_jsonable
+
+    tasks = sweep_tasks(
+        web_problem, [0.4, 0.5], [get_class("general")], do_rounding=True, backend="scipy"
+    )
+    with monkeypatch.context() as patch:
+        if digests == "schema-2":
+            patch.setattr(repro.runner.digest, "SCHEMA_VERSION", "2")
+            patch.setattr(repro.runner.artifacts, "SCHEMA_VERSION", "2")
+        _runner, want, run_dir = run_once(tmp_path, tasks)
+    for path in (run_dir / "tasks").glob("*.json"):
+        body = json.loads(path.read_text())
+        rounding = body["payload"]["rounding"]
+        rounding["store"] = dense_array_to_jsonable(
+            next(r for r in want if r.lp_cost == body["payload"]["lp_cost"]).rounding.store
+        )
+        path.write_text(json.dumps(body))
+
+    resumed = ExperimentRunner(resume=ResumeState(run_dir))
+    got = resumed.map(tasks)
+    assert (resumed.executed, resumed.resumed, resumed.failed) == (len(tasks), 0, 0)
+    for a, b in zip(got, want):
+        assert a.lp_cost == pytest.approx(b.lp_cost, rel=1e-9)
+        assert a.rounding.store.shape == b.rounding.store.shape

@@ -141,6 +141,21 @@ def test_bound_query_solves_then_caches(harness):
     assert stats["cache"]["misses"] == 1
 
 
+def test_second_bound_solve_of_a_class_starts_warm(harness):
+    """The per-class warm store hands the last solve's HiGHS snapshot to
+    the next one, which enters setBasis without deriving statuses."""
+    from repro.perf import PERF
+
+    assert harness.client.bound("general", qos=0.9).ok
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    derived0 = PERF.get("lp.basis.materialized")
+    second = harness.client.bound("general", qos=0.8)
+    assert second.ok, second.payload
+    assert second.payload["cached"] is False
+    assert PERF.get("lp.simplex.warm_starts") == warm0 + 1
+    assert PERF.get("lp.basis.materialized") == derived0
+
+
 def test_bound_query_validates_input(harness):
     assert harness.client.bound("no-such-class").status == 400
     assert harness.client.bound("general", qos=2.0).status == 400
