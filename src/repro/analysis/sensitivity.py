@@ -38,7 +38,7 @@ class SensitivityPoint:
     """Selection outcome at one perturbed input.
 
     ``failed`` lists classes whose bound task failed at this point (resilient
-    runner, ``on_error`` ``skip``/``degrade``); their bounds are absent from
+    runner, ``on_error="skip"``); their bounds are absent from
     ``bounds`` rather than silently conflated with infeasibility.
     """
 

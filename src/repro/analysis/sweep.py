@@ -31,7 +31,7 @@ class SweepResult:
     """Per-(class, QoS level) bounds for one system + workload.
 
     ``failures`` carries cells whose task exhausted the runner's recovery
-    paths (``on_error`` ``skip``/``degrade``) — distinct from infeasible
+    paths (``on_error="skip"``) — distinct from infeasible
     cells, which are real answers ("the class cannot meet the goal") and
     live in ``results``.
     """

@@ -10,13 +10,14 @@ heuristic's cost sits at or above its class's bound.  This package
   exceptions — they flow into run manifests and post-hoc reports);
 * :mod:`repro.audit.exact` — LP solution checks (primal feasibility,
   variable bounds, objective): vectorized floats in ``fast`` mode, exact
-  :class:`fractions.Fraction` arithmetic in ``full``;
+  :class:`fractions.Fraction` arithmetic in ``full``, which also certifies
+  the objective from below by weak duality;
 * :mod:`repro.audit.certificates` — placement/rounding/bound-result
   certificates recomputed from scratch, plus the historical
   ``check_solution`` / ``verify_placement`` APIs (one source of truth;
   ``repro.lp`` and ``repro.core`` re-export them from here);
-* :mod:`repro.audit.differential` — cross-backend re-solves on the
-  pure-Python simplex with objective-agreement assertions;
+* :mod:`repro.audit.differential` — structural backends (tree DP,
+  decomposition) re-solved as the monolithic LP, with bound agreement;
 * :mod:`repro.audit.posthoc` — ``repro audit <run-dir>``: re-verify a
   completed run's artifacts, including the cross-cell monotonicity and
   simulated-cost >= bound gates.
@@ -24,7 +25,7 @@ heuristic's cost sits at or above its class's bound.  This package
 Modes (``--audit`` / ``REPRO_AUDIT``): ``off`` (default), ``fast``
 (float arithmetic on every LP row and bound in one vectorized pass +
 objective recomputation + from-scratch placement certificates), ``full``
-(exact arithmetic on every row/bound + differential re-solve).  See
+(exact arithmetic on every row/bound + the weak-duality ``dual`` check).  See
 docs/AUDIT.md.
 """
 
@@ -51,11 +52,10 @@ from repro.audit.certificates import (
 from repro.audit.differential import (
     DIFFERENTIAL_TOL,
     audit_backend_agreement,
-    audit_differential,
     resolve_sample,
     selected_for_sample,
 )
-from repro.audit.exact import audit_lp_solution, exact_objective
+from repro.audit.exact import audit_lp_solution, dual_bound, exact_objective
 from repro.audit.posthoc import DEFAULT_SIM_EPS, audit_run_dir
 from repro.audit.report import (
     AUDIT_MODES,
@@ -84,7 +84,6 @@ __all__ = [
     "allowance",
     "audit_backend_agreement",
     "audit_bound_result",
-    "audit_differential",
     "audit_lp_solution",
     "audit_placement",
     "audit_rounding",
@@ -92,6 +91,7 @@ __all__ = [
     "audit_continuous_result",
     "audit_sim_result",
     "check_solution",
+    "dual_bound",
     "exact_objective",
     "resolve_mode",
     "resolve_sample",

@@ -1,16 +1,10 @@
-"""Cross-backend differential checks.
+"""Structural-backend differential checks.
 
-The production backend (scipy/HiGHS) and the pure-Python two-phase simplex
-are independent implementations of the same mathematics; on a correctly
-assembled model they must agree on feasibility *and* on the optimal
-objective.  A disagreement localizes a bug to the assembly/patch layer or a
-backend — exactly the silent-drift class of failure the audit subsystem
-exists to catch (a stale cached array after a ``fix_var``/``set_rhs`` patch
-would show up here first).
-
-The dense simplex is O(rows x cols) *per pivot*, so differential re-solves
-are gated by :data:`MAX_DIFFERENTIAL_VARIABLES` (skipped-with-reason above
-it) and can be sampled across a task population with
+The tree-DP and decomposition backends compute a class's bound without
+assembling the monolithic LP; on an instance in their class they must
+agree with it on feasibility *and* on the bound.  A disagreement localizes
+a bug to one structural backend.  Each check is a full monolithic re-solve,
+so it can be sampled across a task population with
 :func:`selected_for_sample` — a deterministic hash of the task's content
 digest, so "re-solve 10 % of the bound tasks" picks the same 10 % on every
 run and every machine.
@@ -22,24 +16,18 @@ import os
 from typing import Optional
 
 from repro.audit.report import AuditReport
-from repro.lp.model import LinearProgram
-from repro.lp.solution import LPSolution
-
-#: Largest model (variables) the differential re-solve will attempt; the
-#: dense simplex tableau is quadratic in this.
-MAX_DIFFERENTIAL_VARIABLES = 600
 
 #: Relative objective-agreement tolerance between backends.  Looser than the
 #: certificate tolerance: two exact optimizers agree on the optimum, but
 #: each reports it through its own float summation order.
 DIFFERENTIAL_TOL = 1e-6
 
-#: Environment override for the differential sampling fraction (0..1).
+#: Environment override for the backend-agreement sampling fraction (0..1).
 SAMPLE_ENV = "REPRO_AUDIT_SAMPLE"
 
 
 def resolve_sample(fraction: Optional[float] = None) -> float:
-    """The differential sampling fraction: explicit arg, else env, else 1.0."""
+    """The backend-agreement sampling fraction: explicit arg, else env, else 1.0."""
     if fraction is not None:
         return min(max(float(fraction), 0.0), 1.0)
     raw = os.environ.get(SAMPLE_ENV, "").strip()
@@ -68,69 +56,8 @@ def selected_for_sample(digest: str, fraction: float) -> bool:
     return bucket < fraction
 
 
-def audit_differential(
-    model: LinearProgram,
-    reference: LPSolution,
-    mode: str = "full",
-    tol: float = DIFFERENTIAL_TOL,
-    max_variables: int = MAX_DIFFERENTIAL_VARIABLES,
-    subject: str = "",
-) -> AuditReport:
-    """Re-solve ``model`` on the pure-Python simplex and compare objectives.
-
-    ``subject`` should carry the offending task's content digest (or label)
-    so a disagreement is traceable to the exact cached cell.  Models larger
-    than ``max_variables`` are skipped with a reason rather than silently
-    passed.
-    """
-    report = AuditReport(mode=mode, subject=subject)
-    if reference.backend == "simplex":
-        report.skip("differential", "reference solve already used the simplex backend")
-        return report
-    if model.num_variables > max_variables:
-        report.skip(
-            "differential",
-            f"model has {model.num_variables} variables "
-            f"(> {max_variables}); dense simplex re-solve skipped",
-        )
-        return report
-
-    from repro.lp.simplex import SimplexError, solve_with_simplex
-
-    report.ran("differential")
-    name = subject or "differential"
-    try:
-        check = solve_with_simplex(model)
-    except SimplexError as exc:
-        report.flag("differential", name, message=f"simplex re-solve failed: {exc}")
-        return report
-
-    if check.status is not reference.status:
-        report.flag(
-            "differential", name,
-            message=f"status disagreement: simplex says {check.status.value}, "
-            f"reference backend ({reference.backend or 'unknown'}) says "
-            f"{reference.status.value}",
-        )
-        return report
-    if not reference.is_optimal:
-        return report
-
-    drift = abs(float(check.objective) - float(reference.objective))
-    limit = max(tol, tol * abs(float(reference.objective)))
-    if drift > limit:
-        report.flag(
-            "differential", name, drift,
-            message=f"objective disagreement: simplex {check.objective:.9g} vs "
-            f"{reference.backend or 'reference'} {reference.objective:.9g} "
-            f"(tolerance {limit:.3g})",
-        )
-    return report
-
-
 #: Largest monolithic LP (estimated variables) the backend-agreement check
-#: will assemble and solve.  Far looser than the simplex gate above — the
-#: reference here is the scipy path, which handles large sparse models.
+#: will assemble and solve.
 MAX_BACKEND_AGREEMENT_VARIABLES = 400_000
 
 

@@ -15,7 +15,10 @@ Two entry points:
   variable bounds and objective recomputation for an :class:`LPSolution`
   against its :class:`LinearProgram`.  ``mode="fast"`` checks every row
   and every bound in float arithmetic, in one vectorized pass over the
-  model's arrays; ``mode="full"`` checks every row and every bound exactly.
+  model's arrays; ``mode="full"`` checks every row and every bound exactly,
+  and certifies the objective from below by weak duality (:func:`dual_bound`).
+* :func:`dual_bound` — the weak-duality lower bound ``L(y)`` that the
+  solution's row duals prove, in exact arithmetic.
 * :func:`exact_objective` — the rational objective value of a point.
 
 Reports are capped at ``max_reported`` *worst* violations per family (sorted
@@ -26,7 +29,9 @@ by magnitude) with the total count noted, matching the ISSUE's
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
+
+import math
 
 import numpy as np
 
@@ -89,7 +94,10 @@ def audit_lp_solution(
     * ``var-bound`` — every value within its variable's [lower, upper];
     * ``constraint`` — primal feasibility of every row;
     * ``objective`` — ``c . x`` matches the solver-reported objective
-      within ``tol`` (relative to the objective's magnitude).
+      within ``tol`` (relative to the objective's magnitude);
+    * ``dual`` (``full`` only) — the reported objective exceeds the
+      weak-duality bound :func:`dual_bound` of the solution's row duals by
+      at most ``tol`` (relative), so no feasible point is cheaper.
 
     ``full`` runs every comparison in exact :class:`fractions.Fraction`
     arithmetic; ``fast`` uses floats, one vectorized pass per check.
@@ -186,7 +194,7 @@ def _check_float(report, model, solution, x, tol, max_reported) -> None:
 
 
 def _check_exact(report, model, solution, values, tol, max_reported) -> None:
-    """The same checks in exact :class:`fractions.Fraction` arithmetic."""
+    """The same checks in exact :class:`fractions.Fraction` arithmetic, then ``dual``."""
     ftol = Fraction(tol)
 
     report.ran("var-bound")
@@ -218,3 +226,121 @@ def _check_exact(report, model, solution, values, tol, max_reported) -> None:
             message=f"recomputed c.x = {float(recomputed):.9g}, "
             f"solver reported {float(solution.objective):.9g}",
         )
+
+    duals = solution.duals
+    if duals is None:
+        report.skip("dual", "the solution carries no row duals")
+        return
+    report.ran("dual")
+    duals = np.asarray(duals, dtype=np.float64)
+    if len(duals) != model.num_constraints or not np.isfinite(duals).all():
+        report.flag("dual", "duals", message=(
+            f"uncertified: {len(duals)} row duals for {model.num_constraints} "
+            "rows, or a non-finite one"
+        ))
+        return
+    # The implied column bounds rest on x being feasible, which the
+    # checks above have just decided.
+    feasible = not any(
+        v.check in ("var-bound", "constraint") for v in report.violations
+    )
+    with PERF.timer("audit.lp.dual"):
+        bound, uncertified = dual_bound(model, duals, recomputed if feasible else None)
+    if uncertified:
+        report.flag("dual", uncertified[0], message=(
+            f"uncertified: {len(uncertified)} column(s) with no finite or "
+            "implied bound on the side their reduced cost points to"
+        ))
+        return
+    objective = Fraction(float(solution.objective))
+    gap = objective - bound
+    if gap > ftol * max(Fraction(1), abs(objective)):
+        report.flag(
+            "dual", "dual", float(gap),
+            message=f"weak-duality bound L(y) = {float(bound):.9g} is below "
+            f"the reported objective {float(objective):.9g}",
+        )
+
+
+def dual_bound(
+    model: LinearProgram,
+    duals: Sequence[float],
+    upper_cost: Optional[Fraction] = None,
+) -> Tuple[Optional[Fraction], List[str]]:
+    """The weak-duality lower bound ``L(y)`` on ``model``'s optimum, exactly.
+
+    ``duals`` holds one finite value per row, in model row order.  Each is
+    first clipped to its valid sign (shadow-price convention:
+    ``>= 0`` on ``>=`` rows, ``<= 0`` on ``<=`` rows, free on ``==`` rows),
+    and any ``y`` with valid signs bounds every feasible point from below
+    (Neumaier & Shcherbina, Math. Prog. 99, 2004)::
+
+        r    = c - A^T y
+        L(y) = b^T y + sum_j min(r_j * l_j, r_j * u_j)
+
+    Every float is lifted exactly to a :class:`~fractions.Fraction`, so
+    the bound is the rational number the floats denote.  Rows with a zero
+    dual contribute nothing and are skipped.
+
+    A column with ``r_j < 0`` and no finite upper bound (``r_j > 0`` and no
+    finite lower bound) would make ``L(y) = -inf``.  ``upper_cost`` — the
+    exact cost ``c . x`` of a feasible point — supplies one when every cost
+    and every lower bound is non-negative: every optimum then has
+    ``c_j x_j <= c . x``, so ``u_j = upper_cost / c_j`` cuts off no optimum.
+    Returns ``(L(y), [])``, or ``(None, names)`` naming the columns that
+    got no such bound — ``L(y)`` is then not a certificate.
+    """
+    nvars = model.num_variables
+    y = np.asarray(duals, dtype=np.float64)
+    lengths, senses, rhs, flat_idx, flat_cf = model.constraints.columnar()
+    y = np.where(
+        senses == Sense.GE.code, np.maximum(y, 0.0),
+        np.where(senses == Sense.LE.code, np.minimum(y, 0.0), y),
+    )
+    live = np.flatnonzero(y)
+    lifted = {}  # distinct float -> its Fraction; MC-PERF rows share few values
+
+    def lift(value: float) -> Fraction:
+        f = lifted.get(value)
+        if f is None:
+            f = lifted[value] = Fraction(value)
+        return f
+
+    ys = [lift(v) for v in y[live].tolist()]
+    bound = sum(
+        (lift(b) * fy for b, fy in zip(rhs[live].tolist(), ys)), Fraction(0)
+    )
+
+    # r = c - A^T y over the live rows' nonzeros, one Fraction per column.
+    costs = [v.objective for v in model.variables]
+    r = [lift(float(cj)) for cj in costs]
+    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=starts[1:])
+    for row, fy in zip(live.tolist(), ys):
+        lo, hi = int(starts[row]), int(starts[row + 1])
+        for j, a in zip(flat_idx[lo:hi].tolist(), flat_cf[lo:hi].tolist()):
+            r[j] -= lift(a) * fy
+
+    implied = upper_cost is not None and all(
+        v.objective >= 0 and v.lower >= 0 for v in model.variables
+    )
+    uncertified: List[str] = []
+    for j in range(nvars):
+        rj = r[j]
+        if not rj:
+            continue
+        v = model.variables[j]
+        if rj > 0:
+            if math.isfinite(v.lower):
+                bound += rj * lift(float(v.lower))
+            else:
+                uncertified.append(v.name)
+        elif v.upper is not None and math.isfinite(v.upper):
+            bound += rj * lift(float(v.upper))
+        elif implied and costs[j] > 0:
+            bound += rj * upper_cost / lift(float(costs[j]))
+        else:
+            uncertified.append(v.name)
+    if uncertified:
+        return None, uncertified
+    return bound, []

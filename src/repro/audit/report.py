@@ -4,8 +4,8 @@ An audit *certifies* a result instead of trusting the solver: every check
 that ran is named in ``checks``, every invariant that failed becomes a
 first-class :class:`AuditViolation` record (never an exception — violations
 must survive into run manifests and post-hoc reports), and checks that
-could not run (e.g. the differential re-solve on a model too large for the
-dense simplex) are listed in ``skipped`` with a reason, so "no violations"
+could not run (e.g. the backend-agreement re-solve of a monolithic LP too
+large to assemble) are listed in ``skipped`` with a reason, so "no violations"
 is never silently conflated with "nothing was checked".
 """
 
@@ -33,7 +33,7 @@ class AuditViolation:
     ----------
     check:
         The invariant family, e.g. ``"constraint"``, ``"var-bound"``,
-        ``"objective"``, ``"differential"``, ``"placement"``,
+        ``"objective"``, ``"dual"``, ``"placement"``,
         ``"bound-gate"``, ``"sim-gate"``, ``"artifact"``.
     subject:
         What was violated — a constraint or variable name, a task content

@@ -41,6 +41,7 @@ from repro.runner import (
     TaskFailure,
     make_runner,
 )
+from repro.runner.resilience import ON_ERROR_MODES
 from repro.solvers.registry import BACKEND_AUTO, BOUND_BACKENDS
 from repro.topology.generators import as_level_topology
 from repro.topology.io import load_topology, save_topology
@@ -132,12 +133,11 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         p.add_argument(
             "--on-error",
-            choices=["fail", "skip", "degrade"],
+            choices=list(ON_ERROR_MODES),
             default="fail",
             help=(
-                "after retries are exhausted: fail the whole run, skip (record a "
-                "structured TaskFailure and keep going), or degrade (one final "
-                "pure-simplex attempt for LP bound tasks, then skip)"
+                "after retries are exhausted: fail the whole run, or skip (record "
+                "a structured TaskFailure and keep going)"
             ),
         )
         p.add_argument(
@@ -200,7 +200,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=list(BOUND_BACKENDS),
         default=BACKEND_AUTO,
         help=(
-            "solver backend: auto/scipy/simplex solve the monolithic LP; "
+            "solver backend: auto/scipy solve the monolithic LP with HiGHS; "
             "tree-dp and decomposed use the structural backends in "
             "repro.solvers; structure introspects the problem and picks"
         ),

@@ -50,9 +50,8 @@ class LowerBoundResult:
         Relative rounding gap ``(feasible_cost - lp_cost) / lp_cost``; the
         paper reports this stays within ~10 %.
     backend_used:
-        The LP backend that actually produced the solve (``"scipy"`` /
-        ``"simplex"``) — records degradations, whether via the ``auto``
-        fallback or the runner's ``on_error="degrade"`` retry.
+        The backend that actually produced the bound: ``"scipy"`` for
+        every monolithic LP solve, or the structural backend's name.
     audit:
         The in-solve :class:`~repro.audit.report.AuditReport` when auditing
         was on (``--audit`` / ``REPRO_AUDIT``); serialized so a resumed run
@@ -169,7 +168,7 @@ def compute_lower_bound(
         Use run-length rounding (faster, slightly costlier solutions).
     backend:
         Solver backend (:data:`~repro.solvers.registry.BOUND_BACKENDS`).
-        ``"auto"``/``"scipy"``/``"simplex"`` solve the monolithic LP;
+        ``"auto"``/``"scipy"`` solve the monolithic LP with HiGHS;
         ``"tree-dp"`` and ``"decomposed"`` route to the structural
         backends in :mod:`repro.solvers` (which ignore ``formulation``,
         ``run_length``, ``diagnose`` and ``rounding_mode``); and
@@ -194,8 +193,8 @@ def compute_lower_bound(
         ``REPRO_AUDIT`` environment variable.  When on, the solve and the
         rounding are re-certified (:mod:`repro.audit`) and the
         :class:`~repro.audit.report.AuditReport` is attached to the result.
-        ``full`` adds exact :class:`fractions.Fraction` arithmetic and a
-        cross-backend differential re-solve.
+        ``full`` adds exact :class:`fractions.Fraction` arithmetic and the
+        weak-duality certificate of the bound.
     audit_subject:
         Identifier recorded on any violations — the runner passes the
         task's content digest so a flagged cell is traceable to its
@@ -273,20 +272,13 @@ def compute_lower_bound(
     audit_mode = resolve_mode(audit)
     audit_report = None
     if audit_mode != "off":
-        from repro.audit import (
-            audit_differential,
-            audit_lp_solution,
-            resolve_sample,
-            selected_for_sample,
-        )
+        from repro.audit import audit_lp_solution
 
         t0 = time.perf_counter()
+        # ``full`` includes the weak-duality ``dual`` check: O(nnz), so
+        # every cell gets it, unsampled.
         audit_report = audit_lp_solution(form.lp, solution, mode=audit_mode)
         audit_report.subject = audit_subject
-        if audit_mode == "full" and selected_for_sample(audit_subject, resolve_sample()):
-            audit_report.merge(
-                audit_differential(form.lp, solution, mode=audit_mode, subject=audit_subject)
-            )
         result.extras["audit_seconds"] = time.perf_counter() - t0
 
     logger.debug(

@@ -137,7 +137,7 @@ def assemble_report(
 
     ``general`` and entries of ``results`` may be
     :class:`~repro.runner.resilience.TaskFailure` records (a resilient
-    runner with ``on_error`` ``skip``/``degrade``); failed classes are
+    runner with ``on_error="skip"``); failed classes are
     reported but never ranked, and a failed general bound only disables the
     near-optimality qualifier, not the recommendation itself.
     """

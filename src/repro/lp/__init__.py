@@ -12,10 +12,6 @@ A small, self-contained LP modeling layer used by the MC-PERF formulation in
   HiGHS through scipy's bindings, fed exactly what ``linprog`` would feed it,
   returning HiGHS's optimal basis alongside values and duals, and re-solving
   patched models hot inside the HiGHS instance it keeps on the model.
-* :func:`~repro.lp.simplex.solve_with_simplex` — the scipy-free simplex used
-  for differential testing and for environments without scipy: a revised
-  simplex over sparse columns (:mod:`repro.lp.revised`) that warm-starts
-  from a :class:`~repro.lp.basis.Basis` handle.
 * :func:`~repro.audit.certificates.check_solution` — an independent
   feasibility checker used by tests and by the rounding algorithm
   (re-exported here; it lives in the audit subsystem).
@@ -24,8 +20,9 @@ A small, self-contained LP modeling layer used by the MC-PERF formulation in
 
 The paper used CPLEX; any exact LP solver produces the same optimum, so the
 choice of backend does not affect the reproduced results (see DESIGN.md).
-``LinearProgram.solve`` defaults to backend ``"auto"``: scipy/HiGHS when
-available, the pure-Python simplex (with a warning) otherwise.
+HiGHS is the one solver; the ``full`` audit certifies each optimum it
+reports by weak duality (:func:`repro.audit.dual_bound`) instead of
+re-solving on a second solver.
 """
 
 from repro.lp.expr import LinExpr
@@ -33,7 +30,6 @@ from repro.lp.model import Constraint, LinearProgram, Sense, Variable
 from repro.lp.solution import LPSolution, SolveStatus
 from repro.lp.basis import Basis
 from repro.lp.scipy_backend import solve_with_scipy
-from repro.lp.simplex import SimplexError, solve_with_simplex
 from repro.lp.branch_bound import IPResult, solve_integer
 from repro.audit.certificates import ValidationReport, check_solution
 from repro.lp.diagnose import InfeasibilityDiagnosis, diagnose_infeasibility
@@ -48,8 +44,6 @@ __all__ = [
     "SolveStatus",
     "Basis",
     "solve_with_scipy",
-    "solve_with_simplex",
-    "SimplexError",
     "check_solution",
     "ValidationReport",
     "IPResult",

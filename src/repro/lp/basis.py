@@ -12,10 +12,11 @@ variables first, then the row slacks:
 The handle is deliberately *opaque* to every caller: ``lp/branch_bound``,
 the decomposition master and the placement service only move it from one
 :class:`~repro.lp.solution.LPSolution` to the next ``solve(warm_start=...)``
-call.  Validation happens at the point of use (HiGHS's ``setBasis``,
-:func:`repro.lp.revised.solve_revised`): a handle whose shape no longer
-matches the model — stale cache entries, structurally edited models —
-degrades to a cold solve instead of erroring.
+call.  Validation happens at the point of use (HiGHS's ``setBasis``): a
+handle whose shape no longer matches the model — stale cache entries,
+structurally edited models — degrades to a cold solve instead of erroring.
+The status format is HiGHS-independent, so a handle survives JSON
+(``to_dict``/``from_dict``) and pickling.
 
 A solve that nobody warm-starts from never needs the statuses, so a backend
 may hand out a *deferred* handle (:meth:`Basis.deferred`): it keeps the

@@ -35,40 +35,11 @@ from dataclasses import dataclass, field
 from itertools import repeat as _repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.lp.expr import ConstraintSpec, LinExpr
 from repro.lp.solution import LPSolution
 from repro.perf import PERF
-
-_np = None
-_sparse = None
-
-
-def _numpy():
-    """Lazy module-level numpy handle (imported once per process)."""
-    global _np
-    if _np is None:
-        import numpy
-
-        _np = numpy
-    return _np
-
-
-def _scipy_sparse():
-    """Lazy module-level scipy.sparse handle, or None when scipy is absent.
-
-    The import outcome (module or failure) is cached once per process;
-    without scipy the assembled cache carries RHS/bound vectors but no
-    CSR matrices, which only the scipy backend itself would consume.
-    """
-    global _sparse
-    if _sparse is None:
-        try:
-            from scipy import sparse
-        except ImportError:
-            _sparse = False
-        else:
-            _sparse = sparse
-    return _sparse or None
 
 
 class Sense(str, enum.Enum):
@@ -148,7 +119,7 @@ class _RowBlock:
     (``indptr``/``indices``/``coeffs``), a shared sense, per-row ``rhs``,
     and optional per-row names.  Individual :class:`Constraint` objects are
     materialized lazily only when somebody actually indexes or iterates the
-    row (diagnostics, validation, the pure-Python simplex) — the hot
+    row (diagnostics, validation, the exact audit) — the hot
     assembly path reads the columnar arrays directly.
     """
 
@@ -280,7 +251,6 @@ class ConstraintList:
         cost; object-segment rows are converted on the fly (they are the
         handful of goal/auxiliary rows, never the O(N·I·K) families).
         """
-        np = _numpy()
         lengths_parts = []
         sense_parts = []
         rhs_parts = []
@@ -331,22 +301,20 @@ class _ArrayCache:
     ``row_is_eq[r]`` else ``a_ub``); ``row_flip[r]`` marks ``>=`` rows that
     were negated into ``<=`` form, so an RHS patch knows to store ``-rhs``.
 
-    Besides the scipy-shaped split matrices, the cache keeps the *unsplit*
-    view the revised simplex engine reads: ``b_all`` (RHS in model row
-    order, original signs) and ``lb``/``ub`` (dense bound arrays, ``+inf``
-    for unbounded).  The patch API keeps both views in sync, so a warm
+    Besides the scipy-shaped split matrices, the cache keeps dense bound
+    arrays ``lb``/``ub`` (``+inf`` for unbounded), which HiGHS and the
+    fast audit read.  The patch API keeps every view in sync, so a warm
     re-solve sees every ``set_rhs``/``set_bound``/``fix_var`` without any
     reassembly.
     """
 
     __slots__ = (
         "c", "bounds", "a_ub", "b_ub", "a_eq", "b_eq",
-        "row_pos", "row_is_eq", "row_flip", "nvars", "nrows",
-        "b_all", "lb", "ub",
+        "row_pos", "row_is_eq", "row_flip", "nvars", "nrows", "lb", "ub",
     )
 
     def __init__(self, c, bounds, a_ub, b_ub, a_eq, b_eq, row_pos, row_is_eq,
-                 row_flip, b_all, lb, ub):
+                 row_flip, lb, ub):
         self.c = c
         self.bounds = bounds
         self.a_ub = a_ub
@@ -356,7 +324,6 @@ class _ArrayCache:
         self.row_pos = row_pos
         self.row_is_eq = row_is_eq
         self.row_flip = row_flip
-        self.b_all = b_all
         self.lb = lb
         self.ub = ub
         self.nvars = len(bounds)
@@ -372,12 +339,9 @@ class LinearProgram:
     constraints: "ConstraintList" = field(default_factory=ConstraintList)
     _names: Dict[str, int] = field(default_factory=dict)
     _arrays: Optional[_ArrayCache] = field(default=None, repr=False, compare=False)
-    #: Cached revised-simplex engine (see :mod:`repro.lp.revised`); holds an
-    #: LU factor, so it is dropped on pickling/deepcopy and rebuilt lazily.
-    _engine: Optional[object] = field(default=None, repr=False, compare=False)
     #: HiGHS instance retained after an optimal scipy solve (see
-    #: :mod:`repro.lp.scipy_backend`); dropped on pickling/deepcopy like
-    #: the engine.
+    #: :mod:`repro.lp.scipy_backend`); it holds a factor, so it is dropped
+    #: on pickling/deepcopy.
     _highs: Optional[object] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -588,7 +552,6 @@ class LinearProgram:
 
         Returns the block's row-index range.
         """
-        np = _numpy()
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
         coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -633,7 +596,6 @@ class LinearProgram:
                 cache.b_eq[pos] = rhs
             else:
                 cache.b_ub[pos] = -rhs if cache.row_flip[row] else rhs
-            cache.b_all[row] = rhs
         PERF.count("lp.patch.rhs")
 
     def row_activities(self, values):
@@ -646,7 +608,6 @@ class LinearProgram:
         from 0.0, so every entry equals that row's
         :meth:`Constraint.activity` bit for bit, in one vectorized pass.
         """
-        np = _numpy()
         x = np.asarray(values, dtype=np.float64)
         lengths, sense_codes, rhs, flat_idx, flat_cf = self.constraints.columnar()
         rows = len(lengths)
@@ -666,8 +627,8 @@ class LinearProgram:
         contribute their flat CSR arrays directly, so assembly cost scales
         with nnz, not with Python-level row objects.
         """
-        np = _numpy()
-        sparse = _scipy_sparse()
+        from scipy import sparse
+
         n = len(self.variables)
         c = np.fromiter((v.objective for v in self.variables), dtype=np.float64, count=n)
         bounds: List[Tuple[float, Optional[float]]] = [
@@ -680,7 +641,6 @@ class LinearProgram:
             count=n,
         )
         lengths, sense_codes, rhs_all, flat_idx, flat_cf = self.constraints.columnar()
-        b_all = np.array(rhs_all, dtype=np.float64)  # own copy; patched in place
         row_is_eq = sense_codes == _SENSE_CODE[Sense.EQ]
         row_flip = sense_codes == _SENSE_CODE[Sense.GE]
         row_pos = np.where(
@@ -695,10 +655,6 @@ class LinearProgram:
             if flip is not None and flip.any():
                 data = np.where(np.repeat(flip, lens), -data, data)
                 rhs = np.where(flip, -rhs, rhs)
-            if sparse is None:
-                # No scipy: the revised simplex keeps its own CSC triple,
-                # so only the (never-reachable) scipy backend misses these.
-                return None, rhs
             indptr = np.zeros(len(lens) + 1, dtype=np.int64)
             np.cumsum(lens, out=indptr[1:])
             mat = sparse.csr_matrix((data, col, indptr), shape=(len(lens), n))
@@ -728,8 +684,7 @@ class LinearProgram:
                 None,
             )
         return _ArrayCache(
-            c, bounds, a_ub, b_ub, a_eq, b_eq, row_pos, row_is_eq, row_flip,
-            b_all, lb, ub,
+            c, bounds, a_ub, b_ub, a_eq, b_eq, row_pos, row_is_eq, row_flip, lb, ub,
         )
 
     def to_arrays(self):
@@ -762,11 +717,8 @@ class LinearProgram:
     def solve(self, backend: str = "auto", **kwargs) -> LPSolution:
         """Solve the LP with the chosen backend.
 
-        Backends are looked up in the :mod:`repro.solvers.registry`:
-        ``"scipy"`` uses scipy/HiGHS, ``"simplex"`` the pure-Python
-        fallback.  ``"auto"`` (default) tries scipy and falls back to the
-        simplex — with a warning — when scipy is missing or its solve
-        raises, so bounds still compute on scipy-less installs.
+        Backends are looked up in the :mod:`repro.solvers.registry`;
+        ``"auto"`` (default) and ``"scipy"`` both solve with HiGHS.
         """
         PERF.count("lp.solve")
         with PERF.timer("lp.solve"):
@@ -778,14 +730,13 @@ class LinearProgram:
         return solve_lp(self, backend, **kwargs)
 
     def __getstate__(self):
-        """Drop the engine and HiGHS instance on pickle/deepcopy.
+        """Drop the HiGHS instance on pickle/deepcopy.
 
-        Both hold a factor; the assembled arrays travel (they are plain
+        It holds a factor; the assembled arrays travel (they are plain
         numpy/scipy data), and the next solve in the new process starts
         cold.
         """
         state = self.__dict__.copy()
-        state["_engine"] = None
         state["_highs"] = None
         return state
 

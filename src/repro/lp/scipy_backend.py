@@ -229,7 +229,7 @@ class _HighsSnapshot:
         """The basis in :mod:`repro.lp.basis` terms.
 
         Columns map status for status.  Row statuses describe the row
-        activity ``A x``; the revised simplex's slack is ``s = b - A x``, so
+        activity ``A x``; the basis format's slack is ``s = b - A x``, so
         a nonbasic row puts its slack at zero — the slack's upper bound for
         ``>=`` rows, its lower bound for ``<=`` and ``==`` rows.
         """

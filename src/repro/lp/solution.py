@@ -30,7 +30,7 @@ class LPSolution:
     values:
         Variable values in model index order (numpy array or list).
     backend:
-        Which backend produced the solution (``"scipy"`` / ``"simplex"``).
+        Which backend produced the solution (``"scipy"`` for HiGHS).
     message:
         Backend-specific diagnostic text.
     """

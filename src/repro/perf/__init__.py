@@ -27,8 +27,7 @@ Counter names in use across the tree::
     lp.patch.bound        set_bound() patched cached bounds in place
     lp.patch.rhs          set_rhs() patched a cached RHS entry in place
     lp.solve              LinearProgram.solve() calls
-    lp.simplex.iterations        simplex pivots (HiGHS's and the revised simplex's)
-    lp.simplex.refactorizations  revised-simplex LU rebuilds (incl. the initial one)
+    lp.simplex.iterations        HiGHS simplex pivots
     lp.simplex.warm_starts       solves started hot or from a caller-provided basis
     lp.simplex.warm_degraded     warm attempts that fell back to a cold solve
     lp.basis.materialized        deferred basis handles whose statuses were derived
@@ -36,6 +35,7 @@ Counter names in use across the tree::
     form.retarget         set_qos_fraction() RHS-only re-target
     round.iterative.fix   LP-guided rounding fixings (== re-solves)
     audit.lp.rows         LP rows audit_lp_solution checked (its time: timer audit.lp)
+    audit.lp.dual         timer: the full audit's weak-duality check (inside audit.lp)
     sim.serve.fast        _served_latency answered from the replica cache
     sim.serve.scan        _served_latency fell back to the full scan
     sim.cache.repair      nearest-replica cache column recomputed

@@ -13,8 +13,7 @@ graphs and runs them through one scheduler with:
   that class;
 * **fault tolerance** — per-task wall-clock timeouts, bounded retry with
   exponential backoff, worker-crash isolation (a ``BrokenProcessPool``
-  re-dispatches unfinished chunks instead of sinking the batch), graceful
-  degradation of bound solves to the pure-simplex backend, and structured
+  re-dispatches unfinished chunks instead of sinking the batch) and structured
   :class:`TaskFailure` records instead of batch-killing exceptions
   (:mod:`repro.runner.resilience`);
 * **run artifacts & resume** — ``runs/<timestamp>-<digest>/`` with an

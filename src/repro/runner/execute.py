@@ -11,9 +11,8 @@
    per-process formulation memo can re-target one LP's right-hand sides
    instead of rebuilding it per level;
 3. chunks execute under the :class:`~repro.runner.resilience.RetryPolicy`:
-   per-attempt wall-clock timeouts, bounded retry with exponential backoff,
-   and optionally a final pure-simplex attempt for bound tasks
-   (``on_error="degrade"``).  In-process at ``jobs=1`` (bit-identical to the
+   per-attempt wall-clock timeouts and bounded retry with exponential
+   backoff.  In-process at ``jobs=1`` (bit-identical to the
    historical serial loops with the default policy), or across a
    ``ProcessPoolExecutor`` at ``jobs>1``;
 4. a worker crash (``BrokenProcessPool``) never sinks the batch: unfinished
@@ -28,7 +27,7 @@
 
 Results always come back in task order, whatever the execution order was.
 A task that exhausted every recovery path occupies its slot as a
-:class:`TaskFailure` instead of a result (``on_error`` ``skip``/``degrade``).
+:class:`TaskFailure` instead of a result (``on_error="skip"``).
 """
 
 from __future__ import annotations
@@ -109,7 +108,7 @@ class ExperimentRunner:
         """Results for ``tasks``, in task order.
 
         Slots of tasks that exhausted every recovery path hold a
-        :class:`TaskFailure` (``on_error`` ``skip``/``degrade``) — callers
+        :class:`TaskFailure` (``on_error="skip"``) — callers
         decide whether a partial batch is usable.
         """
         tasks = list(tasks)

@@ -1,4 +1,4 @@
-"""Fault-tolerant task execution: timeouts, retries, degradation, failures.
+"""Fault-tolerant task execution: timeouts, retries, failures.
 
 A production-scale sweep is thousands of independent LP solves and trace
 replays; at that scale *something* always goes wrong — a solver crashes on a
@@ -8,10 +8,8 @@ the historical behavior (first exception sinks the whole batch):
 
 * :class:`RetryPolicy` — per-task wall-clock timeout, bounded
   retry-with-exponential-backoff, and the ``on_error`` mode (``fail`` /
-  ``skip`` / ``degrade``).
-* :func:`run_with_policy` — one task's attempt loop.  ``degrade`` gives bound
-  tasks a final attempt on the pure-simplex LP backend before giving up; the
-  result's ``backend_used`` records what actually solved it.
+  ``skip``).
+* :func:`run_with_policy` — one task's attempt loop.
 * :class:`TaskFailure` — the structured record a task leaves behind when it
   exhausts every recovery path.  Pipelines carry these through their result
   objects (``SweepResult.failures``, ``SelectionReport.failures``) so one
@@ -37,7 +35,6 @@ string (not re-parsed every attempt), and raises
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import signal
 import threading
@@ -49,7 +46,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import ValidationError
 
 #: Recognized ``on_error`` modes (see :class:`RetryPolicy`).
-ON_ERROR_MODES = ("fail", "skip", "degrade")
+ON_ERROR_MODES = ("fail", "skip")
 
 #: Environment hook for deterministic failure injection (chaos testing).
 CHAOS_ENV = "REPRO_CHAOS"
@@ -84,9 +81,7 @@ class RetryPolicy:
     on_error:
         What to do once attempts are exhausted: ``"fail"`` re-raises (the
         historical behavior — the batch dies), ``"skip"`` yields a
-        :class:`TaskFailure` record in the task's result slot, ``"degrade"``
-        additionally gives bound tasks one last attempt on the pure-simplex
-        LP backend before recording a failure.
+        :class:`TaskFailure` record in the task's result slot.
     crash_retries:
         How many times a task whose worker process died is re-dispatched to
         a fresh pool before being declared a poison task.
@@ -300,23 +295,6 @@ def chaos_should_fail(identity: str, attempt: int) -> bool:
 # -- the attempt loop --------------------------------------------------------
 
 
-def _degraded_task(task):
-    """A degrade-target copy of a bound task, or None when not applicable.
-
-    The target backend comes from the solver registry
-    (:data:`~repro.solvers.registry.DEGRADE_TARGET`, the pure-Python
-    simplex) — the one backend with no native dependencies to fail.
-    """
-    if getattr(task, "kind", "") != "bound":
-        return None
-    from repro.solvers.registry import degrade_backend
-
-    target = degrade_backend(getattr(task, "backend", None))
-    if target is None:
-        return None
-    return dataclasses.replace(task, backend=target)
-
-
 def _diagnose_failure(task, exc: BaseException) -> str:
     """Best-effort infeasibility diagnosis for a failed bound task.
 
@@ -376,22 +354,6 @@ def run_with_policy(task, policy: RetryPolicy) -> TaskOutcome:
             last_exc = exc
             if attempt < policy.retries and policy.backoff_s > 0:
                 time.sleep(policy.backoff_s * (2**attempt))
-
-    if policy.on_error == "degrade":
-        degraded = _degraded_task(task)
-        if degraded is not None:
-            attempts += 1
-            backends.append(degraded.backend)
-            try:
-                result = call_with_timeout(degraded.run, policy.task_timeout)
-                return TaskOutcome(
-                    result=result,
-                    seconds=time.perf_counter() - start,
-                    attempts=attempts,
-                    backends=backends,
-                )
-            except Exception as exc:
-                last_exc = exc
 
     if policy.on_error == "fail":
         raise last_exc

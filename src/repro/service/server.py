@@ -75,7 +75,12 @@ from repro.service.breaker import OPEN, BreakerOpenError, CircuitBreaker
 from repro.service.brownout import BrownoutController
 from repro.service.chaos import ServiceChaos
 from repro.service.daemon import PlacementDaemon, Supervisor
-from repro.solvers.registry import BACKEND_STRUCTURE, install_solve_guard
+from repro.solvers.registry import (
+    BACKEND_STRUCTURE,
+    BOUND_BACKENDS,
+    install_solve_guard,
+    registered_backends,
+)
 from repro.workload.demand import DemandMatrix
 
 _MAX_BODY = 1 << 20  # 1 MiB: placement queries are small; anything bigger is abuse
@@ -308,6 +313,14 @@ class PlacementService:
             }
         except (TypeError, ValueError) as exc:
             return 400, {"error": str(exc)}
+        # An unknown backend would fail only inside the executor, after the
+        # formulation is built and an admission slot is taken.
+        known_backends = sorted(set(BOUND_BACKENDS).union(registered_backends()))
+        if backend not in known_backends:
+            return 400, {
+                "error": f"unknown backend: {backend!r}",
+                "known": known_backends,
+            }
 
         deadline_ms = query.get("deadline_ms")
         timeout = self.solve_timeout_s

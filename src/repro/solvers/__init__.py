@@ -13,14 +13,11 @@ from repro.solvers.registry import (
     BACKEND_AUTO,
     BACKEND_DECOMPOSED,
     BACKEND_SCIPY,
-    BACKEND_SIMPLEX,
     BACKEND_STRUCTURE,
     BACKEND_TREE_DP,
     BOUND_BACKENDS,
-    DEGRADE_TARGET,
     LP_BACKENDS,
     SolverBackend,
-    degrade_backend,
     estimated_lp_variables,
     get_backend,
     register_backend,
@@ -39,19 +36,16 @@ _LAZY = {
 __all__ = [
     "BACKEND_AUTO",
     "BACKEND_SCIPY",
-    "BACKEND_SIMPLEX",
     "BACKEND_STRUCTURE",
     "BACKEND_TREE_DP",
     "BACKEND_DECOMPOSED",
     "LP_BACKENDS",
     "BOUND_BACKENDS",
-    "DEGRADE_TARGET",
     "SolverBackend",
     "register_backend",
     "registered_backends",
     "get_backend",
     "solve_lp",
-    "degrade_backend",
     "estimated_lp_variables",
     "select_backend",
     *_LAZY,

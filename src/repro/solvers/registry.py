@@ -1,12 +1,11 @@
 """Solver-backend registry — the single source of truth for backend names.
 
-Historically the backend choice was an ad-hoc string comparison repeated in
-``lp/model.py`` (the scipy→simplex ``"auto"`` fallback), ``core/bounds.py``
-(the default backend) and ``runner/resilience.py`` (the ``degrade`` retry
-target).  This module centralizes both the *names* and the *dispatch*:
+This module centralizes both the backend *names* and the LP *dispatch*:
 
-* :data:`BACKEND_AUTO` / :data:`BACKEND_SCIPY` / :data:`BACKEND_SIMPLEX` —
-  the LP-level backends :meth:`~repro.lp.model.LinearProgram.solve` accepts;
+* :data:`BACKEND_AUTO` / :data:`BACKEND_SCIPY` — the LP-level backends
+  :meth:`~repro.lp.model.LinearProgram.solve` accepts.  Both are HiGHS
+  through scipy's bindings; ``auto`` stays a name of its own because it is
+  the CLI default and part of every task digest;
 * :data:`BACKEND_STRUCTURE` / :data:`BACKEND_TREE_DP` /
   :data:`BACKEND_DECOMPOSED` — the bound-level backends
   :func:`~repro.core.bounds.compute_lower_bound` accepts on top of those.
@@ -22,13 +21,12 @@ import time (solver modules load lazily inside the dispatch functions), so
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple
 
 #: LP-level backend names (accepted by ``LinearProgram.solve``).
 BACKEND_AUTO = "auto"
 BACKEND_SCIPY = "scipy"
-BACKEND_SIMPLEX = "simplex"
 
 #: Bound-level backend names (accepted by ``compute_lower_bound`` on top of
 #: the LP-level names).
@@ -36,40 +34,17 @@ BACKEND_STRUCTURE = "structure"
 BACKEND_TREE_DP = "tree-dp"
 BACKEND_DECOMPOSED = "decomposed"
 
-LP_BACKENDS: Tuple[str, ...] = (BACKEND_AUTO, BACKEND_SCIPY, BACKEND_SIMPLEX)
+LP_BACKENDS: Tuple[str, ...] = (BACKEND_AUTO, BACKEND_SCIPY)
 BOUND_BACKENDS: Tuple[str, ...] = LP_BACKENDS + (
     BACKEND_STRUCTURE,
     BACKEND_TREE_DP,
     BACKEND_DECOMPOSED,
 )
 
-#: The backend the runner's ``on_error="degrade"`` retry falls back to.
-DEGRADE_TARGET = BACKEND_SIMPLEX
-
 #: ``structure`` prefers the per-object decomposition only when the
 #: monolithic LP would be at least this large — below it one scipy solve is
 #: faster than coordinating per-object subproblems.
 DECOMPOSITION_MIN_VARIABLES = 50_000
-
-
-def _solve_auto(model, **kwargs):
-    """scipy/HiGHS when available, else the pure-Python simplex (with a warning)."""
-    try:
-        from repro.lp.scipy_backend import solve_with_scipy
-
-        return solve_with_scipy(model, **kwargs)
-    except Exception as exc:  # ImportError or a solver crash
-        import warnings
-
-        from repro.lp.simplex import solve_with_simplex
-
-        warnings.warn(
-            f"scipy LP backend unavailable ({exc!r}); falling back to "
-            "the pure-Python simplex (slow for large models)",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return solve_with_simplex(model, warm_start=kwargs.get("warm_start"))
 
 
 def _solve_scipy(model, **kwargs):
@@ -78,27 +53,12 @@ def _solve_scipy(model, **kwargs):
     return solve_with_scipy(model, **kwargs)
 
 
-def _solve_simplex(model, **kwargs):
-    from repro.lp.simplex import solve_with_simplex
-
-    return solve_with_simplex(model, **kwargs)
-
-
-def _scipy_available() -> bool:
-    try:
-        import scipy.optimize._highspy._core  # noqa: F401
-    except Exception:
-        return False
-    return True
-
-
 @dataclass(frozen=True)
 class SolverBackend:
-    """One registered LP backend: a name, a solve callable, an availability probe."""
+    """One registered LP backend: a name and a solve callable."""
 
     name: str
     solve: Callable
-    available: Callable[[], bool] = field(default=lambda: True)
     description: str = ""
 
 
@@ -127,23 +87,15 @@ def registered_backends() -> Tuple[str, ...]:
 register_backend(
     SolverBackend(
         name=BACKEND_AUTO,
-        solve=_solve_auto,
-        description="scipy/HiGHS when available, warned simplex fallback otherwise",
+        solve=_solve_scipy,
+        description="HiGHS via scipy's bindings (the default)",
     )
 )
 register_backend(
     SolverBackend(
         name=BACKEND_SCIPY,
         solve=_solve_scipy,
-        available=_scipy_available,
         description="HiGHS via scipy's bindings (returns its optimal basis)",
-    )
-)
-register_backend(
-    SolverBackend(
-        name=BACKEND_SIMPLEX,
-        solve=_solve_simplex,
-        description="revised simplex over sparse columns (warm-startable)",
     )
 )
 
@@ -178,16 +130,13 @@ def solve_lp(model, backend: str = BACKEND_AUTO, warm_start=None, **kwargs):
     """Dispatch ``model`` to the named LP backend.
 
     This is the registry-backed implementation behind
-    :meth:`repro.lp.model.LinearProgram.solve`; the historical ``"auto"``
-    semantics (try scipy, fall back to the simplex with a warning) are
-    preserved exactly.  When a guard is installed (the service's circuit
-    breaker), the dispatch routes through it.
+    :meth:`repro.lp.model.LinearProgram.solve`.  When a guard is installed
+    (the service's circuit breaker), the dispatch routes through it.
 
     ``warm_start`` (a :class:`~repro.lp.basis.Basis` or a previous
     :class:`~repro.lp.solution.LPSolution`) is handed to the backend
-    itself: ``scipy`` starts HiGHS from it through ``setBasis`` when the
-    model has no retained instance to hot-start from, and ``simplex``
-    starts its revised simplex from it.  Either degrades to a cold solve
+    itself: HiGHS starts from it through ``setBasis`` when the model has
+    no retained instance to hot-start from, and degrades to a cold solve
     on any problem with the hint.  Only the stock LP backends
     (:data:`LP_BACKENDS`) get the hint, and only while
     :func:`warm_starts_enabled`: a custom registered backend was named for
@@ -204,17 +153,6 @@ def solve_lp(model, backend: str = BACKEND_AUTO, warm_start=None, **kwargs):
     if _GUARD is None:
         return thunk()
     return _GUARD(backend, thunk)
-
-
-def degrade_backend(backend: Optional[str]) -> Optional[str]:
-    """The backend a failed bound task should retry on, or None.
-
-    ``None`` means the task either carries no backend choice or already runs
-    on the degrade target — nothing further to fall back to.
-    """
-    if backend in (None, DEGRADE_TARGET):
-        return None
-    return DEGRADE_TARGET
 
 
 def estimated_lp_variables(problem) -> int:

@@ -64,14 +64,13 @@ def test_honest_solve_audits_clean(audited_result):
         assert check in report.checks
 
 
-def test_full_mode_runs_exact_and_differential(audited_result):
+def test_full_mode_runs_exact_and_dual(audited_result):
     report = audited_result.audit
     assert report.mode == "full"
     assert "var-bound" in report.checks
     assert "constraint" in report.checks
-    assert "differential" in report.checks or any(
-        "differential" in s for s in report.skipped
-    )
+    assert "dual" in report.checks
+    assert not report.skipped
 
 
 def test_audit_off_attaches_nothing(tiny_problem, monkeypatch):

@@ -19,7 +19,7 @@ from repro.runner.tasks import BoundTask
 
 
 @pytest.mark.parametrize("status", list(SolveStatus))
-@pytest.mark.parametrize("backend", ["scipy", "simplex"])
+@pytest.mark.parametrize("backend", ["scipy"])
 def test_lp_solution_round_trip_preserves_status_and_backend(status, backend):
     solution = LPSolution(
         status=status,
@@ -39,10 +39,10 @@ def test_lp_solution_round_trip_preserves_status_and_backend(status, backend):
 
 
 def test_lp_solution_round_trip_none_duals():
-    solution = LPSolution(status=SolveStatus.INFEASIBLE, backend="simplex")
+    solution = LPSolution(status=SolveStatus.INFEASIBLE, backend="scipy")
     back = LPSolution.from_dict(json.loads(json.dumps(solution.to_dict())))
     assert back.status is SolveStatus.INFEASIBLE
-    assert back.backend == "simplex"
+    assert back.backend == "scipy"
     assert back.duals is None
 
 

@@ -115,7 +115,8 @@ def test_timing_and_size_metadata(web_problem):
     assert result.num_constraints > 0
 
 
-def test_simplex_backend_on_tiny_instance():
+def test_tiny_instance_matches_pinned_simplex_bound():
+    # 3.0 is the bound the retired pure-Python simplex computed here.
     topo = star_topology(num_leaves=2, hub_latency_ms=200.0)
     reads = np.zeros((3, 2, 1))
     reads[1, :, 0] = 1
@@ -124,6 +125,6 @@ def test_simplex_backend_on_tiny_instance():
         demand=DemandMatrix(reads=reads),
         goal=QoSGoal(tlat_ms=150.0, fraction=1.0),
     )
-    a = compute_lower_bound(problem, backend="simplex", do_rounding=False)
-    b = compute_lower_bound(problem, backend="scipy", do_rounding=False)
-    assert a.lp_cost == pytest.approx(b.lp_cost, abs=1e-6)
+    for backend in ("auto", "scipy"):
+        result = compute_lower_bound(problem, backend=backend, do_rounding=False)
+        assert result.lp_cost == pytest.approx(3.0, abs=1e-9)

@@ -29,22 +29,6 @@ def test_duals_returned_by_scipy_backend():
     assert len(solution.duals) == form.lp.num_constraints
 
 
-def test_simplex_backend_duals_match_scipy():
-    # The revised simplex returns duals in scipy's sign convention, so
-    # shadow prices agree across backends (historically the tableau
-    # simplex returned none at all).
-    form = build_formulation(tiny_problem(0.5))
-    simplex = form.lp.solve(backend="simplex").require_optimal()
-    scipy_sol = form.lp.solve(backend="scipy").require_optimal()
-    assert simplex.duals is not None
-    assert len(simplex.duals) == form.lp.num_constraints
-    a = form.qos_shadow_prices(simplex)
-    b = form.qos_shadow_prices(scipy_sol)
-    assert set(a) == set(b)
-    for key in a:
-        assert a[key] == pytest.approx(b[key], abs=1e-6)
-
-
 def test_shadow_prices_match_finite_differences():
     """The dual-based marginal cost must predict the bound's local slope."""
     eps = 0.02

@@ -8,6 +8,7 @@ in status and objective.
 """
 
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -22,6 +23,8 @@ from repro.lp.model import LinearProgram
 from repro.perf import PERF
 from repro.solvers.registry import solve_lp
 from tests.core.test_warm_sweep import tiny_problem
+from tests.lp.test_backends import mixed_lp
+from tests.lp.test_warm_start import build_random_lp
 
 
 def enum_walk_basis(highs_basis, cache):
@@ -290,6 +293,8 @@ def test_foreign_basis_round_trips_through_set_basis(seed):
     lp = random_lp(seed)
     sol = lp.solve(backend="scipy")
     assert isinstance(sol.basis, Basis)
+    assert sol.basis.matches(lp.num_variables, lp.num_constraints)
+    assert sol.basis.is_wellformed()
     other = copy.deepcopy(lp)
     warm0 = PERF.get("lp.simplex.warm_starts")
     iters0 = PERF.get("lp.simplex.iterations")
@@ -299,3 +304,45 @@ def test_foreign_basis_round_trips_through_set_basis(seed):
     assert PERF.get("lp.simplex.iterations") == iters0
     assert again.objective == pytest.approx(sol.objective, rel=1e-12, abs=1e-12)
     np.testing.assert_array_equal(again.basis.statuses, sol.basis.statuses)
+
+
+def test_scipy_values_and_duals_match_linprog():
+    # linprog is the oracle: same HiGHS model, so the same point exactly;
+    # its marginals come in <=-block/==-block order with >= rows negated.
+    from scipy.optimize import linprog
+
+    nonzero = {"<=": 0, ">=": 0, "==": 0}
+    for seed in range(12):
+        lp = build_random_lp(seed, senses=("<=", ">=", "=="))
+        sol = lp.solve(backend="scipy")
+        c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        assert sol.is_optimal == (ref.status == 0)
+        if not sol.is_optimal:
+            continue
+        np.testing.assert_array_equal(sol.values, ref.x)
+        assert sol.objective == ref.fun
+        ineq, eq = iter(ref.ineqlin.marginals), iter(ref.eqlin.marginals)
+        for row, dual in enumerate(sol.duals):
+            sense = lp.constraints[row].sense.value
+            want = next(eq) if sense == "==" else next(ineq)
+            assert dual == (-want if sense == ">=" else want)
+            nonzero[sense] += dual != 0.0
+    assert all(nonzero.values()), nonzero  # every sense had a binding row
+
+
+def test_basisless_hint_solves_cold_without_degrading():
+    # The hint comes from another LP (a fresh model retains no HiGHS
+    # instance), and without a basis there is nothing to start from.
+    hint = dataclasses.replace(mixed_lp().solve(backend="scipy"), basis=None)
+    lp = mixed_lp()
+    lp.set_rhs(1, 3.0)
+    warm0 = PERF.get("lp.simplex.warm_starts")
+    degraded0 = PERF.get("lp.simplex.warm_degraded")
+    sol = solve_lp(lp, backend="scipy", warm_start=hint)
+    assert sol.backend == "scipy"
+    assert PERF.get("lp.simplex.warm_starts") == warm0
+    assert PERF.get("lp.simplex.warm_degraded") == degraded0
+    cold = mixed_lp()
+    cold.set_rhs(1, 3.0)
+    assert sol.objective == pytest.approx(cold.solve(backend="scipy").objective, abs=1e-8)

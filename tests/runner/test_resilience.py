@@ -21,7 +21,6 @@ from repro.runner.resilience import (
     WorkerCrashError,
     call_with_timeout,
     chaos_should_fail,
-    run_with_policy,
 )
 from repro.runner.tasks import BoundTask
 from repro.topology.generators import star_topology
@@ -189,31 +188,13 @@ def test_stalling_task_times_out_fast(tmp_path):
     assert elapsed < 5.0
 
 
-# -- graceful LP degradation --------------------------------------------------
+# -- the LP backend a bound task used -------------------------------------------
 
 
-def test_degrade_retries_bound_on_simplex(monkeypatch):
-    import repro.lp.scipy_backend as scipy_backend
-
-    def crashing(model, **kwargs):
-        raise RuntimeError("HiGHS exploded")
-
-    monkeypatch.setattr(scipy_backend, "solve_with_scipy", crashing)
-    task = BoundTask(
-        problem=tiny_bound_problem(), backend="scipy", do_rounding=False
-    )
-    outcome = run_with_policy(task, RetryPolicy(on_error="degrade"))
-    assert outcome.failure is None
-    assert outcome.result.feasible
-    assert outcome.result.backend_used == "simplex"
-    assert outcome.backends == ["scipy", "simplex"]
-
-
-def test_degrade_does_not_apply_to_non_bound_tasks(tmp_path):
-    runner = ExperimentRunner(policy=RetryPolicy(on_error="degrade"))
-    failure = runner.map([probe(tmp_path, "dead", fail_times=10)])[0]
-    assert isinstance(failure, TaskFailure)
-    assert "simplex" not in failure.backends
+def test_degrade_mode_is_rejected():
+    # There is one LP solver, so no second backend to retry a bound task on.
+    with pytest.raises(ValueError, match="on_error"):
+        RetryPolicy(on_error="degrade")
 
 
 def test_backend_used_records_normal_solve():

@@ -102,15 +102,15 @@ def test_guard_wired_through_solver_registry():
         lp = LinearProgram()
         lp.var("x", obj=1.0)
         lp.add_row([0], [1.0], ">=", 1.0)
-        result = solve_lp(lp, backend="simplex")
+        result = solve_lp(lp, backend="scipy")
         assert result.objective == pytest.approx(1.0)
         assert breaker.successes == 1
         for _ in range(2):
             with pytest.raises(Exception):
-                solve_lp(None, backend="simplex")  # None model crashes the solver
+                solve_lp(None, backend="scipy")  # None model crashes the solver
         assert breaker.state == OPEN
         with pytest.raises(BreakerOpenError):
-            solve_lp(lp, backend="simplex")
+            solve_lp(lp, backend="scipy")
     finally:
         install_solve_guard(None)
 

@@ -165,6 +165,23 @@ def test_bound_query_validates_input(harness):
     assert harness.client._request("GET", "/query").status == 405
 
 
+def test_unknown_backend_is_rejected_before_any_work(harness):
+    from repro.perf import PERF
+
+    def build_counts():
+        return PERF.get("form.build.vectorized") + PERF.get("form.build.legacy")
+
+    builds0, admitted0 = build_counts(), harness.service.admission.admitted
+    for name in ("simplex", "bogus"):
+        response = harness.client.bound("general", qos=0.9, backend=name)
+        assert response.status == 400, response.payload
+        assert name in response.payload["error"]
+        assert {"auto", "scipy", "structure"} <= set(response.payload["known"])
+        assert "simplex" not in response.payload["known"]
+    assert build_counts() == builds0
+    assert harness.service.admission.admitted == admitted0
+
+
 def test_admission_sheds_with_retry_after(tmp_path):
     register_backend(
         SolverBackend(
@@ -260,9 +277,9 @@ def test_single_flight_coalesces_identical_queries(tmp_path):
     def counting_solve(model, **kw):
         calls.append(1)
         time.sleep(0.4)
-        from repro.lp.simplex import solve_with_simplex
+        from repro.lp.scipy_backend import solve_with_scipy
 
-        return solve_with_simplex(model)
+        return solve_with_scipy(model)
 
     register_backend(
         SolverBackend(name="test-count", solve=counting_solve, description="counts solves")

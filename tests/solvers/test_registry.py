@@ -1,4 +1,4 @@
-"""Solver-backend registry: names, dispatch, degrade target, auto-selection."""
+"""Solver-backend registry: names, dispatch, auto-selection."""
 
 import numpy as np
 import pytest
@@ -12,15 +12,11 @@ from repro.solvers import registry
 from repro.solvers.registry import (
     BACKEND_AUTO,
     BACKEND_DECOMPOSED,
-    BACKEND_SCIPY,
-    BACKEND_SIMPLEX,
     BACKEND_STRUCTURE,
     BACKEND_TREE_DP,
     BOUND_BACKENDS,
-    DEGRADE_TARGET,
     LP_BACKENDS,
     SolverBackend,
-    degrade_backend,
     estimated_lp_variables,
     get_backend,
     register_backend,
@@ -52,12 +48,11 @@ def _problem(topology, fraction=1.0, scope=GoalScope.PER_USER, num_objects=3):
 
 
 def test_backend_name_constants():
-    assert LP_BACKENDS == ("auto", "scipy", "simplex")
+    assert LP_BACKENDS == ("auto", "scipy")
     assert set(LP_BACKENDS) < set(BOUND_BACKENDS)
     assert BACKEND_STRUCTURE in BOUND_BACKENDS
     assert BACKEND_TREE_DP in BOUND_BACKENDS
     assert BACKEND_DECOMPOSED in BOUND_BACKENDS
-    assert DEGRADE_TARGET == BACKEND_SIMPLEX
 
 
 def test_builtin_backends_registered():
@@ -79,7 +74,7 @@ def test_solve_lp_dispatch_agrees_across_backends():
         solve_lp(_small_lp(), backend=name).require_optimal().objective
         for name in LP_BACKENDS
     ]
-    assert objectives == pytest.approx([2.0, 2.0, 2.0])
+    assert objectives == pytest.approx([2.0, 2.0])
 
 
 def test_register_custom_backend():
@@ -87,9 +82,9 @@ def test_register_custom_backend():
 
     def solver(model, **kwargs):
         calls.append(model.name)
-        from repro.lp.simplex import solve_with_simplex
+        from repro.lp.scipy_backend import solve_with_scipy
 
-        return solve_with_simplex(model)
+        return solve_with_scipy(model)
 
     register_backend(SolverBackend(name="custom-test", solve=solver))
     try:
@@ -97,14 +92,6 @@ def test_register_custom_backend():
         assert solution.is_optimal and calls == ["t"]
     finally:
         registry._REGISTRY.pop("custom-test", None)
-
-
-def test_degrade_backend():
-    assert degrade_backend(BACKEND_AUTO) == BACKEND_SIMPLEX
-    assert degrade_backend(BACKEND_SCIPY) == BACKEND_SIMPLEX
-    assert degrade_backend(BACKEND_TREE_DP) == BACKEND_SIMPLEX
-    assert degrade_backend(BACKEND_SIMPLEX) is None
-    assert degrade_backend(None) is None
 
 
 def test_estimated_lp_variables_errs_high():
