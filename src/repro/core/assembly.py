@@ -15,6 +15,13 @@ regrouping) — which the equivalence tests in
 instances.  Keep the two builders in lockstep: any structural change here
 must land in the legacy builder too, and vice versa.
 
+Both builders take the same store-cell mask: the storer can serve a
+demander of the object (``useful``), creation was permitted at or before
+the interval (``possible``), and, under a QoS goal, the interval lies in
+the (storer, object) demand window of
+:func:`~repro.core.formulation.compute_store_window`.  Cells dropped by the
+window are counted as ``form.store.pruned``.
+
 Cell ordering invariants (inherited from the legacy loops):
 
 * store/create variables: object (``read_active`` order) outer, then storer
@@ -42,6 +49,7 @@ from repro.core.properties import (
     StorageConstraint,
 )
 from repro.lp.model import LinearProgram
+from repro.perf import PERF
 
 
 def build_formulation_vectorized(
@@ -54,6 +62,7 @@ def build_formulation_vectorized(
         Formulation,
         _build_average_latency,
         compute_allowed_create,
+        compute_store_window,
     )
 
     props = properties or HeuristicProperties()
@@ -105,6 +114,10 @@ def build_formulation_vectorized(
     )
     if possible is not None:
         store_mask = store_mask & possible[:, :, read_active].transpose(2, 0, 1)
+    if isinstance(goal, QoSGoal):
+        in_window = compute_store_window(inst, allowed)[:, :, read_active].transpose(2, 0, 1)
+        PERF.count("form.store.pruned", int((store_mask & ~in_window).sum()))
+        store_mask = store_mask & in_window
     if allowed is not None:
         create_mask = store_mask & allowed[:, :, read_active].transpose(2, 0, 1)
     else:

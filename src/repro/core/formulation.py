@@ -24,6 +24,9 @@ Variable pruning (results are unaffected; see unit tests against the
 unpruned formulation): objects with no demand get no variables; a storer
 gets variables for object k only if it can serve some demander of k; covered
 variables exist only for demand cells not already covered by the origin.
+Under a QoS goal a storer's store/create chain for object k further spans
+only its demand window (:func:`compute_store_window`): from the last
+permitted creation at or before its first coverable read to its last one.
 """
 
 from __future__ import annotations
@@ -219,6 +222,44 @@ def compute_allowed_create(
     return allowed
 
 
+def compute_store_window(
+    instance: PlacementInstance, allowed: Optional[np.ndarray]
+) -> np.ndarray:
+    """The (Ns, I, K) mask of store cells that can lower a QoS-goal cost.
+
+    ``use[ns, i, k]`` holds when some demander that storer ns reaches, and
+    that the origin does not cover, has a goal read of k in interval i —
+    exactly the cells where ``store`` enters a cover row (5)/(18).  A cell
+    is kept when it lies between the (ns, k) pair's first and last use.
+    The first interval moves back to the latest permitted creation at or
+    before it (``allowed``; to 0 when there is none), and to 0 when an
+    initial replica exists.  Pairs without any use get no cells.
+
+    Outside the window a store cell only adds alpha or delta*writes (both
+    non-negative) and loosens the sc/rc/open rows and the next coupling
+    row: zeroing it, and raising ``create`` at the window's first interval
+    to its store value, keeps any point feasible at no higher cost.  So
+    the LP bound and the integral optimum are both unchanged.
+    """
+    reads = instance.qos_reads()
+    nd_count, intervals, objects = reads.shape
+    demand = (reads > 0) & (instance.origin_covers == 0)[:, None, None]
+    use = (
+        instance.reach.T.astype(np.int64)
+        @ demand.reshape(nd_count, -1).astype(np.int64)
+    ).reshape(-1, intervals, objects) > 0
+    steps = np.arange(intervals)[None, :, None]
+    first = np.argmax(use, axis=1)  # (Ns, K); 0 for unused pairs
+    last = intervals - 1 - np.argmax(use[:, ::-1, :], axis=1)
+    if allowed is not None:
+        latest = np.maximum.accumulate(np.where(allowed, steps, -1), axis=1)
+        first = np.maximum(np.take_along_axis(latest, first[:, None, :], axis=1)[:, 0, :], 0)
+    if instance.initial_store is not None:
+        first = np.where(instance.initial_store > 0, 0, first)
+    window = (steps >= first[:, None, :]) & (steps <= last[:, None, :])
+    return window & use.any(axis=1)[:, None, :]
+
+
 def build_formulation(
     problem: MCPerfProblem,
     properties: Optional[HeuristicProperties] = None,
@@ -293,6 +334,10 @@ def _build_formulation_legacy(
         possible = np.logical_or.accumulate(allowed, axis=1)
         if inst.initial_store is not None:
             possible |= (inst.initial_store > 0)[:, None, :]
+    # QoS goals keep only each (storer, object)'s demand window; the
+    # average-latency routing rows (7)-(10) keep every cell.
+    window = compute_store_window(inst, allowed) if isinstance(goal, QoSGoal) else None
+    pruned = 0
 
     sc = props.storage_constraint
     rc = props.replica_constraint
@@ -319,6 +364,9 @@ def _build_formulation_legacy(
             for i in range(intervals):
                 if possible is not None and not possible[ns, i, k]:
                     continue
+                if window is not None and not window[ns, i, k]:
+                    pruned += 1
+                    continue
                 obj_coeff = store_alpha + costs.delta * writes_per_ik[i, k]
                 store_idx[ns, i, k] = lp.var(
                     f"store[n{ns},i{i},k{k}]", upper=1.0, obj=obj_coeff
@@ -327,6 +375,8 @@ def _build_formulation_legacy(
                     create_idx[ns, i, k] = lp.var(
                         f"create[n{ns},i{i},k{k}]", upper=1.0, obj=costs.beta
                     ).index
+    if window is not None:
+        PERF.count("form.store.pruned", pruned)
 
     # --- create coupling (3)/(4) --------------------------------------------
     init = inst.initial_store

@@ -274,8 +274,9 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
         HiGHS options set on top of ``linprog``'s defaults, by their HiGHS
         names (e.g. ``presolve="off"``).
     """
-    # Imported here so ``import repro.lp`` stays cheap; the "auto" backend
-    # turns an import failure into a warned fallback.
+    # Imported on the first solve, not with the module: scipy.optimize is
+    # slow to load, and a process that solves no LP (a cache-served rerun,
+    # a trace replay) never pays for it.
     from scipy.optimize._highspy import _core as h
 
     from repro.solvers.registry import warm_starts_enabled

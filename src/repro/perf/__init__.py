@@ -33,6 +33,7 @@ Counter names in use across the tree::
     lp.basis.materialized        deferred basis handles whose statuses were derived
     form.build.vectorized / form.build.legacy   formulation assembly mode
     form.retarget         set_qos_fraction() RHS-only re-target
+    form.store.pruned     store cells dropped outside their (storer, object) demand window
     round.iterative.fix   LP-guided rounding fixings (== re-solves)
     audit.lp.rows         LP rows audit_lp_solution checked (its time: timer audit.lp)
     audit.lp.dual         timer: the full audit's weak-duality check (inside audit.lp)

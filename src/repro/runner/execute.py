@@ -46,10 +46,12 @@ from repro.runner.resilience import (
     run_with_policy,
 )
 from repro.runner.resume import ResumeState
+from repro.runner.tasks import clear_formulations
 
 
 def _run_chunk(tasks: Sequence[Any], policy: RetryPolicy) -> List[TaskOutcome]:
     """Execute one reuse-group chunk sequentially; top-level for pickling."""
+    clear_formulations()
     return [run_with_policy(task, policy) for task in tasks]
 
 
@@ -158,6 +160,7 @@ class ExperimentRunner:
         chunks = self._chunks(tasks, pending)
         if self.jobs == 1 or len(chunks) <= 1:
             for chunk in chunks:
+                clear_formulations()
                 for i in chunk:
                     # Per-task collection: with on_error="fail" the raise
                     # propagates (historical), but already-finished siblings

@@ -38,9 +38,21 @@ from repro.workload.trace import Trace
 #: Per-process formulation memo: reuse_key -> Formulation.  Bounded because a
 #: formulation holds the full LP and its retained HiGHS instance; chunks run
 #: one reuse group at a time, so one entry captures every reuse the schedule
-#: allows.
+#: allows.  The scheduler clears it before every chunk
+#: (:func:`clear_formulations`), so a chunk's first solve is always cold.
 _FORMULATIONS: "OrderedDict[str, object]" = OrderedDict()
 _FORMULATION_CAPACITY = 1
+
+
+def clear_formulations() -> None:
+    """Forget every memoized formulation.
+
+    A chunk's results must not depend on what its process solved before:
+    a memo entry left by an earlier ``map()`` (or inherited by a forked
+    worker) would hot-start the chunk's first task from another level's
+    basis, and a degenerate LP can then land on a different optimal vertex.
+    """
+    _FORMULATIONS.clear()
 
 
 def _memoize_formulation(key: str, form: object) -> None:

@@ -9,7 +9,9 @@ import pytest
 
 from repro.core.bounds import compute_lower_bound
 from repro.core.classes import get_class
-from repro.runner import ExperimentRunner, make_runner, run_tasks
+from repro.perf import PERF
+from repro.runner import ExperimentRunner, RetryPolicy, make_runner, run_tasks
+from repro.runner.execute import _run_chunk
 from repro.runner.tasks import BoundTask, HeuristicSpec, SimulateTask
 
 
@@ -69,6 +71,21 @@ def test_jobs2_matches_jobs1(web_problem):
     serial = run_tasks(tasks, ExperimentRunner(jobs=1))
     parallel = run_tasks(tasks, ExperimentRunner(jobs=2))
     assert costs(serial) == costs(parallel)
+
+
+def test_each_chunk_starts_from_a_fresh_formulation(web_problem):
+    """A chunk never hot-starts from a formulation an earlier run left behind."""
+    group = bound_tasks(web_problem)[: len(LEVELS)]  # one class: one reuse key
+    run_tasks(group, ExperimentRunner(jobs=1))
+    builds = PERF.get("form.build.vectorized")
+    warm = PERF.get("lp.simplex.warm_starts")
+    run_tasks(group[:1], ExperimentRunner(jobs=1))
+    assert PERF.get("form.build.vectorized") == builds + 1
+    assert PERF.get("lp.simplex.warm_starts") == warm
+    # The worker entry point clears the memo a forked process inherits too.
+    _run_chunk(group[:1], RetryPolicy())
+    assert PERF.get("form.build.vectorized") == builds + 2
+    assert PERF.get("lp.simplex.warm_starts") == warm
 
 
 def test_results_come_back_in_task_order(web_problem):
