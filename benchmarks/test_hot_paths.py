@@ -4,9 +4,9 @@ Measures the three optimized layers against their pre-optimization
 equivalents at Figure-2 scale and records the speedups in
 ``benchmarks/out/BENCH_hot_paths.json``:
 
-* **Formulation assembly** — ``build_formulation(assembly="legacy")`` (the
-  row-at-a-time builder, kept as the equivalence oracle) vs the vectorized
-  block builder.  Target: >= 3x.
+* **Formulation assembly** — the row-at-a-time builder it replaced
+  (``tests/core/formulation_oracle.py``, the equivalence oracle) vs the
+  vectorized block builder.  Target: >= 3x.
 * **Incremental re-solve** — re-solving after ``fix_var`` patches with the
   cached assembly vs forcing a full rebuild before every solve (what every
   re-solve cost before the cache).  Correctness here is counter-based:
@@ -61,6 +61,7 @@ from repro.runner.tasks import BoundTask
 from repro.serialize import array_to_jsonable
 from repro.simulator.engine import Simulator
 from tests.audit.fast_audit_oracle import oracle_fast_audit
+from tests.core.formulation_oracle import build_formulation_loops
 from tests.core.rounding_oracle import LoopRounder
 from tests.runner.dense_codec import dense_array_from_jsonable, dense_array_to_jsonable
 
@@ -87,8 +88,8 @@ def best_of(fn, reps=REPS):
 
 def test_assembly_speedup(web_problem):
     props = get_class("general").properties
-    t_legacy, form_l = best_of(lambda: build_formulation(web_problem, props, assembly="legacy"))
-    t_vec, form_v = best_of(lambda: build_formulation(web_problem, props, assembly="vectorized"))
+    t_legacy, form_l = best_of(lambda: build_formulation_loops(web_problem, props))
+    t_vec, form_v = best_of(lambda: build_formulation(web_problem, props))
     assert form_l.lp.num_variables == form_v.lp.num_variables
     assert form_l.lp.num_constraints == form_v.lp.num_constraints
     speedup = t_legacy / t_vec

@@ -1,28 +1,29 @@
-"""Vectorized MC-PERF assembly — the fast path of ``build_formulation``.
+"""MC-PERF assembly — the body of ``build_formulation``.
 
-The legacy builder in :mod:`repro.core.formulation` emits the O(Ns*I*K)
-row families one ``add_row`` call at a time; at Figure-2 scale that is tens
-of thousands of Python-level calls.  This module constructs the same model
-from NumPy index/coeff blocks pushed through the bulk LP APIs
+The O(Ns*I*K) row families are constructed from NumPy index/coeff blocks
+pushed through the bulk LP APIs
 (:meth:`~repro.lp.model.LinearProgram.add_vars_bulk` /
-:meth:`~repro.lp.model.LinearProgram.add_rows_bulk`).
+:meth:`~repro.lp.model.LinearProgram.add_rows_bulk`) instead of one
+``add_row`` call per row, which at Figure-2 scale would be tens of
+thousands of Python-level calls.
 
-The output is equivalent row-for-row to the legacy builder — same variable
-order, names, bounds and objectives; same row order, names, senses,
-sparsity patterns and coefficients (right-hand sides agree to floating-point
-regrouping) — which the equivalence tests in
+The output is equivalent row-for-row to the original row-at-a-time
+builder, kept frozen as a test oracle in ``tests/core/formulation_oracle.py``
+— same variable order, names, bounds and objectives; same row order,
+names, senses, sparsity patterns and coefficients (right-hand sides agree
+to floating-point regrouping) — which the equivalence tests in
 ``tests/core/test_vectorized_formulation.py`` assert on randomized
-instances.  Keep the two builders in lockstep: any structural change here
-must land in the legacy builder too, and vice versa.
+instances.  A deliberate structural change here has to be mirrored in the
+oracle, or those tests fail.
 
-Both builders take the same store-cell mask: the storer can serve a
-demander of the object (``useful``), creation was permitted at or before
-the interval (``possible``), and, under a QoS goal, the interval lies in
-the (storer, object) demand window of
+The store-cell mask: the storer can serve a demander of the object
+(``useful``), creation was permitted at or before the interval
+(``possible``), and, under a QoS goal, the interval lies in the (storer,
+object) demand window of
 :func:`~repro.core.formulation.compute_store_window`.  Cells dropped by the
 window are counted as ``form.store.pruned``.
 
-Cell ordering invariants (inherited from the legacy loops):
+Cell ordering invariants (inherited from the row-at-a-time loops):
 
 * store/create variables: object (``read_active`` order) outer, then storer
   ascending, then interval ascending, store before create within a cell;
@@ -31,8 +32,9 @@ Cell ordering invariants (inherited from the legacy loops):
 * covered variables/rows are demander-major, then object, then interval;
 * QoS rows follow scope-key first-visit order.
 
-The average-latency routing family (7)-(10) stays on the shared legacy
-path — it is interleaved per cell and not a measured hot spot.
+The average-latency routing family (7)-(10) is built row by row
+(:func:`_build_average_latency`) — it is interleaved per cell and no
+benchmark workload runs that goal.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.core.goals import AverageLatencyGoal, QoSGoal, scope_key
-from repro.core.problem import MCPerfProblem
+from repro.core.problem import MCPerfProblem, PlacementInstance
 from repro.core.properties import (
     HeuristicProperties,
     ReplicaConstraint,
@@ -60,7 +62,6 @@ def build_formulation_vectorized(
     """Assemble the MC-PERF LP for one heuristic class (vectorized)."""
     from repro.core.formulation import (
         Formulation,
-        _build_average_latency,
         compute_allowed_create,
         compute_store_window,
     )
@@ -108,7 +109,7 @@ def build_formulation_vectorized(
     covered_idx = np.full((nd_count, intervals, objects), -1, dtype=np.int64)
 
     # --- store / create variables (one bulk block) --------------------------
-    # Cell arrays in legacy order: object (read_active) outer, storer, interval.
+    # Cell arrays in builder order: object (read_active) outer, storer, interval.
     store_mask = np.broadcast_to(
         useful[:, read_active].T[:, :, None], (ka_count, ns_count, intervals)
     )
@@ -325,7 +326,7 @@ def build_formulation_vectorized(
                 hmask = holder_grid >= 0
                 hcounts = hmask.sum(axis=0)
                 # Transposed selection flattens cell-major with storers
-                # ascending within each cell — the legacy holder order.
+                # ascending within each cell — the oracle's holder order.
                 holders_flat = holder_grid.T[hmask.T]
             else:
                 hcounts = np.zeros(len(ka_c), dtype=np.int64)
@@ -409,7 +410,7 @@ def build_formulation_vectorized(
                         zip(cov_cells[s:e][sel].tolist(), r_c[s:e][sel].tolist())
                     )
 
-        # --- QoS rows (2): identical to the legacy emission ------------------
+        # --- QoS rows (2): one per scope key, first-visit order --------------
         for key, denom in total_reads.items():
             if denom <= 0:
                 continue
@@ -489,3 +490,74 @@ def _append_trailing_rows(lp, entries, lengths, trailing, names):
     fidx[tail] = trailing
     fcf[tail] = -1.0
     lp.add_rows_bulk(indptr, fidx, fcf, "<=", np.zeros(nrows), names=names)
+
+
+def _build_average_latency(
+    lp: LinearProgram,
+    inst: PlacementInstance,
+    goal: AverageLatencyGoal,
+    store_idx: np.ndarray,
+    read_active: np.ndarray,
+    covered_idx: np.ndarray,
+    props: HeuristicProperties,
+) -> None:
+    """Constraints (7)-(10): route every read; bound mean latency per scope.
+
+    Builds one route variable per (demand cell, servable storer) plus an
+    origin route; stores the index map on ``lp._route_idx`` for the caller.
+    """
+    nd_count, intervals, _objects = inst.reads.shape
+    ns_count = inst.num_storers
+    reads = inst.qos_reads()
+    route_idx: Dict[Tuple[int, int, int], Tuple[np.ndarray, np.ndarray, int]] = {}
+    latency_terms: Dict[object, List[Tuple[int, float]]] = {}
+    total_reads: Dict[object, float] = {}
+
+    for nd in range(nd_count):
+        servable = np.nonzero(inst.serve[nd])[0]
+        for k in read_active:
+            col = reads[nd, :, k]
+            for i in np.nonzero(col)[0]:
+                r = float(col[i])
+                key = scope_key(goal.scope, nd, int(k))
+                total_reads[key] = total_reads.get(key, 0.0) + r
+                ns_list, var_list = [], []
+                for ns in servable:
+                    s = store_idx[ns, i, k]
+                    if s < 0:
+                        continue
+                    rv = lp.var(f"route[n{nd},m{ns},i{i},k{k}]", upper=1.0).index
+                    lp.add_row([rv, int(s)], [1.0, -1.0], "<=", 0.0)  # (9)
+                    ns_list.append(int(ns))
+                    var_list.append(rv)
+                    latency_terms.setdefault(key, []).append(
+                        (rv, r * float(inst.latency[nd, ns]))
+                    )
+                origin_var = lp.var(f"route[n{nd},origin,i{i},k{k}]", upper=1.0).index
+                latency_terms.setdefault(key, []).append(
+                    (origin_var, r * float(inst.origin_latency[nd]))
+                )
+                lp.add_row(
+                    var_list + [origin_var],
+                    [1.0] * (len(var_list) + 1),
+                    "==",
+                    1.0,
+                    name=f"route-one[n{nd},i{i},k{k}]",
+                )  # (8)
+                route_idx[(nd, int(i), int(k))] = (
+                    np.array(ns_list, dtype=np.int64),
+                    np.array(var_list, dtype=np.int64),
+                    origin_var,
+                )
+
+    for key, denom in total_reads.items():
+        terms = latency_terms.get(key, [])
+        lp.add_row(
+            [idx for idx, _c in terms],
+            [c for _idx, c in terms],
+            "<=",
+            goal.tavg_ms * denom,
+            name=f"avg[{key}]",
+        )  # (7)
+
+    lp._route_idx = route_idx  # type: ignore[attr-defined]

@@ -15,11 +15,10 @@ keeps both:
   optimal solve.  A re-solve of the same assembled arrays pushes only the
   rows, column bounds and costs the patch API changed since the last run,
   and HiGHS's dual simplex restarts from its retained basis and factor —
-  the hot start every QoS sweep level, branch-and-bound child and pricing
-  round takes.
+  the hot start every QoS sweep level and branch-and-bound child takes.
 * A :class:`~repro.lp.basis.Basis` from another LP of the same shape (the
-  service's per-class warm store, the DW master's remapped basis) enters a
-  fresh instance through ``setBasis``.
+  service's per-class warm store) enters a fresh instance through
+  ``setBasis``.
 
 An optimal solve returns HiGHS's values and row duals, and its basis as a
 deferred handle over HiGHS's ``getBasis()`` snapshot (a copy, a few

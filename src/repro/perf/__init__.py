@@ -31,7 +31,7 @@ Counter names in use across the tree::
     lp.simplex.warm_starts       solves started hot or from a caller-provided basis
     lp.simplex.warm_degraded     warm attempts that fell back to a cold solve
     lp.basis.materialized        deferred basis handles whose statuses were derived
-    form.build.vectorized / form.build.legacy   formulation assembly mode
+    form.build.vectorized  build_formulation() calls (its time: timer form.build)
     form.retarget         set_qos_fraction() RHS-only re-target
     form.store.pruned     store cells dropped outside their (storer, object) demand window
     round.iterative.fix   LP-guided rounding fixings (== re-solves)

@@ -13,8 +13,10 @@ admission queue's in-flight depth.
 ``brownout``  (pressure >= ``brownout_depth``)
     Bound queries are answered with a cheap approximation — the demand
     matrix collapses to one interval and the solve routes through the
-    ``structure`` backend (exact tree DP or decomposition when the
-    instance allows, monolithic LP otherwise).  Responses carry
+    ``structure`` backend, which takes one of three routes: the exact
+    tree DP when the topology is a tree metric, the separable per-object
+    fan-out when the goal scope splits by object and the LP is large, or
+    the monolithic LP.  Responses carry
     ``approx: true`` so clients know the number is a coarser bound, not
     the exact optimum.
 

@@ -474,9 +474,11 @@ class PlacementService:
 
         if approx:
             # Brownout approximation: one demand interval (coarsest
-            # resolution) and the structure backend, which picks the exact
-            # tree DP / decomposition when applicable and never costs more
-            # than the monolithic LP it replaces.
+            # resolution) and the structure backend, which picks one of
+            # three routes: the exact tree DP on a tree metric, the
+            # separable per-object fan-out for a large per-object scope,
+            # or the monolithic LP.  This service's per-user scope never
+            # splits, so only the first and last apply here.
             backend = BACKEND_STRUCTURE
         intervals = 1 if approx else self.bound_intervals
         trace = self.daemon._traces[epoch]

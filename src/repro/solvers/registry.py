@@ -10,9 +10,10 @@ This module centralizes both the backend *names* and the LP *dispatch*:
   :data:`BACKEND_DECOMPOSED` — the bound-level backends
   :func:`~repro.core.bounds.compute_lower_bound` accepts on top of those.
   ``structure`` introspects the problem (:func:`select_backend`) and picks
-  the exact tree DP when the topology is a tree metric, the per-object
-  decomposition when the monolithic LP would be large, and the monolithic
-  ``auto`` path otherwise.
+  the exact tree DP when the topology is a tree metric, the separable
+  per-object fan-out when the goal scope splits by object and the
+  monolithic LP would be large, and the monolithic ``auto`` path
+  otherwise.
 
 This module is deliberately a leaf: it imports no other ``repro`` module at
 import time (solver modules load lazily inside the dispatch functions), so
@@ -41,8 +42,8 @@ BOUND_BACKENDS: Tuple[str, ...] = LP_BACKENDS + (
     BACKEND_DECOMPOSED,
 )
 
-#: ``structure`` prefers the per-object decomposition only when the
-#: monolithic LP would be at least this large — below it one scipy solve is
+#: ``structure`` prefers the separable per-object fan-out only when the
+#: monolithic LP would be at least this large — below it one HiGHS solve is
 #: faster than coordinating per-object subproblems.
 DECOMPOSITION_MIN_VARIABLES = 50_000
 
@@ -173,10 +174,12 @@ def select_backend(problem, properties=None) -> str:
     """Structure-aware backend selection for ``backend="structure"``.
 
     Order of preference: the exact tree DP (polynomial, bypasses the LP)
-    when the instance is in its class; the per-object decomposition when it
-    applies and the monolithic LP would be large
-    (:data:`DECOMPOSITION_MIN_VARIABLES`); otherwise the monolithic
-    ``auto`` path.
+    when the instance is in its class; the separable per-object fan-out
+    when the goal scope splits by object (``PER_OBJECT`` /
+    ``PER_USER_OBJECT``, no shared resource rows) and the monolithic LP
+    would be large (:data:`DECOMPOSITION_MIN_VARIABLES`); otherwise the
+    monolithic ``auto`` path — per-user and overall scopes always end here
+    unless the tree DP applies.
     """
     from repro.solvers.tree_dp import tree_dp_applicable
 

@@ -1,6 +1,6 @@
-"""Vectorized formulation assembly vs. the legacy row-at-a-time builder.
+"""Vectorized formulation assembly vs. the frozen row-at-a-time oracle.
 
-The vectorized builder (ISSUE 4) must be a pure speedup: same variables,
+The vectorized builder must be a pure speedup: same variables,
 same rows, same solver arrays.  Names, senses, indices and coefficients are
 compared exactly; RHS values and the objective constant get 1e-9 tolerance
 (the vectorized path regroups floating-point sums).
@@ -15,6 +15,7 @@ from repro.core.bounds import compute_lower_bound
 from repro.core.classes import FIGURE1_CLASSES, get_class
 from repro.core.formulation import build_formulation
 from repro.perf import PERF
+from tests.core.formulation_oracle import build_formulation_loops
 
 
 def assert_formulations_equivalent(legacy, vectorized):
@@ -55,15 +56,15 @@ def assert_formulations_equivalent(legacy, vectorized):
 @pytest.mark.parametrize("class_name", FIGURE1_CLASSES)
 def test_vectorized_matches_legacy(web_problem, class_name):
     props = get_class(class_name).properties
-    legacy = build_formulation(web_problem, props, assembly="legacy")
-    vectorized = build_formulation(web_problem, props, assembly="vectorized")
+    legacy = build_formulation_loops(web_problem, props)
+    vectorized = build_formulation(web_problem, props)
     assert_formulations_equivalent(legacy, vectorized)
 
 
 def test_vectorized_matches_legacy_group_workload(group_problem):
     props = get_class("cooperative-caching").properties
-    legacy = build_formulation(group_problem, props, assembly="legacy")
-    vectorized = build_formulation(group_problem, props, assembly="vectorized")
+    legacy = build_formulation_loops(group_problem, props)
+    vectorized = build_formulation(group_problem, props)
     assert_formulations_equivalent(legacy, vectorized)
 
 
@@ -75,23 +76,15 @@ def test_vectorized_matches_legacy_with_initial_placement(web_problem):
     problem = dataclasses.replace(web_problem, initial_placement=initial)
     for class_name in ["general", "caching"]:
         props = get_class(class_name).properties
-        legacy = build_formulation(problem, props, assembly="legacy")
-        vectorized = build_formulation(problem, props, assembly="vectorized")
+        legacy = build_formulation_loops(problem, props)
+        vectorized = build_formulation(problem, props)
         assert_formulations_equivalent(legacy, vectorized)
 
 
-def test_unknown_assembly_mode_rejected(web_problem):
-    with pytest.raises(ValueError, match="assembly"):
-        build_formulation(web_problem, None, assembly="mystery")
-
-
 def test_build_counters(web_problem):
-    before_v = PERF.get("form.build.vectorized")
-    before_l = PERF.get("form.build.legacy")
+    before = PERF.get("form.build.vectorized")
     build_formulation(web_problem, None)
-    build_formulation(web_problem, None, assembly="legacy")
-    assert PERF.get("form.build.vectorized") == before_v + 1
-    assert PERF.get("form.build.legacy") == before_l + 1
+    assert PERF.get("form.build.vectorized") == before + 1
 
 
 def test_retarget_reuses_assembly(web_problem):

@@ -169,7 +169,7 @@ def test_unknown_backend_is_rejected_before_any_work(harness):
     from repro.perf import PERF
 
     def build_counts():
-        return PERF.get("form.build.vectorized") + PERF.get("form.build.legacy")
+        return PERF.get("form.build.vectorized")
 
     builds0, admitted0 = build_counts(), harness.service.admission.admitted
     for name in ("simplex", "bogus"):

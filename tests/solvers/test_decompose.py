@@ -41,24 +41,35 @@ def _problem(fig2, scope, fraction=0.9, **kwargs):
     )
 
 
-@pytest.mark.parametrize(
-    "scope",
-    [GoalScope.PER_OBJECT, GoalScope.PER_USER_OBJECT, GoalScope.PER_USER, GoalScope.OVERALL],
-)
+#: The monolithic ``auto`` LP bound of each scope on ``fig2_instance`` (the
+#: general class at 90 %).  Aggregating scopes are solved by the monolith
+#: itself; separable ones must sum to the same bound.
+PINNED_LP_COST = {
+    GoalScope.PER_OBJECT: 53.575,
+    GoalScope.PER_USER_OBJECT: 67.9375,
+    GoalScope.PER_USER: 43.97222222222223,
+    GoalScope.OVERALL: 30.57,
+}
+
+
+@pytest.mark.parametrize("scope", list(PINNED_LP_COST))
 def test_decomposed_matches_monolith(fig2_instance, scope):
     problem = _problem(fig2_instance, scope)
+    pinned = PINNED_LP_COST[scope]
     reference = compute_lower_bound(problem, backend="auto", do_rounding=False)
     decomposed = compute_lower_bound(problem, backend="decomposed", do_rounding=False)
+    assert reference.lp_cost == pytest.approx(pinned, rel=1e-9)
     assert decomposed.feasible == reference.feasible
-    assert decomposed.backend_used == "decomposed"
-    assert decomposed.lp_cost == pytest.approx(reference.lp_cost, rel=1e-6)
-    info = decomposed.extras["decomposition"]
-    expected_mode = (
-        "separable"
-        if scope in (GoalScope.PER_OBJECT, GoalScope.PER_USER_OBJECT)
-        else "dantzig-wolfe"
-    )
-    assert info["mode"] == expected_mode
+    assert decomposed.lp_cost == pytest.approx(pinned, rel=1e-9)
+    if scope in (GoalScope.PER_USER, GoalScope.OVERALL):
+        reason = decomposed.extras["decomposition_fallback"]
+        assert scope.value in reason and "aggregates objects" in reason
+        structured = compute_lower_bound(problem, backend="structure", do_rounding=False)
+        assert structured.backend_used != "decomposed"
+        assert structured.lp_cost == pytest.approx(pinned, rel=1e-9)
+    else:
+        assert decomposed.backend_used == "decomposed"
+        assert decomposed.extras["decomposition"]["mode"] == "separable"
 
 
 def test_separable_rounding_is_feasible_and_bounded(fig2_instance):
@@ -95,7 +106,7 @@ def test_zero_demand(fig2_instance):
     problem = MCPerfProblem(
         topology=topo,
         demand=DemandMatrix(reads=np.zeros((10, 2, 4))),
-        goal=QoSGoal(tlat_ms=150.0, fraction=0.9),
+        goal=QoSGoal(tlat_ms=150.0, fraction=0.9, scope=GoalScope.PER_OBJECT),
         costs=CostModel.paper_defaults(),
     )
     decomposed = solve_decomposed(problem)
@@ -105,7 +116,7 @@ def test_zero_demand(fig2_instance):
 
 
 def test_applicability_gates(fig2_instance):
-    problem = _problem(fig2_instance, GoalScope.PER_USER)
+    problem = _problem(fig2_instance, GoalScope.PER_OBJECT)
     assert decomposition_applicable(problem)[0]
     ok, reason = decomposition_applicable(
         problem, HeuristicProperties(storage_constraint=StorageConstraint.PER_NODE)
@@ -116,7 +127,7 @@ def test_applicability_gates(fig2_instance):
     )
     assert not ok and "replica" in reason
     zeta = _problem(
-        fig2_instance, GoalScope.PER_USER, costs=CostModel.paper_defaults().with_zeta(100.0)
+        fig2_instance, GoalScope.PER_OBJECT, costs=CostModel.paper_defaults().with_zeta(100.0)
     )
     ok, reason = decomposition_applicable(zeta)
     assert not ok and "opening" in reason
@@ -141,13 +152,17 @@ def test_full_audit_attaches_backend_differential(fig2_instance):
 
 
 def test_constrained_classes_still_match_when_separable(fig2_instance):
-    # Knowledge/routing fixings are per-object, so decomposition still applies.
+    # Know/Hist/React fixings and a per-object replica count stay inside one
+    # object, so these classes still split (caching-style classes carry a
+    # storage constraint and fall back).
     from repro.core.classes import get_class
 
-    props = get_class("caching").properties
-    problem = _problem(fig2_instance, GoalScope.PER_USER)
-    reference = compute_lower_bound(problem, props, backend="auto", do_rounding=False)
-    decomposed = solve_decomposed(problem, props, do_rounding=False)
-    assert decomposed.feasible == reference.feasible
-    if reference.feasible:
-        assert decomposed.lp_cost == pytest.approx(reference.lp_cost, rel=1e-6)
+    problem = _problem(fig2_instance, GoalScope.PER_OBJECT)
+    for name in ("reactive", "replica-constrained-per-object"):
+        props = get_class(name).properties
+        reference = compute_lower_bound(problem, props, backend="auto", do_rounding=False)
+        decomposed = solve_decomposed(problem, props, do_rounding=False)
+        assert decomposed.extras["decomposition"]["mode"] == "separable", name
+        assert decomposed.feasible == reference.feasible
+        if reference.feasible:
+            assert decomposed.lp_cost == pytest.approx(reference.lp_cost, rel=1e-6)

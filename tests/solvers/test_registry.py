@@ -108,10 +108,14 @@ def test_select_backend_picks_tree_dp_on_trees():
 
 
 def test_select_backend_prefers_decomposition_only_when_large(monkeypatch):
-    problem = _problem(as_level_topology(8, seed=1), fraction=0.9)
-    assert select_backend(problem) == BACKEND_AUTO  # small: monolith wins
+    topo = as_level_topology(8, seed=1)
+    per_object = _problem(topo, fraction=0.9, scope=GoalScope.PER_OBJECT)
+    assert select_backend(per_object) == BACKEND_AUTO  # small: monolith wins
     monkeypatch.setattr(registry, "DECOMPOSITION_MIN_VARIABLES", 1)
-    assert select_backend(problem) == BACKEND_DECOMPOSED
+    assert select_backend(per_object) == BACKEND_DECOMPOSED
+    # Aggregating scopes never split, however large.
+    for scope in (GoalScope.PER_USER, GoalScope.OVERALL):
+        assert select_backend(_problem(topo, fraction=0.9, scope=scope)) == BACKEND_AUTO
 
 
 def test_structure_backend_routes_through_compute_lower_bound():
