@@ -20,8 +20,11 @@ The store-cell mask: the storer can serve a demander of the object
 (``useful``), creation was permitted at or before the interval
 (``possible``), and, under a QoS goal, the interval lies in the (storer,
 object) demand window of
-:func:`~repro.core.formulation.compute_store_window`.  Cells dropped by the
-window are counted as ``form.store.pruned``.
+:func:`~repro.core.formulation.compute_store_window`, and the pair is not
+dominated (:func:`~repro.core.formulation.compute_dominated_storers`, in
+the QoS classes without storage constraint, node opening or creation
+mask).  Cells dropped by the window are counted as ``form.store.pruned``;
+in-window cells of dominated pairs as ``form.store.dominated``.
 
 Cell ordering invariants (inherited from the row-at-a-time loops):
 
@@ -63,6 +66,7 @@ def build_formulation_vectorized(
     from repro.core.formulation import (
         Formulation,
         compute_allowed_create,
+        compute_dominated_storers,
         compute_store_window,
     )
 
@@ -119,6 +123,11 @@ def build_formulation_vectorized(
         in_window = compute_store_window(inst, allowed)[:, :, read_active].transpose(2, 0, 1)
         PERF.count("form.store.pruned", int((store_mask & ~in_window).sum()))
         store_mask = store_mask & in_window
+        dominated = compute_dominated_storers(inst, props, allowed, use_open)
+        if dominated is not None:
+            drop = dominated[:, read_active].T[:, :, None]
+            PERF.count("form.store.dominated", int((store_mask & drop).sum()))
+            store_mask = store_mask & ~drop
     if allowed is not None:
         create_mask = store_mask & allowed[:, :, read_active].transpose(2, 0, 1)
     else:

@@ -27,6 +27,10 @@ variables exist only for demand cells not already covered by the origin.
 Under a QoS goal a storer's store/create chain for object k further spans
 only its demand window (:func:`compute_store_window`): from the last
 permitted creation at or before its first coverable read to its last one.
+In the classes where nothing ties a storer's cells to that storer (no
+storage constraint, node opening or creation mask), a storer whose covering
+set for k another storer contains gets no chain for k at all
+(:func:`compute_dominated_storers`).
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.core.problem import MCPerfProblem, PlacementInstance
-from repro.core.properties import HeuristicProperties
+from repro.core.properties import HeuristicProperties, StorageConstraint
 from repro.lp.model import LinearProgram
 from repro.perf import PERF
 
@@ -253,6 +257,57 @@ def compute_store_window(
         first = np.where(instance.initial_store > 0, 0, first)
     window = (steps >= first[:, None, :]) & (steps <= last[:, None, :])
     return window & use.any(axis=1)[:, None, :]
+
+
+def compute_dominated_storers(
+    instance: PlacementInstance,
+    props: HeuristicProperties,
+    allowed: Optional[np.ndarray],
+    use_open: bool,
+) -> Optional[np.ndarray]:
+    """The (Ns, K) mask of (storer, object) pairs whose chain is never built.
+
+    ``D_k(n)`` is the set of demanders with a goal read of k that storer n
+    reaches and the origin does not cover.  Storer c dominates a for k
+    when ``D_k(a) ⊆ D_k(c)`` and a holds no initial replica of k that c
+    lacks; among pairs alike in both, the lower index dominates.  That
+    order is strict, so every dominated pair has an undominated dominator,
+    and a pair is dropped when any storer dominates it.
+
+    Under a QoS goal with no storage constraint, no node-opening
+    variables and no creation mask, moving a's chain into c as
+    ``min(1, s_c + s_a)`` (and ``min(1, create_c + create_a)``) keeps
+    every cover row (c reaches every demander a did, in every interval of
+    a's demand window), only loosens the rc rows, and costs no more:
+    alpha + delta*writes is the same at every storer and the positive
+    variation of ``min(1, x + y)`` is at most the sum of the two.  It
+    keeps integral points integral, so the LP bound and the integral
+    optimum are both unchanged.  Returns None for any other class, whose
+    sc/open rows or creation mask tie a storer's cells to that storer.
+    """
+    if (
+        props.storage_constraint is not StorageConstraint.NONE
+        or use_open
+        or allowed is not None
+    ):
+        return None
+    reads = instance.qos_reads()
+    demand = (reads.sum(axis=1) > 0) & (instance.origin_covers == 0)[:, None]  # (Nd, K)
+    reach = instance.reach.astype(np.float64)  # (Nd, Ns)
+    # shared[k, a, c] = |D_k(a) ∩ D_k(c)|, exact in float64.
+    shared = (demand.T[:, None, :] * reach.T[None, :, :]) @ reach
+    size = np.diagonal(shared, axis1=1, axis2=2)  # (K, Ns): |D_k(n)|
+    covers = shared == size[:, :, None]  # covers[k, a, c]: D_k(a) ⊆ D_k(c)
+    ns_count = instance.num_storers
+    if instance.initial_store is not None:
+        held = (instance.initial_store > 0).T  # (K, Ns)
+    else:
+        held = np.zeros((reads.shape[2], ns_count), dtype=bool)
+    held_a, held_c = held[:, :, None], held[:, None, :]
+    alike = covers & covers.transpose(0, 2, 1) & (held_a == held_c)
+    lower = np.arange(ns_count)[None, :, None] > np.arange(ns_count)[None, None, :]
+    beaten = covers & (held_a <= held_c) & (~alike | lower)
+    return beaten.any(axis=2).T
 
 
 def build_formulation(

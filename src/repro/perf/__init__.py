@@ -34,6 +34,7 @@ Counter names in use across the tree::
     form.build.vectorized  build_formulation() calls (its time: timer form.build)
     form.retarget         set_qos_fraction() RHS-only re-target
     form.store.pruned     store cells dropped outside their (storer, object) demand window
+    form.store.dominated  in-window store cells of dominated (storer, object) pairs, dropped
     round.iterative.fix   LP-guided rounding fixings (== re-solves)
     audit.lp.rows         LP rows audit_lp_solution checked (its time: timer audit.lp)
     audit.lp.dual         timer: the full audit's weak-duality check (inside audit.lp)

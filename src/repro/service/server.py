@@ -68,6 +68,7 @@ from repro.core.classes import STANDARD_CLASSES, get_class
 from repro.core.costs import CostModel
 from repro.core.goals import GoalScope, QoSGoal
 from repro.core.problem import MCPerfProblem
+from repro.core.properties import Knowledge
 from repro.perf import PERF
 from repro.runner.digest import digest_of
 from repro.service.admission import AdmissionQueue, QueueFullError
@@ -472,6 +473,7 @@ class PlacementService:
     ):
         from repro.runner.tasks import BoundTask
 
+        properties = klass.properties
         if approx:
             # Brownout approximation: one demand interval (coarsest
             # resolution) and the structure backend, which picks one of
@@ -480,6 +482,17 @@ class PlacementService:
             # or the monolithic LP.  This service's per-user scope never
             # splits, so only the first and last apply here.
             backend = BACKEND_STRUCTURE
+            # One interval has no earlier activity, so a reactive class
+            # could create nothing there.  Without Know/Hist/React the
+            # answer stays below the exact one: any exact placement,
+            # stored once wherever it is ever stored, is feasible at one
+            # interval and costs no more.
+            properties = dataclasses.replace(
+                properties,
+                knowledge=Knowledge.GLOBAL,
+                history_window=None,
+                reactive=False,
+            )
         intervals = 1 if approx else self.bound_intervals
         trace = self.daemon._traces[epoch]
         demand = DemandMatrix.from_trace(trace, num_intervals=intervals)
@@ -498,7 +511,7 @@ class PlacementService:
         label = f"service:{klass.name}@{epoch}"
         return BoundTask(
             problem=problem,
-            properties=klass.properties,
+            properties=properties,
             backend=backend,
             label=label + "+approx" if approx else label,
         )

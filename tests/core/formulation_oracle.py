@@ -19,6 +19,7 @@ from repro.core.assembly import _build_average_latency
 from repro.core.formulation import (
     Formulation,
     compute_allowed_create,
+    compute_dominated_storers,
     compute_store_window,
 )
 from repro.core.goals import AverageLatencyGoal, QoSGoal, scope_key
@@ -73,7 +74,14 @@ def build_formulation_loops(
     # QoS goals keep only each (storer, object)'s demand window; the
     # average-latency routing rows (7)-(10) keep every cell.
     window = compute_store_window(inst, allowed) if isinstance(goal, QoSGoal) else None
+    # ... and, where no row ties a storer's cells to it, no dominated pair.
+    dominated = (
+        compute_dominated_storers(inst, props, allowed, use_open)
+        if isinstance(goal, QoSGoal)
+        else None
+    )
     pruned = 0
+    dropped = 0
 
     sc = props.storage_constraint
     rc = props.replica_constraint
@@ -103,6 +111,9 @@ def build_formulation_loops(
                 if window is not None and not window[ns, i, k]:
                     pruned += 1
                     continue
+                if dominated is not None and dominated[ns, k]:
+                    dropped += 1
+                    continue
                 obj_coeff = store_alpha + costs.delta * writes_per_ik[i, k]
                 store_idx[ns, i, k] = lp.var(
                     f"store[n{ns},i{i},k{k}]", upper=1.0, obj=obj_coeff
@@ -113,6 +124,8 @@ def build_formulation_loops(
                     ).index
     if window is not None:
         PERF.count("form.store.pruned", pruned)
+    if dominated is not None:
+        PERF.count("form.store.dominated", dropped)
 
     # --- create coupling (3)/(4) --------------------------------------------
     init = inst.initial_store
