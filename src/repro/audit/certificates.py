@@ -112,8 +112,7 @@ def check_solution(model: LinearProgram, values, tol: float = 1e-6) -> Validatio
             f"value vector has length {len(values)}, model has {model.num_variables} variables"
         )
     x = np.asarray(values, dtype=np.float64)
-    model.to_arrays()
-    cache = model._arrays
+    cache = model.assembled()
     violations: List[Violation] = [
         Violation("non-finite", model.variables[j].name, float("inf"))
         for j in np.flatnonzero(~np.isfinite(x)).tolist()

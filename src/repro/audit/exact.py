@@ -152,8 +152,7 @@ def _check_float(report, model, solution, x, tol, max_reported) -> None:
     come from :meth:`~repro.lp.model.LinearProgram.row_activities`.  Names
     are looked up only for flagged entries.
     """
-    model.to_arrays()
-    cache = model._arrays
+    cache = model.assembled()
 
     report.ran("var-bound")
     lb, ub = cache.lb, cache.ub

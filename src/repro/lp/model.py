@@ -38,6 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.lp.expr import ConstraintSpec, LinExpr
+from repro.lp.scipy_backend import highs_core
 from repro.lp.solution import LPSolution
 from repro.perf import PERF
 
@@ -297,29 +298,37 @@ class ConstraintList:
 class _ArrayCache:
     """Assembled solver arrays plus the row map the patch API needs.
 
-    ``row_pos[r]`` is constraint ``r``'s row within its matrix (``a_eq`` when
-    ``row_is_eq[r]`` else ``a_ub``); ``row_flip[r]`` marks ``>=`` rows that
-    were negated into ``<=`` form, so an RHS patch knows to store ``-rhs``.
+    The rows are one CSR triple ``indptr``/``indices``/``data`` in HiGHS's
+    row order: the ``n_ub`` rows of the ``<=`` block (``>=`` rows negated
+    into it), then the ``==`` block, each in model order.  ``b_ub``/``b_eq``
+    are the two blocks' right-hand sides (None for an empty block).
+    ``row_pos[r]`` is constraint ``r``'s row within its block (``==`` when
+    ``row_is_eq[r]``); ``row_flip[r]`` marks ``>=`` rows that were negated
+    into ``<=`` form, so an RHS patch knows to store ``-rhs``.
 
-    Besides the scipy-shaped split matrices, the cache keeps dense bound
-    arrays ``lb``/``ub`` (``+inf`` for unbounded), which HiGHS and the
-    fast audit read.  The patch API keeps every view in sync, so a warm
-    re-solve sees every ``set_rhs``/``set_bound``/``fix_var`` without any
-    reassembly.
+    The cache also keeps dense bound arrays ``lb``/``ub`` (``+inf`` for
+    unbounded), which HiGHS and the fast audit read.  The patch API keeps
+    every view in sync, so a warm re-solve sees every
+    ``set_rhs``/``set_bound``/``fix_var`` without any reassembly.  The
+    scipy-shaped split matrices :meth:`LinearProgram.to_arrays` returns are
+    built from the rows on its first call and kept in ``matrices``; no patch
+    touches a matrix entry.
     """
 
     __slots__ = (
-        "c", "bounds", "a_ub", "b_ub", "a_eq", "b_eq",
-        "row_pos", "row_is_eq", "row_flip", "nvars", "nrows", "lb", "ub",
+        "c", "bounds", "indptr", "indices", "data", "n_ub", "b_ub", "b_eq",
+        "row_pos", "row_is_eq", "row_flip", "nvars", "nrows", "lb", "ub", "matrices",
     )
 
-    def __init__(self, c, bounds, a_ub, b_ub, a_eq, b_eq, row_pos, row_is_eq,
-                 row_flip, lb, ub):
+    def __init__(self, c, bounds, indptr, indices, data, n_ub, b_ub, b_eq, row_pos,
+                 row_is_eq, row_flip, lb, ub):
         self.c = c
         self.bounds = bounds
-        self.a_ub = a_ub
+        self.indptr = indptr
+        self.indices = indices
+        self.data = data
+        self.n_ub = n_ub
         self.b_ub = b_ub
-        self.a_eq = a_eq
         self.b_eq = b_eq
         self.row_pos = row_pos
         self.row_is_eq = row_is_eq
@@ -328,6 +337,29 @@ class _ArrayCache:
         self.ub = ub
         self.nvars = len(bounds)
         self.nrows = len(row_pos)
+        self.matrices = None
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of each stored entry (the CSR rows expanded)."""
+        return np.repeat(np.arange(self.nrows), np.diff(self.indptr))
+
+    def split_matrices(self):
+        """``(A_ub, A_eq)`` as ``scipy.sparse.csr_matrix`` (None for an empty block)."""
+        from scipy import sparse
+
+        n, n_ub = self.nvars, self.n_ub
+        cut = int(self.indptr[n_ub])
+        a_ub = a_eq = None
+        if n_ub:
+            a_ub = sparse.csr_matrix(
+                (self.data[:cut], self.indices[:cut], self.indptr[: n_ub + 1]), shape=(n_ub, n)
+            )
+        if self.nrows > n_ub:
+            a_eq = sparse.csr_matrix(
+                (self.data[cut:], self.indices[cut:], self.indptr[n_ub:] - cut),
+                shape=(self.nrows - n_ub, n),
+            )
+        return a_ub, a_eq
 
 
 @dataclass
@@ -627,8 +659,6 @@ class LinearProgram:
         contribute their flat CSR arrays directly, so assembly cost scales
         with nnz, not with Python-level row objects.
         """
-        from scipy import sparse
-
         n = len(self.variables)
         c = np.fromiter((v.objective for v in self.variables), dtype=np.float64, count=n)
         bounds: List[Tuple[float, Optional[float]]] = [
@@ -640,7 +670,7 @@ class LinearProgram:
             dtype=np.float64,
             count=n,
         )
-        lengths, sense_codes, rhs_all, flat_idx, flat_cf = self.constraints.columnar()
+        lengths, sense_codes, rhs, indices, data = self.constraints.columnar()
         row_is_eq = sense_codes == _SENSE_CODE[Sense.EQ]
         row_flip = sense_codes == _SENSE_CODE[Sense.GE]
         row_pos = np.where(
@@ -648,55 +678,33 @@ class LinearProgram:
             np.cumsum(row_is_eq) - 1,
             np.cumsum(~row_is_eq) - 1,
         ).astype(np.int64)
-
-        def build(lens, col, data, rhs, flip):
-            if not len(lens):
-                return None, None
-            if flip is not None and flip.any():
-                data = np.where(np.repeat(flip, lens), -data, data)
-                rhs = np.where(flip, -rhs, rhs)
-            indptr = np.zeros(len(lens) + 1, dtype=np.int64)
-            np.cumsum(lens, out=indptr[1:])
-            mat = sparse.csr_matrix((data, col, indptr), shape=(len(lens), n))
-            return mat, rhs
-
-        if not row_is_eq.any():
-            # Common case (MC-PERF has no equality rows): no boolean split.
-            a_ub, b_ub = build(lengths, flat_idx, flat_cf, rhs_all, row_flip)
-            a_eq, b_eq = None, None
-        elif row_is_eq.all():
-            a_ub, b_ub = None, None
-            a_eq, b_eq = build(lengths, flat_idx, flat_cf, rhs_all, None)
-        else:
+        if row_flip.any():
+            data = np.where(np.repeat(row_flip, lengths), -data, data)
+            rhs = np.where(row_flip, -rhs, rhs)
+        n_ub = len(lengths) - int(np.count_nonzero(row_is_eq))
+        if 0 < n_ub < len(lengths):
+            # Stack the <= block over the == block.  MC-PERF has no equality
+            # rows, so the common case skips this split.
             nnz_eq = np.repeat(row_is_eq, lengths)
-            a_ub, b_ub = build(
-                lengths[~row_is_eq],
-                flat_idx[~nnz_eq],
-                flat_cf[~nnz_eq],
-                rhs_all[~row_is_eq],
-                row_flip[~row_is_eq],
-            )
-            a_eq, b_eq = build(
-                lengths[row_is_eq],
-                flat_idx[nnz_eq],
-                flat_cf[nnz_eq],
-                rhs_all[row_is_eq],
-                None,
-            )
+            lengths = np.concatenate([lengths[~row_is_eq], lengths[row_is_eq]])
+            indices = np.concatenate([indices[~nnz_eq], indices[nnz_eq]])
+            data = np.concatenate([data[~nnz_eq], data[nnz_eq]])
+            rhs = np.concatenate([rhs[~row_is_eq], rhs[row_is_eq]])
+        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=indptr[1:])
         return _ArrayCache(
-            c, bounds, a_ub, b_ub, a_eq, b_eq, row_pos, row_is_eq, row_flip, lb, ub,
+            c, bounds, indptr, indices, data, n_ub,
+            rhs[:n_ub] if n_ub else None,
+            rhs[n_ub:] if n_ub < len(lengths) else None,
+            row_pos, row_is_eq, row_flip, lb, ub,
         )
 
-    def to_arrays(self):
-        """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` as scipy-ready data.
+    def assembled(self) -> _ArrayCache:
+        """The assembled arrays, built on first use and cached on the model.
 
-        ``A_ub``/``A_eq`` are ``scipy.sparse.csr_matrix`` (or None when there
-        are no rows of that kind); ``>=`` rows are negated into ``<=`` form.
-
-        The assembled arrays are cached on the model: structural edits (new
-        variables/rows) invalidate the cache, numeric edits via the patch
-        API update it in place, so repeated ``solve()`` calls skip assembly.
-        Callers must not mutate the returned arrays directly.
+        Structural edits (new variables/rows) invalidate the cache, numeric
+        edits via the patch API update it in place, so repeated ``solve()``
+        calls skip assembly.  Callers must not mutate the arrays.
         """
         cache = self._arrays
         if (
@@ -710,7 +718,23 @@ class LinearProgram:
                 cache = self._assemble()
             self._arrays = cache
             PERF.count("lp.assembly.rebuild")
-        return cache.c, cache.a_ub, cache.b_ub, cache.a_eq, cache.b_eq, cache.bounds
+        return cache
+
+    def to_arrays(self):
+        """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` as scipy-ready data.
+
+        ``A_ub``/``A_eq`` are ``scipy.sparse.csr_matrix`` (or None when there
+        are no rows of that kind); ``>=`` rows are negated into ``<=`` form.
+        This is the export for scipy's own solvers: the matrices are built
+        from :meth:`assembled`'s rows on the first call and kept with them,
+        and the solver and audits read :meth:`assembled` without importing
+        ``scipy.sparse``.  Callers must not mutate the returned arrays.
+        """
+        cache = self.assembled()
+        if cache.matrices is None:
+            cache.matrices = cache.split_matrices()
+        a_ub, a_eq = cache.matrices
+        return cache.c, a_ub, cache.b_ub, a_eq, cache.b_eq, cache.bounds
 
     # -- solving -----------------------------------------------------------
 
@@ -721,6 +745,9 @@ class LinearProgram:
         ``"auto"`` (default) and ``"scipy"`` both solve with HiGHS.
         """
         PERF.count("lp.solve")
+        # The first solve in a process loads HiGHS, timed on its own
+        # (lp.highs.load) rather than as solve work.
+        highs_core()
         with PERF.timer("lp.solve"):
             return self._solve(backend, **kwargs)
 
@@ -732,9 +759,9 @@ class LinearProgram:
     def __getstate__(self):
         """Drop the HiGHS instance on pickle/deepcopy.
 
-        It holds a factor; the assembled arrays travel (they are plain
-        numpy/scipy data), and the next solve in the new process starts
-        cold.
+        It holds a factor; the assembled arrays travel (plain numpy data,
+        plus the scipy matrices if :meth:`to_arrays` built them), and the
+        next solve in the new process starts cold.
         """
         state = self.__dict__.copy()
         state["_highs"] = None

@@ -8,8 +8,18 @@ DESIGN.md.
 The model is handed to HiGHS exactly as ``scipy.optimize.linprog(method=
 "highs")`` would hand it — same matrix, row order, bounds and options — but
 through ``scipy.optimize._highspy._core`` directly, because ``linprog``
-neither returns the optimal basis nor keeps its HiGHS instance.  This backend
-keeps both:
+neither returns the optimal basis nor keeps its HiGHS instance.
+
+Only that one extension is loaded (:func:`highs_core`), once per process and
+on the first solve: importing ``scipy.optimize`` to reach it, and
+``scipy.sparse`` to build its matrix, would load about 500 modules and
+40 MB that no solve uses.  The extension is registered
+under its package name, so a later ``import scipy.optimize`` reuses it.  The
+column-wise matrix HiGHS takes is built from the model's assembled CSR rows
+with NumPy, entry for entry what ``scipy.sparse.csc_array`` would give, so
+no solve imports ``scipy.sparse`` either.
+
+This backend keeps the basis and the instance:
 
 * The ``_Highs`` instance stays on the model (``model._highs``) after an
   optimal solve.  A re-solve of the same assembled arrays pushes only the
@@ -33,6 +43,11 @@ touches the private bindings.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
+import threading
 
 import numpy as np
 
@@ -44,6 +59,61 @@ from repro.perf import PERF
 #: "optimal" point violating a bound or row by more is reported as an error.
 _CHECK_TOL = float(np.sqrt(1e-9) * 10)
 
+#: The HiGHS bindings' module name inside scipy (scipy >= 1.15).
+_CORE_NAME = "scipy.optimize._highspy._core"
+#: The service solves on several threads; the first to solve loads the
+#: extension, the others wait for it.
+_LOAD_LOCK = threading.Lock()
+_CORE = None
+
+
+def highs_core():
+    """The HiGHS bindings, loaded once per process without ``scipy.optimize``.
+
+    The ``_core`` extension is found in scipy's ``optimize/_highspy``
+    directory and registered in ``sys.modules`` under its package name, so
+    a later ``import scipy.optimize`` finds it there instead of
+    initializing it twice.  The load is timed as ``lp.highs.load``.
+    """
+    global _CORE
+    if _CORE is None:
+        with _LOAD_LOCK:
+            if _CORE is None:
+                with PERF.timer("lp.highs.load"):
+                    _CORE = sys.modules.get(_CORE_NAME) or _load_core()
+    return _CORE
+
+
+def _load_core():
+    import scipy
+
+    directory = os.path.join(scipy.__path__[0], "optimize", "_highspy")
+    found = importlib.machinery.PathFinder.find_spec("_core", [directory])
+    if found is None:
+        raise ImportError(f"HiGHS bindings not found: no _core extension in {directory}")
+    spec = importlib.util.spec_from_file_location(_CORE_NAME, found.origin)
+    core = importlib.util.module_from_spec(spec)
+    sys.modules[_CORE_NAME] = core
+    try:
+        spec.loader.exec_module(core)
+    except BaseException:
+        del sys.modules[_CORE_NAME]
+        raise
+    return core
+
+
+def _colwise(cache):
+    """The cache's rows as HiGHS's column-wise ``(start, index, value)``.
+
+    A stable sort of the row-major entries by column keeps each column's
+    entries in row order, and a row's repeated column in entry order — what
+    ``scipy.sparse.csc_array`` makes of the same rows, entry for entry.
+    """
+    order = np.argsort(cache.indices, kind="stable")
+    start = np.zeros(cache.nvars + 1, dtype=np.int64)
+    np.cumsum(np.bincount(cache.indices, minlength=cache.nvars), out=start[1:])
+    return start, cache.entry_rows()[order], cache.data[order]
+
 
 class _HighsRun:
     """A HiGHS instance plus the costs, bounds and rows it was last given.
@@ -53,31 +123,22 @@ class _HighsRun:
     copies are what a re-solve diffs the patched cache against.
     """
 
-    __slots__ = ("highs", "accepted", "cache", "options", "n_ub", "a", "c", "lb", "ub", "rhs")
+    __slots__ = ("highs", "accepted", "cache", "options", "c", "lb", "ub", "rhs")
 
     def __init__(self, h, cache, options):
-        from scipy import sparse
-
         self.cache, self.options = cache, options
-        self.n_ub = 0 if cache.b_ub is None else len(cache.b_ub)
         self._remember(cache)
-        n, m = cache.nvars, len(self.rhs)
-        blocks = [a for a in (cache.a_ub, cache.a_eq) if a is not None]
-        a = sparse.csc_array(sparse.vstack(blocks)) if blocks else sparse.csc_array((0, n))
-        # Kept for the post-solve row check; the patch API never edits it.
-        self.a = a
+        n, m = cache.nvars, cache.nrows
         lp = h.HighsLp()
         lp.num_col_ = lp.a_matrix_.num_col_ = n
         lp.num_row_ = lp.a_matrix_.num_row_ = m
         lp.a_matrix_.format_ = h.MatrixFormat.kColwise
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = cache.c, cache.lb, cache.ub
         # HiGHS sees rows as lhs <= A x <= rhs: the <= block (>= rows
-        # negated by to_arrays) over the == block, as linprog stacks them.
-        lp.row_lower_ = np.concatenate([np.full(self.n_ub, -np.inf), self.rhs[self.n_ub:]])
+        # negated by the assembly) over the == block, as linprog stacks them.
+        lp.row_lower_ = np.concatenate([np.full(cache.n_ub, -np.inf), self.rhs[cache.n_ub:]])
         lp.row_upper_ = self.rhs
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = (
-            a.indptr, a.indices, a.data
-        )
+        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(cache)
         self.highs = h._Highs()
         settings = {
             "presolve": "on",
@@ -105,7 +166,7 @@ class _HighsRun:
         self._remember(cache)
         for i in np.flatnonzero(self.rhs != old_rhs).tolist():
             rhs = self.rhs[i]
-            highs.changeRowBounds(i, -np.inf if i < self.n_ub else rhs, rhs)
+            highs.changeRowBounds(i, -np.inf if i < cache.n_ub else rhs, rhs)
         if len(changed_b):
             highs.changeColsBounds(
                 len(changed_b), changed_b.astype(np.int32), cache.lb[changed_b],
@@ -135,7 +196,7 @@ class _HighsRun:
         row_basic[self.highs_row()] = basis.statuses[basis.nvars:] == BASIC
         # A nonbasic row sits at its only finite bound: the upper one for
         # the <= block, either for == rows.
-        in_ub = np.arange(basis.nrows) < self.n_ub
+        in_ub = np.arange(basis.nrows) < self.cache.n_ub
         highs_basis = h.HighsBasis()
         highs_basis.col_status = theirs[basis.statuses[: basis.nvars]].tolist()
         highs_basis.row_status = theirs[
@@ -147,11 +208,11 @@ class _HighsRun:
     def highs_row(self) -> np.ndarray:
         """HiGHS row of each model row: row i sits at row_pos[i] of its block."""
         cache = self.cache
-        return np.where(cache.row_is_eq, self.n_ub + cache.row_pos, cache.row_pos)
+        return np.where(cache.row_is_eq, cache.n_ub + cache.row_pos, cache.row_pos)
 
     def solve(self, h) -> LPSolution:
         """Run HiGHS and read the outcome back in model terms."""
-        cache, highs, n_ub = self.cache, self.highs, self.n_ub
+        cache, highs, n_ub = self.cache, self.highs, self.cache.n_ub
         model_status = h.HighsModelStatus.kModelError
         if self.accepted:
             highs.run()
@@ -172,8 +233,13 @@ class _HighsRun:
 
         solution = highs.getSolution()
         values = np.array(solution.col_value, dtype=float)
-        # Checked against the model's own matrix, not HiGHS's row values.
-        slack = self.rhs - self.a @ values
+        # Checked against the model's own rows, not HiGHS's row values; the
+        # patch API never edits a matrix entry.
+        activity = np.bincount(
+            cache.entry_rows(), weights=cache.data * values[cache.indices],
+            minlength=cache.nrows,
+        )
+        slack = self.rhs - activity
         if not (
             np.all(values >= cache.lb - _CHECK_TOL)
             and np.all(values <= cache.ub + _CHECK_TOL)
@@ -246,9 +312,7 @@ class _HighsSnapshot:
 @functools.lru_cache(maxsize=None)
 def _status_codes() -> np.ndarray:
     """Our status code for each HiGHS ``HighsBasisStatus`` value (-1: none)."""
-    from scipy.optimize._highspy import _core as h
-
-    b = h.HighsBasisStatus
+    b = highs_core().HighsBasisStatus
     codes = np.full(max(map(int, b.__members__.values())) + 1, -1, dtype=np.int8)
     for theirs, ours in (
         (b.kLower, AT_LOWER), (b.kUpper, AT_UPPER), (b.kBasic, BASIC), (b.kZero, NB_FREE)
@@ -273,15 +337,13 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
         HiGHS options set on top of ``linprog``'s defaults, by their HiGHS
         names (e.g. ``presolve="off"``).
     """
-    # Imported on the first solve, not with the module: scipy.optimize is
-    # slow to load, and a process that solves no LP (a cache-served rerun,
-    # a trace replay) never pays for it.
-    from scipy.optimize._highspy import _core as h
+    # Loaded on the first solve, not with the module: a process that solves
+    # no LP (a cache-served rerun, a trace replay) never pays for it.
+    h = highs_core()
 
     from repro.solvers.registry import warm_starts_enabled
 
-    model.to_arrays()
-    cache = model._arrays
+    cache = model.assembled()
     run, model._highs = model._highs, None
     if cache.nvars == 0:
         return LPSolution(

@@ -21,8 +21,9 @@ directory, or stderr without one).
 
 Counter names in use across the tree::
 
-    lp.assembly.rebuild   to_arrays ran the full vectorized assembly
-    lp.assembly.reuse     to_arrays served the cached arrays
+    lp.assembly.rebuild   assembled() ran the full vectorized assembly
+    lp.assembly.reuse     assembled() served the cached arrays
+    lp.highs.load         timer: loading HiGHS's bindings, once per process (outside lp.solve)
     lp.patch.fix_var      fix_var() patched cached bounds in place
     lp.patch.bound        set_bound() patched cached bounds in place
     lp.patch.rhs          set_rhs() patched a cached RHS entry in place

@@ -10,6 +10,7 @@ in status and objective.
 import copy
 import dataclasses
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -346,3 +347,59 @@ def test_basisless_hint_solves_cold_without_degrading():
     cold = mixed_lp()
     cold.set_rhs(1, 3.0)
     assert sol.objective == pytest.approx(cold.solve(backend="scipy").objective, abs=1e-8)
+
+
+class _ShiftedHighs:
+    """A HiGHS instance whose optimal point is replaced by ``values``."""
+
+    def __init__(self, highs, values):
+        self._highs, self._values = highs, values
+
+    def __getattr__(self, name):
+        return getattr(self._highs, name)
+
+    def getSolution(self):
+        solution = self._highs.getSolution()
+        return SimpleNamespace(col_value=list(self._values), row_dual=solution.row_dual)
+
+
+@pytest.mark.parametrize(
+    "excess, breaks",
+    [
+        ((2.0, 0.0), True),   # the <= row only
+        ((0.0, 2.0), True),   # the == row only
+        ((2.0, 2.0), True),   # both
+        ((0.5, 0.5), False),  # both, within tolerance
+    ],
+)
+def test_post_solve_row_check_rejects_a_point_breaking_a_row(monkeypatch, excess, breaks):
+    """An "optimal" HiGHS point that breaks a row by more than the
+    tolerance is an error, checked against the model's own rows."""
+    from repro.lp import scipy_backend
+    from repro.lp.solution import SolveStatus
+
+    tol = scipy_backend._CHECK_TOL
+    le, eq = excess
+    lp = LinearProgram(name="row-check")
+    lp.var("x", upper=10.0, obj=1.0)
+    lp.var("y", upper=10.0, obj=1.0)
+    lp.add_row([0, 1], [1.0, 1.0], "<=", 4.0, name="le")
+    lp.add_row([0, 1], [1.0, -1.0], "==", 0.0, name="eq")
+    lp.add_row([0], [1.0], ">=", 1.0, name="ge")
+    # x - y = eq * tol and x + y = 4 + le * tol; both within the bounds.
+    point = np.array([2.0 + (le + eq) * tol / 2, 2.0 + (le - eq) * tol / 2])
+
+    init = scipy_backend._HighsRun.__init__
+
+    def shifted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.highs = _ShiftedHighs(self.highs, point)
+
+    monkeypatch.setattr(scipy_backend._HighsRun, "__init__", shifted_init)
+    sol = lp.solve(backend="scipy")
+    if breaks:
+        assert sol.status is SolveStatus.ERROR
+        assert sol.message == "HiGHS optimum violates the constraints beyond tolerance"
+        np.testing.assert_array_equal(sol.values, point)
+    else:
+        assert sol.status is SolveStatus.OPTIMAL
