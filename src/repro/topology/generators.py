@@ -6,13 +6,23 @@ AS topology: AS-level graphs are well modelled by preferential attachment
 plays the corporate-headquarters role.  The regular generators (star, line,
 ring, grid) exist for tests and controlled experiments where the reachability
 structure must be known exactly.
+
+The method only needs each topology's latency matrix, so the graphs here are
+plain adjacency dicts (node ``i``'s neighbours, in insertion order, mapped to
+link latencies) and the matrix is one heap-based Dijkstra per source.  Both
+follow networkx's ``barabasi_albert_graph``, edge order and
+``all_pairs_dijkstra_path_length`` step for step, so every topology is
+bit-identical to the one those produce for the same arguments.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+import math
+import random
+from heapq import heappop, heappush
+from itertools import count
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.topology.graph import Topology
@@ -20,14 +30,78 @@ from repro.topology.latency import uniform_latency
 
 LatencyModel = Callable[[np.random.Generator], float]
 
+#: ``adjacency[u][v]`` is the latency of link ``u``–``v``; neighbours keep
+#: the order their links were first added (a re-added link keeps its place
+#: and takes the new latency).
+Adjacency = List[Dict[int, float]]
 
-def _latency_matrix(graph: nx.Graph, n: int) -> np.ndarray:
-    """All-pairs shortest-path latency over edge ``latency`` attributes."""
+
+def _link(adjacency: Adjacency, u: int, v: int, latency_ms: float = 0.0) -> None:
+    adjacency[u][v] = latency_ms
+    adjacency[v][u] = latency_ms
+
+
+def _edges(adjacency: Adjacency) -> Iterator[Tuple[int, int]]:
+    """Each link once, as ``(u, v)`` with ``u`` the endpoint listed first."""
+    seen = set()
+    for u, neighbours in enumerate(adjacency):
+        for v in neighbours:
+            if v not in seen:
+                yield u, v
+        seen.add(u)
+
+
+def _barabasi_albert(num_nodes: int, attachment: int, seed: int) -> Adjacency:
+    """Preferential attachment grown from a star on ``attachment + 1`` nodes.
+
+    Each new node links to ``attachment`` distinct targets drawn uniformly
+    from the list holding every node once per incident link.
+    """
+    rng = random.Random(seed)
+    adjacency: Adjacency = [{} for _ in range(num_nodes)]
+    for leaf in range(1, attachment + 1):
+        _link(adjacency, 0, leaf)
+    repeated = [u for u in range(attachment + 1) for _ in adjacency[u]]
+    for source in range(attachment + 1, num_nodes):
+        targets = set()
+        while len(targets) < attachment:
+            targets.add(rng.choice(repeated))
+        for target in targets:
+            _link(adjacency, source, target)
+        repeated.extend(targets)
+        repeated.extend([source] * attachment)
+    return adjacency
+
+
+def _shortest_paths(adjacency: Adjacency, source: int) -> Dict[int, float]:
+    """Dijkstra from ``source``: latency to every reachable node."""
+    dist: Dict[int, float] = {}
+    seen = {source: 0}
+    tie = count()
+    fringe = [(0, next(tie), source)]
+    while fringe:
+        dist_v, _, v = heappop(fringe)
+        if v in dist:
+            continue
+        dist[v] = dist_v
+        for u, cost in adjacency[v].items():
+            dist_u = dist_v + cost
+            if u in dist:
+                if dist_u < dist[u]:
+                    raise ValueError("contradictory paths found: negative link latency?")
+            elif u not in seen or dist_u < seen[u]:
+                seen[u] = dist_u
+                heappush(fringe, (dist_u, next(tie), u))
+    return dist
+
+
+def _latency_matrix(adjacency: Adjacency) -> np.ndarray:
+    """All-pairs shortest-path latency over the links."""
+    n = len(adjacency)
     lat = np.full((n, n), np.inf)
-    np.fill_diagonal(lat, 0.0)
-    for src, lengths in nx.all_pairs_dijkstra_path_length(graph, weight="latency"):
-        for dst, value in lengths.items():
-            lat[src][dst] = value
+    for src in range(n):
+        dist = _shortest_paths(adjacency, src)
+        lat[src, list(dist)] = list(dist.values())
     if np.isinf(lat).any():
         raise ValueError("graph is disconnected; cannot build a latency matrix")
     # Symmetrize against floating-point asymmetries from Dijkstra ordering.
@@ -73,13 +147,13 @@ def as_level_topology(
         raise ValueError("need at least 2 nodes")
     attachment = min(attachment, num_nodes - 1)
     rng = np.random.default_rng(seed)
-    graph = nx.barabasi_albert_graph(num_nodes, attachment, seed=int(rng.integers(2**31)))
+    adjacency = _barabasi_albert(num_nodes, attachment, seed=int(rng.integers(2**31)))
     draw = latency_model or uniform_latency
-    for u, v in graph.edges:
-        graph.edges[u, v]["latency"] = draw(rng)
-    latency = _latency_matrix(graph, num_nodes)
+    for u, v in list(_edges(adjacency)):
+        _link(adjacency, u, v, draw(rng))
+    latency = _latency_matrix(adjacency)
     # Headquarters = best-connected site (highest degree, ties by index).
-    origin = max(graph.degree, key=lambda kv: (kv[1], -kv[0]))[0]
+    origin = max(range(num_nodes), key=lambda u: (len(adjacency[u]), -u))
     populations = _skewed_populations(rng, num_nodes, population_skew)
     return Topology(latency=latency, origin=int(origin), populations=populations)
 
@@ -99,16 +173,15 @@ def topology_from_edges(
         Iterable of ``(u, v, latency_ms)`` links; the pairwise matrix is the
         all-pairs shortest path over them.  The graph must be connected.
     """
-    graph = nx.Graph()
-    graph.add_nodes_from(range(num_nodes))
+    adjacency: Adjacency = [{} for _ in range(num_nodes)]
     for u, v, latency_ms in edges:
         if not (0 <= u < num_nodes and 0 <= v < num_nodes):
             raise ValueError(f"edge ({u}, {v}) references an unknown node")
-        if latency_ms < 0:
-            raise ValueError("link latency must be non-negative")
-        graph.add_edge(int(u), int(v), latency=float(latency_ms))
+        if not 0 <= latency_ms < math.inf:
+            raise ValueError(f"link latency must be finite and non-negative, got {latency_ms}")
+        _link(adjacency, int(u), int(v), float(latency_ms))
     return Topology(
-        latency=_latency_matrix(graph, num_nodes),
+        latency=_latency_matrix(adjacency),
         origin=origin,
         populations=populations,
         names=list(names) if names else [],
@@ -125,33 +198,32 @@ def star_topology(
     if num_leaves < 1:
         raise ValueError("need at least 1 leaf")
     rng = np.random.default_rng(seed)
-    graph = nx.star_graph(num_leaves)
-    for u, v in graph.edges:
-        graph.edges[u, v]["latency"] = hub_latency_ms + (
+    adjacency: Adjacency = [{} for _ in range(num_leaves + 1)]
+    for leaf in range(1, num_leaves + 1):
+        _link(adjacency, 0, leaf, hub_latency_ms + (
             rng.uniform(-jitter_ms, jitter_ms) if jitter_ms else 0.0
-        )
-    n = num_leaves + 1
-    return Topology(latency=_latency_matrix(graph, n), origin=0)
+        ))
+    return Topology(latency=_latency_matrix(adjacency), origin=0)
 
 
 def line_topology(num_nodes: int = 5, hop_latency_ms: float = 100.0) -> Topology:
     """A chain of nodes; node 0 is the origin.  Latency grows linearly with hops."""
     if num_nodes < 1:
         raise ValueError("need at least 1 node")
-    graph = nx.path_graph(num_nodes)
-    for u, v in graph.edges:
-        graph.edges[u, v]["latency"] = hop_latency_ms
-    return Topology(latency=_latency_matrix(graph, num_nodes), origin=0)
+    adjacency: Adjacency = [{} for _ in range(num_nodes)]
+    for u in range(num_nodes - 1):
+        _link(adjacency, u, u + 1, hop_latency_ms)
+    return Topology(latency=_latency_matrix(adjacency), origin=0)
 
 
 def ring_topology(num_nodes: int = 6, hop_latency_ms: float = 100.0) -> Topology:
     """A cycle of nodes; node 0 is the origin."""
     if num_nodes < 3:
         raise ValueError("a ring needs at least 3 nodes")
-    graph = nx.cycle_graph(num_nodes)
-    for u, v in graph.edges:
-        graph.edges[u, v]["latency"] = hop_latency_ms
-    return Topology(latency=_latency_matrix(graph, num_nodes), origin=0)
+    adjacency: Adjacency = [{} for _ in range(num_nodes)]
+    for u in range(num_nodes):
+        _link(adjacency, u, (u + 1) % num_nodes, hop_latency_ms)
+    return Topology(latency=_latency_matrix(adjacency), origin=0)
 
 
 def tree_topology(
@@ -165,8 +237,8 @@ def tree_topology(
     Node ``i`` attaches to a uniformly random earlier node, giving the
     broad, shallow shape typical of hub-dominated WANs.  The pairwise
     matrix is built incrementally (each node's distance row is its
-    parent's row plus the connecting edge) rather than through networkx
-    Dijkstra, so thousand-node instances assemble in milliseconds — these
+    parent's row plus the connecting edge) rather than by a Dijkstra per
+    source, so thousand-node instances assemble in milliseconds — these
     are the inputs the exact tree-DP backend exists for, and
     :meth:`Topology.is_tree` recognizes them by construction.
     """
@@ -190,8 +262,11 @@ def grid_topology(rows: int = 3, cols: int = 3, hop_latency_ms: float = 100.0) -
     """A rows×cols mesh; the top-left corner is the origin."""
     if rows < 1 or cols < 1:
         raise ValueError("grid dimensions must be positive")
-    graph = nx.grid_2d_graph(rows, cols)
-    graph = nx.convert_node_labels_to_integers(graph, ordering="sorted")
-    for u, v in graph.edges:
-        graph.edges[u, v]["latency"] = hop_latency_ms
-    return Topology(latency=_latency_matrix(graph, rows * cols), origin=0)
+    # Node ``r * cols + c`` sits at row ``r``, column ``c``.
+    adjacency: Adjacency = [{} for _ in range(rows * cols)]
+    for u in range(rows * cols):
+        if u + cols < rows * cols:
+            _link(adjacency, u, u + cols, hop_latency_ms)
+        if (u + 1) % cols:
+            _link(adjacency, u, u + 1, hop_latency_ms)
+    return Topology(latency=_latency_matrix(adjacency), origin=0)

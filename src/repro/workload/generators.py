@@ -98,7 +98,9 @@ def synthetic_workload(spec: WorkloadSpec) -> Trace:
 
     Each object's accesses are spread across nodes with a multinomial draw
     proportional to node populations, and across time per
-    ``spec.diurnal``.
+    ``spec.diurnal``.  The draws are made object by object, node by node;
+    the requests are then built in trace order from one ``np.lexsort`` of
+    the collected arrays.
     """
     rng = np.random.default_rng(spec.seed)
     pops = (
@@ -108,7 +110,7 @@ def synthetic_workload(spec: WorkloadSpec) -> Trace:
     )
     probs = pops / pops.sum()
 
-    requests = []
+    times, nodes, objs, writes = [], [], [], []  # one array per (object, node) draw
     for obj, count in enumerate(spec.counts):
         if count == 0:
             continue
@@ -116,15 +118,22 @@ def synthetic_workload(spec: WorkloadSpec) -> Trace:
         for node, node_count in enumerate(node_counts):
             if node_count == 0:
                 continue
-            times = _sample_times(rng, int(node_count), spec.duration_s, spec.diurnal)
-            writes = (
+            times.append(_sample_times(rng, int(node_count), spec.duration_s, spec.diurnal))
+            writes.append(
                 rng.random(int(node_count)) < spec.write_fraction
                 if spec.write_fraction > 0
                 else np.zeros(int(node_count), dtype=bool)
             )
-            for t, w in zip(times, writes):
-                # Guard the open upper end of the trace extent.
-                requests.append(Request(min(float(t), spec.duration_s * (1 - 1e-12)), node, obj, bool(w)))
+            nodes.append(np.full(int(node_count), node))
+            objs.append(np.full(int(node_count), obj))
+
+    requests = []
+    if times:
+        # Guard the open upper end of the trace extent.
+        times = np.minimum(np.concatenate(times), spec.duration_s * (1 - 1e-12))
+        nodes, objs, writes = (np.concatenate(a) for a in (nodes, objs, writes))
+        order = np.lexsort((writes, objs, nodes, times))
+        requests = list(map(Request, *(a[order].tolist() for a in (times, nodes, objs, writes))))
 
     return Trace(
         requests=requests,

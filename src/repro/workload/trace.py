@@ -8,7 +8,9 @@ common currency between the workload generators, the demand-matrix builder
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Iterable, Iterator, List, Optional
 
 
@@ -26,10 +28,18 @@ class Request:
     is_write: bool = False
 
     def __post_init__(self) -> None:
-        if self.time_s < 0:
-            raise ValueError("request time must be non-negative")
+        if not 0 <= self.time_s < math.inf:
+            raise ValueError(f"request time must be finite and non-negative, got {self.time_s}")
         if self.node < 0 or self.obj < 0:
             raise ValueError("node and object ids must be non-negative")
+
+
+#: The dataclass order of :class:`Request` (its fields, compared as a tuple),
+#: as a sort key that never calls the generated ``__lt__``.
+_ORDER = attrgetter("time_s", "node", "obj", "is_write")
+_TIME = attrgetter("time_s")
+_NODE = attrgetter("node")
+_OBJ = attrgetter("obj")
 
 
 @dataclass
@@ -53,20 +63,29 @@ class Trace:
     name: str = "trace"
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not 0 < self.duration_s < math.inf:
+            raise ValueError(f"duration must be positive and finite, got {self.duration_s}")
         if self.num_nodes <= 0 or self.num_objects <= 0:
             raise ValueError("universe sizes must be positive")
-        self.requests = sorted(self.requests)
-        for req in self.requests:
-            if req.time_s >= self.duration_s:
-                raise ValueError(
-                    f"request at {req.time_s}s outside trace duration {self.duration_s}s"
-                )
-            if req.node >= self.num_nodes:
-                raise ValueError(f"request node {req.node} >= num_nodes {self.num_nodes}")
-            if req.obj >= self.num_objects:
-                raise ValueError(f"request object {req.obj} >= num_objects {self.num_objects}")
+        requests = self.requests = sorted(self.requests, key=_ORDER)
+        # Times are finite, so the last request holds the latest one.
+        if requests and (
+            requests[-1].time_s >= self.duration_s
+            or max(map(_NODE, requests)) >= self.num_nodes
+            or max(map(_OBJ, requests)) >= self.num_objects
+        ):
+            # Name the first offender in trace order.
+            for req in requests:
+                if req.time_s >= self.duration_s:
+                    raise ValueError(
+                        f"request at {req.time_s}s outside trace duration {self.duration_s}s"
+                    )
+                if req.node >= self.num_nodes:
+                    raise ValueError(f"request node {req.node} >= num_nodes {self.num_nodes}")
+                if req.obj >= self.num_objects:
+                    raise ValueError(
+                        f"request object {req.obj} >= num_objects {self.num_objects}"
+                    )
 
     def __len__(self) -> int:
         return len(self.requests)
@@ -86,7 +105,7 @@ class Trace:
 
     def between(self, start_s: float, end_s: float) -> List[Request]:
         """Requests with ``start_s <= time < end_s`` (binary search on the sorted list)."""
-        lo = bisect.bisect_left(self.requests, Request(max(start_s, 0.0), 0, 0))
+        lo = bisect.bisect_left(self.requests, start_s, key=_TIME)
         out = []
         for req in self.requests[lo:]:
             if req.time_s >= end_s:

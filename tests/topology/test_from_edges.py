@@ -1,5 +1,7 @@
 """Tests for building topologies from measured edge lists."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,12 @@ def test_unknown_node_rejected():
 def test_negative_latency_rejected():
     with pytest.raises(ValueError, match="non-negative"):
         topology_from_edges(2, [(0, 1, -10.0)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_latency_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        topology_from_edges(3, [(0, 1, 100.0), (1, 2, bad)])
 
 
 def test_populations_and_names_pass_through():

@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from repro.runner.digest import digest_of
+from repro.topology.generators import as_level_topology
+from repro.workload import generators
 from repro.workload.generators import (
     WorkloadSpec,
+    _sample_times,
+    flash_crowd_workload,
     group_workload,
     synthetic_workload,
     web_workload,
 )
+from repro.workload.trace import Request, Trace
 from repro.workload.stats import characterize, object_counts
 
 
@@ -167,3 +173,100 @@ def test_flash_crowd_deterministic():
     assert [(r.time_s, r.node, r.obj) for r in a][:50] == [
         (r.time_s, r.node, r.obj) for r in b
     ][:50]
+
+
+# -- the vectorised builder against the per-(object, node) loop -----------------
+
+
+def _loop_synthetic_workload(spec: WorkloadSpec) -> Trace:
+    """Oracle: one ``Request`` per draw, built object by object, node by node."""
+    rng = np.random.default_rng(spec.seed)
+    pops = (
+        spec.populations
+        if spec.populations is not None
+        else np.ones(spec.num_nodes, dtype=float)
+    )
+    probs = pops / pops.sum()
+    requests = []
+    for obj, count in enumerate(spec.counts):
+        if count == 0:
+            continue
+        node_counts = rng.multinomial(int(count), probs)
+        for node, node_count in enumerate(node_counts):
+            if node_count == 0:
+                continue
+            times = _sample_times(rng, int(node_count), spec.duration_s, spec.diurnal)
+            writes = (
+                rng.random(int(node_count)) < spec.write_fraction
+                if spec.write_fraction > 0
+                else np.zeros(int(node_count), dtype=bool)
+            )
+            for t, w in zip(times, writes):
+                requests.append(
+                    Request(min(float(t), spec.duration_s * (1 - 1e-12)), node, obj, bool(w))
+                )
+    return Trace(requests, spec.duration_s, spec.num_nodes, spec.num_objects, spec.name)
+
+
+def _typed(trace: Trace):
+    return [
+        tuple((type(v), v) for v in (r.time_s, r.node, r.obj, r.is_write)) for r in trace
+    ]
+
+
+def _assert_same_trace(actual: Trace, expected: Trace) -> None:
+    assert (actual.duration_s, actual.num_nodes, actual.num_objects, actual.name) == (
+        expected.duration_s, expected.num_nodes, expected.num_objects, expected.name
+    )
+    assert _typed(actual) == _typed(expected)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: web_workload(num_nodes=6, num_objects=30, requests_scale=0.01, seed=3),
+        lambda: web_workload(
+            num_nodes=5, num_objects=25, populations=[5.0, 1.0, 0.0, 2.0, 1.0],
+            requests_scale=0.01, seed=8, diurnal=True,
+        ),
+        lambda: group_workload(num_nodes=4, num_objects=10, requests_scale=0.002, seed=2),
+        lambda: group_workload(
+            num_nodes=3, num_objects=6, requests_scale=0.002, seed=5, diurnal=True
+        ),
+        lambda: flash_crowd_workload(num_nodes=4, num_objects=12, base_scale=0.01, seed=6),
+    ],
+    ids=["web", "web-diurnal-pops", "group", "group-diurnal", "flash-crowd"],
+)
+def test_generators_match_the_per_request_loop(monkeypatch, make):
+    actual = make()
+    monkeypatch.setattr(generators, "synthetic_workload", _loop_synthetic_workload)
+    _assert_same_trace(actual, make())
+
+
+@pytest.mark.parametrize("diurnal", [False, True])
+@pytest.mark.parametrize("write_fraction", [0.0, 0.2])
+def test_synthetic_workload_matches_the_per_request_loop(diurnal, write_fraction):
+    spec = WorkloadSpec(
+        num_nodes=4,
+        num_objects=9,
+        counts=np.array([40, 0, 7, 1, 0, 25, 3, 60, 2]),
+        populations=np.array([3.0, 0.0, 1.0, 0.5]),
+        duration_s=500.0,
+        write_fraction=write_fraction,
+        diurnal=diurnal,
+        seed=11,
+    )
+    _assert_same_trace(synthetic_workload(spec), _loop_synthetic_workload(spec))
+
+
+def test_benchmark_web_trace_digest_is_pinned():
+    # The e2e pipeline benchmark's WEB trace: every cache key hangs off it.
+    topo = as_level_topology(20, seed=2)
+    trace = web_workload(
+        num_nodes=20, num_objects=80, populations=topo.populations,
+        requests_scale=0.15, seed=1,
+    )
+    assert len(trace) == 45_004
+    assert digest_of(trace) == (
+        "6a5a63ff6cdf0eb7052a33ccabc78b4d2235822719dafe0d837fcf3ccd10813d"
+    )

@@ -1,6 +1,10 @@
 """Tests for Request/Trace containers."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload.trace import Request, Trace
 from tests.conftest import make_trace
@@ -104,3 +108,82 @@ def test_merge_empty_rejected():
 def test_repr():
     t = make_trace([(1, 0, 0)], name="demo")
     assert "demo" in repr(t)
+
+
+# -- sort and range checks against the dataclass order ---------------------------
+
+_requests = st.lists(
+    st.builds(
+        Request,
+        # Few distinct values, so ties on every field (and full duplicates) are common.
+        time_s=st.sampled_from([0.0, 0.5, 1.0, 2.5, 3.0, 7.0]),
+        node=st.integers(0, 4),
+        obj=st.integers(0, 4),
+        is_write=st.booleans(),
+    ),
+    max_size=40,
+)
+
+
+def _first_offender(requests, duration_s, num_nodes, num_objects):
+    """The message of the first request out of range, in dataclass sort order."""
+    for req in sorted(requests):
+        if req.time_s >= duration_s:
+            return f"request at {req.time_s}s outside trace duration {duration_s}s"
+        if req.node >= num_nodes:
+            return f"request node {req.node} >= num_nodes {num_nodes}"
+        if req.obj >= num_objects:
+            return f"request object {req.obj} >= num_objects {num_objects}"
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_requests)
+def test_trace_order_is_the_dataclass_order(requests):
+    trace = Trace(list(requests), duration_s=10.0, num_nodes=5, num_objects=5)
+    expected = sorted(requests)
+    assert len(trace.requests) == len(expected)
+    # Element for element: the same objects, duplicates in the same (stable) order.
+    assert all(a is b for a, b in zip(trace.requests, expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _requests,
+    st.sampled_from([0.75, 2.5, 3.5, 10.0]),
+    # Half the draws cover every node (object), so a violation of the other
+    # fields alone is common too.
+    st.one_of(st.just(5), st.integers(1, 4)),
+    st.one_of(st.just(5), st.integers(1, 4)),
+)
+def test_trace_names_the_first_offender_in_sorted_order(
+    requests, duration_s, num_nodes, num_objects
+):
+    message = _first_offender(requests, duration_s, num_nodes, num_objects)
+    if message is None:
+        trace = Trace(list(requests), duration_s, num_nodes, num_objects)
+        assert trace.requests == sorted(requests)
+    else:
+        with pytest.raises(ValueError) as err:
+            Trace(list(requests), duration_s, num_nodes, num_objects)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_request_rejects_non_finite_time(bad):
+    # A NaN time used to pass, leave the trace unsorted and crash
+    # DemandMatrix.from_trace with a negative index.
+    with pytest.raises(ValueError, match="finite"):
+        Request(bad, 0, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_trace_rejects_non_finite_duration(bad):
+    with pytest.raises(ValueError, match="duration"):
+        Trace(requests=[Request(1.0, 0, 0)], duration_s=bad, num_nodes=1, num_objects=1)
+
+
+def test_between_accepts_unbounded_windows():
+    t = make_trace([(10, 0, 0), (20, 1, 1)])
+    assert [r.time_s for r in t.between(-math.inf, math.inf)] == [10.0, 20.0]
+    assert t.between(math.inf, math.inf) == []
