@@ -195,26 +195,24 @@ def _placement_report(
     # 2. creation legality
     creation_legal = True
     if allowed is not None:
+        cur = np.asarray(store, dtype=float)
         initial = (
-            instance.initial_store
+            np.asarray(instance.initial_store, dtype=float)
             if instance.initial_store is not None
             else np.zeros((store.shape[0], store.shape[2]))
         )
-        reported = 0
-        for ns in range(store.shape[0]):
-            for k in range(store.shape[2]):
-                prev = float(initial[ns, k])
-                for i in range(store.shape[1]):
-                    cur = float(store[ns, i, k])
-                    if cur > prev + tol and not allowed[ns, i, k]:
-                        creation_legal = False
-                        if reported < max_reported:
-                            problems.append(
-                                f"creation at store[{ns},{i},{k}] violates the "
-                                "class's history/knowledge restriction"
-                            )
-                            reported += 1
-                    prev = cur
+        # Each cell against the interval before it (the initial placement
+        # before interval 0): a rise by more than tol is a creation.
+        prev = np.concatenate([initial[:, None, :], cur[:, :-1, :]], axis=1)
+        bad = (cur > prev + tol) & ~np.asarray(allowed, dtype=bool)
+        # Offenders in (storer, object, interval) order.
+        offenders = np.nonzero(bad.transpose(0, 2, 1))
+        creation_legal = len(offenders[0]) == 0
+        for ns, k, i in zip(*(axis[: max(max_reported, 0)] for axis in offenders)):
+            problems.append(
+                f"creation at store[{ns},{i},{k}] violates the "
+                "class's history/knowledge restriction"
+            )
 
     # 3. goal
     goal_met = meets_goal(instance, goal, store)

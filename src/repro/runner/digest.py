@@ -13,9 +13,10 @@ are stable across Python versions and process boundaries:
 * numpy arrays hash by dtype + shape + raw bytes;
 * dataclasses hash field-by-field in sorted field order;
 * a :class:`~repro.workload.trace.Trace` hashes its name, extent and
-  universe sizes, then its requests as four columns (time, node, object,
-  write flag) — tens of thousands of ``Request`` objects walked field by
-  field would dominate a cache hit;
+  universe sizes, then its four request columns (time, node, object,
+  write flag) from :attr:`~repro.workload.trace.Trace.columns`, which the
+  immutable trace builds once — every later digest of the same trace
+  hashes its arrays without touching a ``Request``;
 * enums hash by their value; dicts by sorted key.
 """
 
@@ -62,11 +63,8 @@ def _walk(h: "hashlib._Hash", obj: Any) -> None:
         h.update(b"\x00R")
         for item in (obj.name, obj.duration_s, obj.num_nodes, obj.num_objects):
             _walk(h, item)
-        reqs, count = obj.requests, len(obj.requests)
-        _walk(h, np.fromiter((r.time_s for r in reqs), dtype=np.float64, count=count))
-        _walk(h, np.fromiter((r.node for r in reqs), dtype=np.int64, count=count))
-        _walk(h, np.fromiter((r.obj for r in reqs), dtype=np.int64, count=count))
-        _walk(h, np.fromiter((r.is_write for r in reqs), dtype=np.bool_, count=count))
+        for column in obj.columns:
+            _walk(h, column)
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         h.update(b"\x00D" + type(obj).__name__.encode())
         for f in sorted(dataclasses.fields(obj), key=lambda f: f.name):

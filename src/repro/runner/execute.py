@@ -152,9 +152,11 @@ class ExperimentRunner:
             cached[i] = True
             if source == "resume":
                 self.resumed += 1
+            # The served payload is what the artifact holds: written as
+            # loaded, never re-encoded from the decoded result.
             self._record(
                 i, tasks, keys, record_ids, cached=True, seconds=seconds,
-                result=results[i], audit=report,
+                result=results[i], payload=payload, audit=report,
             )
 
         chunks = self._chunks(tasks, pending)

@@ -84,14 +84,10 @@ class DemandMatrix:
         interval_s = trace.duration_s / num_intervals
         reads = np.zeros((trace.num_nodes, num_intervals, trace.num_objects))
         writes = np.zeros_like(reads)
-        reqs = trace.requests
-        if reqs:
+        if len(trace):
+            times, nodes, objs, is_write = trace.columns
             DemandMatrix._accumulate(
-                reads, writes, interval_s,
-                [q.node for q in reqs],
-                [q.time_s for q in reqs],
-                [q.obj for q in reqs],
-                [q.is_write for q in reqs],
+                reads, writes, interval_s, nodes, times, objs, is_write
             )
         return DemandMatrix(reads=reads, writes=writes, interval_s=interval_s)
 

@@ -283,7 +283,7 @@ def flash_crowd_workload(
                 Request(min(float(t), duration_s * (1 - 1e-12)), node, flash_object)
             )
     return Trace(
-        requests=base.requests + flash_requests,
+        requests=[*base.requests, *flash_requests],
         duration_s=duration_s,
         num_nodes=num_nodes,
         num_objects=num_objects,

@@ -1,17 +1,21 @@
 """Request traces.
 
-A :class:`Trace` is an ordered sequence of timestamped object accesses, the
-common currency between the workload generators, the demand-matrix builder
-(LP side) and the trace-driven simulator (deployed-heuristic side).
+A :class:`Trace` is an immutable, ordered sequence of timestamped object
+accesses, the common currency between the workload generators, the
+demand-matrix builder (LP side) and the trace-driven simulator
+(deployed-heuristic side).
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from operator import attrgetter
-from typing import Iterable, Iterator, List, Optional
+from typing import Iterable, Iterator, List, Optional, Tuple
+
+import numpy as np
 
 
 @dataclass(frozen=True, order=True)
@@ -40,23 +44,28 @@ _ORDER = attrgetter("time_s", "node", "obj", "is_write")
 _TIME = attrgetter("time_s")
 _NODE = attrgetter("node")
 _OBJ = attrgetter("obj")
+_WRITE = attrgetter("is_write")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Trace:
-    """An ordered request trace with known extent.
+    """An immutable, ordered request trace with known extent.
+
+    A trace never changes after construction, so :attr:`columns` (built on
+    first use) and every content digest taken from them stay valid for its
+    whole life.
 
     Attributes
     ----------
     requests:
-        Requests sorted by time.
+        Requests sorted by time, as a tuple.
     duration_s:
         Trace extent in seconds; requests must fall in ``[0, duration_s)``.
     num_nodes / num_objects:
         Declared universe sizes (must cover every request).
     """
 
-    requests: List[Request]
+    requests: Tuple[Request, ...]
     duration_s: float
     num_nodes: int
     num_objects: int
@@ -67,7 +76,8 @@ class Trace:
             raise ValueError(f"duration must be positive and finite, got {self.duration_s}")
         if self.num_nodes <= 0 or self.num_objects <= 0:
             raise ValueError("universe sizes must be positive")
-        requests = self.requests = sorted(self.requests, key=_ORDER)
+        requests = tuple(sorted(self.requests, key=_ORDER))
+        object.__setattr__(self, "requests", requests)
         # Times are finite, so the last request holds the latest one.
         if requests and (
             requests[-1].time_s >= self.duration_s
@@ -93,13 +103,37 @@ class Trace:
     def __iter__(self) -> Iterator[Request]:
         return iter(self.requests)
 
+    @cached_property
+    def columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(times, nodes, objects, writes)`` as read-only ``float64`` /
+        ``int64`` / ``int64`` / ``bool_`` arrays in trace order.
+
+        Built once per trace (25 bytes per request) and shared by the
+        digest, the demand matrix and serialization.
+        """
+        reqs, count = self.requests, len(self.requests)
+        columns = (
+            np.fromiter(map(_TIME, reqs), dtype=np.float64, count=count),
+            np.fromiter(map(_NODE, reqs), dtype=np.int64, count=count),
+            np.fromiter(map(_OBJ, reqs), dtype=np.int64, count=count),
+            np.fromiter(map(_WRITE, reqs), dtype=np.bool_, count=count),
+        )
+        for column in columns:
+            column.flags.writeable = False
+        return columns
+
+    def __getstate__(self) -> dict:
+        # Pickled and deep-copied arrays come back writeable: leave the
+        # columns out and let the copy build its own.
+        return {k: v for k, v in self.__dict__.items() if k != "columns"}
+
     @property
     def num_reads(self) -> int:
-        return sum(1 for r in self.requests if not r.is_write)
+        return len(self.requests) - self.num_writes
 
     @property
     def num_writes(self) -> int:
-        return sum(1 for r in self.requests if r.is_write)
+        return int(np.count_nonzero(self.columns[3]))
 
     # -- slicing -------------------------------------------------------------
 

@@ -131,3 +131,60 @@ def test_audit_off_serves_corrupted_entry(tmp_path, web_problem):
     [served] = warm.map([unaudited])
     assert warm.cache_hits == 1
     assert served.lp_cost != pytest.approx(honest.lp_cost)
+
+
+def test_creation_at_a_forbidden_interval_is_quarantined(tmp_path, web_problem):
+    """A cached caching-class placement that creates a replica where the
+    class may not (no local access that interval) is refused, even with
+    its stored costs made consistent with the forged store."""
+    import dataclasses
+
+    import numpy as np
+
+    from repro.core.evaluate import solution_cost
+    from repro.core.formulation import compute_allowed_create
+
+    props = get_class("caching").properties
+    # Caching covers at most ~0.8 of this trace's reads within Tlat.
+    problem = dataclasses.replace(
+        web_problem, goal=dataclasses.replace(web_problem.goal, fraction=0.7)
+    )
+    rounded = BoundTask(
+        problem=problem, properties=props, backend="scipy",
+        do_rounding=True, audit="fast",
+    )
+    cache_dir = tmp_path / "cache"
+    [honest] = make_runner(cache_dir=cache_dir).map([rounded])
+    assert honest.rounding is not None and honest.rounding.feasible
+
+    # The first empty cell after an empty one (so setting it is a creation)
+    # where the class forbids creating.
+    instance = problem.instance(props)
+    allowed = compute_allowed_create(instance, props)
+    store = np.array(honest.rounding.store, dtype=float)
+    prev = np.concatenate([np.zeros_like(store[:, :1]), store[:, :-1]], axis=1)
+    ns, i, k = np.argwhere((store == 0) & (prev == 0) & ~allowed)[0]
+    store[ns, i, k] = 1.0
+    cost = solution_cost(instance, props, problem.costs, store, goal=problem.goal)
+    forged = dataclasses.replace(
+        honest,
+        rounding=dataclasses.replace(honest.rounding, store=store, cost=cost),
+        feasible_cost=cost.total,
+    )
+    report = rounded.audit_cached(forged)
+    assert [v.message for v in report.violations] == [
+        f"creation at store[{ns},{i},{k}] violates the class's "
+        "history/knowledge restriction"
+    ]
+
+    path = cache_file(cache_dir, rounded)
+    entry = json.loads(path.read_text())
+    entry["payload"] = rounded.encode(forged)
+    path.write_text(json.dumps(entry))
+
+    warm = make_runner(cache_dir=cache_dir)
+    [result] = warm.map([rounded])
+    assert warm.audit_quarantined == 1
+    assert warm.executed == 1
+    assert path.with_name(path.name + ".quarantined").exists()
+    np.testing.assert_array_equal(result.rounding.store, honest.rounding.store)

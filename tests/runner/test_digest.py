@@ -100,9 +100,85 @@ def test_digest_of_trace_covers_every_request_column():
 
 
 def test_digest_of_trace_is_order_sensitive():
+    # Same timestamps, same (node, object) pairs: only which request holds
+    # which timestamp differs, so the columns differ only in order.
     trace = _trace([Request(1.0, 0, 0), Request(2.0, 1, 1)])
-    swapped = _trace(list(trace.requests))
-    # Trace sorts on construction; swap afterwards so the columns differ
-    # only in order.
-    swapped.requests.reverse()
+    swapped = _trace([Request(1.0, 1, 1), Request(2.0, 0, 0)])
     assert digest_of(trace) != digest_of(swapped)
+
+
+# -- a trace digests from its cached columns ----------------------------------
+
+
+def _request_walk_digest(trace):
+    """The per-request digest walk the column cache replaced (the oracle):
+    each column rebuilt from the ``Request`` objects, in trace order."""
+    import hashlib
+
+    from repro.runner.digest import SCHEMA_VERSION, _walk
+
+    h = hashlib.sha256()
+    h.update(b"repro-digest/v" + SCHEMA_VERSION.encode())
+    h.update(b"\x00R")
+    for item in (trace.name, trace.duration_s, trace.num_nodes, trace.num_objects):
+        _walk(h, item)
+    reqs, count = trace.requests, len(trace.requests)
+    _walk(h, np.fromiter((r.time_s for r in reqs), dtype=np.float64, count=count))
+    _walk(h, np.fromiter((r.node for r in reqs), dtype=np.int64, count=count))
+    _walk(h, np.fromiter((r.obj for r in reqs), dtype=np.int64, count=count))
+    _walk(h, np.fromiter((r.is_write for r in reqs), dtype=np.bool_, count=count))
+    return h.hexdigest()
+
+
+def _built_traces():
+    from repro.workload.generators import flash_crowd_workload, web_workload
+    from repro.workload.io import trace_from_dict, trace_to_dict
+
+    base = _trace([Request(3.5, 2, 1), Request(1.25, 0, 0, True), Request(2.0, 1, 2)])
+    web = web_workload(num_nodes=5, num_objects=12, requests_scale=0.002, seed=3)
+    return {
+        "constructor": base,
+        "empty": _trace([]),
+        "filter": web.filter(lambda r: r.node != 2),
+        "remap_nodes": web.remap_nodes({0: 4, 3: 1}, num_nodes=6),
+        "concat": Trace.concat([base, web], name="both"),
+        "merge": Trace.merge([base, web]),
+        "trace_from_dict": trace_from_dict(trace_to_dict(web)),
+        "flash_crowd_workload": flash_crowd_workload(
+            num_nodes=4, num_objects=10, base_scale=0.002, seed=5
+        ),
+    }
+
+
+@pytest.mark.parametrize("built", sorted(_built_traces()))
+def test_trace_digest_matches_the_request_walk(built):
+    trace = _built_traces()[built]
+    assert digest_of(trace) == _request_walk_digest(trace)
+
+
+def test_trace_columns_are_built_once(monkeypatch):
+    from repro.workload.generators import web_workload
+
+    trace = web_workload(num_nodes=5, num_objects=12, requests_scale=0.002, seed=3)
+    calls = []
+    fromiter = np.fromiter
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("dtype"))
+        return fromiter(*args, **kwargs)
+
+    monkeypatch.setattr(np, "fromiter", counting)
+    digests = {digest_of(trace) for _ in range(5)}
+    assert len(digests) == 1
+    assert len(calls) == 4  # one build: four columns
+
+
+def test_pickled_trace_rebuilds_read_only_columns():
+    import pickle
+
+    trace = _trace([Request(1.0, 0, 0), Request(2.0, 1, 1, True)])
+    before = digest_of(trace)
+    copy = pickle.loads(pickle.dumps(trace))
+    assert "columns" not in copy.__dict__
+    assert digest_of(copy) == before
+    assert not any(column.flags.writeable for column in copy.columns)

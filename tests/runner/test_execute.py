@@ -236,3 +236,40 @@ def test_cache_hits_surface_original_solve_seconds(web_problem, tmp_path):
     assert record["cached"] is True
     assert record["seconds"] == 3.25
     assert manifest["seconds"] >= 3.25
+
+
+def test_warm_run_writes_the_cold_run_task_files(web_problem, small_topology, web_trace,
+                                                 tmp_path):
+    """A served task's artifact is byte for byte the one its solve wrote."""
+    from pathlib import Path
+
+    from repro.analysis.sweep import sweep_tasks
+
+    tasks = sweep_tasks(
+        web_problem, [0.6, 0.7],
+        [get_class("storage-constrained"), get_class("caching")],
+        do_rounding=True, audit="fast",
+    ) + [
+        SimulateTask(
+            topology=small_topology, trace=web_trace,
+            heuristic=spec, warmup_s=600.0, label=f"simulate[{spec.name}]", audit="fast",
+        )
+        for spec in (
+            HeuristicSpec(name="lru", capacity=8), HeuristicSpec(name="qiu", period_s=3600.0)
+        )
+    ]
+
+    def task_files(runs):
+        runner = make_runner(cache_dir=tmp_path / "cache", run_dir=tmp_path / runs)
+        results = runner.map(tasks)
+        run_dir = Path(runner.finalize())
+        files = {p.name: p.read_bytes() for p in run_dir.glob("tasks/*.json")}
+        return runner, results, files
+
+    cold, results, cold_files = task_files("cold")
+    warm, _, warm_files = task_files("warm")
+    assert cold.executed == len(tasks)
+    assert warm.cache_hits == len(tasks) and warm.audit_quarantined == 0
+    assert all(r.rounding is not None and r.audit is not None for r in results[:4])
+    assert len(cold_files) == len(tasks)
+    assert warm_files == cold_files

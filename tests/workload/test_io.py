@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.workload.generators import web_workload
@@ -120,3 +121,62 @@ def test_out_of_range_object_rejected():
     data = corrupt(lambda d: d["objects"].__setitem__(1, -1))
     with pytest.raises(ValidationError, match="object -1"):
         trace_from_dict(data)
+
+
+def test_time_at_or_past_duration_rejected():
+    from repro.errors import ValidationError
+
+    for late in (3600.0, 3600.5):
+        data = corrupt(lambda d: d["times"].__setitem__(1, late))
+        with pytest.raises(ValidationError, match=r"request 1: time .* outside \[0, 3600.0\)"):
+            trace_from_dict(data)
+
+
+# -- saved times keep full precision --------------------------------------------
+
+
+def _reloaded(trace, tmp_path):
+    path = tmp_path / "trace.json"
+    save_trace(trace, path)
+    return load_trace(path)
+
+
+def test_request_just_before_the_end_reloads(tmp_path):
+    # Rounded to 6 decimals this request used to save as 3600.0 and fail
+    # to load.
+    trace = make_trace([(1, 0, 0), (3599.9999996, 1, 1)], duration_s=3600.0)
+    back = _reloaded(trace, tmp_path)
+    assert [r.time_s for r in back] == [1.0, 3599.9999996]
+
+
+def test_request_just_before_an_interval_boundary_keeps_its_interval(tmp_path):
+    # Rounded to 6 decimals 899.9999996 became 900.0, moving the request
+    # from demand interval 0 to interval 1.
+    from repro.workload.demand import DemandMatrix
+
+    trace = make_trace([(899.9999996, 1, 2)], duration_s=3600.0)
+    back = _reloaded(trace, tmp_path)
+    before = DemandMatrix.from_trace(trace, num_intervals=4).reads
+    after = DemandMatrix.from_trace(back, num_intervals=4).reads
+    assert before[1, 0, 2] == 1.0
+    np.testing.assert_array_equal(after, before)
+
+
+def test_benchmark_web_trace_reloads_bit_for_bit(tmp_path):
+    from repro.runner.digest import digest_of
+    from repro.topology.generators import as_level_topology
+
+    topo = as_level_topology(20, seed=2)
+    trace = web_workload(
+        num_nodes=20, num_objects=80, populations=topo.populations,
+        requests_scale=0.15, seed=1,
+    )
+    back = _reloaded(trace, tmp_path)
+    for column, reloaded in zip(trace.columns, back.columns):
+        np.testing.assert_array_equal(reloaded, column)
+    assert back.columns[0].tobytes() == trace.columns[0].tobytes()
+    assert digest_of(back) == digest_of(trace)
+
+    again = tmp_path / "again.json"
+    save_trace(back, again)
+    assert again.read_bytes() == (tmp_path / "trace.json").read_bytes()

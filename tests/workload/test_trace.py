@@ -162,7 +162,7 @@ def test_trace_names_the_first_offender_in_sorted_order(
     message = _first_offender(requests, duration_s, num_nodes, num_objects)
     if message is None:
         trace = Trace(list(requests), duration_s, num_nodes, num_objects)
-        assert trace.requests == sorted(requests)
+        assert trace.requests == tuple(sorted(requests))
     else:
         with pytest.raises(ValueError) as err:
             Trace(list(requests), duration_s, num_nodes, num_objects)
@@ -187,3 +187,27 @@ def test_between_accepts_unbounded_windows():
     t = make_trace([(10, 0, 0), (20, 1, 1)])
     assert [r.time_s for r in t.between(-math.inf, math.inf)] == [10.0, 20.0]
     assert t.between(math.inf, math.inf) == []
+
+
+def test_trace_is_immutable():
+    import dataclasses
+
+    t = make_trace([(1, 0, 0), (2, 1, 1, True)])
+    for name, value in [("requests", ()), ("duration_s", 1.0), ("name", "x")]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    assert isinstance(t.requests, tuple)
+
+
+def test_trace_columns_are_read_only_arrays():
+    t = make_trace([(2, 1, 3), (1, 0, 2, True)])
+    times, nodes, objects, writes = t.columns
+    assert times.tolist() == [1.0, 2.0] and times.dtype.name == "float64"
+    assert nodes.tolist() == [0, 1] and nodes.dtype.name == "int64"
+    assert objects.tolist() == [2, 3] and objects.dtype.name == "int64"
+    assert writes.tolist() == [True, False] and writes.dtype.name == "bool"
+    for column in t.columns:
+        assert not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
+    assert t.columns is t.columns
