@@ -114,7 +114,7 @@ def check_solution(model: LinearProgram, values, tol: float = 1e-6) -> Validatio
     x = np.asarray(values, dtype=np.float64)
     cache = model.assembled()
     violations: List[Violation] = [
-        Violation("non-finite", model.variables[j].name, float("inf"))
+        Violation("non-finite", model.var_name(j), float("inf"))
         for j in np.flatnonzero(~np.isfinite(x)).tolist()
     ]
 
@@ -123,7 +123,7 @@ def check_solution(model: LinearProgram, values, tol: float = 1e-6) -> Validatio
     flagged = np.flatnonzero(low | (x > cache.ub + tol))
     amounts = np.where(low, cache.lb - x, x - cache.ub)[flagged]
     violations.extend(
-        Violation("lower" if low[j] else "upper", model.variables[j].name, amount)
+        Violation("lower" if low[j] else "upper", model.var_name(j), amount)
         for j, amount in zip(flagged.tolist(), amounts.tolist())
     )
 
@@ -136,7 +136,7 @@ def check_solution(model: LinearProgram, values, tol: float = 1e-6) -> Validatio
     )
     amounts = np.where(ge, rhs - act, np.where(le, act - rhs, np.abs(act - rhs)))
     violations.extend(
-        Violation("constraint", model.constraints[row].name, amount)
+        Violation("constraint", model.row_name(row), amount)
         for row, amount in zip(flagged.tolist(), amounts[flagged].tolist())
     )
 

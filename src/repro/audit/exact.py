@@ -43,26 +43,25 @@ from repro.perf import PERF
 
 def exact_objective(model: LinearProgram, values: Sequence[float]) -> Fraction:
     """The rational objective ``c . x`` of a point (no constant term)."""
+    c = model.assembled().c
     total = Fraction(0)
-    for v in model.variables:
-        if v.objective:
-            total += Fraction(v.objective) * Fraction(float(values[v.index]))
+    for j in np.flatnonzero(c).tolist():
+        total += Fraction(float(c[j])) * Fraction(float(values[j]))
     return total
 
 
-def _constraint_violation_exact(con, values, tol: Fraction) -> Optional[Fraction]:
-    """Exact violation magnitude of one row, or None when satisfied."""
+def _row_excess_exact(
+    indices, coeffs, sense: int, lower: float, upper: float, fx: List[Fraction]
+) -> Fraction:
+    """Exact violation of one row at the lifted point ``fx`` (<= 0 when satisfied)."""
     act = Fraction(0)
-    for i, c in zip(con.indices, con.coeffs):
-        act += Fraction(float(c)) * Fraction(float(values[int(i)]))
-    rhs = Fraction(con.rhs)
-    if con.sense is Sense.LE:
-        excess = act - rhs
-    elif con.sense is Sense.GE:
-        excess = rhs - act
-    else:
-        excess = abs(act - rhs)
-    return excess if excess > tol else None
+    for i, c in zip(indices, coeffs):
+        act += Fraction(c) * fx[i]
+    if sense == Sense.LE.code:
+        return act - Fraction(upper)
+    if sense == Sense.GE.code:
+        return Fraction(lower) - act
+    return abs(act - Fraction(lower))
 
 
 def _keep_worst(
@@ -128,7 +127,7 @@ def audit_lp_solution(
         bad = np.flatnonzero(~np.isfinite(x))
         if len(bad):
             shown = ", ".join(
-                f"{model.variables[j].name}={x[j]}" for j in bad[:max_reported]
+                f"{model.var_name(j)}={x[j]}" for j in bad[:max_reported].tolist()
             )
             report.flag(
                 "status", "non-finite", amount=float(len(bad)),
@@ -147,10 +146,9 @@ def audit_lp_solution(
 def _check_float(report, model, solution, x, tol, max_reported) -> None:
     """The float checks, each one vectorized pass over the model's arrays.
 
-    Bounds and costs come from the assembled cache, which the patch API
-    keeps in step with the :class:`~repro.lp.model.Variable` objects; rows
-    come from :meth:`~repro.lp.model.LinearProgram.row_activities`.  Names
-    are looked up only for flagged entries.
+    Bounds and costs come from the assembled arrays; rows come from
+    :meth:`~repro.lp.model.LinearProgram.row_activities`.  Names are
+    rendered only for flagged entries.
     """
     cache = model.assembled()
 
@@ -160,7 +158,7 @@ def _check_float(report, model, solution, x, tol, max_reported) -> None:
     flagged = np.flatnonzero(below | (x > ub + tol))
     amounts = np.where(below, lb - x, x - ub)[flagged]
     found = [
-        AuditViolation("var-bound", model.variables[j].name, float(a))
+        AuditViolation("var-bound", model.var_name(j), float(a))
         for j, a in zip(flagged.tolist(), amounts.tolist())
     ]
     _keep_worst(report, found, "var-bound", max_reported)
@@ -174,7 +172,7 @@ def _check_float(report, model, solution, x, tol, max_reported) -> None:
     )
     flagged = np.flatnonzero(excess > tol)
     found = [
-        AuditViolation("constraint", model.constraints[row].name, float(e))
+        AuditViolation("constraint", model.row_name(row), float(e))
         for row, e in zip(flagged.tolist(), excess[flagged].tolist())
     ]
     _keep_worst(report, found, "constraint", max_reported)
@@ -195,25 +193,30 @@ def _check_float(report, model, solution, x, tol, max_reported) -> None:
 def _check_exact(report, model, solution, values, tol, max_reported) -> None:
     """The same checks in exact :class:`fractions.Fraction` arithmetic, then ``dual``."""
     ftol = Fraction(tol)
+    arrays = model.assembled()
+    fx = [Fraction(v) for v in np.asarray(values, dtype=np.float64).tolist()]
 
     report.ran("var-bound")
     found: List[AuditViolation] = []
-    for v in model.variables:
-        fx = Fraction(float(values[v.index]))
-        below = Fraction(v.lower) - fx
-        above = fx - Fraction(v.upper) if v.upper is not None else Fraction(-1)
+    for j, (lower, upper) in enumerate(zip(arrays.lb.tolist(), arrays.ub.tolist())):
+        below = Fraction(lower) - fx[j] if math.isfinite(lower) else -1
+        above = fx[j] - Fraction(upper) if math.isfinite(upper) else -1
         if below > ftol:
-            found.append(AuditViolation("var-bound", v.name, float(below)))
+            found.append(AuditViolation("var-bound", model.var_name(j), float(below)))
         elif above > ftol:
-            found.append(AuditViolation("var-bound", v.name, float(above)))
+            found.append(AuditViolation("var-bound", model.var_name(j), float(above)))
     _keep_worst(report, found, "var-bound", max_reported)
 
     report.ran("constraint")
     found = []
-    for con in model.constraints:
-        excess = _constraint_violation_exact(con, values, ftol)
-        if excess is not None:
-            found.append(AuditViolation("constraint", con.name, float(excess)))
+    indptr = arrays.indptr.tolist()
+    indices, coeffs = arrays.indices.tolist(), arrays.data.tolist()
+    rows = zip(arrays.sense.tolist(), arrays.row_lower.tolist(), arrays.row_upper.tolist())
+    for row, (sense, lower, upper) in enumerate(rows):
+        lo, hi = indptr[row], indptr[row + 1]
+        excess = _row_excess_exact(indices[lo:hi], coeffs[lo:hi], sense, lower, upper, fx)
+        if excess > ftol:
+            found.append(AuditViolation("constraint", model.row_name(row), float(excess)))
     _keep_worst(report, found, "constraint", max_reported)
 
     report.ran("objective")
@@ -269,13 +272,15 @@ def dual_bound(
     """The weak-duality lower bound ``L(y)`` on ``model``'s optimum, exactly.
 
     ``duals`` holds one finite value per row, in model row order.  Each is
-    first clipped to its valid sign (shadow-price convention:
-    ``>= 0`` on ``>=`` rows, ``<= 0`` on ``<=`` rows, free on ``==`` rows),
-    and any ``y`` with valid signs bounds every feasible point from below
-    (Neumaier & Shcherbina, Math. Prog. 99, 2004)::
+    first clipped to its valid sign (shadow-price convention: ``> 0`` only
+    on a row with a finite lower bound, ``< 0`` only on one with a finite
+    upper bound — so ``>= 0`` on ``>=`` rows, ``<= 0`` on ``<=`` rows, free
+    on ``==`` rows), and any ``y`` with valid signs bounds every feasible
+    point from below (Neumaier & Shcherbina, Math. Prog. 99, 2004)::
 
         r    = c - A^T y
-        L(y) = b^T y + sum_j min(r_j * l_j, r_j * u_j)
+        L(y) = sum_i y_i * (row_lower_i if y_i > 0 else row_upper_i)
+               + sum_j min(r_j * l_j, r_j * u_j)
 
     Every float is lifted exactly to a :class:`~fractions.Fraction`, so
     the bound is the rational number the floats denote.  Rows with a zero
@@ -289,12 +294,13 @@ def dual_bound(
     Returns ``(L(y), [])``, or ``(None, names)`` naming the columns that
     got no such bound — ``L(y)`` is then not a certificate.
     """
-    nvars = model.num_variables
+    arrays = model.assembled()
+    # A positive dual prices a row's lower bound, a negative one its upper
+    # bound; a dual pointing at an infinite bound is clipped to zero.
     y = np.asarray(duals, dtype=np.float64)
-    lengths, senses, rhs, flat_idx, flat_cf = model.constraints.columnar()
     y = np.where(
-        senses == Sense.GE.code, np.maximum(y, 0.0),
-        np.where(senses == Sense.LE.code, np.minimum(y, 0.0), y),
+        y > 0, np.where(np.isfinite(arrays.row_lower), y, 0.0),
+        np.where(np.isfinite(arrays.row_upper), y, 0.0),
     )
     live = np.flatnonzero(y)
     lifted = {}  # distinct float -> its Fraction; MC-PERF rows share few values
@@ -306,40 +312,37 @@ def dual_bound(
         return f
 
     ys = [lift(v) for v in y[live].tolist()]
-    bound = sum(
-        (lift(b) * fy for b, fy in zip(rhs[live].tolist(), ys)), Fraction(0)
-    )
+    rhs = np.where(y > 0, arrays.row_lower, arrays.row_upper)[live]
+    bound = sum((lift(b) * fy for b, fy in zip(rhs.tolist(), ys)), Fraction(0))
 
     # r = c - A^T y over the live rows' nonzeros, one Fraction per column.
-    costs = [v.objective for v in model.variables]
-    r = [lift(float(cj)) for cj in costs]
-    starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-    np.cumsum(lengths, out=starts[1:])
+    costs = arrays.c.tolist()
+    r = [lift(cj) for cj in costs]
+    indptr = arrays.indptr
     for row, fy in zip(live.tolist(), ys):
-        lo, hi = int(starts[row]), int(starts[row + 1])
-        for j, a in zip(flat_idx[lo:hi].tolist(), flat_cf[lo:hi].tolist()):
+        lo, hi = int(indptr[row]), int(indptr[row + 1])
+        for j, a in zip(arrays.indices[lo:hi].tolist(), arrays.data[lo:hi].tolist()):
             r[j] -= lift(a) * fy
 
-    implied = upper_cost is not None and all(
-        v.objective >= 0 and v.lower >= 0 for v in model.variables
+    lower, upper = arrays.lb.tolist(), arrays.ub.tolist()
+    implied = upper_cost is not None and bool(
+        np.all(arrays.c >= 0) and np.all(arrays.lb >= 0)
     )
     uncertified: List[str] = []
-    for j in range(nvars):
-        rj = r[j]
+    for j, rj in enumerate(r):
         if not rj:
             continue
-        v = model.variables[j]
         if rj > 0:
-            if math.isfinite(v.lower):
-                bound += rj * lift(float(v.lower))
+            if math.isfinite(lower[j]):
+                bound += rj * lift(lower[j])
             else:
-                uncertified.append(v.name)
-        elif v.upper is not None and math.isfinite(v.upper):
-            bound += rj * lift(float(v.upper))
+                uncertified.append(model.var_name(j))
+        elif math.isfinite(upper[j]):
+            bound += rj * lift(upper[j])
         elif implied and costs[j] > 0:
-            bound += rj * upper_cost / lift(float(costs[j]))
+            bound += rj * upper_cost / lift(costs[j])
         else:
-            uncertified.append(v.name)
+            uncertified.append(model.var_name(j))
     if uncertified:
         return None, uncertified
     return bound, []

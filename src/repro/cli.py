@@ -1387,6 +1387,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except ValidationError as exc:
+        # Invalid input (a non-finite cost or latency threshold, ...):
+        # named and refused before it reaches a computation.
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Output was piped to a consumer that closed early (e.g. `| head`).
         try:

@@ -5,7 +5,10 @@ pushed through the bulk LP APIs
 (:meth:`~repro.lp.model.LinearProgram.add_vars_bulk` /
 :meth:`~repro.lp.model.LinearProgram.add_rows_bulk`) instead of one
 ``add_row`` call per row, which at Figure-2 scale would be tens of
-thousands of Python-level calls.
+thousands of Python-level calls.  Each bulk family is named by its key
+arrays (:class:`~repro.lp.model.Names`: ``store[n3,i1,k7]`` is prefix
+``store`` with keys ``n``, ``i``, ``k``), so no name string is built unless
+someone asks for one.
 
 The output is equivalent row-for-row to the original row-at-a-time
 builder, kept frozen as a test oracle in ``tests/core/formulation_oracle.py``
@@ -53,7 +56,7 @@ from repro.core.properties import (
     ReplicaConstraint,
     StorageConstraint,
 )
-from repro.lp.model import LinearProgram
+from repro.lp.model import LinearProgram, Names
 from repro.perf import PERF
 
 
@@ -142,23 +145,18 @@ def build_formulation_vectorized(
     store_off = ends - widths  # store variable's offset within the block
     total_vars = int(ends[-1]) if ncells else 0
 
-    names_arr = np.empty(total_vars, dtype=object)
-    names_arr[store_off] = [
-        f"store[n{n},i{i},k{k}]"
-        for n, i, k in zip(ns_l.tolist(), i_l.tolist(), k_l.tolist())
-    ]
     create_off = store_off[has_create] + 1
-    names_arr[create_off] = [
-        f"create[n{n},i{i},k{k}]"
-        for n, i, k in zip(
-            ns_l[has_create].tolist(), i_l[has_create].tolist(), k_l[has_create].tolist()
-        )
-    ]
+    kind = np.zeros(total_vars, dtype=np.int8)
+    kind[create_off] = 1  # a cell's create column follows its store column
+    names = Names(
+        ("store", "create"),
+        {"n": np.repeat(ns_l, widths), "i": np.repeat(i_l, widths), "k": np.repeat(k_l, widths)},
+        kind=kind,
+    )
     obj_arr = np.full(total_vars, costs.beta, dtype=np.float64)
     obj_arr[store_off] = store_alpha + costs.delta * writes_per_ik[i_l, k_l]
 
     base = lp.num_variables
-    lp.add_vars_bulk(names_arr.tolist(), lower=0.0, upper=1.0, obj=obj_arr)
     store_idx[ns_l, i_l, k_l] = base + store_off
     create_idx[ns_l[has_create], i_l[has_create], k_l[has_create]] = base + create_off
 
@@ -179,6 +177,9 @@ def build_formulation_vectorized(
     case_first_create = ~have_p & have_c  # (4): store <= create + initial
     case_first_fixed = ~have_p & ~have_c  # bound-only: store <= initial
     case_chain_create = have_p & have_c  # (3): store <= prev + create
+    upper = np.ones(total_vars, dtype=np.float64)
+    upper[store_off[case_first_fixed]] = np.minimum(1.0, init_val[case_first_fixed])
+    lp.add_vars_bulk(names, lower=0.0, upper=upper, obj=obj_arr)
     nnz = np.where(case_chain_create, 3, 2)
     nnz[case_first_fixed] = 0
     row_mask = ~case_first_fixed
@@ -199,21 +200,17 @@ def build_formulation_vectorized(
         fcf[starts[third] + 2] = -1.0
         rhs = np.where(case_first_create, init_val, 0.0)[row_mask]
         lp.add_rows_bulk(indptr, fidx, fcf, "<=", rhs)
-    for c in np.flatnonzero(case_first_fixed):
-        lp.set_bounds(int(s_cur[c]), 0.0, min(1.0, float(init_val[c])))
 
     # --- storage constraint (16)/(16a) --------------------------------------
     cap_index = None
     cap_node_index = None
     if sc is StorageConstraint.UNIFORM:
-        cap_index = lp.var("capacity", obj=costs.alpha * ns_count * intervals).index
+        cap_index = lp.var("capacity", obj=costs.alpha * ns_count * intervals)
     elif sc is StorageConstraint.PER_NODE:
         cap_node_index = np.full(ns_count, -1, dtype=np.int64)
         for ns in range(ns_count):
             if (store_idx[ns] >= 0).any():
-                cap_node_index[ns] = lp.var(
-                    f"capacity[n{ns}]", obj=costs.alpha * intervals
-                ).index
+                cap_node_index[ns] = lp.var(f"capacity[n{ns}]", obj=costs.alpha * intervals)
     if sc is not StorageConstraint.NONE:
         if cap_index is not None:
             cap_per_ns = np.full(ns_count, cap_index, dtype=np.int64)
@@ -233,7 +230,7 @@ def build_formulation_vectorized(
                 S[mask],
                 lengths,
                 cap_per_ns[ns_r],
-                names=[f"sc[n{n},i{i}]" for n, i in zip(ns_r.tolist(), i_r.tolist())],
+                names=Names("sc", {"n": ns_r, "i": i_r}),
             )
 
     # --- replica constraint (17)/(17a) --------------------------------------
@@ -242,13 +239,13 @@ def build_formulation_vectorized(
     charge_rc = rc is not ReplicaConstraint.NONE and sc is StorageConstraint.NONE
     if rc is ReplicaConstraint.UNIFORM:
         rep_obj = costs.alpha * intervals * len(read_active) if charge_rc else 0.0
-        rep_index = lp.var("replicas", obj=rep_obj).index
+        rep_index = lp.var("replicas", obj=rep_obj)
     elif rc is ReplicaConstraint.PER_OBJECT:
         rep_object_index = np.full(objects, -1, dtype=np.int64)
         for k in read_active:
             rep_object_index[k] = lp.var(
                 f"replicas[k{k}]", obj=costs.alpha * intervals if charge_rc else 0.0
-            ).index
+            )
     if rc is not ReplicaConstraint.NONE:
         S2 = store_idx[:, :, read_active].transpose(2, 1, 0)  # (Ka, I, Ns)
         mask = S2 >= 0
@@ -267,10 +264,7 @@ def build_formulation_vectorized(
                 S2[mask],
                 lengths,
                 rep_per_ka[ka_r],
-                names=[
-                    f"rc[i{i},k{k}]"
-                    for i, k in zip(i_r.tolist(), read_active[ka_r].tolist())
-                ],
+                names=Names("rc", {"i": i_r, "k": read_active[ka_r]}),
             )
 
     # --- node opening (13)/(14) ---------------------------------------------
@@ -279,7 +273,7 @@ def build_formulation_vectorized(
         open_index = np.full(ns_count, -1, dtype=np.int64)
         any_store = (store_idx >= 0).any(axis=(1, 2))
         rng = lp.add_vars_bulk(
-            [f"open[n{n}]" for n in np.flatnonzero(any_store).tolist()],
+            Names("open", {"n": np.flatnonzero(any_store)}),
             lower=0.0,
             upper=1.0,
             obj=costs.zeta,
@@ -313,7 +307,7 @@ def build_formulation_vectorized(
         # Pass 1 (per demander): locate demand cells, extract each cell's
         # reachable holders, and accumulate covered-variable names/objectives
         # so the whole family lands in one bulk block.
-        cov_names: List[str] = []
+        cov_keys: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         cov_obj_chunks: List[np.ndarray] = []
         per_nd: List[Optional[tuple]] = []
         for nd in range(nd_count):
@@ -343,10 +337,7 @@ def build_formulation_vectorized(
             elig = hcounts > 0
             if costs.gamma > 0 and gamma_pen[nd] > 0:
                 objective_constant += float((gamma_pen[nd] * r_c).sum())
-            cov_names.extend(
-                f"covered[n{nd},i{i},k{k}]"
-                for i, k in zip(i_c[elig].tolist(), k_c[elig].tolist())
-            )
+            cov_keys.append((np.full(int(elig.sum()), nd), i_c[elig], k_c[elig]))
             if costs.gamma > 0:
                 cov_obj_chunks.append(-(gamma_pen[nd] * r_c[elig]))
             else:
@@ -354,9 +345,11 @@ def build_formulation_vectorized(
             per_nd.append((ka_c, i_c, k_c, r_c, elig, hcounts, holders_flat))
 
         cov_base = lp.num_variables
-        if cov_names:
+        if cov_keys:
+            cov_n, cov_i, cov_k = (np.concatenate(keys) for keys in zip(*cov_keys))
             lp.add_vars_bulk(
-                cov_names, lower=0.0, upper=1.0, obj=np.concatenate(cov_obj_chunks)
+                Names("covered", {"n": cov_n, "i": cov_i, "k": cov_k}),
+                lower=0.0, upper=1.0, obj=np.concatenate(cov_obj_chunks),
             )
 
         # Pass 2 (per demander): cover rows in cell order + per-scope-key
@@ -405,10 +398,9 @@ def build_formulation_vectorized(
                     fcf,
                     "<=",
                     np.zeros(n_elig),
-                    names=[
-                        f"cover[n{nd},i{i},k{k}]"
-                        for i, k in zip(i_c[elig].tolist(), k_c[elig].tolist())
-                    ],
+                    names=Names(
+                        "cover", {"n": np.full(n_elig, nd), "i": i_c[elig], "k": k_c[elig]}
+                    ),
                 )
             for s, e in zip(run_starts.tolist(), run_ends.tolist()):
                 key = scope_key(scope, nd, int(k_c[s]))
@@ -535,14 +527,14 @@ def _build_average_latency(
                     s = store_idx[ns, i, k]
                     if s < 0:
                         continue
-                    rv = lp.var(f"route[n{nd},m{ns},i{i},k{k}]", upper=1.0).index
+                    rv = lp.var(f"route[n{nd},m{ns},i{i},k{k}]", upper=1.0)
                     lp.add_row([rv, int(s)], [1.0, -1.0], "<=", 0.0)  # (9)
                     ns_list.append(int(ns))
                     var_list.append(rv)
                     latency_terms.setdefault(key, []).append(
                         (rv, r * float(inst.latency[nd, ns]))
                     )
-                origin_var = lp.var(f"route[n{nd},origin,i{i},k{k}]", upper=1.0).index
+                origin_var = lp.var(f"route[n{nd},origin,i{i},k{k}]", upper=1.0)
                 latency_terms.setdefault(key, []).append(
                     (origin_var, r * float(inst.origin_latency[nd]))
                 )

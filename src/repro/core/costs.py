@@ -11,7 +11,10 @@ only relative costs matter.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+
+from repro.errors import ValidationError
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,10 @@ class CostModel:
 
     def __post_init__(self) -> None:
         for name in ("alpha", "beta", "gamma", "delta", "zeta"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
+            if value < 0:
                 raise ValueError(f"{name} must be non-negative")
 
     @staticmethod

@@ -15,8 +15,11 @@ object, or per (user, object) pair.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Union
+
+from repro.errors import ValidationError
 
 
 class GoalScope(str, enum.Enum):
@@ -59,6 +62,10 @@ class QoSGoal:
     scope: GoalScope = GoalScope.PER_USER
 
     def __post_init__(self) -> None:
+        for name in ("tlat_ms", "fraction"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.tlat_ms < 0:
             raise ValueError("latency threshold must be non-negative")
         if not 0.0 < self.fraction <= 1.0:

@@ -472,15 +472,17 @@ def round_solution_iterative(
     if not isinstance(form.problem.goal, QoSGoal):
         raise TypeError("rounding is defined for the QoS goal metric")
     lp = form.lp
+    # Patches write these arrays in place; rounding adds no columns.
+    cols = lp.assembled()
     store_idx = form.store_idx
     var_list = [int(j) for j in store_idx[store_idx >= 0].ravel()]
-    saved = [(j, lp.variables[j].lower, lp.variables[j].upper) for j in var_list]
+    saved = [(j, float(cols.lb[j]), float(cols.ub[j])) for j in var_list]
     values = np.asarray(solution.values, dtype=float)
 
     def fractional():
         return [
             j for j in var_list
-            if lp.variables[j].lower != lp.variables[j].upper
+            if cols.lb[j] != cols.ub[j]
             and _FRAC_TOL < values[j] < 1.0 - _FRAC_TOL
         ]
 
@@ -490,7 +492,7 @@ def round_solution_iterative(
 
     def fix_batch(targets: List[Tuple[int, float]]):
         nonlocal rounded_up, rounded_down
-        undo = [(j, lp.variables[j].lower, lp.variables[j].upper) for j, _ in targets]
+        undo = [(j, float(cols.lb[j]), float(cols.ub[j])) for j, _ in targets]
         for j, value in targets:
             lp.fix_var(j, value)
             PERF.count("round.iterative.fix")
@@ -504,8 +506,7 @@ def round_solution_iterative(
         return sol
 
     def can_reach_one(j: int) -> bool:
-        up = lp.variables[j].upper
-        return up is None or up >= 1.0 - _FRAC_TOL
+        return cols.ub[j] >= 1.0 - _FRAC_TOL
 
     try:
         while True:

@@ -3,10 +3,9 @@
 A small, self-contained LP modeling layer used by the MC-PERF formulation in
 :mod:`repro.core`.  It provides:
 
-* :class:`~repro.lp.expr.LinExpr` — sparse linear expressions with operator
-  overloading, for ergonomic model building.
-* :class:`~repro.lp.model.LinearProgram` — a named-variable LP model with both
-  an expression-based and a fast array-based constraint interface.
+* :class:`~repro.lp.model.LinearProgram` — an LP held in the one form HiGHS
+  takes: column arrays, model-order CSR rows and row bounds, built a row or
+  a family at a time, with names rendered on demand.
 * :class:`~repro.lp.solution.LPSolution` — solved values, objective and status.
 * :func:`~repro.lp.scipy_backend.solve_with_scipy` — the production backend:
   HiGHS through scipy's bindings, fed exactly what ``linprog`` would feed it,
@@ -25,8 +24,7 @@ reports by weak duality (:func:`repro.audit.dual_bound`) instead of
 re-solving on a second solver.
 """
 
-from repro.lp.expr import LinExpr
-from repro.lp.model import Constraint, LinearProgram, Sense, Variable
+from repro.lp.model import LinearProgram, LPArrays, Names, Sense
 from repro.lp.solution import LPSolution, SolveStatus
 from repro.lp.basis import Basis
 from repro.lp.scipy_backend import solve_with_scipy
@@ -35,10 +33,9 @@ from repro.audit.certificates import ValidationReport, check_solution
 from repro.lp.diagnose import InfeasibilityDiagnosis, diagnose_infeasibility
 
 __all__ = [
-    "LinExpr",
     "LinearProgram",
-    "Variable",
-    "Constraint",
+    "LPArrays",
+    "Names",
     "Sense",
     "LPSolution",
     "SolveStatus",

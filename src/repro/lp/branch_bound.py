@@ -88,10 +88,10 @@ def solve_integer(
         on it.
     """
     integer_vars = [int(j) for j in integer_vars]
+    arrays = model.assembled()
     for j in integer_vars:
-        v = model.variables[j]
-        if v.lower < -tol or (v.upper is not None and v.upper > 1 + tol):
-            raise ValueError(f"integer variable {v.name} must be within [0, 1]")
+        if arrays.lb[j] < -tol or arrays.ub[j] > 1 + tol:
+            raise ValueError(f"integer variable {model.var_name(j)} must be within [0, 1]")
 
     deadline = time.perf_counter() + time_limit_s if time_limit_s else None
     best_obj: Optional[float] = None
@@ -181,14 +181,14 @@ def _solve_with_fixings(
     """
     saved = []
     try:
+        arrays = model.assembled()
         for j, value in fixings.items():
-            v = model.variables[j]
-            saved.append((j, v.lower, v.upper))
+            saved.append((j, float(arrays.lb[j]), float(arrays.ub[j])))
             model.fix_var(j, value)
         return model.solve(backend="scipy", warm_start=warm)
     finally:
         for j, lower, upper in saved:
-            model.set_bound(j, lower, upper)
+            model.set_bounds(j, lower, upper)
 
 
 def _most_fractional(values, integer_vars: Sequence[int]) -> Optional[int]:

@@ -16,8 +16,11 @@ with the QoS goal" instead of a list of 400 row names.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, List
+
+import numpy as np
 
 from repro.lp.model import LinearProgram
 from repro.lp.solution import SolveStatus
@@ -77,21 +80,20 @@ def diagnose_infeasibility(
     models already known infeasible; on a feasible model every family comes
     back non-binding.
     """
+    of_row = np.array([constraint_family(name) for name in model.row_names()], dtype=object)
     families: Dict[str, int] = {}
-    for con in model.constraints:
-        fam = constraint_family(con.name)
+    for fam in of_row.tolist():
         families[fam] = families.get(fam, 0) + 1
 
     diagnosis = InfeasibilityDiagnosis(families=families)
     for fam in sorted(families):
-        relaxed = LinearProgram(
-            name=f"{model.name}/without-{fam}",
-            variables=model.variables,
-            constraints=[
-                con for con in model.constraints if constraint_family(con.name) != fam
-            ],
-            _names=model._names,
-        )
+        # The family's rows freed: -inf <= A x <= +inf binds nothing.
+        drop = of_row == fam
+        relaxed = copy.deepcopy(model)
+        relaxed.name = f"{model.name}/without-{fam}"
+        arrays = relaxed.assembled()
+        arrays.row_lower[drop] = -np.inf
+        arrays.row_upper[drop] = np.inf
         solution = relaxed.solve(backend=backend)
         if solution.status is not SolveStatus.INFEASIBLE:
             diagnosis.binding.append(fam)

@@ -1,50 +1,55 @@
 """LP model container.
 
-:class:`LinearProgram` holds variables (with bounds and objective
-coefficients) and constraints (as sparse rows), and hands the assembled
-matrices to a solver backend.  Three construction styles are supported:
+:class:`LinearProgram` holds a minimization LP in the one form HiGHS
+takes, which every reader (the backend, the audits, rounding, branch and
+bound, the diagnosis) reads as well:
 
-* expression based — readable, for small/structural constraints::
+* columns — float64 arrays ``c``, ``lb`` and ``ub``, with ``+inf`` where a
+  column has no upper bound (``-inf`` where it has no lower one);
+* rows — one CSR matrix in model order, each row with its own signs, a
+  sense code per row (LE=0, GE=1, EQ=2) and the bounds
+  ``row_lower <= A x <= row_upper``: ``(-inf, b)`` for ``<=``,
+  ``(b, +inf)`` for ``>=`` and ``(b, b)`` for ``==``.
 
-      x = lp.var("x", ub=1.0, obj=2.0)
-      lp.add(x.expr() + y.expr() <= 1, name="pick-one")
+Columns and rows are added one at a time (:meth:`~LinearProgram.var`,
+:meth:`~LinearProgram.add_row`) or a family at a time
+(:meth:`~LinearProgram.add_vars_bulk`, :meth:`~LinearProgram.add_rows_bulk`),
+the path for MC-PERF's O(N*I*K) families::
 
-* array based — for moderate row counts::
-
-      lp.add_row([ix, iy], [1.0, 1.0], "<=", 1.0, name="pick-one")
-
-* block based — the fast path for MC-PERF's O(N*I*K) row families::
-
+      x = lp.var("x", upper=1.0, obj=2.0)
+      lp.add_row([x, y], [1.0, 1.0], "<=", 1.0, name="pick-one")
       lp.add_rows_bulk(indptr, flat_indices, flat_coeffs, "<=", rhs)
+
+Additions are kept as chunks and joined when :meth:`~LinearProgram.assembled`
+runs.  Numeric edits — :meth:`~LinearProgram.set_objective`,
+:meth:`~LinearProgram.set_bounds`, :meth:`~LinearProgram.fix_var`,
+:meth:`~LinearProgram.set_rhs` — write the joined arrays in place, so a
+re-solve after a patch is assembly-free.
+
+Names are kept per family as key arrays (:class:`Names`) and rendered only
+when an audit message, the diagnosis or a test asks for one
+(:meth:`~LinearProgram.var_name`, :meth:`~LinearProgram.row_name`); the
+name-to-index lookup :meth:`~LinearProgram.column` is built on its first use.
 
 Variables are continuous; MC-PERF's integrality is recovered by the rounding
 algorithm in :mod:`repro.core.rounding`, exactly as in the paper.
-
-Assembled solver arrays are cached on the model and invalidated only by
-structural edits (new variables or rows).  Numeric edits go through the
-patch API — :meth:`~LinearProgram.fix_var`, :meth:`~LinearProgram.set_bound`,
-:meth:`~LinearProgram.set_rhs` — which updates the cached arrays in place,
-so re-solves after a patch are assembly-free.
 """
 
 from __future__ import annotations
 
 import enum
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from itertools import repeat as _repeat
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.lp.expr import ConstraintSpec, LinExpr
 from repro.lp.scipy_backend import highs_core
 from repro.lp.solution import LPSolution
 from repro.perf import PERF
 
 
 class Sense(str, enum.Enum):
-    """Constraint sense."""
+    """Row sense."""
 
     LE = "<="
     GE = ">="
@@ -61,328 +66,174 @@ class Sense(str, enum.Enum):
 
     @property
     def code(self) -> int:
-        """The sense's code in :meth:`ConstraintList.columnar` (LE=0, GE=1, EQ=2)."""
+        """The sense's code in :attr:`LPArrays.sense` (LE=0, GE=1, EQ=2)."""
         return _SENSE_CODE[self]
 
-
-@dataclass
-class Variable:
-    """A model variable: bounds, objective coefficient and a debug name."""
-
-    index: int
-    name: str
-    lower: float = 0.0
-    upper: Optional[float] = None
-    objective: float = 0.0
-
-    def expr(self, coeff: float = 1.0) -> LinExpr:
-        """The expression ``coeff * self``."""
-        return LinExpr.term(self.index, coeff)
+    def bounds(self, rhs):
+        """``(row_lower, row_upper)`` of rows of this sense with right-hand side ``rhs``."""
+        if self is Sense.LE:
+            return np.full_like(rhs, -np.inf), rhs
+        if self is Sense.GE:
+            return rhs, np.full_like(rhs, np.inf)
+        return rhs, rhs.copy()
 
 
-@dataclass
-class Constraint:
-    """A sparse constraint row ``sum(coeffs * x[indices]) sense rhs``."""
-
-    name: str
-    indices: Sequence[int]
-    coeffs: Sequence[float]
-    sense: Sense
-    rhs: float
-
-    def activity(self, values) -> float:
-        # An explicit left-to-right sum from 0.0: ``sum()`` compensates float
-        # rounding since Python 3.12, which would make the result depend on
-        # the interpreter and differ from :meth:`LinearProgram.row_activities`.
-        act = 0.0
-        for i, c in zip(self.indices, self.coeffs):
-            act += c * float(values[i])
-        return act
-
-    def satisfied(self, values, tol: float = 1e-6) -> bool:
-        act = self.activity(values)
-        if self.sense is Sense.LE:
-            return act <= self.rhs + tol
-        if self.sense is Sense.GE:
-            return act >= self.rhs - tol
-        return abs(act - self.rhs) <= tol
-
-
-#: Compact sense encoding used by the columnar row storage (LE=0, GE=1, EQ=2).
 _SENSE_CODE = {Sense.LE: 0, Sense.GE: 1, Sense.EQ: 2}
-_CODE_SENSE = {0: Sense.LE, 1: Sense.GE, 2: Sense.EQ}
 
 
-class _RowBlock:
-    """A homogeneous family of rows stored columnar (no per-row objects).
+class Names:
+    """The names of a family of columns or rows, kept as key arrays.
 
-    ``add_rows_bulk`` appends one of these per family: the CSR triple
-    (``indptr``/``indices``/``coeffs``), a shared sense, per-row ``rhs``,
-    and optional per-row names.  Individual :class:`Constraint` objects are
-    materialized lazily only when somebody actually indexes or iterates the
-    row (diagnostics, validation, the exact audit) — the hot
-    assembly path reads the columnar arrays directly.
+    Member ``j`` is named ``prefix[n3,i1,k7]``: each key's label followed by
+    its value at ``j``.  With a tuple of prefixes, ``kind[j]`` picks member
+    ``j``'s prefix (the store and create columns of one cell block).
     """
 
-    __slots__ = ("start", "indptr", "indices", "coeffs", "sense", "rhs", "names")
+    __slots__ = ("prefix", "keys", "kind")
 
-    def __init__(self, start, indptr, indices, coeffs, sense, rhs, names=None):
-        self.start = start  # global row index of the block's first row
-        self.indptr = indptr
-        self.indices = indices
-        self.coeffs = coeffs
-        self.sense = sense
-        self.rhs = rhs
-        self.names = names
+    def __init__(
+        self,
+        prefix: Union[str, Tuple[str, ...]],
+        keys: Mapping[str, Sequence[int]],
+        kind: Optional[Sequence[int]] = None,
+    ):
+        self.prefix = prefix
+        self.keys = [(label, np.asarray(values, dtype=np.int32)) for label, values in keys.items()]
+        self.kind = None if kind is None else np.asarray(kind, dtype=np.int8)
 
     def __len__(self) -> int:
-        return len(self.indptr) - 1
+        return len(self.keys[0][1])
 
-    def materialize(self, offset: int) -> Constraint:
-        """Build the :class:`Constraint` view for row ``start + offset``."""
-        s = self.indptr[offset]
-        e = self.indptr[offset + 1]
-        name = self.names[offset] if self.names is not None else f"c{self.start + offset}"
-        return Constraint(
-            name=name,
-            indices=self.indices[s:e],
-            coeffs=self.coeffs[s:e],
-            sense=self.sense,
-            rhs=float(self.rhs[offset]),
-        )
+    def render(self, j: int) -> str:
+        prefix = self.prefix if self.kind is None else self.prefix[self.kind[j]]
+        return f"{prefix}[{','.join(f'{label}{values[j]}' for label, values in self.keys)}]"
+
+    def render_all(self) -> List[str]:
+        labels = [label for label, _ in self.keys]
+        columns = [values.tolist() for _, values in self.keys]
+        inner = [",".join(map("".join, zip(labels, map(str, row)))) for row in zip(*columns)]
+        if self.kind is None:
+            return [f"{self.prefix}[{text}]" for text in inner]
+        return [f"{self.prefix[k]}[{text}]" for k, text in zip(self.kind.tolist(), inner)]
 
 
-class ConstraintList:
-    """Sequence of constraints mixing per-row objects and columnar blocks.
+class _NameTable:
+    """The names of a growing sequence of columns or rows.
 
-    Rows added one at a time (``add_row``/``add``) live as plain
-    :class:`Constraint` objects; families added via ``add_rows_bulk`` live
-    as :class:`_RowBlock` columns.  Indexing/iteration materialize block
-    rows on demand (memoized, so patching a materialized row's RHS stays
-    coherent); ``columnar()`` hands the assembly the flat arrays without
-    creating any row objects.
+    A family is its first index plus a list of names (``None`` for an
+    unnamed member), a :class:`Names` block, or a count of unnamed members.
+    An unnamed member ``j`` is named ``f"{auto}{j}"``.
     """
 
-    __slots__ = ("_segs", "_starts", "_len", "_cache")
+    __slots__ = ("auto", "starts", "families", "size", "_lookup")
 
-    def __init__(self, items=()):
-        self._segs: list = []  # each: list[Constraint] | _RowBlock
-        self._starts: List[int] = []  # global row index where each segment begins
-        self._len = 0
-        self._cache: Dict[int, Constraint] = {}
-        for item in items:
-            self.append(item)
+    def __init__(self, auto: str):
+        self.auto = auto
+        self.starts: List[int] = []
+        self.families: list = []
+        self.size = 0
+        self._lookup: Optional[Dict[str, int]] = None
 
-    def __len__(self) -> int:
-        return self._len
-
-    def _locate(self, row: int):
-        seg_i = bisect_right(self._starts, row) - 1
-        return self._segs[seg_i], row - self._starts[seg_i]
-
-    def __getitem__(self, row):
-        if isinstance(row, slice):
-            return [self[i] for i in range(*row.indices(self._len))]
-        row = int(row)
-        if row < 0:
-            row += self._len
-        if not 0 <= row < self._len:
-            raise IndexError("constraint index out of range")
-        seg, off = self._locate(row)
-        if isinstance(seg, list):
-            return seg[off]
-        con = self._cache.get(row)
-        if con is None:
-            con = seg.materialize(off)
-            self._cache[row] = con
-        return con
-
-    def __iter__(self):
-        for start, seg in zip(self._starts, self._segs):
-            if isinstance(seg, list):
-                yield from seg
-            else:
-                cache = self._cache
-                for off in range(len(seg)):
-                    row = start + off
-                    con = cache.get(row)
-                    if con is None:
-                        con = seg.materialize(off)
-                        cache[row] = con
-                    yield con
-
-    def __eq__(self, other):
-        if isinstance(other, (ConstraintList, list)):
-            return len(self) == len(other) and all(
-                a == b for a, b in zip(self, other)
-            )
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"ConstraintList(len={self._len}, segments={len(self._segs)})"
-
-    def append(self, con: Constraint) -> None:
-        if self._segs and isinstance(self._segs[-1], list):
-            self._segs[-1].append(con)
+    def add(self, family, count: int) -> None:
+        if not count:
+            return
+        if isinstance(family, list) and self.families and isinstance(self.families[-1], list):
+            self.families[-1].extend(family)
         else:
-            self._starts.append(self._len)
-            self._segs.append([con])
-        self._len += 1
+            self.starts.append(self.size)
+            self.families.append(family)
+        self.size += count
+        self._lookup = None
 
-    def append_block(self, block: _RowBlock) -> None:
-        self._starts.append(self._len)
-        self._segs.append(block)
-        self._len += len(block)
+    def name(self, j: int) -> str:
+        f = bisect_right(self.starts, j) - 1
+        family, offset = self.families[f], j - self.starts[f]
+        if isinstance(family, Names):
+            return family.render(offset)
+        if isinstance(family, list) and family[offset]:
+            return family[offset]
+        return f"{self.auto}{j}"
 
-    def set_rhs(self, row: int, rhs: float) -> None:
-        """Patch one row's RHS without materializing it."""
-        seg, off = self._locate(row)
-        if isinstance(seg, list):
-            seg[off].rhs = rhs
-        else:
-            seg.rhs[off] = rhs
-            con = self._cache.get(row)
-            if con is not None:
-                con.rhs = rhs
-
-    def columnar(self):
-        """Flatten to ``(lengths, sense_codes, rhs, flat_idx, flat_cf)``.
-
-        One concatenated view of every segment, block rows at zero per-row
-        cost; object-segment rows are converted on the fly (they are the
-        handful of goal/auxiliary rows, never the O(N·I·K) families).
-        """
-        lengths_parts = []
-        sense_parts = []
-        rhs_parts = []
-        idx_parts = []
-        cf_parts = []
-        for seg in self._segs:
-            if isinstance(seg, list):
-                n = len(seg)
-                if not n:
-                    continue
-                lengths_parts.append(
-                    np.fromiter((len(c.indices) for c in seg), dtype=np.int64, count=n)
-                )
-                sense_parts.append(
-                    np.fromiter((_SENSE_CODE[c.sense] for c in seg), dtype=np.int8, count=n)
-                )
-                rhs_parts.append(
-                    np.fromiter((c.rhs for c in seg), dtype=np.float64, count=n)
-                )
-                for c in seg:
-                    if len(c.indices):
-                        idx_parts.append(np.asarray(c.indices, dtype=np.int64))
-                        cf_parts.append(np.asarray(c.coeffs, dtype=np.float64))
+    def all(self) -> List[str]:
+        out: List[str] = []
+        ends = self.starts[1:] + [self.size]
+        for start, end, family in zip(self.starts, ends, self.families):
+            if isinstance(family, Names):
+                out.extend(family.render_all())
+            elif isinstance(family, list):
+                out.extend(name or f"{self.auto}{start + k}" for k, name in enumerate(family))
             else:
-                lengths_parts.append(np.diff(seg.indptr))
-                sense_parts.append(
-                    np.full(len(seg), _SENSE_CODE[seg.sense], dtype=np.int8)
-                )
-                rhs_parts.append(seg.rhs)
-                if len(seg.indices):
-                    idx_parts.append(seg.indices)
-                    cf_parts.append(seg.coeffs)
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        return (
-            np.concatenate(lengths_parts) if lengths_parts else empty_i,
-            np.concatenate(sense_parts) if sense_parts else np.empty(0, dtype=np.int8),
-            np.concatenate(rhs_parts) if rhs_parts else empty_f,
-            np.concatenate(idx_parts) if idx_parts else empty_i,
-            np.concatenate(cf_parts) if cf_parts else empty_f,
-        )
+                out.extend(f"{self.auto}{j}" for j in range(start, end))
+        return out
+
+    def index(self, name: str) -> int:
+        if self._lookup is None:
+            self._lookup = {n: j for j, n in enumerate(self.all())}
+        return self._lookup[name]
+
+    def __getstate__(self):
+        return self.auto, self.starts, self.families, self.size
+
+    def __setstate__(self, state):
+        self.auto, self.starts, self.families, self.size = state
+        self._lookup = None
 
 
-class _ArrayCache:
-    """Assembled solver arrays plus the row map the patch API needs.
+class LPArrays:
+    """The LP as HiGHS takes it: column arrays, model-order CSR rows, row bounds.
 
-    The rows are one CSR triple ``indptr``/``indices``/``data`` in HiGHS's
-    row order: the ``n_ub`` rows of the ``<=`` block (``>=`` rows negated
-    into it), then the ``==`` block, each in model order.  ``b_ub``/``b_eq``
-    are the two blocks' right-hand sides (None for an empty block).
-    ``row_pos[r]`` is constraint ``r``'s row within its block (``==`` when
-    ``row_is_eq[r]``); ``row_flip[r]`` marks ``>=`` rows that were negated
-    into ``<=`` form, so an RHS patch knows to store ``-rhs``.
-
-    The cache also keeps dense bound arrays ``lb``/``ub`` (``+inf`` for
-    unbounded), which HiGHS and the fast audit read.  The patch API keeps
-    every view in sync, so a warm re-solve sees every
-    ``set_rhs``/``set_bound``/``fix_var`` without any reassembly.  The
-    scipy-shaped split matrices :meth:`LinearProgram.to_arrays` returns are
-    built from the rows on its first call and kept in ``matrices``; no patch
-    touches a matrix entry.
+    Built by :meth:`LinearProgram.assembled`; the patch API writes these
+    arrays in place.  A structural edit builds a new object, so a holder
+    of an old one (a retained HiGHS instance) can tell by identity.
     """
 
     __slots__ = (
-        "c", "bounds", "indptr", "indices", "data", "n_ub", "b_ub", "b_eq",
-        "row_pos", "row_is_eq", "row_flip", "nvars", "nrows", "lb", "ub", "matrices",
+        "c", "lb", "ub", "indptr", "indices", "data", "sense", "row_lower", "row_upper",
+        "nvars", "nrows",
     )
 
-    def __init__(self, c, bounds, indptr, indices, data, n_ub, b_ub, b_eq, row_pos,
-                 row_is_eq, row_flip, lb, ub):
-        self.c = c
-        self.bounds = bounds
-        self.indptr = indptr
-        self.indices = indices
-        self.data = data
-        self.n_ub = n_ub
-        self.b_ub = b_ub
-        self.b_eq = b_eq
-        self.row_pos = row_pos
-        self.row_is_eq = row_is_eq
-        self.row_flip = row_flip
-        self.lb = lb
-        self.ub = ub
-        self.nvars = len(bounds)
-        self.nrows = len(row_pos)
-        self.matrices = None
+    def __init__(self, c, lb, ub, indptr, indices, data, sense, row_lower, row_upper):
+        self.c, self.lb, self.ub = c, lb, ub
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self.sense, self.row_lower, self.row_upper = sense, row_lower, row_upper
+        self.nvars, self.nrows = len(c), len(sense)
 
     def entry_rows(self) -> np.ndarray:
         """The row of each stored entry (the CSR rows expanded)."""
         return np.repeat(np.arange(self.nrows), np.diff(self.indptr))
 
-    def split_matrices(self):
-        """``(A_ub, A_eq)`` as ``scipy.sparse.csr_matrix`` (None for an empty block)."""
-        from scipy import sparse
-
-        n, n_ub = self.nvars, self.n_ub
-        cut = int(self.indptr[n_ub])
-        a_ub = a_eq = None
-        if n_ub:
-            a_ub = sparse.csr_matrix(
-                (self.data[:cut], self.indices[:cut], self.indptr[: n_ub + 1]), shape=(n_ub, n)
-            )
-        if self.nrows > n_ub:
-            a_eq = sparse.csr_matrix(
-                (self.data[cut:], self.indices[cut:], self.indptr[n_ub:] - cut),
-                shape=(self.nrows - n_ub, n),
-            )
-        return a_ub, a_eq
+    def rhs(self) -> np.ndarray:
+        """Each row's right-hand side: the bound its sense selects."""
+        return np.where(self.sense == Sense.GE.code, self.row_lower, self.row_upper)
 
 
-@dataclass
+def _empty_arrays() -> LPArrays:
+    f, i = np.empty(0), np.empty(0, dtype=np.int64)
+    return LPArrays(f, f, f, np.zeros(1, dtype=np.int64), i, f, np.empty(0, dtype=np.int8), f, f)
+
+
 class LinearProgram:
     """A minimization LP over continuous bounded variables."""
 
-    name: str = "lp"
-    variables: List[Variable] = field(default_factory=list)
-    constraints: "ConstraintList" = field(default_factory=ConstraintList)
-    _names: Dict[str, int] = field(default_factory=dict)
-    _arrays: Optional[_ArrayCache] = field(default=None, repr=False, compare=False)
-    #: HiGHS instance retained after an optimal scipy solve (see
-    #: :mod:`repro.lp.scipy_backend`); it holds a factor, so it is dropped
-    #: on pickling/deepcopy.
-    _highs: Optional[object] = field(default=None, repr=False, compare=False)
+    def __init__(self, name: str = "lp"):
+        self.name = name
+        self._arrays = _empty_arrays()
+        #: Columns and rows added since the last join: ``(c, lb, ub)`` and
+        #: ``(indptr, indices, data, sense code, row_lower, row_upper)``.
+        self._new_cols: List[tuple] = []
+        self._new_rows: List[tuple] = []
+        self._nvars = 0
+        self._nrows = 0
+        self._var_names = _NameTable("x")
+        self._row_names = _NameTable("c")
+        #: Explicitly named columns, checked for duplicates as they are added.
+        self._explicit: Dict[str, int] = {}
+        #: HiGHS instance retained after an optimal solve (see
+        #: :mod:`repro.lp.scipy_backend`); it holds a factor, so it is dropped
+        #: on pickling/deepcopy.
+        self._highs: Optional[object] = None
 
-    def __post_init__(self) -> None:
-        # Accept a plain list of Constraint objects (diagnostics build
-        # filtered sub-models that way) and wrap it in the hybrid storage.
-        if not isinstance(self.constraints, ConstraintList):
-            self.constraints = ConstraintList(self.constraints)
-
-    # -- variables ---------------------------------------------------------
+    # -- columns -----------------------------------------------------------
 
     def var(
         self,
@@ -390,152 +241,80 @@ class LinearProgram:
         lower: float = 0.0,
         upper: Optional[float] = None,
         obj: float = 0.0,
-    ) -> Variable:
-        """Add a variable and return its handle.
-
-        Names must be unique; they exist for debugging and solution lookup.
-        """
-        if name in self._names:
-            raise ValueError(f"duplicate variable name: {name!r}")
-        if upper is not None and upper < lower:
-            raise ValueError(f"variable {name!r}: upper {upper} < lower {lower}")
-        v = Variable(index=len(self.variables), name=name, lower=lower, upper=upper, objective=obj)
-        self.variables.append(v)
-        self._names[name] = v.index
-        self._arrays = None
-        return v
-
-    def var_block(
-        self,
-        prefix: str,
-        count: int,
-        lower: float = 0.0,
-        upper: Optional[float] = None,
-        obj: float = 0.0,
-    ) -> range:
-        """Add ``count`` homogeneous variables named ``prefix[j]``; return their index range."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        return self.add_vars_bulk(
-            [f"{prefix}[{j}]" for j in range(count)], lower=lower, upper=upper, obj=obj
-        )
+    ) -> int:
+        """Add a column and return its index.  Names must be unique."""
+        return self.add_vars_bulk([name], lower, upper, obj).start
 
     def add_vars_bulk(
         self,
-        names: Sequence[str],
+        names: "Sequence[str] | Names",
         lower=0.0,
         upper=None,
         obj=0.0,
     ) -> range:
-        """Append a block of variables; return their index range.
+        """Append a family of columns; return their index range.
 
-        ``lower``/``upper``/``obj`` may be scalars (applied to every
-        variable) or per-variable sequences.  The bulk path for MC-PERF's
-        store/create/covered blocks: one call per family instead of one
-        ``var()`` call per cell.
+        ``names`` is a list of names or a :class:`Names` family, rendered
+        only on demand.  ``lower``/``upper``/``obj`` may be scalars or
+        per-column sequences; ``upper=None`` (or ``inf``) is no upper bound.
         """
         count = len(names)
-        start = len(self.variables)
-        scalar_lo = not hasattr(lower, "__len__")
-        scalar_up = upper is None or not hasattr(upper, "__len__")
-        scalar_obj = not hasattr(obj, "__len__")
-        if scalar_up and upper is not None and scalar_lo and upper < lower:
-            raise ValueError(f"variable block: upper {upper} < lower {lower}")
-        lo_seq = None if scalar_lo else [float(x) for x in lower]
-        up_seq = None if scalar_up else [None if x is None else float(x) for x in upper]
-        obj_seq = None if scalar_obj else [float(x) for x in obj]
-        if not (scalar_lo and scalar_up):
-            for j in range(count):
-                lo = lower if scalar_lo else lo_seq[j]
-                up = upper if scalar_up else up_seq[j]
-                if up is not None and up < lo:
-                    raise ValueError(f"variable {names[j]!r}: upper {up} < lower {lo}")
-        # map() drives the construction loop in C — measurably faster than a
-        # comprehension for the O(N*I*K) variable families.
-        block = list(
-            map(
-                Variable,
-                range(start, start + count),
-                names,
-                _repeat(lower) if scalar_lo else lo_seq,
-                _repeat(upper) if scalar_up else up_seq,
-                _repeat(obj) if scalar_obj else obj_seq,
-            )
-        )
-        nametab = self._names
-        nametab.update(zip(names, range(start, start + count)))
-        if len(nametab) != start + count:
-            # Roll back (self.variables is still pristine) and name the offender.
-            self._names = {v.name: v.index for v in self.variables}
-            seen = set(self._names)
-            for name in names:
-                if name in seen:
-                    raise ValueError(f"duplicate variable name: {name!r}")
-                seen.add(name)
-            raise ValueError("duplicate variable name in bulk block")
-        self.variables.extend(block)
-        self._arrays = None
+        start = self._nvars
+        lo = np.broadcast_to(np.asarray(lower, dtype=np.float64), (count,)).copy()
+        if upper is None:
+            upper = np.inf
+        elif isinstance(upper, (list, tuple)):
+            upper = [np.inf if u is None else u for u in upper]
+        up = np.broadcast_to(np.asarray(upper, dtype=np.float64), (count,)).copy()
+        c = np.broadcast_to(np.asarray(obj, dtype=np.float64), (count,)).copy()
+        bad = np.flatnonzero(up < lo)
+        if len(bad):
+            j = int(bad[0])
+            label = names.render(j) if isinstance(names, Names) else names[j]
+            raise ValueError(f"variable {label!r}: upper {up[j]} < lower {lo[j]}")
+        if not isinstance(names, Names):
+            names = list(names)
+            fresh = dict(zip(names, range(start, start + count)))
+            if len(fresh) != count or not self._explicit.keys().isdisjoint(fresh):
+                seen = set(self._explicit)
+                for name in names:
+                    if name in seen:
+                        raise ValueError(f"duplicate variable name: {name!r}")
+                    seen.add(name)
+            self._explicit.update(fresh)
+        self._new_cols.append((c, lo, up))
+        self._var_names.add(names, count)
+        self._nvars += count
         return range(start, start + count)
 
-    def variable_by_name(self, name: str) -> Variable:
-        return self.variables[self._names[name]]
+    def column(self, name: str) -> int:
+        """The index of the column named ``name`` (KeyError if none)."""
+        index = self._explicit.get(name)
+        return self._var_names.index(name) if index is None else index
 
-    def set_objective(self, index: int, coeff: float) -> None:
-        self.variables[index].objective = float(coeff)
-        if self._arrays is not None:
-            self._arrays.c[index] = self.variables[index].objective
+    def var_name(self, index: int) -> str:
+        return self._var_names.name(index)
 
-    def add_objective(self, index: int, coeff: float) -> None:
-        self.variables[index].objective += float(coeff)
-        if self._arrays is not None:
-            self._arrays.c[index] = self.variables[index].objective
+    def row_name(self, row: int) -> str:
+        return self._row_names.name(row)
 
-    def set_bounds(self, index: int, lower: float = 0.0, upper: Optional[float] = None) -> None:
-        """Patch a variable's bounds, updating cached arrays in place."""
-        if upper is not None and upper < lower:
-            raise ValueError(f"variable {index}: upper {upper} < lower {lower}")
-        v = self.variables[index]
-        v.lower = lower
-        v.upper = upper
-        cache = self._arrays
-        if cache is not None:
-            cache.bounds[index] = (lower, upper)
-            cache.lb[index] = lower
-            cache.ub[index] = float("inf") if upper is None else upper
-        PERF.count("lp.patch.bound")
+    def var_names(self) -> List[str]:
+        """Every column's name, in index order."""
+        return self._var_names.all()
 
-    # ``set_bound`` is the patch-API name from the performance layer;
-    # ``set_bounds`` predates it.  Both patch in place.
-    set_bound = set_bounds
-
-    def fix_var(self, index: int, value: float) -> None:
-        """Fix a variable to a constant without invalidating the assembly."""
-        self.set_bounds(index, value, value)
-        PERF.count("lp.patch.fix_var")
-
-    def fix(self, index: int, value: float) -> None:
-        """Fix a variable to a constant (used for Know/Hist/React fixings)."""
-        self.fix_var(index, value)
+    def row_names(self) -> List[str]:
+        """Every row's name, in model order."""
+        return self._row_names.all()
 
     @property
     def num_variables(self) -> int:
-        return len(self.variables)
+        return self._nvars
 
     @property
     def num_constraints(self) -> int:
-        return len(self.constraints)
+        return self._nrows
 
-    # -- constraints -------------------------------------------------------
-
-    def add(self, spec: ConstraintSpec, name: str = "") -> Constraint:
-        """Add a constraint produced by comparing :class:`LinExpr` objects."""
-        if not isinstance(spec, ConstraintSpec):
-            raise TypeError(
-                "add() expects a comparison of LinExpr objects, e.g. lp.add(x <= 1)"
-            )
-        indices = list(spec.expr.terms.keys())
-        coeffs = [spec.expr.terms[i] for i in indices]
-        return self.add_row(indices, coeffs, spec.sense, spec.rhs, name=name)
+    # -- rows --------------------------------------------------------------
 
     def add_row(
         self,
@@ -544,24 +323,11 @@ class LinearProgram:
         sense: "Sense | str",
         rhs: float,
         name: str = "",
-    ) -> Constraint:
-        """Add a sparse constraint row directly."""
-        if len(indices) != len(coeffs):
-            raise ValueError("indices and coeffs must have the same length")
-        nvar = len(self.variables)
-        for i in indices:
-            if not 0 <= i < nvar:
-                raise IndexError(f"constraint references unknown variable index {i}")
-        con = Constraint(
-            name=name or f"c{len(self.constraints)}",
-            indices=list(indices),
-            coeffs=[float(c) for c in coeffs],
-            sense=Sense.parse(sense),
-            rhs=float(rhs),
-        )
-        self.constraints.append(con)
-        self._arrays = None
-        return con
+    ) -> int:
+        """Add one sparse row; return its index."""
+        return self.add_rows_bulk(
+            [0, len(indices)], indices, coeffs, sense, [rhs], names=[name or None]
+        ).start
 
     def add_rows_bulk(
         self,
@@ -570,19 +336,14 @@ class LinearProgram:
         coeffs,
         sense: "Sense | str",
         rhs,
-        names: Optional[Sequence[str]] = None,
+        names: "Optional[Sequence[str] | Names]" = None,
     ) -> range:
-        """Append a homogeneous block of sparse rows (fast path).
+        """Append a family of sparse rows of one sense; return their row range.
 
         ``indptr`` delimits rows within the flat ``indices``/``coeffs``
-        arrays CSR-style (row ``r`` spans ``indptr[r]:indptr[r+1]``);
-        ``sense`` applies to the whole block; ``rhs`` is per-row.  The
-        block is stored columnar — no per-row objects are created, so a
-        10k-row family costs one validation pass plus one ``_RowBlock``;
-        :class:`Constraint` views materialize lazily only if somebody
-        indexes into the family.
-
-        Returns the block's row-index range.
+        arrays CSR-style (row ``r`` spans ``indptr[r]:indptr[r+1]``); ``rhs``
+        is per row.  ``names`` is a list, a :class:`Names` family, or None
+        for rows named ``c<row>``.
         """
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
@@ -601,140 +362,114 @@ class LinearProgram:
             raise ValueError("indices and coeffs must have the same length")
         if np.any(np.diff(indptr) < 0):
             raise ValueError("indptr must be non-decreasing")
-        if len(indices) and (indices.min() < 0 or indices.max() >= len(self.variables)):
+        if len(indices) and (indices.min() < 0 or indices.max() >= self._nvars):
             raise IndexError("constraint block references unknown variable index")
-
         parsed = Sense.parse(sense)
-        start = len(self.constraints)
-        block_names = None if names is None else list(names)
-        self.constraints.append_block(
-            _RowBlock(start, indptr, indices, coeffs, parsed, rhs, block_names)
+        lower, upper = parsed.bounds(rhs)
+        start = self._nrows
+        self._new_rows.append((indptr, indices, coeffs, parsed.code, lower, upper))
+        self._row_names.add(
+            names if names is None or isinstance(names, Names) else list(names), nrows
         )
-        self._arrays = None
+        self._nrows += nrows
         return range(start, start + nrows)
-
-    def set_rhs(self, row: int, rhs: float) -> None:
-        """Patch one constraint's RHS, updating cached arrays in place.
-
-        ``>=`` rows live negated in ``A_ub``; the cache's flip map applies
-        the matching sign to the patched value.
-        """
-        rhs = float(rhs)
-        self.constraints.set_rhs(row, rhs)
-        cache = self._arrays
-        if cache is not None:
-            pos = cache.row_pos[row]
-            if cache.row_is_eq[row]:
-                cache.b_eq[pos] = rhs
-            else:
-                cache.b_ub[pos] = -rhs if cache.row_flip[row] else rhs
-        PERF.count("lp.patch.rhs")
 
     def row_activities(self, values):
         """Every row's activity at ``values``, with its sense and RHS.
 
         Returns ``(activity, sense_codes, rhs)`` in model row order, read
-        from :meth:`ConstraintList.columnar`: the rows as written, with
-        their original senses and RHS (not the sign-flipped ``A_ub`` the
-        solver sees).  ``np.bincount`` adds each row's terms left to right
-        from 0.0, so every entry equals that row's
-        :meth:`Constraint.activity` bit for bit, in one vectorized pass.
+        from the assembled CSR.  ``np.bincount`` adds each row's terms left
+        to right from 0.0, one vectorized pass over every row.
         """
+        arrays = self.assembled()
         x = np.asarray(values, dtype=np.float64)
-        lengths, sense_codes, rhs, flat_idx, flat_cf = self.constraints.columnar()
-        rows = len(lengths)
         activity = np.bincount(
-            np.repeat(np.arange(rows), lengths),
-            weights=flat_cf * x[flat_idx],
-            minlength=rows,
+            arrays.entry_rows(), weights=arrays.data * x[arrays.indices],
+            minlength=arrays.nrows,
         )
-        return activity, sense_codes, rhs
+        return activity, arrays.sense, arrays.rhs()
+
+    # -- patches -----------------------------------------------------------
+
+    def set_objective(self, index: int, coeff: float) -> None:
+        self._current().c[index] = coeff
+
+    def set_bounds(self, index: int, lower: float = 0.0, upper: Optional[float] = None) -> None:
+        """Patch a column's bounds in place (``upper=None``: no upper bound)."""
+        up = np.inf if upper is None else float(upper)
+        if up < lower:
+            raise ValueError(f"variable {index}: upper {upper} < lower {lower}")
+        arrays = self._current()
+        arrays.lb[index] = lower
+        arrays.ub[index] = up
+        PERF.count("lp.patch.bound")
+
+    def fix_var(self, index: int, value: float) -> None:
+        """Fix a column to a constant in place."""
+        self.set_bounds(index, value, value)
+        PERF.count("lp.patch.fix_var")
+
+    def set_rhs(self, row: int, rhs: float) -> None:
+        """Patch one row's right-hand side: the bound (or bounds) its sense selects."""
+        arrays = self._current()
+        sense = arrays.sense[row]
+        if sense != Sense.GE.code:
+            arrays.row_upper[row] = rhs
+        if sense != Sense.LE.code:
+            arrays.row_lower[row] = rhs
+        PERF.count("lp.patch.rhs")
 
     # -- assembly ----------------------------------------------------------
 
-    def _assemble(self) -> _ArrayCache:
-        """Run the full vectorized assembly into a fresh cache.
+    def assembled(self) -> LPArrays:
+        """The LP's arrays, joining any columns and rows added since the last call.
 
-        Reads the constraint store's columnar form — block families
-        contribute their flat CSR arrays directly, so assembly cost scales
-        with nnz, not with Python-level row objects.
+        Callers other than the patch API must not mutate the arrays.
         """
-        n = len(self.variables)
-        c = np.fromiter((v.objective for v in self.variables), dtype=np.float64, count=n)
-        bounds: List[Tuple[float, Optional[float]]] = [
-            (v.lower, v.upper) for v in self.variables
-        ]
-        lb = np.fromiter((v.lower for v in self.variables), dtype=np.float64, count=n)
-        ub = np.fromiter(
-            (np.inf if v.upper is None else v.upper for v in self.variables),
-            dtype=np.float64,
-            count=n,
-        )
-        lengths, sense_codes, rhs, indices, data = self.constraints.columnar()
-        row_is_eq = sense_codes == _SENSE_CODE[Sense.EQ]
-        row_flip = sense_codes == _SENSE_CODE[Sense.GE]
-        row_pos = np.where(
-            row_is_eq,
-            np.cumsum(row_is_eq) - 1,
-            np.cumsum(~row_is_eq) - 1,
-        ).astype(np.int64)
-        if row_flip.any():
-            data = np.where(np.repeat(row_flip, lengths), -data, data)
-            rhs = np.where(row_flip, -rhs, rhs)
-        n_ub = len(lengths) - int(np.count_nonzero(row_is_eq))
-        if 0 < n_ub < len(lengths):
-            # Stack the <= block over the == block.  MC-PERF has no equality
-            # rows, so the common case skips this split.
-            nnz_eq = np.repeat(row_is_eq, lengths)
-            lengths = np.concatenate([lengths[~row_is_eq], lengths[row_is_eq]])
-            indices = np.concatenate([indices[~nnz_eq], indices[nnz_eq]])
-            data = np.concatenate([data[~nnz_eq], data[nnz_eq]])
-            rhs = np.concatenate([rhs[~row_is_eq], rhs[row_is_eq]])
-        indptr = np.zeros(len(lengths) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=indptr[1:])
-        return _ArrayCache(
-            c, bounds, indptr, indices, data, n_ub,
-            rhs[:n_ub] if n_ub else None,
-            rhs[n_ub:] if n_ub < len(lengths) else None,
-            row_pos, row_is_eq, row_flip, lb, ub,
-        )
+        if self._new_cols or self._new_rows:
+            return self._join()
+        PERF.count("lp.assembly.reuse")
+        return self._arrays
 
-    def assembled(self) -> _ArrayCache:
-        """The assembled arrays, built on first use and cached on the model.
+    def _current(self) -> LPArrays:
+        return self._join() if self._new_cols or self._new_rows else self._arrays
 
-        Structural edits (new variables/rows) invalidate the cache, numeric
-        edits via the patch API update it in place, so repeated ``solve()``
-        calls skip assembly.  Callers must not mutate the arrays.
-        """
-        cache = self._arrays
-        if (
-            cache is not None
-            and cache.nvars == len(self.variables)
-            and cache.nrows == len(self.constraints)
-        ):
-            PERF.count("lp.assembly.reuse")
-        else:
-            with PERF.timer("lp.assembly"):
-                cache = self._assemble()
-            self._arrays = cache
-            PERF.count("lp.assembly.rebuild")
-        return cache
-
-    def to_arrays(self):
-        """Assemble ``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` as scipy-ready data.
-
-        ``A_ub``/``A_eq`` are ``scipy.sparse.csr_matrix`` (or None when there
-        are no rows of that kind); ``>=`` rows are negated into ``<=`` form.
-        This is the export for scipy's own solvers: the matrices are built
-        from :meth:`assembled`'s rows on the first call and kept with them,
-        and the solver and audits read :meth:`assembled` without importing
-        ``scipy.sparse``.  Callers must not mutate the returned arrays.
-        """
-        cache = self.assembled()
-        if cache.matrices is None:
-            cache.matrices = cache.split_matrices()
-        a_ub, a_eq = cache.matrices
-        return cache.c, a_ub, cache.b_ub, a_eq, cache.b_eq, cache.bounds
+    def _join(self) -> LPArrays:
+        """Join the pending chunks onto the arrays, into a new :class:`LPArrays`."""
+        with PERF.timer("lp.assembly"):
+            old, cols, rows = self._arrays, self._new_cols, self._new_rows
+            if cols:
+                c, lb, ub = (
+                    np.concatenate([getattr(old, f)] + [part[k] for part in cols])
+                    for k, f in enumerate(("c", "lb", "ub"))
+                )
+            else:
+                c, lb, ub = old.c, old.lb, old.ub
+            if rows:
+                ptrs, base = [old.indptr], int(old.indptr[-1])
+                for part in rows:
+                    ptrs.append(part[0][1:] + base)
+                    base += int(part[0][-1])
+                counts = [len(part[0]) - 1 for part in rows]
+                arrays = LPArrays(
+                    c, lb, ub,
+                    np.concatenate(ptrs),
+                    np.concatenate([old.indices] + [part[1] for part in rows]),
+                    np.concatenate([old.data] + [part[2] for part in rows]),
+                    np.concatenate(
+                        [old.sense, np.repeat([part[3] for part in rows], counts).astype(np.int8)]
+                    ),
+                    np.concatenate([old.row_lower] + [part[4] for part in rows]),
+                    np.concatenate([old.row_upper] + [part[5] for part in rows]),
+                )
+            else:
+                arrays = LPArrays(
+                    c, lb, ub, old.indptr, old.indices, old.data, old.sense,
+                    old.row_lower, old.row_upper,
+                )
+            self._arrays, self._new_cols, self._new_rows = arrays, [], []
+        PERF.count("lp.assembly.rebuild")
+        return arrays
 
     # -- solving -----------------------------------------------------------
 
@@ -759,8 +494,7 @@ class LinearProgram:
     def __getstate__(self):
         """Drop the HiGHS instance on pickle/deepcopy.
 
-        It holds a factor; the assembled arrays travel (plain numpy data,
-        plus the scipy matrices if :meth:`to_arrays` built them), and the
+        It holds a factor; the arrays and name families travel, and the
         next solve in the new process starts cold.
         """
         state = self.__dict__.copy()
@@ -769,6 +503,6 @@ class LinearProgram:
 
     def __repr__(self) -> str:
         return (
-            f"LinearProgram(name={self.name!r}, vars={len(self.variables)}, "
-            f"constraints={len(self.constraints)})"
+            f"LinearProgram(name={self.name!r}, vars={self._nvars}, "
+            f"constraints={self._nrows})"
         )

@@ -5,10 +5,12 @@ The paper solved its LP relaxations with CPLEX.  HiGHS is likewise an exact
 identical up to numerical tolerance — the substitution is documented in
 DESIGN.md.
 
-The model is handed to HiGHS exactly as ``scipy.optimize.linprog(method=
-"highs")`` would hand it — same matrix, row order, bounds and options — but
-through ``scipy.optimize._highspy._core`` directly, because ``linprog``
-neither returns the optimal basis nor keeps its HiGHS instance.
+The model is handed to HiGHS in HiGHS's own form, the one
+:class:`~repro.lp.model.LPArrays` holds: column costs and bounds, the rows
+in model order with their own signs, and ``row_lower <= A x <= row_upper``,
+with ``scipy.optimize.linprog(method="highs")``'s options.  It goes through
+``scipy.optimize._highspy._core`` directly, because ``linprog`` neither
+returns the optimal basis nor keeps its HiGHS instance.
 
 Only that one extension is loaded (:func:`highs_core`), once per process and
 on the first solve: importing ``scipy.optimize`` to reach it, and
@@ -58,6 +60,9 @@ from repro.perf import PERF
 #: ``linprog``'s post-solve feasibility tolerance (``sqrt(1e-9) * 10``): an
 #: "optimal" point violating a bound or row by more is reported as an error.
 _CHECK_TOL = float(np.sqrt(1e-9) * 10)
+
+#: Sense codes of the assembled rows (:attr:`repro.lp.model.LPArrays.sense`).
+_LE, _GE = 0, 1
 
 #: The HiGHS bindings' module name inside scipy (scipy >= 1.15).
 _CORE_NAME = "scipy.optimize._highspy._core"
@@ -116,28 +121,27 @@ def _colwise(cache):
 
 
 class _HighsRun:
-    """A HiGHS instance plus the costs, bounds and rows it was last given.
+    """A HiGHS instance plus the costs and bounds it was last given.
 
-    Valid for re-solves while the model's assembled cache is the same
+    Valid for re-solves while the model's assembled arrays are the same
     object (no structural edit since) and the options are unchanged; the
-    copies are what a re-solve diffs the patched cache against.
+    copies are what a re-solve diffs the patched arrays against.
     """
 
-    __slots__ = ("highs", "accepted", "cache", "options", "c", "lb", "ub", "rhs")
+    __slots__ = (
+        "highs", "accepted", "cache", "options", "c", "lb", "ub", "row_lower", "row_upper",
+    )
 
     def __init__(self, h, cache, options):
         self.cache, self.options = cache, options
         self._remember(cache)
-        n, m = cache.nvars, cache.nrows
         lp = h.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = n
-        lp.num_row_ = lp.a_matrix_.num_row_ = m
+        lp.num_col_ = lp.a_matrix_.num_col_ = cache.nvars
+        lp.num_row_ = lp.a_matrix_.num_row_ = cache.nrows
         lp.a_matrix_.format_ = h.MatrixFormat.kColwise
         lp.col_cost_, lp.col_lower_, lp.col_upper_ = cache.c, cache.lb, cache.ub
-        # HiGHS sees rows as lhs <= A x <= rhs: the <= block (>= rows
-        # negated by the assembly) over the == block, as linprog stacks them.
-        lp.row_lower_ = np.concatenate([np.full(cache.n_ub, -np.inf), self.rhs[cache.n_ub:]])
-        lp.row_upper_ = self.rhs
+        # The rows in model order with their own signs: lhs <= A x <= rhs.
+        lp.row_lower_, lp.row_upper_ = cache.row_lower, cache.row_upper
         lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(cache)
         self.highs = h._Highs()
         settings = {
@@ -154,19 +158,19 @@ class _HighsRun:
 
     def _remember(self, cache) -> None:
         self.c, self.lb, self.ub = cache.c.copy(), cache.lb.copy(), cache.ub.copy()
-        self.rhs = np.concatenate(
-            [np.zeros(0)] + [b for b in (cache.b_ub, cache.b_eq) if b is not None]
-        )
+        self.row_lower, self.row_upper = cache.row_lower.copy(), cache.row_upper.copy()
 
     def push(self) -> None:
-        """Hand HiGHS the rows, column bounds and costs patched since the last run."""
-        cache, highs, old_rhs = self.cache, self.highs, self.rhs
+        """Hand HiGHS the row bounds, column bounds and costs patched since the last run."""
+        cache, highs = self.cache, self.highs
+        changed_r = np.flatnonzero(
+            (cache.row_lower != self.row_lower) | (cache.row_upper != self.row_upper)
+        )
         changed_c = np.flatnonzero(cache.c != self.c)
         changed_b = np.flatnonzero((cache.lb != self.lb) | (cache.ub != self.ub))
         self._remember(cache)
-        for i in np.flatnonzero(self.rhs != old_rhs).tolist():
-            rhs = self.rhs[i]
-            highs.changeRowBounds(i, -np.inf if i < cache.n_ub else rhs, rhs)
+        for i in changed_r.tolist():
+            highs.changeRowBounds(i, cache.row_lower[i], cache.row_upper[i])
         if len(changed_b):
             highs.changeColsBounds(
                 len(changed_b), changed_b.astype(np.int32), cache.lb[changed_b],
@@ -178,9 +182,9 @@ class _HighsRun:
     def set_basis(self, h, basis: Basis) -> bool:
         """Start from a foreign basis; False if rejected.
 
-        A deferred handle over a snapshot of the same row layout goes to
-        HiGHS as is; any other handle is translated from its statuses (the
-        inverse of :meth:`_HighsSnapshot.statuses`).
+        A deferred handle over a snapshot of rows of the same senses goes
+        to HiGHS as is; any other handle is translated from its statuses
+        (the inverse of :meth:`_HighsSnapshot.statuses`).
         """
         if not self.accepted:
             return False
@@ -192,27 +196,21 @@ class _HighsRun:
         b = h.HighsBasisStatus
         # HiGHS's status for each of our codes, indexed BASIC..NB_FREE.
         theirs = np.array([b.kBasic, b.kLower, b.kUpper, b.kZero], dtype=object)
-        row_basic = np.empty(basis.nrows, dtype=bool)
-        row_basic[self.highs_row()] = basis.statuses[basis.nvars:] == BASIC
+        row_basic = basis.statuses[basis.nvars:] == BASIC
         # A nonbasic row sits at its only finite bound: the upper one for
-        # the <= block, either for == rows.
-        in_ub = np.arange(basis.nrows) < self.cache.n_ub
+        # <= rows, the lower one for >= rows, either for == rows.
+        at_upper = self.cache.sense == _LE
         highs_basis = h.HighsBasis()
         highs_basis.col_status = theirs[basis.statuses[: basis.nvars]].tolist()
         highs_basis.row_status = theirs[
-            np.where(row_basic, BASIC, np.where(in_ub, AT_UPPER, AT_LOWER))
+            np.where(row_basic, BASIC, np.where(at_upper, AT_UPPER, AT_LOWER))
         ].tolist()
         highs_basis.alien = False  # have HiGHS check it rather than repair it
         return self.highs.setBasis(highs_basis) != h.HighsStatus.kError
 
-    def highs_row(self) -> np.ndarray:
-        """HiGHS row of each model row: row i sits at row_pos[i] of its block."""
-        cache = self.cache
-        return np.where(cache.row_is_eq, cache.n_ub + cache.row_pos, cache.row_pos)
-
     def solve(self, h) -> LPSolution:
         """Run HiGHS and read the outcome back in model terms."""
-        cache, highs, n_ub = self.cache, self.highs, self.cache.n_ub
+        cache, highs = self.cache, self.highs
         model_status = h.HighsModelStatus.kModelError
         if self.accepted:
             highs.run()
@@ -239,24 +237,17 @@ class _HighsRun:
             cache.entry_rows(), weights=cache.data * values[cache.indices],
             minlength=cache.nrows,
         )
-        slack = self.rhs - activity
         if not (
             np.all(values >= cache.lb - _CHECK_TOL)
             and np.all(values <= cache.ub + _CHECK_TOL)
-            and np.all(slack[:n_ub] >= -_CHECK_TOL)
-            and np.all(np.abs(slack[n_ub:]) <= _CHECK_TOL)
+            and np.all(activity >= cache.row_lower - _CHECK_TOL)
+            and np.all(activity <= cache.row_upper + _CHECK_TOL)
         ):
             return LPSolution(
                 status=SolveStatus.ERROR, values=values, backend="scipy",
                 message="HiGHS optimum violates the constraints beyond tolerance",
             )
 
-        highs_row = self.highs_row()
-        duals = np.array(solution.row_dual, dtype=float)[highs_row]
-        # A >= row was negated into <= form, so its sensitivity to the original
-        # rhs flips sign: duals of >= rows come out >= 0 (more requirement
-        # costs more), the shadow-price convention callers use.
-        duals[cache.row_flip] = -duals[cache.row_flip]
         snapshot = highs.getBasis()
         return LPSolution(
             status=SolveStatus.OPTIMAL,
@@ -264,31 +255,30 @@ class _HighsRun:
             values=values,
             backend="scipy",
             message=message,
-            duals=duals,
+            # HiGHS's row duals in model order are shadow prices already:
+            # >= 0 on >= rows, <= 0 on <= rows.
+            duals=np.array(solution.row_dual, dtype=float),
             basis=Basis.deferred(_HighsSnapshot(snapshot, cache), cache.nvars, cache.nrows)
             if snapshot.valid else None,
         )
 
 
 class _HighsSnapshot:
-    """HiGHS's basis after one solve, in HiGHS's row order.
+    """HiGHS's basis after one solve, rows in model order.
 
-    Keeps the two row-kind arrays of the assembled cache (not the cache),
+    Keeps the sense codes of the assembled rows (not the arrays object),
     which a structural edit replaces but never mutates, so the snapshot
     stays convertible after the model moves on.
     """
 
-    __slots__ = ("highs_basis", "row_is_eq", "row_flip")
+    __slots__ = ("highs_basis", "sense")
 
     def __init__(self, highs_basis, cache):
-        self.highs_basis = highs_basis
-        self.row_is_eq, self.row_flip = cache.row_is_eq, cache.row_flip
+        self.highs_basis, self.sense = highs_basis, cache.sense
 
     def fits(self, cache) -> bool:
-        """Is HiGHS's row order the same in ``cache``'s model?"""
-        return self.row_is_eq is cache.row_is_eq or np.array_equal(
-            self.row_is_eq, cache.row_is_eq
-        )
+        """Do ``cache``'s rows have the same senses, so HiGHS's row statuses mean the same?"""
+        return self.sense is cache.sense or np.array_equal(self.sense, cache.sense)
 
     def statuses(self) -> np.ndarray:
         """The basis in :mod:`repro.lp.basis` terms.
@@ -300,12 +290,8 @@ class _HighsSnapshot:
         """
         codes, basis = _status_codes(), self.highs_basis
         cols = codes[np.fromiter(map(int, basis.col_status), dtype=np.intp)]
-        # HiGHS holds the <= block, then the == block, each in model order.
-        row_basic = np.empty(len(self.row_is_eq), dtype=bool)
-        row_basic[np.argsort(self.row_is_eq, kind="stable")] = (
-            codes[np.fromiter(map(int, basis.row_status), dtype=np.intp)] == BASIC
-        )
-        rows = np.where(row_basic, BASIC, np.where(self.row_flip, AT_UPPER, AT_LOWER))
+        row_basic = codes[np.fromiter(map(int, basis.row_status), dtype=np.intp)] == BASIC
+        rows = np.where(row_basic, BASIC, np.where(self.sense == _GE, AT_UPPER, AT_LOWER))
         return np.concatenate([cols, rows.astype(np.int8)])
 
 
@@ -346,8 +332,14 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
     cache = model.assembled()
     run, model._highs = model._highs, None
     if cache.nvars == 0:
+        # No columns: every row's activity is 0.
+        if np.all(cache.row_lower <= 0.0) and np.all(cache.row_upper >= 0.0):
+            return LPSolution(
+                status=SolveStatus.OPTIMAL, objective=0.0, values=np.zeros(0), backend="scipy"
+            )
         return LPSolution(
-            status=SolveStatus.OPTIMAL, objective=0.0, values=np.zeros(0), backend="scipy"
+            status=SolveStatus.INFEASIBLE, values=np.zeros(0), backend="scipy",
+            message="a row without columns excludes 0",
         )
     warm = warm_starts_enabled()
     if run is not None and warm and run.cache is cache and run.options == options:

@@ -28,7 +28,7 @@ class LPSolution:
         Objective value at the returned point (only meaningful when
         :attr:`status` is :data:`SolveStatus.OPTIMAL`).
     values:
-        Variable values in model index order (numpy array or list).
+        Column values in model index order (numpy array or list).
     backend:
         Which backend produced the solution (``"scipy"`` for HiGHS).
     message:
@@ -47,7 +47,6 @@ class LPSolution:
     #: warm-started re-solves; None when the solve was not optimal, HiGHS
     #: reported no valid basis, or the payload predates warm starts.
     basis: Optional[object] = None
-    _name_index: Optional[Dict[str, int]] = None
 
     @property
     def is_optimal(self) -> bool:
@@ -55,10 +54,6 @@ class LPSolution:
 
     def value(self, index: int) -> float:
         return float(self.values[index])
-
-    def by_name(self, model, name: str) -> float:
-        """Look a value up by variable name (convenience for tests/examples)."""
-        return float(self.values[model.variable_by_name(name).index])
 
     def require_optimal(self) -> "LPSolution":
         """Raise if the solve did not reach optimality; return self otherwise."""

@@ -21,12 +21,12 @@ directory, or stderr without one).
 
 Counter names in use across the tree::
 
-    lp.assembly.rebuild   assembled() ran the full vectorized assembly
-    lp.assembly.reuse     assembled() served the cached arrays
+    lp.assembly.rebuild   assembled() joined the columns and rows added since its last run
+    lp.assembly.reuse     assembled() served the arrays as they stand
     lp.highs.load         timer: loading HiGHS's bindings, once per process (outside lp.solve)
-    lp.patch.fix_var      fix_var() patched cached bounds in place
-    lp.patch.bound        set_bound() patched cached bounds in place
-    lp.patch.rhs          set_rhs() patched a cached RHS entry in place
+    lp.patch.fix_var      fix_var() fixed a column in place
+    lp.patch.bound        set_bounds() patched column bounds in place
+    lp.patch.rhs          set_rhs() patched a row bound in place
     lp.solve              LinearProgram.solve() calls
     lp.simplex.iterations        HiGHS simplex pivots
     lp.simplex.warm_starts       solves started hot or from a caller-provided basis

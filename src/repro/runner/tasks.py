@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.core.bounds import LowerBoundResult, compute_lower_bound
+from repro.core.costs import CostModel
 from repro.core.goals import QoSGoal
 from repro.core.problem import MCPerfProblem
 from repro.core.properties import HeuristicProperties
@@ -434,6 +435,11 @@ class ContinuousTask:
     audit: Optional[str] = None
 
     kind = "continuous"
+
+    def __post_init__(self) -> None:
+        # The serve cost and every bound query price with these: refuse a
+        # non-finite one here, by name, as the cost model does.
+        CostModel(alpha=self.alpha, beta=self.beta)
 
     def cache_key(self) -> str:
         return digest_of(

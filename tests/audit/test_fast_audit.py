@@ -3,10 +3,9 @@
 ``audit_lp_solution(mode="fast")`` checks every bound and row in one NumPy
 pass, reading bounds and costs from the model's assembled cache and rows
 from :meth:`LinearProgram.row_activities`.  The per-row audit it replaced
-(``tests/audit/fast_audit_oracle.py``) walks the ``Variable`` and
-``Constraint`` objects instead; on every finite point both must produce the
-same checks, the same (check, subject, amount) violations and the same
-overflow notes.  ``check_solution`` is held to its own loop oracle the
+(``tests/audit/fast_audit_oracle.py``) walks the columns and rows one at a
+time instead; on every finite point both must produce the same checks, the
+same (check, subject, amount) violations and the same overflow notes.  ``check_solution`` is held to its own loop oracle the
 same way.
 """
 
@@ -23,7 +22,9 @@ from repro.audit import audit_lp_solution, check_solution
 from repro.lp.model import LinearProgram
 from repro.lp.solution import LPSolution, SolveStatus
 from repro.perf import PERF
-from tests.audit.fast_audit_oracle import loop_check_solution, oracle_fast_audit
+from tests.audit.fast_audit_oracle import columns as column_objects
+from tests.audit.fast_audit_oracle import loop_check_solution, oracle_fast_audit, row_activity
+from tests.audit.fast_audit_oracle import rows as row_objects
 
 #: Offsets that land a value or a row just inside, on, or just past the
 #: default 1e-6 tolerance, plus clear violations either way.
@@ -62,21 +63,21 @@ def audit_cases(draw):
                 names=[f"blk{lp.num_constraints + r}" for r in range(len(rows))] if named else None,
             )
 
-    # Patch after assembly: the fast path reads lb/ub/c from the cache, so
-    # these pin that the patch API keeps it in step with the objects.
-    lp.to_arrays()
+    # Patch after assembly: these pin that the patch API writes the arrays
+    # every reader reads.
+    lp.assembled()
     for _ in range(draw(st.integers(0, 4))):
         j = draw(var_ix)
         kind = draw(st.sampled_from(["bound", "objective"]))
         if kind == "bound":
             lower = draw(st.sampled_from([0.0, -2.0, 1.0]))
-            lp.set_bound(j, lower, draw(st.sampled_from([None, lower, lower + 2.0])))
+            lp.set_bounds(j, lower, draw(st.sampled_from([None, lower, lower + 2.0])))
         else:
             lp.set_objective(j, draw(COEFFS))
 
     # A point with injected bound violations.
     x = []
-    for v in lp.variables:
+    for v in column_objects(lp):
         where = draw(st.sampled_from(["lower", "upper", "inside"]))
         if where == "lower":
             x.append(v.lower + draw(st.sampled_from(OFFSETS)))
@@ -87,12 +88,11 @@ def audit_cases(draw):
 
     # Row RHS patched relative to the point's activity: some rows sit on
     # the tolerance edge, some are violated outright, some keep their RHS.
-    for row in range(lp.num_constraints):
+    for row, con in enumerate(row_objects(lp)):
         if draw(st.booleans()):
-            act = lp.constraints[row].activity(x)
-            lp.set_rhs(row, act + draw(st.sampled_from(OFFSETS)))
+            lp.set_rhs(row, row_activity(con, x) + draw(st.sampled_from(OFFSETS)))
 
-    recomputed = sum(v.objective * x[v.index] for v in lp.variables if v.objective)
+    recomputed = sum(v.objective * x[v.index] for v in column_objects(lp) if v.objective)
     objective = recomputed + draw(st.sampled_from([0.0, 1e-9, 1e-3, 5.0]))
     values = np.asarray(x) if draw(st.booleans()) else x
     solution = LPSolution(status=SolveStatus.OPTIMAL, objective=objective, values=values)
@@ -119,11 +119,11 @@ def test_fast_audit_matches_per_row_oracle(case):
 def test_row_activities_equal_constraint_activity_bit_for_bit(case):
     lp, solution, _ = case
     activity, senses, rhs = lp.row_activities(solution.values)
-    rows = list(lp.constraints)
-    want = np.array([con.activity(solution.values) for con in rows], dtype=np.float64)
+    every = row_objects(lp)
+    want = np.array([row_activity(con, solution.values) for con in every], dtype=np.float64)
     assert activity.tobytes() == want.tobytes()
-    assert [int(s) for s in senses] == [con.sense.code for con in rows]
-    assert rhs.tolist() == [con.rhs for con in rows]
+    assert [int(s) for s in senses] == [con.sense.code for con in every]
+    assert rhs.tolist() == [con.rhs for con in every]
 
 
 @settings(max_examples=300, deadline=None)

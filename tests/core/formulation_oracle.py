@@ -117,11 +117,11 @@ def build_formulation_loops(
                 obj_coeff = store_alpha + costs.delta * writes_per_ik[i, k]
                 store_idx[ns, i, k] = lp.var(
                     f"store[n{ns},i{i},k{k}]", upper=1.0, obj=obj_coeff
-                ).index
+                )
                 if allowed is None or allowed[ns, i, k]:
                     create_idx[ns, i, k] = lp.var(
                         f"create[n{ns},i{i},k{k}]", upper=1.0, obj=costs.beta
-                    ).index
+                    )
     if window is not None:
         PERF.count("form.store.pruned", pruned)
     if dominated is not None:
@@ -155,14 +155,14 @@ def build_formulation_loops(
     cap_index = None
     cap_node_index = None
     if sc is StorageConstraint.UNIFORM:
-        cap_index = lp.var("capacity", obj=costs.alpha * ns_count * intervals).index
+        cap_index = lp.var("capacity", obj=costs.alpha * ns_count * intervals)
     elif sc is StorageConstraint.PER_NODE:
         cap_node_index = np.full(ns_count, -1, dtype=np.int64)
         for ns in range(ns_count):
             if (store_idx[ns] >= 0).any():
                 cap_node_index[ns] = lp.var(
                     f"capacity[n{ns}]", obj=costs.alpha * intervals
-                ).index
+                )
     if sc is not StorageConstraint.NONE:
         for ns in range(ns_count):
             cap = cap_index if cap_index is not None else (
@@ -188,13 +188,13 @@ def build_formulation_loops(
     charge_rc = rc is not ReplicaConstraint.NONE and sc is StorageConstraint.NONE
     if rc is ReplicaConstraint.UNIFORM:
         rep_obj = costs.alpha * intervals * len(read_active) if charge_rc else 0.0
-        rep_index = lp.var("replicas", obj=rep_obj).index
+        rep_index = lp.var("replicas", obj=rep_obj)
     elif rc is ReplicaConstraint.PER_OBJECT:
         rep_object_index = np.full(objects, -1, dtype=np.int64)
         for k in read_active:
             rep_object_index[k] = lp.var(
                 f"replicas[k{k}]", obj=costs.alpha * intervals if charge_rc else 0.0
-            ).index
+            )
     if rc is not ReplicaConstraint.NONE:
         for k in read_active:
             rep = rep_index if rep_index is not None else int(rep_object_index[k])
@@ -216,7 +216,7 @@ def build_formulation_loops(
         open_index = np.full(ns_count, -1, dtype=np.int64)
         for ns in range(ns_count):
             if (store_idx[ns] >= 0).any():
-                open_index[ns] = lp.var(f"open[n{ns}]", upper=1.0, obj=costs.zeta).index
+                open_index[ns] = lp.var(f"open[n{ns}]", upper=1.0, obj=costs.zeta)
         for ns in range(ns_count):
             if open_index[ns] < 0:
                 continue
@@ -257,7 +257,7 @@ def build_formulation_loops(
                     if not holders:
                         continue  # permanently uncoverable cell
                     cov_obj = -(gamma_pen[nd] * r) if costs.gamma > 0 else 0.0
-                    cov = lp.var(f"covered[n{nd},i{i},k{k}]", upper=1.0, obj=cov_obj).index
+                    cov = lp.var(f"covered[n{nd},i{i},k{k}]", upper=1.0, obj=cov_obj)
                     covered_idx[nd, i, k] = cov
                     lp.add_row(
                         [cov] + holders,

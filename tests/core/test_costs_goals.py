@@ -1,9 +1,14 @@
 """Tests for the cost model and performance goals."""
 
+import math
+
 import pytest
 
 from repro.core.costs import CostModel
 from repro.core.goals import AverageLatencyGoal, GoalScope, QoSGoal
+from repro.errors import ValidationError
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
 
 
 def test_paper_defaults():
@@ -28,6 +33,13 @@ def test_negative_costs_rejected(field):
         CostModel(**{field: -1.0})
 
 
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["alpha", "beta", "gamma", "delta", "zeta"])
+def test_non_finite_costs_rejected(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        CostModel(**{field: value})
+
+
 def test_cost_model_frozen():
     c = CostModel()
     with pytest.raises(Exception):
@@ -43,6 +55,17 @@ def test_qos_goal_validation():
         QoSGoal(tlat_ms=100.0, fraction=0.0)
     with pytest.raises(ValueError):
         QoSGoal(tlat_ms=100.0, fraction=1.5)
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["tlat_ms", "fraction"])
+def test_qos_goal_non_finite_rejected(field, value):
+    kwargs = {"tlat_ms": 150.0, "fraction": 0.9, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        QoSGoal(**kwargs)
+    # A ValueError too, so every existing ``except ValueError`` catches it.
+    with pytest.raises(ValueError):
+        QoSGoal(**kwargs)
 
 
 def test_qos_goal_scope_coercion():

@@ -22,35 +22,19 @@ def assert_formulations_equivalent(legacy, vectorized):
     lp_l, lp_v = legacy.lp, vectorized.lp
     assert lp_l.num_variables == lp_v.num_variables
     assert lp_l.num_constraints == lp_v.num_constraints
-    for vl, vv in zip(lp_l.variables, lp_v.variables):
-        assert vl.name == vv.name
-        assert vl.lower == vv.lower and vl.upper == vv.upper, vl.name
-        assert vl.objective == pytest.approx(vv.objective, abs=1e-9), vl.name
-    for cl, cv in zip(lp_l.constraints, lp_v.constraints):
-        assert cl.name == cv.name
-        assert cl.sense is cv.sense, cl.name
-        assert list(cl.indices) == list(cv.indices), cl.name
-        assert list(cl.coeffs) == list(cv.coeffs), cl.name
-        assert cl.rhs == pytest.approx(cv.rhs, abs=1e-9), cl.name
+    assert lp_l.var_names() == lp_v.var_names()
+    assert lp_l.row_names() == lp_v.row_names()
+    a_l, a_v = lp_l.assembled(), lp_v.assembled()
+    for name in ("lb", "ub", "sense", "indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(a_l, name), getattr(a_v, name), err_msg=name)
+    for name in ("c", "row_lower", "row_upper"):
+        np.testing.assert_allclose(getattr(a_l, name), getattr(a_v, name), atol=1e-9, err_msg=name)
     assert legacy.objective_constant == pytest.approx(
         vectorized.objective_constant, abs=1e-9
     )
     # The index structures the rounding/simulation layers read must agree too.
     np.testing.assert_array_equal(legacy.store_idx, vectorized.store_idx)
     np.testing.assert_array_equal(legacy.create_idx, vectorized.create_idx)
-
-    c_l, aub_l, bub_l, aeq_l, beq_l, bnd_l = lp_l.to_arrays()
-    c_v, aub_v, bub_v, aeq_v, beq_v, bnd_v = lp_v.to_arrays()
-    np.testing.assert_allclose(c_l, c_v, atol=1e-9)
-    assert list(bnd_l) == list(bnd_v)
-    assert (aub_l is None) == (aub_v is None)
-    if aub_l is not None:
-        assert (aub_l != aub_v).nnz == 0
-        np.testing.assert_allclose(bub_l, bub_v, atol=1e-9)
-    assert (aeq_l is None) == (aeq_v is None)
-    if aeq_l is not None:
-        assert (aeq_l != aeq_v).nnz == 0
-        np.testing.assert_allclose(beq_l, beq_v, atol=1e-9)
 
 
 @pytest.mark.parametrize("class_name", FIGURE1_CLASSES)
@@ -90,12 +74,12 @@ def test_build_counters(web_problem):
 def test_retarget_reuses_assembly(web_problem):
     """set_qos_fraction is RHS-only: no assembly rebuild across sweep levels."""
     form = build_formulation(web_problem, None)
-    form.lp.to_arrays()
+    form.lp.assembled()
     rebuilds = PERF.get("lp.assembly.rebuild")
     retargets = PERF.get("form.retarget")
     for fraction in (0.8, 0.95, 0.9):
         form.set_qos_fraction(fraction)
-        form.lp.to_arrays()
+        form.lp.assembled()
     assert PERF.get("lp.assembly.rebuild") == rebuilds
     assert PERF.get("form.retarget") == retargets + 3
 
@@ -131,11 +115,13 @@ def test_iterative_rounding_restores_bounds(web_problem):
     from repro.core.rounding import round_solution_iterative
 
     form = build_formulation(web_problem, None)
-    saved = [(v.lower, v.upper) for v in form.lp.variables]
+    arrays = form.lp.assembled()
+    saved = (arrays.lb.copy(), arrays.ub.copy())
     solution = form.lp.solve(backend="auto")
     result = round_solution_iterative(form, solution)
     assert result.feasible
-    assert [(v.lower, v.upper) for v in form.lp.variables] == saved
+    np.testing.assert_array_equal(arrays.lb, saved[0])
+    np.testing.assert_array_equal(arrays.ub, saved[1])
     # And the formulation still solves to the same relaxation optimum.
     again = form.lp.solve(backend="auto")
     assert again.objective == pytest.approx(solution.objective, abs=1e-6)

@@ -197,7 +197,7 @@ def test_require_optimal_raises_on_infeasible():
 def test_solution_by_name():
     lp = diet_lp()
     sol = lp.solve()
-    assert sol.by_name(lp, "x") == pytest.approx(2.0, abs=1e-6)
+    assert sol.values[lp.column("x")] == pytest.approx(2.0, abs=1e-6)
 
 
 @st.composite

@@ -110,9 +110,9 @@ def test_mixed_integer_continuous():
     lp = LinearProgram()
     x = lp.var("x", upper=1.0, obj=3.0)  # binary
     y = lp.var("y", upper=10.0, obj=1.0)  # continuous
-    lp.add_row([x.index, y.index], [2.0, 1.0], ">=", 3.0)
-    result = solve_integer(lp, [x.index])
+    lp.add_row([x, y], [2.0, 1.0], ">=", 3.0)
+    result = solve_integer(lp, [x])
     assert result.status == "optimal"
     # x=1, y=1 -> 4 vs x=0, y=3 -> 3: continuous-only is cheaper.
     assert result.objective == pytest.approx(3.0)
-    assert result.values[x.index] == pytest.approx(0.0)
+    assert result.values[x] == pytest.approx(0.0)

@@ -16,7 +16,7 @@ def two_var_model():
     lp = LinearProgram()
     x = lp.var("x", obj=1.0)
     y = lp.var("y", obj=2.0)
-    lp.add_row([x.index, y.index], [1.0, 1.0], ">=", 2.0, name="qos[all]")
+    lp.add_row([x, y], [1.0, 1.0], ">=", 2.0, name="qos[all]")
     return lp
 
 
@@ -25,8 +25,8 @@ def infeasible_model():
     lp = LinearProgram()
     a = lp.var("a", obj=1.0, upper=1.0)
     b = lp.var("b", obj=1.0, upper=1.0)
-    lp.add_row([a.index, b.index], [1.0, 1.0], ">=", 3.0, name="qos[all]")
-    lp.add_row([a.index], [1.0], "<=", 0.5, name="sc[n0,i0]")
+    lp.add_row([a, b], [1.0, 1.0], ">=", 3.0, name="qos[all]")
+    lp.add_row([a], [1.0], "<=", 0.5, name="sc[n0,i0]")
     return lp
 
 
@@ -101,8 +101,8 @@ def test_diagnosis_on_bound_only_conflict_reports_unisolated():
     """A conflict living entirely in variable bounds names no family."""
     lp = LinearProgram()
     x = lp.var("x", obj=1.0, upper=1.0)
-    lp.add_row([x.index], [1.0], ">=", 5.0, name="qos[0]")
-    lp.add_row([x.index], [1.0], ">=", 4.0, name="rc[0]")
+    lp.add_row([x], [1.0], ">=", 5.0, name="qos[0]")
+    lp.add_row([x], [1.0], ">=", 4.0, name="rc[0]")
     # Both rows must go to restore feasibility? No — removing either leaves
     # the other demanding more than the bound allows.
     diagnosis = diagnose_infeasibility(lp)

@@ -161,21 +161,21 @@ def test_flipped_qos_coefficient_is_caught(instance, pick):
     """
     lp, solution = solved(*instance)
     x = solution.values
+    arrays = lp.assembled()
     candidates = [
-        (row, k)
+        entry
         for row in range(lp.num_constraints)
-        if lp.constraints[row].name.startswith("qos") and solution.duals[row] != 0
-        for k, (j, a) in enumerate(zip(lp.constraints[row].indices, lp.constraints[row].coeffs))
-        if abs(a * x[j]) > 1e-3
+        if lp.row_name(row).startswith("qos") and solution.duals[row] != 0
+        for entry in range(arrays.indptr[row], arrays.indptr[row + 1])
+        if abs(arrays.data[entry] * x[arrays.indices[entry]]) > 1e-3
     ]
     if not candidates:
         return  # no QoS row binds at this point
-    row, k = candidates[pick % len(candidates)]
+    entry = candidates[pick % len(candidates)]
     mutated = copy.deepcopy(lp)
-    # In place: a block row's coeffs are a view into the block's arrays,
-    # which is what the dual check reads.
-    coeffs = mutated.constraints[row].coeffs
-    coeffs[k] = -coeffs[k]
+    # In place, in the arrays every check reads.
+    coeffs = mutated.assembled().data
+    coeffs[entry] = -coeffs[entry]
     report = audit_lp_solution(mutated, solution, mode="full")
     assert {v.check for v in report.violations} & {"dual", "constraint"}, report.render()
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lp.expr import ConstraintSpec, LinExpr
+from tests.lp.linexpr import ConstraintSpec, LinExpr
 
 
 def test_term_builds_single_variable():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.core.bounds import compute_lower_bound
 from repro.core.formulation import build_formulation
 from repro.lp.basis import AT_LOWER, AT_UPPER, BASIC, NB_FREE, Basis
-from repro.lp.model import LinearProgram
+from repro.lp.model import LinearProgram, Sense
 from repro.perf import PERF
 from repro.solvers.registry import solve_lp
 from tests.core.test_warm_sweep import tiny_problem
@@ -43,12 +43,12 @@ def enum_walk_basis(highs_basis, cache):
     ):
         code[int(theirs)] = ours
     cols = code[np.fromiter(map(int, highs_basis.col_status), dtype=np.int64)]
-    n_ub = 0 if cache.b_ub is None else len(cache.b_ub)
-    highs_row = np.where(cache.row_is_eq, n_ub + cache.row_pos, cache.row_pos)
-    row_basic = (
-        np.fromiter(map(int, highs_basis.row_status), dtype=np.int64) == int(b.kBasic)
-    )[highs_row]
-    rows = np.where(row_basic, BASIC, np.where(cache.row_flip, AT_UPPER, AT_LOWER))
+    # HiGHS holds the rows in model order.
+    row_basic = np.array([int(status) == int(b.kBasic) for status in highs_basis.row_status])
+    rows = np.array([
+        BASIC if basic else AT_UPPER if sense == Sense.GE.code else AT_LOWER
+        for basic, sense in zip(row_basic, cache.sense)
+    ])
     return np.concatenate([cols, rows]).astype(np.int8)
 
 
@@ -114,19 +114,19 @@ def test_hot_resolve_equals_cold_across_patch_sequences(seed, steps):
     for kind, pick, u in steps:
         if kind == "rhs":
             row = pick % lp.num_constraints
-            lp.set_rhs(row, lp.constraints[row].rhs * (0.5 + u))
+            lp.set_rhs(row, lp.assembled().rhs()[row] * (0.5 + u))
         elif kind == "bounds":
             j = pick % lp.num_variables
-            lo = lp.variables[j].lower
+            lo = lp.assembled().lb[j]
             lo = 0.0 if not np.isfinite(lo) else lo
             lp.set_bounds(j, lower=lo, upper=lo + 3.0 * u)
         elif kind == "objective":
             lp.set_objective(pick % lp.num_variables, 4.0 * u - 2.0)
         elif infeasible_row is None:  # infeasible <-> feasible
             infeasible_row = lp.num_constraints - 1
-            con = lp.constraints[infeasible_row]
-            saved = con.rhs
-            lp.set_rhs(infeasible_row, -1e6 if con.sense.value == "<=" else 1e6)
+            saved = lp.assembled().rhs()[infeasible_row]
+            le = lp.assembled().sense[infeasible_row] == Sense.LE.code
+            lp.set_rhs(infeasible_row, -1e6 if le else 1e6)
         else:
             lp.set_rhs(infeasible_row, saved)
             infeasible_row = None
@@ -153,7 +153,7 @@ def test_resolve_pushes_only_changes_and_starts_hot():
     lp.solve(backend="scipy")
     retained = lp._highs
     warm0 = PERF.get("lp.simplex.warm_starts")
-    lp.set_rhs(0, lp.constraints[0].rhs)  # a no-op patch
+    lp.set_rhs(0, lp.assembled().rhs()[0])  # a no-op patch
     again = lp.solve(backend="scipy")
     assert again.is_optimal and lp._highs is retained
     assert PERF.get("lp.simplex.warm_starts") == warm0 + 1
@@ -165,7 +165,7 @@ def test_non_optimal_hot_outcome_resolves_cold():
     # Starve the retained instance: its hot run stops at the iteration
     # limit, which no fresh instance shares.
     lp._highs.highs.setOptionValue("simplex_iteration_limit", 0)
-    row = next(r for r, con in enumerate(lp.constraints) if con.sense.value == ">=")
+    row = int(np.flatnonzero(lp.assembled().sense == Sense.GE.code)[0])
     lp.set_rhs(row, 1e6)
     degraded0 = PERF.get("lp.simplex.warm_degraded")
     sol = lp.solve(backend="scipy")
@@ -214,7 +214,7 @@ def test_vectorized_basis_matches_enum_walk(seed):
             want = enum_walk_basis(lp._highs.highs.getBasis(), lp._arrays)
             np.testing.assert_array_equal(sol.basis.statuses, want)
         row = int(rng.integers(0, lp.num_constraints))
-        lp.set_rhs(row, lp.constraints[row].rhs * float(rng.uniform(0.7, 1.3)))
+        lp.set_rhs(row, lp.assembled().rhs()[row] * float(rng.uniform(0.7, 1.3)))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -307,27 +307,56 @@ def test_foreign_basis_round_trips_through_set_basis(seed):
     np.testing.assert_array_equal(again.basis.statuses, sol.basis.statuses)
 
 
+def linprog_problem(lp):
+    """``lp`` in ``linprog``'s shape: >= rows negated into an A_ub block
+    with the <= rows, == rows in A_eq, bounds as (lower, upper or None)."""
+    from scipy import sparse
+
+    a = lp.assembled()
+    matrix = sparse.csr_array((a.data, a.indices, a.indptr), shape=(a.nrows, a.nvars))
+    rhs, eq = a.rhs(), a.sense == Sense.EQ.code
+    sign = np.where(a.sense == Sense.GE.code, -1.0, 1.0)
+    ub = np.flatnonzero(~eq)
+    a_ub = sparse.csr_array(matrix[ub] * sign[ub][:, None]) if len(ub) else None
+    a_eq = matrix[np.flatnonzero(eq)] if eq.any() else None
+    bounds = [(lo, None if hi == np.inf else hi) for lo, hi in zip(a.lb, a.ub)]
+    b_ub = (rhs * sign)[ub] if len(ub) else None
+    return a.c, a_ub, b_ub, a_eq, rhs[eq] if eq.any() else None, bounds
+
+
 def test_scipy_values_and_duals_match_linprog():
-    # linprog is the oracle: same HiGHS model, so the same point exactly;
-    # its marginals come in <=-block/==-block order with >= rows negated.
-    from scipy.optimize import linprog
+    # Two oracles.  ``milp`` without integer columns hands HiGHS the same LP
+    # in the same form (rows in model order, lhs <= A x <= rhs), so the
+    # same point exactly.  ``linprog`` hands it the rows regrouped, the >=
+    # rows negated into a <=-block over an ==-block, so its marginals come
+    # in that order with those signs, equal to rounding.
+    from scipy import sparse
+    from scipy.optimize import Bounds, LinearConstraint, linprog, milp
 
     nonzero = {"<=": 0, ">=": 0, "==": 0}
     for seed in range(12):
         lp = build_random_lp(seed, senses=("<=", ">=", "=="))
         sol = lp.solve(backend="scipy")
-        c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
-        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
-        assert sol.is_optimal == (ref.status == 0)
+        a = lp.assembled()
+        matrix = sparse.csr_array((a.data, a.indices, a.indptr), shape=(a.nrows, a.nvars))
+        same = milp(
+            a.c, constraints=LinearConstraint(matrix, a.row_lower, a.row_upper),
+            bounds=Bounds(a.lb, a.ub),
+        )
+        assert sol.is_optimal == (same.status == 0)
         if not sol.is_optimal:
             continue
-        np.testing.assert_array_equal(sol.values, ref.x)
-        assert sol.objective == ref.fun
+        np.testing.assert_array_equal(sol.values, same.x)
+        assert sol.objective == same.fun
+        c, a_ub, b_ub, a_eq, b_eq, bounds = linprog_problem(lp)
+        ref = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds)
+        assert ref.status == 0
         ineq, eq = iter(ref.ineqlin.marginals), iter(ref.eqlin.marginals)
         for row, dual in enumerate(sol.duals):
-            sense = lp.constraints[row].sense.value
+            sense = ("<=", ">=", "==")[a.sense[row]]
             want = next(eq) if sense == "==" else next(ineq)
-            assert dual == (-want if sense == ">=" else want)
+            assert dual == pytest.approx(-want if sense == ">=" else want, rel=1e-9, abs=1e-12)
+            assert dual >= 0 if sense == ">=" else dual <= 0 if sense == "<=" else True
             nonzero[sense] += dual != 0.0
     assert all(nonzero.values()), nonzero  # every sense had a binding row
 

@@ -3,9 +3,9 @@
 The scipy backend builds HiGHS's column-wise matrix from the model's
 assembled CSR rows with NumPy, and loads only the HiGHS extension, not
 ``scipy.optimize`` or ``scipy.sparse``.  The matrix must be entry for entry
-what ``scipy.sparse.csc_array`` makes of the same rows — the input
-``linprog`` would hand HiGHS — and the extension, registered under its
-package name, must serve a later ``import scipy.optimize`` as is.
+what ``scipy.sparse.csc_array`` makes of the same rows — in model order,
+each with its own signs — and the extension, registered under its package
+name, must serve a later ``import scipy.optimize`` as is.
 """
 
 import json
@@ -26,10 +26,11 @@ from tests.lp.test_warm_start import build_random_lp
 
 
 def assert_colwise_matches_scipy(lp):
-    _c, a_ub, _b_ub, a_eq, _b_eq, _bounds = lp.to_arrays()
-    blocks = [a for a in (a_ub, a_eq) if a is not None]
-    want = sparse.csc_array(sparse.vstack(blocks))
-    start, index, value = _colwise(lp.assembled())
+    a = lp.assembled()
+    want = sparse.csc_array(
+        sparse.csr_array((a.data, a.indices, a.indptr), shape=(a.nrows, a.nvars))
+    )
+    start, index, value = _colwise(a)
     for got, ref in ((start, want.indptr), (index, want.indices), (value, want.data)):
         np.testing.assert_array_equal(got, ref)
     # Bit for bit, signed zeros included.
@@ -45,13 +46,14 @@ def test_colwise_matrix_equals_scipy_csc_on_fixtures(request, problem_name, clas
 
 
 def test_colwise_matrix_equals_scipy_csc_with_both_blocks():
-    stacked = 0
+    # Inequality and equality rows interleaved in one model-order matrix
+    # (they were once split into a <= block over an == block).
+    mixed = 0
     for seed in range(12):
         lp = build_random_lp(seed, senses=("<=", ">=", "=="))
         assert_colwise_matches_scipy(lp)
-        cache = lp.assembled()
-        stacked += 0 < cache.n_ub < cache.nrows
-    assert stacked  # the <= block over a non-empty == block
+        mixed += len(set(lp.assembled().sense.tolist())) == 3
+    assert mixed  # <=, >= and == rows in one matrix
 
 
 def test_missing_extension_raises_import_error_naming_the_directory(monkeypatch, tmp_path):

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from repro.lp.model import LinearProgram, Sense
+from repro.audit import check_solution
+from repro.lp.model import LinearProgram, Names, Sense
+from tests.lp.linexpr import LinExpr, add_expr
 
 
 def test_var_assigns_sequential_indices():
     lp = LinearProgram()
     x = lp.var("x")
     y = lp.var("y")
-    assert (x.index, y.index) == (0, 1)
+    assert (x, y) == (0, 1)
 
 
 def test_duplicate_variable_name_rejected():
@@ -26,41 +28,43 @@ def test_invalid_bounds_rejected():
         lp.var("x", lower=2.0, upper=1.0)
 
 
-def test_var_block_names_and_range():
+def test_add_vars_bulk_names_and_range():
     lp = LinearProgram()
-    rng = lp.var_block("s", 3, upper=1.0, obj=2.0)
-    assert list(rng) == [0, 1, 2]
-    assert lp.variable_by_name("s[1]").objective == 2.0
-
-
-def test_var_block_negative_count_rejected():
-    lp = LinearProgram()
-    with pytest.raises(ValueError):
-        lp.var_block("s", -1)
+    lp.var("x")
+    rng = lp.add_vars_bulk(Names("s", {"n": [4, 5, 6], "i": [0, 0, 1]}), upper=1.0, obj=2.0)
+    assert list(rng) == [1, 2, 3]
+    assert lp.var_names() == ["x", "s[n4,i0]", "s[n5,i0]", "s[n6,i1]"]
+    assert lp.var_name(3) == "s[n6,i1]"
+    assert lp.column("s[n5,i0]") == 2
+    assert lp.assembled().c[lp.column("s[n5,i0]")] == 2.0
 
 
 def test_fix_variable():
     lp = LinearProgram()
     x = lp.var("x", upper=5.0)
-    lp.fix(x.index, 2.0)
-    assert lp.variables[0].lower == 2.0
-    assert lp.variables[0].upper == 2.0
+    lp.fix_var(x, 2.0)
+    assert lp.assembled().lb[0] == 2.0
+    assert lp.assembled().ub[0] == 2.0
 
 
 def test_add_expression_constraint():
     lp = LinearProgram()
-    x = lp.var("x")
-    y = lp.var("y")
-    con = lp.add(x.expr() + 2 * y.expr() <= 4, name="cap")
-    assert con.sense is Sense.LE
-    assert con.rhs == 4.0
-    assert sorted(zip(con.indices, con.coeffs)) == [(0, 1.0), (1, 2.0)]
+    x = LinExpr.term(lp.var("x"))
+    y = LinExpr.term(lp.var("y"))
+    row = add_expr(lp, x + 2 * y <= 4, name="cap")
+    arrays = lp.assembled()
+    assert arrays.sense[row] == Sense.LE.code
+    assert arrays.row_upper[row] == 4.0
+    assert arrays.row_lower[row] == -np.inf
+    lo, hi = arrays.indptr[row], arrays.indptr[row + 1]
+    assert sorted(zip(arrays.indices[lo:hi], arrays.data[lo:hi])) == [(0, 1.0), (1, 2.0)]
+    assert lp.row_name(row) == "cap"
 
 
 def test_add_rejects_non_spec():
     lp = LinearProgram()
     with pytest.raises(TypeError):
-        lp.add("x <= 1")  # type: ignore[arg-type]
+        add_expr(lp, "x <= 1")  # type: ignore[arg-type]
 
 
 def test_add_row_length_mismatch():
@@ -88,53 +92,47 @@ def test_constraint_activity_and_satisfied():
     lp = LinearProgram()
     lp.var("x")
     lp.var("y")
-    con = lp.add_row([0, 1], [1.0, 1.0], "<=", 3.0)
-    assert con.activity([1.0, 1.0]) == pytest.approx(2.0)
-    assert con.satisfied([1.0, 1.0])
-    assert not con.satisfied([2.0, 2.0])
+    row = lp.add_row([0, 1], [1.0, 1.0], "<=", 3.0)
+    activity, _senses, _rhs = lp.row_activities([1.0, 1.0])
+    assert activity[row] == pytest.approx(2.0)
+    assert check_solution(lp, [1.0, 1.0]).feasible
+    assert not check_solution(lp, [2.0, 2.0]).feasible
 
 
 def test_equality_constraint_satisfied():
     lp = LinearProgram()
     lp.var("x")
-    con = lp.add_row([0], [1.0], "==", 2.0)
-    assert con.satisfied([2.0])
-    assert not con.satisfied([2.1])
+    lp.add_row([0], [1.0], "==", 2.0)
+    assert check_solution(lp, [2.0]).feasible
+    assert not check_solution(lp, [2.1]).feasible
 
 
-def test_to_arrays_shapes_and_ge_flip():
+def test_assembled_rows_keep_model_order_and_signs():
     lp = LinearProgram()
     lp.var("x", obj=1.0)
     lp.var("y", obj=2.0, upper=4.0)
     lp.add_row([0, 1], [1.0, 1.0], ">=", 2.0)
     lp.add_row([0], [1.0], "<=", 5.0)
     lp.add_row([1], [1.0], "==", 3.0)
-    c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
-    assert list(c) == [1.0, 2.0]
-    assert a_ub.shape == (2, 2)
-    # the >= row is negated into <= form
-    assert b_ub[0] == -2.0
-    assert a_ub.toarray()[0].tolist() == [-1.0, -1.0]
-    assert a_eq.shape == (1, 2)
-    assert b_eq[0] == 3.0
-    assert bounds == [(0.0, None), (0.0, 4.0)]
+    a = lp.assembled()
+    assert a.c.tolist() == [1.0, 2.0]
+    assert a.lb.tolist() == [0.0, 0.0]
+    assert a.ub.tolist() == [np.inf, 4.0]
+    assert a.indptr.tolist() == [0, 2, 3, 4]
+    assert a.indices.tolist() == [0, 1, 0, 1]
+    # The >= row keeps its own signs; its rhs is its lower bound.
+    assert a.data.tolist() == [1.0, 1.0, 1.0, 1.0]
+    assert a.sense.tolist() == [Sense.GE.code, Sense.LE.code, Sense.EQ.code]
+    assert a.row_lower.tolist() == [2.0, -np.inf, 3.0]
+    assert a.row_upper.tolist() == [np.inf, 5.0, 3.0]
+    assert a.rhs().tolist() == [2.0, 5.0, 3.0]
 
 
-def test_to_arrays_empty_groups_are_none():
-    lp = LinearProgram()
-    lp.var("x")
-    _c, a_ub, b_ub, a_eq, b_eq, _bounds = lp.to_arrays()
-    assert a_ub is None and b_ub is None
-    assert a_eq is None and b_eq is None
-
-
-def test_set_and_add_objective():
+def test_set_objective():
     lp = LinearProgram()
     x = lp.var("x", obj=1.0)
-    lp.add_objective(x.index, 2.0)
-    assert lp.variables[0].objective == 3.0
-    lp.set_objective(x.index, 5.0)
-    assert lp.variables[0].objective == 5.0
+    lp.set_objective(x, 5.0)
+    assert lp.assembled().c[0] == 5.0
 
 
 def test_solve_unknown_backend():
@@ -149,6 +147,29 @@ def test_empty_model_solves_to_zero():
     sol = lp.solve()
     assert sol.is_optimal
     assert sol.objective == 0.0
+
+
+@pytest.mark.parametrize(
+    "sense, rhs, feasible",
+    [
+        ("<=", -1.0, False), ("<=", 0.0, True), ("<=", 1.0, True),
+        (">=", 1.0, False), (">=", 0.0, True), (">=", -1.0, True),
+        ("==", 1.0, False), ("==", 0.0, True),
+    ],
+)
+def test_model_without_columns_reads_its_rows(sense, rhs, feasible):
+    """A row over no columns has activity 0: it holds iff its bounds admit 0,
+    as it does on a model with columns."""
+    lp = LinearProgram()
+    lp.add_row([], [], sense, rhs)
+    with_column = LinearProgram()
+    with_column.var("x")
+    with_column.add_row([], [], sense, rhs)
+    for model in (lp, with_column):
+        sol = model.solve()
+        assert sol.is_optimal is feasible, model
+        if not feasible:
+            assert sol.status.value == "infeasible"
 
 
 def test_repr_mentions_sizes():

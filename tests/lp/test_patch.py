@@ -1,8 +1,9 @@
-"""Patch API and cached-assembly tests (ISSUE 4 hot-path layer).
+"""Patch API and assembled-array tests (ISSUE 4 hot-path layer).
 
 The invariant under test throughout: a model mutated through the patch API
-(``fix_var`` / ``set_bounds`` / ``set_rhs``) hands the solver exactly the
-arrays a cold rebuild of the same model would — without re-running assembly.
+(``fix_var`` / ``set_bounds`` / ``set_rhs`` / ``set_objective``) hands the
+solver exactly the arrays a model built with the patched values would —
+without joining its chunks again.
 """
 
 import pickle
@@ -10,26 +11,32 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.lp.model import Constraint, ConstraintList, LinearProgram, Sense
+from repro.lp.model import LinearProgram, Sense
 from repro.perf import PERF
 
+FIELDS = ("c", "lb", "ub", "indptr", "indices", "data", "sense", "row_lower", "row_upper")
 
-def small_lp():
-    """3 vars, mixed senses: one LE row, one GE row (flip path), one EQ row."""
+
+def small_lp(bounds=None, rhs=None):
+    """3 vars, mixed senses: one LE row, one GE row, one EQ row.
+
+    ``bounds``/``rhs`` map a column/row to the values it is built with.
+    """
+    bounds, rhs = bounds or {}, rhs or {}
     lp = LinearProgram(name="patch-test")
-    x = lp.var("x", upper=4.0, obj=1.0)
-    y = lp.var("y", upper=4.0, obj=2.0)
-    z = lp.var("z", upper=4.0, obj=0.5)
-    lp.add_row([x.index, y.index], [1.0, 1.0], "<=", 5.0, name="le")
-    lp.add_row([x.index, z.index], [1.0, 1.0], ">=", 2.0, name="ge")
-    lp.add_row([y.index, z.index], [1.0, -1.0], "==", 0.5, name="eq")
+    for j, (name, obj) in enumerate((("x", 1.0), ("y", 2.0), ("z", 0.5))):
+        lower, upper = bounds.get(j, (0.0, 4.0))
+        lp.var(name, lower=lower, upper=upper, obj=obj)
+    lp.add_row([0, 1], [1.0, 1.0], "<=", rhs.get(0, 5.0), name="le")
+    lp.add_row([0, 2], [1.0, 1.0], ">=", rhs.get(1, 2.0), name="ge")
+    lp.add_row([1, 2], [1.0, -1.0], "==", rhs.get(2, 0.5), name="eq")
     return lp
 
 
 def bulk_lp(nrows=12, nvars=6):
     """A model whose rows all come from one add_rows_bulk block (GE sense)."""
     lp = LinearProgram(name="bulk-test")
-    lp.var_block("x", nvars, upper=1.0, obj=1.0)
+    lp.add_vars_bulk([f"x[{j}]" for j in range(nvars)], upper=1.0, obj=1.0)
     indices = np.array([[j % nvars, (j + 1) % nvars] for j in range(nrows)]).ravel()
     coeffs = np.ones(2 * nrows)
     indptr = np.arange(0, 2 * nrows + 1, 2)
@@ -38,60 +45,51 @@ def bulk_lp(nrows=12, nvars=6):
     return lp
 
 
-def assert_arrays_match(lp_patched, lp_cold):
-    """The patched cache must equal a cold assembly of an identical model."""
-    got = lp_patched.to_arrays()
-    want = lp_cold.to_arrays()
-    for g, w, label in zip(got, want, ["c", "A_ub", "b_ub", "A_eq", "b_eq", "bounds"]):
-        if label.startswith("A_"):
-            assert (g is None) == (w is None), label
-            if g is not None:
-                assert (g != w).nnz == 0, label
-        elif label == "bounds":
-            assert list(g) == list(w), label
-        else:
-            assert (g is None) == (w is None), label
-            if g is not None:
-                np.testing.assert_array_equal(np.asarray(g), np.asarray(w), err_msg=label)
+def assert_arrays_match(lp_patched, lp_built):
+    """The patched arrays must equal those of a model built with the patched values."""
+    got, want = lp_patched.assembled(), lp_built.assembled()
+    for name in FIELDS:
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
 
 
-# -- cache lifecycle ---------------------------------------------------------
+# -- assembled arrays --------------------------------------------------------
 
 
-def test_to_arrays_is_cached():
+def test_assembled_is_cached():
     lp = small_lp()
+    first = lp.assembled()
     before = PERF.get("lp.assembly.reuse")
-    first = lp.to_arrays()
-    second = lp.to_arrays()
+    second = lp.assembled()
     assert PERF.get("lp.assembly.reuse") == before + 1
-    # Identical objects, not merely equal: the cache is served as-is.
-    assert first[0] is second[0]
-    assert first[1] is second[1]
+    # The same object, not merely equal: the arrays are served as they stand.
+    assert first is second
+    assert first.c is second.c
 
 
 def test_structural_edits_invalidate():
     lp = small_lp()
-    lp.to_arrays()
+    first = lp.assembled()
     lp.var("w", upper=1.0)
     rebuilds = PERF.get("lp.assembly.rebuild")
-    c, *_ = lp.to_arrays()
+    arrays = lp.assembled()
     assert PERF.get("lp.assembly.rebuild") == rebuilds + 1
-    assert len(c) == 4
+    assert arrays is not first
+    assert len(arrays.c) == 4
 
     lp.add_row([0], [1.0], "<=", 1.0)
     rebuilds = PERF.get("lp.assembly.rebuild")
-    lp.to_arrays()
+    assert lp.assembled().nrows == 4
     assert PERF.get("lp.assembly.rebuild") == rebuilds + 1
 
 
 def test_bulk_rows_invalidate():
     lp = bulk_lp()
-    lp.to_arrays()
+    lp.assembled()
     lp.add_rows_bulk([0, 1], [0], [1.0], "<=", [1.0])
     rebuilds = PERF.get("lp.assembly.rebuild")
-    _, a_ub, b_ub, _, _, _ = lp.to_arrays()
+    arrays = lp.assembled()
     assert PERF.get("lp.assembly.rebuild") == rebuilds + 1
-    assert a_ub.shape[0] == 13
+    assert arrays.nrows == 13
 
 
 # -- patches equal a cold rebuild -------------------------------------------
@@ -99,79 +97,66 @@ def test_bulk_rows_invalidate():
 
 def test_fix_var_patches_cached_arrays():
     lp = small_lp()
-    lp.to_arrays()  # prime the cache
+    lp.assembled()
     rebuilds = PERF.get("lp.assembly.rebuild")
     lp.fix_var(1, 0.75)
-
-    cold = small_lp()
-    cold.fix_var(1, 0.75)
-    cold._arrays = None  # force the cold path
-    assert_arrays_match(lp, cold)
-    # The patched model never re-assembled.
-    assert PERF.get("lp.assembly.rebuild") == rebuilds + 1  # +1 is the cold model
+    # The patched model never joined again.
+    assert PERF.get("lp.assembly.rebuild") == rebuilds
+    assert_arrays_match(lp, small_lp(bounds={1: (0.75, 0.75)}))
 
 
 def test_set_bounds_patches_cached_arrays():
     lp = small_lp()
-    lp.to_arrays()
+    lp.assembled()
     lp.set_bounds(0, 0.25, 3.0)
     lp.set_bounds(2, 0.0, None)
-
-    cold = small_lp()
-    cold.set_bounds(0, 0.25, 3.0)
-    cold.set_bounds(2, 0.0, None)
-    cold._arrays = None
-    assert_arrays_match(lp, cold)
+    assert lp.assembled().ub[2] == np.inf
+    assert_arrays_match(lp, small_lp(bounds={0: (0.25, 3.0), 2: (0.0, None)}))
 
 
 def test_set_rhs_patches_all_senses():
     lp = small_lp()
-    lp.to_arrays()
+    lp.assembled()
     lp.set_rhs(0, 7.0)   # LE
-    lp.set_rhs(1, 3.5)   # GE (flip path)
+    lp.set_rhs(1, 3.5)   # GE
     lp.set_rhs(2, -1.0)  # EQ
-
-    cold = small_lp()
-    cold.set_rhs(0, 7.0)
-    cold.set_rhs(1, 3.5)
-    cold.set_rhs(2, -1.0)
-    cold._arrays = None
-    assert_arrays_match(lp, cold)
+    assert_arrays_match(lp, small_lp(rhs={0: 7.0, 1: 3.5, 2: -1.0}))
 
 
-def test_ge_rhs_stored_negated():
-    """>= rows live negated in A_ub; a patched rhs must flip sign with them."""
+def test_ge_rhs_is_the_row_lower_bound():
+    """A >= row keeps its signs; its rhs is the row's lower bound."""
     lp = small_lp()
-    _, _, b_ub, _, _, _ = lp.to_arrays()
-    # Rows: le (rhs 5), ge (rhs 2, stored as -2).
-    assert b_ub[0] == pytest.approx(5.0)
-    assert b_ub[1] == pytest.approx(-2.0)
+    arrays = lp.assembled()
+    assert arrays.data[2:4].tolist() == [1.0, 1.0]
+    assert (arrays.row_lower[1], arrays.row_upper[1]) == (2.0, np.inf)
     lp.set_rhs(1, 3.5)
-    _, _, b_ub, _, _, _ = lp.to_arrays()
-    assert b_ub[1] == pytest.approx(-3.5)
-    assert lp.constraints[1].rhs == pytest.approx(3.5)
+    assert (arrays.row_lower[1], arrays.row_upper[1]) == (3.5, np.inf)
+    # An == row's two bounds move together; a <= row's lower bound stays.
+    lp.set_rhs(2, 1.25)
+    lp.set_rhs(0, 6.0)
+    assert (arrays.row_lower[2], arrays.row_upper[2]) == (1.25, 1.25)
+    assert (arrays.row_lower[0], arrays.row_upper[0]) == (-np.inf, 6.0)
 
 
 def test_patch_before_assembly_is_safe():
-    """Patching with no cache yet just edits the model; first assembly sees it."""
+    """Patching before any assembly edits the model; every later read sees it."""
     lp = small_lp()
     lp.fix_var(0, 1.0)
     lp.set_rhs(2, 9.0)
-    c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
-    assert bounds[0] == (1.0, 1.0)
-    assert b_eq[0] == pytest.approx(9.0)
+    arrays = lp.assembled()
+    assert (arrays.lb[0], arrays.ub[0]) == (1.0, 1.0)
+    assert arrays.rhs()[2] == pytest.approx(9.0)
 
 
 def test_objective_patches():
     lp = small_lp()
-    c0, *_ = lp.to_arrays()
+    c0 = lp.assembled().c
     lp.set_objective(0, 10.0)
-    lp.add_objective(2, 1.5)
-    c1, *_ = lp.to_arrays()
+    lp.set_objective(2, 2.0)
+    c1 = lp.assembled().c
     assert c1 is c0  # patched in place, no rebuild
     assert c1[0] == pytest.approx(10.0)
     assert c1[2] == pytest.approx(2.0)
-    assert lp.variables[0].objective == pytest.approx(10.0)
 
 
 def test_incremental_resolve_matches_cold_solve():
@@ -193,82 +178,54 @@ def test_incremental_resolve_matches_cold_solve():
     np.testing.assert_allclose(warm.values, cold_sol.values, atol=1e-8)
 
 
-# -- _RowBlock / ConstraintList ----------------------------------------------
+# -- row families -----------------------------------------------------------
 
 
 def test_block_rows_materialize_lazily():
+    """A bulk family's rows are read from the CSR and its names rendered
+    only when asked for; unnamed rows are named by their global row id."""
     lp = bulk_lp(nrows=5)
-    cons = lp.constraints
-    assert len(cons) == 5
-    row = cons[2]
-    assert isinstance(row, Constraint)
-    assert row.sense is Sense.GE
-    assert list(row.indices) == [2, 3]
-    assert cons[2] is row  # memoized
-    assert cons[-1].name == "c4"  # auto names are global row ids
+    assert lp.num_constraints == 5
+    arrays = lp.assembled()
+    assert arrays.sense[2] == Sense.GE.code
+    assert arrays.indices[arrays.indptr[2]:arrays.indptr[3]].tolist() == [2, 3]
+    assert lp.row_name(4) == "c4"
+    assert lp.row_names() == [f"c{r}" for r in range(5)]
 
 
 def test_block_named_rows():
     lp = LinearProgram()
-    lp.var_block("x", 2)
+    lp.add_vars_bulk(["x[0]", "x[1]"])
     lp.add_rows_bulk([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 2.0], names=["a", "b"])
-    assert [c.name for c in lp.constraints] == ["a", "b"]
-
-
-def test_constraint_list_iteration_and_slices():
-    lp = small_lp()
-    lp.add_rows_bulk([0, 1, 2], [0, 1], [1.0, 1.0], "<=", [1.0, 2.0])
-    cons = lp.constraints
-    assert len(cons) == 5
-    assert [c.name for c in cons] == ["le", "ge", "eq", "c3", "c4"]
-    assert [c.rhs for c in cons[3:]] == [1.0, 2.0]
-    assert cons[-2].rhs == 1.0
-    with pytest.raises(IndexError):
-        cons[5]
+    assert lp.row_names() == ["a", "b"]
 
 
 def test_set_rhs_before_and_after_materialization():
     lp = bulk_lp(nrows=4)
-    # Patch before anyone materialized the row.
+    # Patch before the rows were joined into the arrays.
     lp.set_rhs(1, 9.0)
-    assert lp.constraints[1].rhs == pytest.approx(9.0)
-    # Patch after materialization: the cached Constraint must stay coherent.
-    row = lp.constraints[2]
+    assert lp.assembled().row_lower[1] == pytest.approx(9.0)
+    # Patch after: the arrays already handed out see it.
+    arrays = lp.assembled()
     lp.set_rhs(2, 8.0)
-    assert row.rhs == pytest.approx(8.0)
-    assert lp.constraints[2].rhs == pytest.approx(8.0)
-
-
-def test_constraint_list_equality_with_plain_list():
-    lp = bulk_lp(nrows=3)
-    as_list = list(lp.constraints)
-    assert lp.constraints == as_list
-    assert lp.constraints == ConstraintList(as_list)
-    assert not (lp.constraints == as_list[:2])
-
-
-def test_constraint_list_wraps_plain_lists():
-    rows = [Constraint("a", [0], [1.0], Sense.LE, 1.0)]
-    lp = LinearProgram(name="wrapped", constraints=rows)
-    assert isinstance(lp.constraints, ConstraintList)
-    assert lp.constraints[0].name == "a"
+    assert arrays.row_lower[2] == pytest.approx(8.0)
+    assert lp.assembled().rhs()[2] == pytest.approx(8.0)
 
 
 def test_mixed_segments_columnar_assembly():
-    """Object rows and block rows interleaved assemble in declaration order."""
+    """Single rows and block rows interleaved assemble in declaration order."""
     lp = LinearProgram()
-    lp.var_block("x", 3, upper=1.0, obj=1.0)
+    lp.add_vars_bulk(["x[0]", "x[1]", "x[2]"], upper=1.0, obj=1.0)
     lp.add_row([0], [1.0], "<=", 0.5, name="head")
     lp.add_rows_bulk([0, 1, 2], [1, 2], [1.0, 1.0], ">=", [0.1, 0.2])
     lp.add_row([0, 2], [1.0, 1.0], "<=", 1.5, name="tail")
-    c, a_ub, b_ub, a_eq, b_eq, bounds = lp.to_arrays()
-    assert a_eq is None
-    dense = a_ub.toarray()
-    np.testing.assert_allclose(dense[0], [1.0, 0.0, 0.0])
-    np.testing.assert_allclose(dense[1], [0.0, -1.0, 0.0])  # GE negated
-    np.testing.assert_allclose(dense[2], [0.0, 0.0, -1.0])
-    np.testing.assert_allclose(dense[3], [1.0, 0.0, 1.0])
-    np.testing.assert_allclose(b_ub, [0.5, -0.1, -0.2, 1.5])
+    arrays = lp.assembled()
+    dense = np.zeros((arrays.nrows, arrays.nvars))
+    dense[arrays.entry_rows(), arrays.indices] = arrays.data
+    np.testing.assert_array_equal(dense, [[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 0, 1]])
+    np.testing.assert_array_equal(arrays.row_lower, [-np.inf, 0.1, 0.2, -np.inf])
+    np.testing.assert_array_equal(arrays.row_upper, [0.5, np.inf, np.inf, 1.5])
+    assert lp.row_names() == ["head", "c1", "c2", "tail"]
 
 
 # -- add_rows_bulk validation ------------------------------------------------
@@ -276,7 +233,7 @@ def test_mixed_segments_columnar_assembly():
 
 def test_add_rows_bulk_validation():
     lp = LinearProgram()
-    lp.var_block("x", 2)
+    lp.add_vars_bulk(["x[0]", "x[1]"])
     with pytest.raises(ValueError, match="rhs has"):
         lp.add_rows_bulk([0, 1], [0], [1.0], "<=", [1.0, 2.0])
     with pytest.raises(ValueError, match="names has"):
@@ -292,17 +249,19 @@ def test_add_rows_bulk_validation():
     with pytest.raises(ValueError, match="unknown constraint sense"):
         lp.add_rows_bulk([0, 1], [0], [1.0], "!=", [1.0])
     # Nothing was appended by the failed calls.
-    assert len(lp.constraints) == 0
+    assert lp.num_constraints == 0
 
 
 def test_add_vars_bulk_duplicate_rolls_back():
     lp = LinearProgram()
     lp.var("x[1]")
     with pytest.raises(ValueError, match="duplicate variable name"):
-        lp.var_block("x", 3)
-    # The name table and variable list are back to their pre-call state.
+        lp.add_vars_bulk(["x[0]", "x[1]", "x[2]"])
+    # The name table and the columns are back to their pre-call state.
     assert lp.num_variables == 1
-    assert lp.variable_by_name("x[1]").index == 0
+    assert lp.column("x[1]") == 0
+    with pytest.raises(KeyError):
+        lp.column("x[0]")
     lp.var("y")  # still usable
     assert lp.num_variables == 2
 
@@ -319,10 +278,11 @@ def test_add_vars_bulk_per_var_bounds_validation():
 
 def test_model_with_blocks_pickles():
     lp = bulk_lp()
-    lp.to_arrays()
+    lp.assembled()
     clone = pickle.loads(pickle.dumps(lp))
     assert clone.num_constraints == lp.num_constraints
-    assert clone.constraints[3].rhs == pytest.approx(lp.constraints[3].rhs)
+    assert clone.assembled().rhs()[3] == lp.assembled().rhs()[3]
+    assert clone.row_names() == lp.row_names()
     a = lp.solve(backend="auto")
     b = clone.solve(backend="auto")
     assert a.objective == pytest.approx(b.objective, abs=1e-9)

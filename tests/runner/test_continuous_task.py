@@ -173,3 +173,10 @@ class TestThroughTheRunner:
         task = small_task()
         clone = pickle.loads(pickle.dumps(task))
         assert clone.cache_key() == task.cache_key()
+
+
+@pytest.mark.parametrize("field", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+def test_non_finite_cost_weights_are_refused(field, value):
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        small_task(**{field: value})

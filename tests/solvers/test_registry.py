@@ -31,7 +31,7 @@ from repro.workload.demand import DemandMatrix
 def _small_lp() -> LinearProgram:
     lp = LinearProgram(name="t")
     x = lp.var("x", obj=1.0)
-    lp.add_row([x.index], [1.0], ">=", 2.0)
+    lp.add_row([x], [1.0], ">=", 2.0)
     return lp
 
 

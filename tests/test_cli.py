@@ -82,6 +82,24 @@ def test_bounds_infeasible_exit_code(artifacts, capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [("--alpha", "nan", "alpha"), ("--alpha", "inf", "alpha"), ("--beta", "inf", "beta"),
+     ("--tlat", "nan", "tlat_ms")],
+)
+def test_bounds_refuses_non_finite_inputs(artifacts, capsys, flag, value, name):
+    """A NaN or infinite cost or threshold never reaches the LP: the run
+    exits 2 naming the input, instead of printing bound=nan."""
+    topo_path, trace_path = artifacts
+    rc = main(
+        ["bounds", *problem_flags(topo_path, trace_path), "--class", "general", flag, value]
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert f"bounds: {name} must be finite" in captured.err
+    assert "bound=" not in captured.out
+
+
 def test_select_json(artifacts, capsys):
     topo_path, trace_path = artifacts
     rc = main(
