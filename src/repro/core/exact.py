@@ -3,9 +3,10 @@
 §5 of the paper: solving the IP exactly gives the tight bound but "is
 feasible only at a very small scale"; the method therefore uses LP
 relaxation + rounding.  :func:`compute_exact_bound` supplies the exact mode
-via branch and bound, bracketed by the pipeline's own artifacts: the LP
-bound prunes from below, the rounded feasible solution seeds the incumbent
-from above.  Useful for
+as one HiGHS MIP solve of the class's own LP with the store columns
+integral.  It reports the LP bound and the greedy rounded cost next to the
+integral optimum, so the LP-vs-rounded gap splits into the bound's slack
+and the rounder's.  Useful for
 
 * measuring the *true* integrality gap of the rounding on instances beyond
   brute-force size, and
@@ -20,12 +21,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.formulation import Formulation, build_formulation
+from repro.core.formulation import build_formulation
 from repro.core.goals import QoSGoal
 from repro.core.problem import MCPerfProblem
 from repro.core.properties import HeuristicProperties
 from repro.core.rounding import round_solution
-from repro.lp.branch_bound import solve_integer
+from repro.lp.scipy_backend import solve_mip
 from repro.lp.solution import SolveStatus
 
 logger = logging.getLogger(__name__)
@@ -67,14 +68,16 @@ def compute_exact_bound(
     properties: Optional[HeuristicProperties] = None,
     node_limit: int = 5_000,
     time_limit_s: Optional[float] = None,
-    seed_with_rounding: bool = True,
 ) -> ExactBoundResult:
     """Solve the class-restricted MC-PERF instance to integral optimality.
 
-    Only the ``store`` variables are branched: with integral stores, the
+    Only the ``store`` variables are integral: with integral stores, the
     optimal ``create``/``covered``/capacity values are automatically
     integral-consistent, so the search space is exactly the placement
-    space.
+    space.  ``node_limit`` caps HiGHS's branch-and-bound nodes and
+    ``time_limit_s`` its run time; either limit leaves the bracket
+    ``[lower_bound, exact_cost]``.  A failed MIP solve raises
+    ``RuntimeError``, as a failed LP solve does.
     """
     props = properties or HeuristicProperties()
     form = build_formulation(problem, props)
@@ -94,47 +97,39 @@ def compute_exact_bound(
     constant = form.objective_constant
     lp_cost = form.bound_cost(lp_solution)
 
-    incumbent = None
     rounded_cost = None
-    if seed_with_rounding and isinstance(problem.goal, QoSGoal):
+    if isinstance(problem.goal, QoSGoal):
         rounding = round_solution(form, lp_solution)
         if rounding.feasible:
             rounded_cost = rounding.total_cost
-            # Convert to LP-objective units (drop the constant part).  The
-            # class-accounting adjustments only ever add cost, so this seed
-            # is a safe (possibly loose) upper bound.
-            incumbent = (rounded_cost - constant, None)
 
-    integer_vars = [int(j) for j in form.store_idx[form.store_idx >= 0].ravel()]
-    result = solve_integer(
+    result = solve_mip(
         form.lp,
-        integer_vars,
+        form.store_idx[form.store_idx >= 0],
         node_limit=node_limit,
         time_limit_s=time_limit_s,
-        incumbent=incumbent,
     )
     logger.debug(
-        "exact[%s]: status=%s nodes=%d", props.describe(), result.status, result.nodes
+        "exact[%s]: status=%s nodes=%d", props.describe(), result.status.value, result.nodes
     )
-
-    if result.status == "infeasible":
+    if result.status is SolveStatus.ERROR:
+        raise RuntimeError(f"MIP solve failed: {result.message}")
+    if result.status is SolveStatus.INFEASIBLE:
         return ExactBoundResult(
             feasible=False, status="infeasible", lp_cost=lp_cost, nodes=result.nodes,
             reason="no integral placement meets the goal",
         )
 
-    store = form.store_array(result.values) if result.values is not None else None
-    if store is not None:
-        np.clip(store, 0.0, 1.0, out=store)
-        store[store < 0.5] = 0.0
-        store[store >= 0.5] = 1.0
+    store = None
+    if result.values is not None:
+        store = (form.store_array(result.values) >= 0.5).astype(float)
     return ExactBoundResult(
         feasible=True,
-        status=result.status,
+        status=result.status.value,
         exact_cost=None if result.objective is None else result.objective + constant,
         lower_bound=None
-        if result.best_bound == float("-inf")
-        else result.best_bound + constant,
+        if result.dual_bound == float("-inf")
+        else result.dual_bound + constant,
         lp_cost=lp_cost,
         rounded_cost=rounded_cost,
         nodes=result.nodes,

@@ -90,6 +90,10 @@ class AverageLatencyGoal:
     scope: GoalScope = GoalScope.PER_USER
 
     def __post_init__(self) -> None:
+        for name in ("tavg_ms", "tlat_ms"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.tavg_ms < 0:
             raise ValueError("average latency target must be non-negative")
         if self.tlat_ms < 0:

@@ -10,7 +10,9 @@ A small, self-contained LP modeling layer used by the MC-PERF formulation in
 * :func:`~repro.lp.scipy_backend.solve_with_scipy` — the production backend:
   HiGHS through scipy's bindings, fed exactly what ``linprog`` would feed it,
   returning HiGHS's optimal basis alongside values and duals, and re-solving
-  patched models hot inside the HiGHS instance it keeps on the model.
+  patched models hot inside the HiGHS instance it keeps on the model;
+  :func:`~repro.lp.scipy_backend.solve_mip` solves the same model with
+  chosen columns integral, on HiGHS's own MIP solver.
 * :func:`~repro.audit.certificates.check_solution` — an independent
   feasibility checker used by tests and by the rounding algorithm
   (re-exported here; it lives in the audit subsystem).
@@ -25,10 +27,9 @@ re-solving on a second solver.
 """
 
 from repro.lp.model import LinearProgram, LPArrays, Names, Sense
-from repro.lp.solution import LPSolution, SolveStatus
+from repro.lp.solution import LPSolution, MIPSolution, SolveStatus
 from repro.lp.basis import Basis
-from repro.lp.scipy_backend import solve_with_scipy
-from repro.lp.branch_bound import IPResult, solve_integer
+from repro.lp.scipy_backend import solve_mip, solve_with_scipy
 from repro.audit.certificates import ValidationReport, check_solution
 from repro.lp.diagnose import InfeasibilityDiagnosis, diagnose_infeasibility
 
@@ -38,13 +39,13 @@ __all__ = [
     "Names",
     "Sense",
     "LPSolution",
+    "MIPSolution",
     "SolveStatus",
     "Basis",
     "solve_with_scipy",
+    "solve_mip",
     "check_solution",
     "ValidationReport",
-    "IPResult",
-    "solve_integer",
     "InfeasibilityDiagnosis",
     "diagnose_infeasibility",
 ]

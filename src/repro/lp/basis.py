@@ -9,8 +9,8 @@ variables first, then the row slacks:
 * ``AT_LOWER`` / ``AT_UPPER`` — nonbasic at the named bound.
 * ``NB_FREE`` — nonbasic free variable, held at zero.
 
-The handle is deliberately *opaque* to every caller: ``lp/branch_bound`` and
-the placement service only move it from one
+The handle is deliberately *opaque* to every caller: the sweeps and the
+placement service only move it from one
 :class:`~repro.lp.solution.LPSolution` to the next ``solve(warm_start=...)``
 call.  Validation happens at the point of use (HiGHS's ``setBasis``): a
 handle whose shape no longer matches the model — stale cache entries,

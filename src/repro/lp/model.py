@@ -43,6 +43,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from repro.errors import ValidationError
 from repro.lp.scipy_backend import highs_core
 from repro.lp.solution import LPSolution
 from repro.perf import PERF
@@ -364,9 +365,23 @@ class LinearProgram:
             raise ValueError("indptr must be non-decreasing")
         if len(indices) and (indices.min() < 0 or indices.max() >= self._nvars):
             raise IndexError("constraint block references unknown variable index")
+        start = self._nrows
+        if len(indices):
+            # HiGHS rejects a row that names a column twice: refuse it here.
+            keys = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
+            keys = np.sort(keys * self._nvars + indices)
+            repeated = np.flatnonzero(np.diff(keys) == 0)
+            if len(repeated):
+                r, j = divmod(int(keys[repeated[0]]), self._nvars)
+                if isinstance(names, Names):
+                    label = names.render(r)
+                elif names is not None and names[r]:
+                    label = names[r]
+                else:
+                    label = f"c{start + r}"
+                raise ValidationError(f"row {label!r} names column {self.var_name(j)!r} twice")
         parsed = Sense.parse(sense)
         lower, upper = parsed.bounds(rhs)
-        start = self._nrows
         self._new_rows.append((indptr, indices, coeffs, parsed.code, lower, upper))
         self._row_names.add(
             names if names is None or isinstance(names, Names) else list(names), nrows

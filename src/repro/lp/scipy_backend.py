@@ -27,7 +27,7 @@ This backend keeps the basis and the instance:
   optimal solve.  A re-solve of the same assembled arrays pushes only the
   rows, column bounds and costs the patch API changed since the last run,
   and HiGHS's dual simplex restarts from its retained basis and factor —
-  the hot start every QoS sweep level and branch-and-bound child takes.
+  the hot start every QoS sweep level takes.
 * A :class:`~repro.lp.basis.Basis` from another LP of the same shape (the
   service's per-class warm store) enters a fresh instance through
   ``setBasis``.
@@ -38,8 +38,14 @@ microseconds): statuses are derived only if someone reads them, and a
 snapshot handed back to ``setBasis`` needs no conversion at all.
 
 Either warm start is a hint: a non-optimal warm outcome is re-solved cold
-and counts ``lp.simplex.warm_degraded``.  This is the only module that
-touches the private bindings.
+and counts ``lp.simplex.warm_degraded``.
+
+:func:`solve_mip` hands the same model to HiGHS's MIP solver with chosen
+columns integral (the exact mode of :mod:`repro.core.exact`), on a fresh
+instance, and checks its incumbent as an LP optimum is checked.  HiGHS's
+MIP solver may print a stray line to stdout even with ``output_flag`` off,
+so nothing should parse the stdout of a MIP solve.  This is the only
+module that touches the private bindings.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import threading
 import numpy as np
 
 from repro.lp.basis import AT_LOWER, AT_UPPER, BASIC, NB_FREE, Basis
-from repro.lp.solution import LPSolution, SolveStatus
+from repro.lp.solution import LPSolution, MIPSolution, SolveStatus
 from repro.perf import PERF
 
 #: ``linprog``'s post-solve feasibility tolerance (``sqrt(1e-9) * 10``): an
@@ -111,13 +117,71 @@ def _colwise(cache):
     """The cache's rows as HiGHS's column-wise ``(start, index, value)``.
 
     A stable sort of the row-major entries by column keeps each column's
-    entries in row order, and a row's repeated column in entry order — what
-    ``scipy.sparse.csc_array`` makes of the same rows, entry for entry.
+    entries in row order — what ``scipy.sparse.csc_array`` makes of the
+    same rows, entry for entry.
     """
     order = np.argsort(cache.indices, kind="stable")
     start = np.zeros(cache.nvars + 1, dtype=np.int64)
     np.cumsum(np.bincount(cache.indices, minlength=cache.nvars), out=start[1:])
     return start, cache.entry_rows()[order], cache.data[order]
+
+
+def _load(h, cache, options, integral=None):
+    """A fresh HiGHS instance holding ``cache``; True if HiGHS accepted the model.
+
+    The model goes in HiGHS's own form with ``linprog``'s settings and then
+    ``options`` on top.  ``integral`` (a boolean per column) makes a MIP:
+    the flagged columns integral, the others continuous.
+    """
+    lp = h.HighsLp()
+    lp.num_col_ = lp.a_matrix_.num_col_ = cache.nvars
+    lp.num_row_ = lp.a_matrix_.num_row_ = cache.nrows
+    lp.a_matrix_.format_ = h.MatrixFormat.kColwise
+    lp.col_cost_, lp.col_lower_, lp.col_upper_ = cache.c, cache.lb, cache.ub
+    # The rows in model order with their own signs: lhs <= A x <= rhs.
+    lp.row_lower_, lp.row_upper_ = cache.row_lower, cache.row_upper
+    lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(cache)
+    if integral is not None:
+        kinds = (h.HighsVarType.kContinuous, h.HighsVarType.kInteger)
+        lp.integrality_ = [kinds[flag] for flag in integral.tolist()]
+    highs = h._Highs()
+    settings = {
+        "presolve": "on",
+        "output_flag": False,
+        "log_to_console": False,
+        "highs_debug_level": int(h.HighsDebugLevel.kHighsDebugLevelNone),
+        "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
+    }
+    for key, value in {**settings, **options}.items():
+        if highs.setOptionValue(key, value) == h.HighsStatus.kError:
+            raise ValueError(f"bad HiGHS option {key}={value!r}")
+    return highs, highs.passModel(lp) != h.HighsStatus.kError
+
+
+def _violates(cache, values) -> bool:
+    """Does ``values`` break a column bound or a row beyond ``_CHECK_TOL``?
+
+    Checked against the model's own rows, not HiGHS's row values; the patch
+    API never edits a matrix entry.
+    """
+    activity = np.bincount(
+        cache.entry_rows(), weights=cache.data * values[cache.indices], minlength=cache.nrows,
+    )
+    return not (
+        np.all(values >= cache.lb - _CHECK_TOL)
+        and np.all(values <= cache.ub + _CHECK_TOL)
+        and np.all(activity >= cache.row_lower - _CHECK_TOL)
+        and np.all(activity <= cache.row_upper + _CHECK_TOL)
+    )
+
+
+#: Why a model without columns (HiGHS calls it empty) is infeasible.
+_EXCLUDES_ZERO = "a row without columns excludes 0"
+
+
+def _admits_zero(cache) -> bool:
+    """Can a model without columns be solved?  Every row's activity is 0."""
+    return bool(np.all(cache.row_lower <= 0.0) and np.all(cache.row_upper >= 0.0))
 
 
 class _HighsRun:
@@ -135,26 +199,7 @@ class _HighsRun:
     def __init__(self, h, cache, options):
         self.cache, self.options = cache, options
         self._remember(cache)
-        lp = h.HighsLp()
-        lp.num_col_ = lp.a_matrix_.num_col_ = cache.nvars
-        lp.num_row_ = lp.a_matrix_.num_row_ = cache.nrows
-        lp.a_matrix_.format_ = h.MatrixFormat.kColwise
-        lp.col_cost_, lp.col_lower_, lp.col_upper_ = cache.c, cache.lb, cache.ub
-        # The rows in model order with their own signs: lhs <= A x <= rhs.
-        lp.row_lower_, lp.row_upper_ = cache.row_lower, cache.row_upper
-        lp.a_matrix_.start_, lp.a_matrix_.index_, lp.a_matrix_.value_ = _colwise(cache)
-        self.highs = h._Highs()
-        settings = {
-            "presolve": "on",
-            "output_flag": False,
-            "log_to_console": False,
-            "highs_debug_level": int(h.HighsDebugLevel.kHighsDebugLevelNone),
-            "simplex_strategy": int(h.simplex_constants.SimplexStrategy.kSimplexStrategyDual),
-        }
-        for key, value in {**settings, **options}.items():
-            if self.highs.setOptionValue(key, value) == h.HighsStatus.kError:
-                raise ValueError(f"bad HiGHS option {key}={value!r}")
-        self.accepted = self.highs.passModel(lp) != h.HighsStatus.kError
+        self.highs, self.accepted = _load(h, cache, options)
 
     def _remember(self, cache) -> None:
         self.c, self.lb, self.ub = cache.c.copy(), cache.lb.copy(), cache.ub.copy()
@@ -217,11 +262,10 @@ class _HighsRun:
             model_status = highs.getModelStatus()
             PERF.count("lp.simplex.iterations", highs.getInfo().simplex_iteration_count)
         message = highs.modelStatusToString(model_status)
-        # linprog's mapping, including "a model HiGHS rejects is infeasible".
+        # A model HiGHS rejects (kModelError) is an error, not infeasible.
         status = {
             h.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
             h.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
-            h.HighsModelStatus.kModelError: SolveStatus.INFEASIBLE,
             h.HighsModelStatus.kUnbounded: SolveStatus.UNBOUNDED,
         }.get(model_status, SolveStatus.ERROR)
         if status is not SolveStatus.OPTIMAL:
@@ -231,18 +275,7 @@ class _HighsRun:
 
         solution = highs.getSolution()
         values = np.array(solution.col_value, dtype=float)
-        # Checked against the model's own rows, not HiGHS's row values; the
-        # patch API never edits a matrix entry.
-        activity = np.bincount(
-            cache.entry_rows(), weights=cache.data * values[cache.indices],
-            minlength=cache.nrows,
-        )
-        if not (
-            np.all(values >= cache.lb - _CHECK_TOL)
-            and np.all(values <= cache.ub + _CHECK_TOL)
-            and np.all(activity >= cache.row_lower - _CHECK_TOL)
-            and np.all(activity <= cache.row_upper + _CHECK_TOL)
-        ):
+        if _violates(cache, values):
             return LPSolution(
                 status=SolveStatus.ERROR, values=values, backend="scipy",
                 message="HiGHS optimum violates the constraints beyond tolerance",
@@ -332,14 +365,13 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
     cache = model.assembled()
     run, model._highs = model._highs, None
     if cache.nvars == 0:
-        # No columns: every row's activity is 0.
-        if np.all(cache.row_lower <= 0.0) and np.all(cache.row_upper >= 0.0):
+        if _admits_zero(cache):
             return LPSolution(
                 status=SolveStatus.OPTIMAL, objective=0.0, values=np.zeros(0), backend="scipy"
             )
         return LPSolution(
             status=SolveStatus.INFEASIBLE, values=np.zeros(0), backend="scipy",
-            message="a row without columns excludes 0",
+            message=_EXCLUDES_ZERO,
         )
     warm = warm_starts_enabled()
     if run is not None and warm and run.cache is cache and run.options == options:
@@ -366,3 +398,70 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
     if solution.is_optimal and warm:
         model._highs = run
     return solution
+
+
+def solve_mip(model, integer, node_limit=None, time_limit_s=None) -> MIPSolution:
+    """Minimize ``model`` with the columns indexed by ``integer`` integral.
+
+    One HiGHS MIP solve, proved to ``mip_rel_gap = 0``, on an instance of
+    its own: the model's retained LP instance (``model._highs``) is neither
+    read nor replaced, so a later hot-started LP solve is unaffected.
+    ``node_limit`` is HiGHS's ``mip_max_nodes`` and ``time_limit_s`` its
+    ``time_limit``; a limit reached returns the incumbent found so far
+    (None if none) and HiGHS's proven dual bound.  An incumbent outside the
+    bounds or rows beyond the LP path's tolerance, or not integral within
+    it, is an ERROR.
+    """
+    h = highs_core()
+    cache = model.assembled()
+    if cache.nvars == 0:
+        if _admits_zero(cache):
+            return MIPSolution(
+                status=SolveStatus.OPTIMAL, objective=0.0, values=np.zeros(0), dual_bound=0.0
+            )
+        return MIPSolution(status=SolveStatus.INFEASIBLE, message=_EXCLUDES_ZERO)
+    flags = np.zeros(cache.nvars, dtype=bool)
+    flags[np.asarray(integer, dtype=np.intp)] = True
+    options = {"mip_rel_gap": 0.0}
+    if node_limit is not None:
+        options["mip_max_nodes"] = int(node_limit)
+    if time_limit_s is not None:
+        options["time_limit"] = float(time_limit_s)
+    highs, accepted = _load(h, cache, options, flags)
+    model_status = h.HighsModelStatus.kModelError
+    if accepted:
+        highs.run()
+        model_status = highs.getModelStatus()
+    message = highs.modelStatusToString(model_status)
+    status = {
+        h.HighsModelStatus.kOptimal: SolveStatus.OPTIMAL,
+        h.HighsModelStatus.kInfeasible: SolveStatus.INFEASIBLE,
+        h.HighsModelStatus.kSolutionLimit: SolveStatus.NODE_LIMIT,
+        h.HighsModelStatus.kTimeLimit: SolveStatus.TIME_LIMIT,
+    }.get(model_status, SolveStatus.ERROR)
+    if status in (SolveStatus.ERROR, SolveStatus.INFEASIBLE):
+        return MIPSolution(status=status, message=message)
+    info = highs.getInfo()
+    nodes = max(int(info.mip_node_count), 0)
+    objective = float(info.objective_function_value)
+    if not np.isfinite(objective):
+        # A limit reached before any incumbent: only the bound is known.
+        return MIPSolution(
+            status=status, dual_bound=float(info.mip_dual_bound), nodes=nodes, message=message
+        )
+    values = np.array(highs.getSolution().col_value, dtype=float)
+    fractional = np.abs(values[flags] - np.round(values[flags])) > _CHECK_TOL
+    if _violates(cache, values) or fractional.any():
+        return MIPSolution(
+            status=SolveStatus.ERROR, values=values, nodes=nodes,
+            message="HiGHS incumbent violates the constraints or integrality beyond tolerance",
+        )
+    optimal = status is SolveStatus.OPTIMAL
+    return MIPSolution(
+        status=status,
+        objective=objective,
+        values=values,
+        dual_bound=objective if optimal else float(info.mip_dual_bound),
+        nodes=nodes,
+        message=message,
+    )

@@ -6,14 +6,18 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence
 
+import numpy as np
+
 
 class SolveStatus(str, enum.Enum):
-    """Outcome of an LP solve."""
+    """Outcome of a solve; the two limits end only MIP solves."""
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ERROR = "error"
+    NODE_LIMIT = "node-limit"
+    TIME_LIMIT = "time-limit"
 
 
 @dataclass
@@ -102,3 +106,21 @@ class LPSolution:
             f"LPSolution(status={self.status.value}, objective={obj}, "
             f"nvars={len(self.values)}, backend={self.backend!r})"
         )
+
+
+@dataclass
+class MIPSolution:
+    """Outcome of a MIP solve (:func:`repro.lp.scipy_backend.solve_mip`).
+
+    ``objective`` and ``values`` are the incumbent, None without one.
+    ``dual_bound`` is the proven lower bound on the integral optimum: equal
+    to ``objective`` when optimal, ``-inf`` when nothing is proven.
+    ``nodes`` is HiGHS's branch-and-bound node count.
+    """
+
+    status: SolveStatus
+    objective: Optional[float] = None
+    values: Optional[np.ndarray] = None
+    dual_bound: float = float("-inf")
+    nodes: int = 0
+    message: str = ""

@@ -50,10 +50,14 @@ def audit_cases(draw):
     for _ in range(draw(st.integers(1, 4))):
         sense = draw(st.sampled_from(["<=", ">=", "=="]))
         if draw(st.booleans()):
-            idx = draw(st.lists(var_ix, max_size=nvars))
+            # A row names each column at most once (the model refuses repeats).
+            idx = draw(st.lists(var_ix, max_size=nvars, unique=True))
             lp.add_row(idx, [draw(COEFFS) for _ in idx], sense, draw(COEFFS))
         else:
-            rows = [draw(st.lists(var_ix, max_size=nvars)) for _ in range(draw(st.integers(0, 4)))]
+            rows = [
+                draw(st.lists(var_ix, max_size=nvars, unique=True))
+                for _ in range(draw(st.integers(0, 4)))
+            ]
             indptr = np.cumsum([0] + [len(r) for r in rows])
             flat = [i for r in rows for i in r]
             named = draw(st.booleans())

@@ -93,5 +93,13 @@ def test_avg_goal_validation():
         AverageLatencyGoal(tavg_ms=-5.0)
 
 
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("field", ["tavg_ms", "tlat_ms"])
+def test_avg_goal_non_finite_rejected(field, value):
+    kwargs = {"tavg_ms": 200.0, field: value}
+    with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+        AverageLatencyGoal(**kwargs)
+
+
 def test_avg_goal_describe():
     assert "200" in AverageLatencyGoal(tavg_ms=200.0).describe()

@@ -7,7 +7,8 @@ where nothing ties a storer's cells to it, every cell of a pair whose
 covering set another storer contains
 (:func:`repro.core.formulation.compute_dominated_storers`).  The reference
 here is the unpruned LP, built with both rules switched off: statuses,
-structural-infeasibility flags, LP optima and exact IP optima must agree.
+structural-infeasibility flags, LP optima and exact IP optima (HiGHS MIP)
+must agree, on tiny random instances and on the test fixtures.
 """
 
 from __future__ import annotations
@@ -182,16 +183,47 @@ def test_dominance_keeps_exact_ip_optimum(
     )
     props = get_class(class_name).properties
     before = PERF.get("form.store.dominated")
-    exact = compute_exact_bound(problem, props, node_limit=50_000)
+    exact = compute_exact_bound(problem, props)
     assume(PERF.get("form.store.dominated") > before)
     with unpruned():
-        # The unpruned search is the larger one; give it room to finish.
-        reference = compute_exact_bound(problem, props, node_limit=50_000)
+        reference = compute_exact_bound(problem, props)
     assert reference.status != "node-limit"
     assert exact.feasible == reference.feasible
     assert exact.status == reference.status
     if reference.feasible:
         assert exact.exact_cost == pytest.approx(reference.exact_cost, rel=1e-9, abs=1e-9)
+
+
+FIXTURE_OPTIMA = {
+    "web_problem": {
+        "general": 113.0,
+        "replica-constrained": 306.0,
+        "storage-constrained": 355.0,
+        "caching-prefetch": 371.0,
+        "cooperative-caching-prefetch": 355.0,
+    },
+    "group_problem": {
+        "general": 113.0,
+        "replica-constrained": 165.0,
+        "storage-constrained": 239.0,
+        "caching-prefetch": 339.0,
+        "cooperative-caching-prefetch": 239.0,
+    },
+}
+
+
+@pytest.mark.parametrize("class_name", sorted(FIXTURE_OPTIMA["web_problem"]))
+@pytest.mark.parametrize("fixture", sorted(FIXTURE_OPTIMA))
+def test_prune_keeps_exact_ip_optimum_at_fixture_scale(fixture, class_name, request):
+    """The integral optimum of the pruned LP is the unpruned one's, at test-fixture scale."""
+    problem = request.getfixturevalue(fixture)
+    props = get_class(class_name).properties
+    exact = compute_exact_bound(problem, props)
+    with unpruned():
+        reference = compute_exact_bound(problem, props)
+    assert exact.status == reference.status == "optimal"
+    assert exact.exact_cost == pytest.approx(FIXTURE_OPTIMA[fixture][class_name], abs=1e-6)
+    assert reference.exact_cost == pytest.approx(exact.exact_cost, abs=1e-6)
 
 
 def dominance_problem(initial=None, costs=None, goal=None):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from repro.audit import check_solution
+from repro.errors import ValidationError
 from repro.lp.model import LinearProgram, Names, Sense
+from repro.lp.scipy_backend import solve_mip
+from repro.lp.solution import SolveStatus
 from tests.lp.linexpr import LinExpr, add_expr
 
 
@@ -86,6 +89,40 @@ def test_add_row_bad_sense():
     lp.var("x")
     with pytest.raises(ValueError):
         lp.add_row([0], [1.0], "!!", 1.0)
+
+
+def test_add_row_repeated_column_rejected():
+    # HiGHS rejects such a row; the solve used to call the feasible LP infeasible.
+    lp = LinearProgram()
+    x = lp.var("x", upper=5.0, obj=1.0)
+    with pytest.raises(ValidationError, match="row 'cover' names column 'x' twice"):
+        lp.add_row([x, x], [1.0, 1.0], ">=", 1.0, name="cover")
+    assert lp.num_constraints == 0
+    assert lp.solve().is_optimal
+
+
+def test_add_rows_bulk_repeated_column_named_by_row():
+    lp = LinearProgram()
+    lp.add_vars_bulk(["a", "b", "c"])
+    # Row 1 repeats column c out of order; rows 0 and 2 share columns legally.
+    with pytest.raises(ValidationError, match="row 'c1' names column 'c' twice"):
+        lp.add_rows_bulk([0, 2, 5, 7], [0, 1, 2, 0, 2, 0, 1], [1.0] * 7, ">=", [1.0] * 3)
+    family = Names("cap", {"n": [4, 5]})
+    with pytest.raises(ValidationError, match=r"row 'cap\[n5\]' names column 'a' twice"):
+        lp.add_rows_bulk([0, 1, 3], [0, 0, 0], [1.0] * 3, "<=", [1.0] * 2, names=family)
+    lp.add_rows_bulk([0, 2, 4], [0, 1, 1, 0], [1.0] * 4, ">=", [1.0] * 2)
+    assert lp.num_constraints == 2
+
+
+def test_rejected_model_is_an_error_not_infeasible():
+    # An infinite matrix entry passes the model but HiGHS refuses it.
+    lp = LinearProgram()
+    x = lp.var("x", upper=5.0, obj=1.0)
+    lp.add_row([x], [np.inf], ">=", 1.0)
+    solution = lp.solve()
+    assert solution.status is SolveStatus.ERROR
+    assert solution.message == "Model error"
+    assert solve_mip(lp, [x]).status is SolveStatus.ERROR
 
 
 def test_constraint_activity_and_satisfied():
@@ -170,6 +207,8 @@ def test_model_without_columns_reads_its_rows(sense, rhs, feasible):
         assert sol.is_optimal is feasible, model
         if not feasible:
             assert sol.status.value == "infeasible"
+        integral = solve_mip(model, range(model.num_variables))
+        assert integral.status.value == ("optimal" if feasible else "infeasible"), model
 
 
 def test_repr_mentions_sizes():

@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.lp.basis import AT_LOWER, Basis
-from repro.lp.branch_bound import solve_integer
 from repro.lp.model import LinearProgram
 from repro.lp.solution import LPSolution, SolveStatus
 from repro.perf import PERF
@@ -191,19 +190,3 @@ def test_kill_switch_disables_warm_path(monkeypatch):
     sol = solve_lp(lp, backend="scipy", warm_start=prev)
     assert sol.is_optimal
     assert PERF.get("lp.simplex.warm_starts") == before
-
-
-def test_branch_and_bound_children_warm_start():
-    rng = np.random.default_rng(7)
-    lp = LinearProgram(name="bb-warm")
-    n = 30
-    for i, c in enumerate(rng.uniform(1, 10, n)):
-        lp.var(f"x{i}", upper=1.0, obj=float(c))
-    for _ in range(20):
-        idx = sorted(int(i) for i in rng.choice(n, size=5, replace=False))
-        lp.add_row(idx, [1.0] * 5, ">=", 2.0)
-    before = PERF.get("lp.simplex.warm_starts")
-    result = solve_integer(lp, list(range(n)), node_limit=200)
-    assert result.status == "optimal"
-    if result.nodes > 1:  # children exist -> at least one warm start
-        assert PERF.get("lp.simplex.warm_starts") > before

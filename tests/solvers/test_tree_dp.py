@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.bounds import compute_lower_bound
+from repro.core.exact import compute_exact_bound
 from repro.core.costs import CostModel
 from repro.core.goals import GoalScope, QoSGoal
 from repro.core.problem import MCPerfProblem
@@ -41,6 +44,29 @@ def _assert_matches_lp(problem):
     assert dp.feasible_cost == pytest.approx(dp.lp_cost, rel=1e-9)
     assert np.all((dp.store_lp == 0) | (dp.store_lp == 1))
     return dp
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(4, 15),
+    seed=st.integers(0, 10_000),
+    intervals=st.integers(1, 3),
+)
+def test_lp_mip_and_tree_dp_agree(n, seed, intervals):
+    """Three exact answers on a tree: the LP bound, the MIP optimum, the DP.
+
+    Where the DP applies the cover LP is integral, so HiGHS's LP and MIP
+    optima and the DP's cost (which never assembles the LP) coincide.
+    """
+    problem = _problem(tree_topology(n, seed=seed), seed=seed, objects=3, intervals=intervals)
+    assume(tree_dp_applicable(problem)[0])
+    lp = compute_lower_bound(problem, backend="scipy", do_rounding=False)
+    exact = compute_exact_bound(problem)
+    dp = solve_tree_dp(problem)
+    assert lp.backend_used == "scipy" and exact.status == "optimal"
+    assert exact.exact_cost == pytest.approx(lp.lp_cost, rel=1e-6, abs=1e-6)
+    assert dp.lp_cost == pytest.approx(lp.lp_cost, rel=1e-6, abs=1e-6)
+    assert dp.feasible_cost == pytest.approx(dp.lp_cost, rel=1e-9)
 
 
 def test_matches_lp_on_star():
