@@ -16,8 +16,13 @@ equivalents at Figure-2 scale and records the speedups in
   levels) re-solved inside the retained HiGHS instance vs cold solves of
   the same patched model.  Targets: >= 5x drift, >= 1.5x coarse.
 * **Simulator replay** — a serve-heavy trace replay answered by the
-  nearest-live-replica cache vs the seed's full-scan ``holders()`` path.
-  Target: >= 2x.
+  nearest-live-replica cache vs the seed's request-by-request replay on
+  the full-scan ``holders()`` path.  Target: >= 2x.
+* **Periodic replay** — qiu and greedy-global served a period at a time
+  (one gather per period) vs the same heuristic forced onto the
+  per-request loop.  Bit-identical results and serve counts in every
+  mode; target: >= 2.5x for qiu, >= 1.4x for greedy-global (whose own
+  planning is about half of its batched replay).
 * **Greedy rounding** — the Appendix-C rounder on arrays vs the per-cell
   loop it replaced (``tests/core/rounding_oracle.py``) on the WEB
   replica-constrained 90% cell, the slowest of the Figure-2 sweep.
@@ -50,12 +55,12 @@ import time
 import numpy as np
 import pytest
 
-from benchmarks.conftest import OUT_DIR, SCALE, TLAT_MS, write_report
+from benchmarks.conftest import NUM_INTERVALS, OUT_DIR, SCALE, TLAT_MS, write_report
 from repro.audit import audit_lp_solution
 from repro.core.classes import STANDARD_CLASSES, get_class
 from repro.core.formulation import build_formulation
 from repro.core.rounding import _Rounder
-from repro.heuristics import CooperativeLRUCaching
+from repro.heuristics import CooperativeLRUCaching, GreedyGlobalPlacement, QiuGreedyPlacement
 from repro.perf import PERF
 from repro.runner.cache import ResultCache
 from repro.runner.tasks import BoundTask
@@ -268,23 +273,53 @@ def seed_best_latency(state, node, obj, scope="global", holders=None):
     return best
 
 
-def test_replay_speedup(topology, web_trace):
-    def replay(legacy):
-        sim = Simulator(topology, web_trace, CooperativeLRUCaching(10), tlat_ms=TLAT_MS)
-        if legacy:
-            st = sim.state
-            st.best_latency = (
-                lambda node, obj, scope="global", holders=None:
-                seed_best_latency(st, node, obj, scope, holders)
-            )
-        return sim.run()
+def seed_replay(topology, trace, heuristic, tlat_ms):
+    """The seed's replay of an access-driven heuristic, request by request.
 
-    t_scan, res_scan = best_of(lambda: replay(legacy=True))
+    Every read is served by ``seed_best_latency`` (the heuristic's own
+    lookups too) and counted per node, as the seed's ``Simulator.run``
+    did.  Returns ``(total_cost, qos)``.
+    """
+    sim = Simulator(topology, trace, heuristic, tlat_ms=tlat_ms)
+    state, ctx = sim.state, sim.ctx
+    state.best_latency = (
+        lambda node, obj, scope="global", holders=None:
+        seed_best_latency(state, node, obj, scope, holders)
+    )
+    heuristic.on_start(ctx)
+    reads = covered = 0
+    lat_sum = 0.0
+    per_node_reads, per_node_covered = {}, {}
+    for req in trace.requests:
+        ctx.now_s = req.time_s
+        if req.is_write:
+            latency = 0.0
+            state.record_write(req.obj)
+        else:
+            latency = state.best_latency(req.node, req.obj, heuristic.routing)
+            reads += 1
+            lat_sum += latency
+            per_node_reads[req.node] = per_node_reads.get(req.node, 0) + 1
+            if latency <= tlat_ms:
+                covered += 1
+                per_node_covered[req.node] = per_node_covered.get(req.node, 0) + 1
+        heuristic.on_access(req, latency, ctx)
+    state.finalize(trace.duration_s)
+    total = state.storage_cost + state.creation_cost + state.update_cost
+    return total, covered / reads
+
+
+def test_replay_speedup(topology, web_trace):
+    t_scan, (scan_cost, scan_qos) = best_of(
+        lambda: seed_replay(topology, web_trace, CooperativeLRUCaching(10), TLAT_MS)
+    )
     PERF.reset()
-    t_cached, res_cached = best_of(lambda: replay(legacy=False))
+    t_cached, res_cached = best_of(
+        lambda: Simulator(topology, web_trace, CooperativeLRUCaching(10), tlat_ms=TLAT_MS).run()
+    )
     # Same replay, to the last digit — the cache is a pure speedup.
-    assert res_cached.total_cost == pytest.approx(res_scan.total_cost, abs=1e-9)
-    assert res_cached.qos == res_scan.qos
+    assert res_cached.total_cost == pytest.approx(scan_cost, abs=1e-9)
+    assert res_cached.qos == scan_qos
     # Every fault-free serve hit the O(1) path; no full scans.
     assert PERF.get("sim.serve.fast") > 0
     assert PERF.get("sim.serve.scan") == 0
@@ -302,6 +337,50 @@ def test_replay_speedup(topology, web_trace):
     }
     if not QUICK:
         assert speedup >= 2.0, f"replay speedup {speedup:.2f}x below the 2x target"
+
+
+@pytest.mark.parametrize(
+    "name, cls, size, target",
+    # Greedy-global's own planning is about half of its batched replay.
+    [("qiu", QiuGreedyPlacement, 2, 2.5), ("greedy-global", GreedyGlobalPlacement, 10, 1.4)],
+)
+def test_periodic_replay_speedup(topology, web_trace, name, cls, size, target):
+    """A period-batched replay against the per-request loop, same heuristic.
+
+    A subclass with a no-op ``on_access`` forces the loop; both sides plan
+    with the same array planner, so the ratio is the serve path's alone.
+    """
+    period_s = web_trace.duration_s / NUM_INTERVALS
+    looped_cls = type(f"Loop{cls.__name__}", (cls,), {"on_access": lambda self, r, s, c: None})
+
+    def replay(heuristic_cls):
+        before = {k: PERF.get(k) for k in ("sim.serve.fast", "sim.serve.scan")}
+        result = Simulator(
+            topology, web_trace, heuristic_cls(size, period_s=period_s, tlat_ms=TLAT_MS),
+            tlat_ms=TLAT_MS, warmup_s=period_s, cost_interval_s=period_s,
+        ).run()
+        return result, {k: PERF.get(k) - v for k, v in before.items()}
+
+    t_loop, (res_loop, loop_counts) = best_of(lambda: replay(looped_cls))
+    t_batched, (res_batched, batched_counts) = best_of(lambda: replay(cls))
+    # Bit-identical results and the same serve counts, at any speed.
+    assert json.dumps(res_batched.to_dict()) == json.dumps(res_loop.to_dict())
+    assert batched_counts == loop_counts
+    assert batched_counts["sim.serve.fast"] == web_trace.num_reads
+    assert batched_counts["sim.serve.scan"] == 0
+    speedup = t_loop / t_batched
+    RESULTS.setdefault("replay_periodic", {})[name] = {
+        "requests": len(web_trace.requests),
+        "per_request_ms": round(t_loop * 1000, 2),
+        "batched_ms": round(t_batched * 1000, 2),
+        "speedup": round(speedup, 2),
+        "fast_serves": batched_counts["sim.serve.fast"],
+        "target": target,
+    }
+    if not QUICK:
+        assert speedup >= target, (
+            f"{name} batched replay {speedup:.2f}x below the {target}x target"
+        )
 
 
 # -- 4. greedy rounding --------------------------------------------------------
@@ -429,7 +508,8 @@ def test_cell_payload_bytes(web_problem, tmp_path):
 def test_write_hot_paths_report():
     """Runs last (file order): persists the JSON record + a readable table."""
     assert {
-        "assembly", "resolve", "resolve_warm", "replay", "rounding", "audit", "payload"
+        "assembly", "resolve", "resolve_warm", "replay", "replay_periodic", "rounding",
+        "audit", "payload",
     } <= set(RESULTS), (
         "hot-path benches must run before the report (run the whole module)"
     )
@@ -455,6 +535,11 @@ def test_write_hot_paths_report():
         f"  {w['coarse_speedup']:7.2f}x",
         f"  replay (coop-lru) {s['scan_ms']:7.1f}ms {s['cached_ms']:7.1f}ms"
         f"  {s['speedup']:7.2f}x",
+        *(
+            f"  {'replay (' + name + ')':<18}"
+            f"{p['per_request_ms']:7.1f}ms {p['batched_ms']:7.1f}ms  {p['speedup']:7.2f}x"
+            for name, p in RESULTS["replay_periodic"].items()
+        ),
         f"  rounding (greedy) {g['loop_ms']:7.1f}ms {g['array_ms']:7.1f}ms"
         f"  {g['speedup']:7.2f}x",
         f"  audit (fast LP)   {d['loop_ms']:7.1f}ms {d['vectorized_ms']:7.1f}ms"

@@ -9,7 +9,7 @@ node).  This is the paper's recommended heuristic for the WEB workload.
 
 from __future__ import annotations
 
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Set
 
 import numpy as np
 
@@ -103,38 +103,36 @@ class GreedyGlobalPlacement(PlacementHeuristic):
         capacity with the locally hottest objects (a full cache costs the
         same and can only help).
         """
-        num_objects = demand.shape[1]
         placements: List[Set[int]] = [set() for _ in range(num_nodes)]
         if self.capacity == 0:
             return placements
-        uncovered = demand.copy().astype(float)
+        reach = self._reach[:num_nodes, :num_nodes]
+        reach_t = reach.T.astype(float)
+        uncovered = demand.astype(float)
         # Demand already satisfied by the origin is not worth replicating for.
-        for nd in range(num_nodes):
-            if self._reach[nd][self._origin]:
-                uncovered[nd, :] = 0.0
+        uncovered[self._reach[:num_nodes, self._origin]] = 0.0
         # gains[ns, k]: demand newly covered by placing k at ns.
-        gains = self._reach[:num_nodes, :num_nodes].T.astype(float) @ uncovered
+        gains = reach_t @ uncovered
+        room = np.full(num_nodes, self.capacity)
         open_nodes = [ns for ns in range(num_nodes) if ns != self._origin]
+        if self._origin < num_nodes:
+            room[self._origin] = 0
         while True:
-            best_gain = 0.0
-            best: Optional[Tuple[int, int]] = None
-            for ns in open_nodes:
-                if len(placements[ns]) >= self.capacity:
-                    continue
-                k = int(np.argmax(gains[ns]))
-                if gains[ns][k] > best_gain:
-                    best_gain = float(gains[ns][k])
-                    best = (ns, k)
-            if best is None or best_gain <= 0.0:
+            # The first node holding the largest gain, then its first object.
+            top = gains.max(axis=1)
+            top[room <= 0] = -np.inf
+            ns = int(np.argmax(top))
+            if top[ns] <= 0.0:
                 break
-            ns, k = best
+            k = int(np.argmax(gains[ns]))
             placements[ns].add(k)
+            room[ns] -= 1
             # Demand of k at nodes now covered by ns stops contributing.
-            newly = self._reach[:num_nodes, ns] & (uncovered[:, k] > 0)
+            newly = reach[:, ns] & (uncovered[:, k] > 0)
             if newly.any():
                 delta = np.where(newly, uncovered[:, k], 0.0)
                 uncovered[:, k] -= delta
-                gains[:, k] -= self._reach[:num_nodes, :num_nodes].T.astype(float) @ delta
+                gains[:, k] -= reach_t @ delta
             gains[ns][k] = 0.0
 
         # Pad with locally hottest objects — capacity is paid for anyway.

@@ -91,32 +91,42 @@ class QiuGreedyPlacement(PlacementHeuristic):
             self._history = self._history[-self.history_window :]
         return np.sum(self._history, axis=0)
 
+    def plan(self, demand: np.ndarray, num_nodes: int) -> np.ndarray:
+        """Greedy replica locations for every object at once.
+
+        Returns an ``(num_nodes, K)`` mask, True where node ``n`` gets a
+        replica of object ``k``.  Each round scores every (candidate,
+        object) pair with one product ``reach.T @ uncovered`` and gives each
+        object its first best candidate: the most newly covered demand,
+        the smallest node on ties.  An object stops at its first round
+        without gain, unless ``place_inactive``.
+        """
+        chosen = np.zeros(demand.shape, dtype=bool)
+        candidates = num_nodes - (self._origin < num_nodes)
+        rounds = min(self.replicas, candidates)
+        if rounds <= 0:
+            return chosen
+        reach = self._reach[:num_nodes, :num_nodes]
+        reach_t = reach.T.astype(float)
+        uncovered = demand.astype(float)
+        uncovered[self._reach[:num_nodes, self._origin]] = 0.0
+        objects = np.arange(demand.shape[1])
+        placing = np.ones(demand.shape[1], dtype=bool)
+        for _ in range(rounds):
+            gains = reach_t @ uncovered
+            gains[chosen] = -1.0
+            if self._origin < num_nodes:
+                gains[self._origin] = -1.0
+            best = np.argmax(gains, axis=0)
+            if not self.place_inactive:
+                placing &= gains[best, objects] > 0.0
+            chosen[best[placing], objects[placing]] = True
+            uncovered[reach[:, best] & placing] = 0.0
+        return chosen
+
     def plan_object(self, demand_k: np.ndarray, num_nodes: int) -> Set[int]:
         """Greedy replica locations for one object given its per-node demand."""
-        chosen: Set[int] = set()
-        if self.replicas == 0:
-            return chosen
-        uncovered = demand_k.astype(float).copy()
-        uncovered[self._reach[:num_nodes, self._origin]] = 0.0
-        candidates = [ns for ns in range(num_nodes) if ns != self._origin]
-        for _ in range(min(self.replicas, len(candidates))):
-            gains = [
-                (float(uncovered[self._reach[:num_nodes, ns]].sum()), -ns)
-                for ns in candidates
-                if ns not in chosen
-            ]
-            if not gains:
-                break
-            best_gain, neg_ns = max(gains)
-            ns = -neg_ns
-            if best_gain <= 0.0 and not self.place_inactive and chosen:
-                break
-            if best_gain <= 0.0 and not self.place_inactive and not chosen:
-                # No coverage benefit at all; skip this object entirely.
-                break
-            chosen.add(ns)
-            uncovered[self._reach[:num_nodes, ns]] = 0.0
-        return chosen
+        return set(np.flatnonzero(self.plan(demand_k[:, None], num_nodes)[:, 0]).tolist())
 
     def on_interval(self, index, ctx, past_demand, next_demand) -> None:
         if self.clairvoyant and next_demand is not None:
@@ -128,18 +138,12 @@ class QiuGreedyPlacement(PlacementHeuristic):
             # current (possibly adopted) placement instead of dropping it.
             return
         num_nodes = ctx.num_nodes
-        targets: List[Set[int]] = [set() for _ in range(num_nodes)]
-        for k in range(ctx.num_objects):
-            col = demand[:, k]
-            if col.sum() <= 0 and not self.place_inactive:
-                continue
-            for ns in self.plan_object(col, num_nodes):
-                targets[ns].add(k)
+        chosen = self.plan(demand, num_nodes)
         for ns in range(num_nodes):
             if ns == self._origin:
                 continue
             current = ctx.state.contents(ns)
-            wanted = targets[ns]
+            wanted = set(np.flatnonzero(chosen[ns]).tolist())
             for obj in current - wanted:
                 ctx.drop_replica(ns, obj)
             for obj in wanted - current:

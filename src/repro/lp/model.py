@@ -268,10 +268,18 @@ class LinearProgram:
             upper = [np.inf if u is None else u for u in upper]
         up = np.broadcast_to(np.asarray(upper, dtype=np.float64), (count,)).copy()
         c = np.broadcast_to(np.asarray(obj, dtype=np.float64), (count,)).copy()
-        bad = np.flatnonzero(up < lo)
+        # NaN costs or bounds, or an infinite cost, would come back from
+        # HiGHS as a wrong status or a NaN objective: refuse them here.
+        # Infinite bounds are legal (no bound on that side).
+        nan_bound = np.isnan(lo) | np.isnan(up)
+        bad = np.flatnonzero((up < lo) | nan_bound | ~np.isfinite(c))
         if len(bad):
             j = int(bad[0])
             label = names.render(j) if isinstance(names, Names) else names[j]
+            if nan_bound[j]:
+                raise ValidationError(f"variable {label!r}: NaN bound [{lo[j]}, {up[j]}]")
+            if not np.isfinite(c[j]):
+                raise ValidationError(f"variable {label!r}: non-finite cost {c[j]}")
             raise ValueError(f"variable {label!r}: upper {up[j]} < lower {lo[j]}")
         if not isinstance(names, Names):
             names = list(names)
@@ -366,6 +374,28 @@ class LinearProgram:
         if len(indices) and (indices.min() < 0 or indices.max() >= self._nvars):
             raise IndexError("constraint block references unknown variable index")
         start = self._nrows
+
+        def label(r: int) -> str:
+            if isinstance(names, Names):
+                return names.render(r)
+            if names is not None and names[r]:
+                return names[r]
+            return f"c{start + r}"
+
+        # A NaN right-hand side or a non-finite coefficient would come back
+        # from HiGHS as a wrong status: refuse it here.  An infinite
+        # right-hand side is legal (no bound on that side).
+        nan_rhs = np.flatnonzero(np.isnan(rhs))
+        if len(nan_rhs):
+            raise ValidationError(f"row {label(int(nan_rhs[0]))!r} has a NaN right-hand side")
+        bad = np.flatnonzero(~np.isfinite(coeffs))
+        if len(bad):
+            e = int(bad[0])
+            r = int(np.searchsorted(indptr, e, side="right")) - 1
+            raise ValidationError(
+                f"row {label(r)!r} has a non-finite coefficient {coeffs[e]} "
+                f"on column {self.var_name(int(indices[e]))!r}"
+            )
         if len(indices):
             # HiGHS rejects a row that names a column twice: refuse it here.
             keys = np.repeat(np.arange(nrows, dtype=np.int64), np.diff(indptr))
@@ -373,13 +403,7 @@ class LinearProgram:
             repeated = np.flatnonzero(np.diff(keys) == 0)
             if len(repeated):
                 r, j = divmod(int(keys[repeated[0]]), self._nvars)
-                if isinstance(names, Names):
-                    label = names.render(r)
-                elif names is not None and names[r]:
-                    label = names[r]
-                else:
-                    label = f"c{start + r}"
-                raise ValidationError(f"row {label!r} names column {self.var_name(j)!r} twice")
+                raise ValidationError(f"row {label(r)!r} names column {self.var_name(j)!r} twice")
         parsed = Sense.parse(sense)
         lower, upper = parsed.bounds(rhs)
         self._new_rows.append((indptr, indices, coeffs, parsed.code, lower, upper))

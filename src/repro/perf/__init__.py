@@ -39,8 +39,8 @@ Counter names in use across the tree::
     round.iterative.fix   LP-guided rounding fixings (== re-solves)
     audit.lp.rows         LP rows audit_lp_solution checked (its time: timer audit.lp)
     audit.lp.dual         timer: the full audit's weak-duality check (inside audit.lp)
-    sim.serve.fast        _served_latency answered from the replica cache
-    sim.serve.scan        _served_latency fell back to the full scan
+    sim.serve.fast        reads answered from the replica cache (the replay adds them in bulk)
+    sim.serve.scan        reads served by the full scan (fault windows, explicit holders)
     sim.cache.repair      nearest-replica cache column recomputed
     service.requests      HTTP requests the placement service accepted
     service.epoch         daemon epochs stepped (also a timer)

@@ -4,11 +4,20 @@ Replays a request trace in time order against a placement heuristic:
 
 1. At each period boundary (for periodic heuristics), fire
    ``on_interval`` with the demand of the closed period (and the coming
-   period's demand for clairvoyant heuristics).
+   period's demand for clairvoyant heuristics).  Boundaries fall at
+   ``0, period, 2 period, ...`` accumulated by repeated addition; a read
+   at a boundary is served after it fires and counts in the period it
+   opens.
 2. For each request, measure the latency under the heuristic's routing
    scope *before* letting the heuristic react (a cache miss is a miss even
    though the object is inserted right after), count it against the QoS
    goal, then fire ``on_access``.
+
+Heuristics that do not override ``on_access`` (the centralized periodic
+placements) keep their placement fixed between boundaries.  On fault-free
+runs the engine therefore serves each period's reads as one gather over
+the trace's columns; the result equals the per-request loop's to the
+bit.  Everything else takes the per-request loop.
 
 Costs accrue in :class:`~repro.simulator.state.ReplicaState` with the same
 units as the MC-PERF objective, so simulated costs are directly comparable
@@ -31,6 +40,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.heuristics.base import PlacementHeuristic
+from repro.perf import PERF
 from repro.simulator.state import ReplicaState
 from repro.topology.graph import Topology
 from repro.workload.trace import Trace
@@ -317,15 +327,12 @@ class Simulator:
     # -- serving --------------------------------------------------------------
 
     def _served_latency(self, node: int, obj: int) -> float:
-        """Latency experienced by a request under the heuristic's routing."""
+        """Latency a read sees under the heuristic's routing, during a fault run."""
         scope = self.heuristic.routing
         if self.assignment is None:
             return self.state.best_latency(node, obj, scope)
         access = int(self.assignment[node])
-        if self.fault_state is not None:
-            leg = self.fault_state.lat(node, access)  # inf if the access node is down
-        else:
-            leg = float(self.topology.latency[node][access])
+        leg = self.fault_state.lat(node, access)  # inf if the access node is down
         return leg + self.state.best_latency(access, obj, scope)
 
     # -- fault handling -----------------------------------------------------------
@@ -366,18 +373,8 @@ class Simulator:
         trace = self.trace
         heuristic = self.heuristic
         period = heuristic.period_s
-        demands: Optional[np.ndarray] = None
-        zero_demand: Optional[np.ndarray] = None
-        if period is not None:
-            num_periods = max(1, int(np.ceil(trace.duration_s / period)))
-            demands = np.zeros((num_periods, trace.num_nodes, trace.num_objects))
-            for req in trace.requests:
-                if not req.is_write:
-                    p = min(int(req.time_s / period), num_periods - 1)
-                    demands[p, req.node, req.obj] += 1
-            # Shared "no past demand yet" matrix for boundaries before
-            # period 1 (was reallocated per boundary inside the loop).
-            zero_demand = np.zeros((trace.num_nodes, trace.num_objects))
+        boundaries = period_boundaries(period, trace.columns[0])
+        demands = self._demands(boundaries) if period is not None else None
 
         if self.initial_placement is not None:
             for node, obj in self.initial_placement:
@@ -386,81 +383,19 @@ class Simulator:
         else:
             heuristic.on_start(self.ctx)
 
-        reads = 0
-        covered = 0
-        lat_sum = 0.0
-        per_node_reads: Dict[int, int] = {}
-        per_node_covered: Dict[int, int] = {}
-        next_boundary = 0.0
-        period_index = 0
+        if self.fault_state is None and not acts_on_access(heuristic):
+            tally = self._replay_periods(boundaries, demands)
+        else:
+            tally = self._replay_requests(boundaries, demands)
+        reads, covered, lat_sum, qos_per_node = tally
+
         fstate = self.fault_state
-        fevents = self.fault_events
-        stats = self.stats
-        fi = 0
-
-        for req in trace.requests:
-            # Fire fault events and period boundaries in time order (faults
-            # first on ties, so placement decisions see the post-fault world).
-            while True:
-                fault_t = fevents[fi].time_s if fi < len(fevents) else math.inf
-                boundary_t = next_boundary if period is not None else math.inf
-                if fault_t > req.time_s and boundary_t > req.time_s:
-                    break
-                if fault_t <= boundary_t:
-                    self._apply_fault(fevents[fi])
-                    fi += 1
-                    continue
-                past = demands[period_index - 1] if period_index > 0 else zero_demand
-                nxt = (
-                    demands[period_index]
-                    if heuristic.clairvoyant and period_index < len(demands)
-                    else None
-                )
-                self.ctx.now_s = next_boundary
-                heuristic.on_interval(period_index, self.ctx, past, nxt)
-                period_index += 1
-                next_boundary += period
-
-            self.ctx.now_s = req.time_s
-            if fstate is not None and not fstate.is_alive(req.node):
-                # The requesting site is down: its users see the outage, not
-                # a slow read.  The request is never issued to the system.
-                if not req.is_write and req.time_s >= self.warmup_s:
-                    stats.unavailable_reads += 1
-                continue
-            if not req.is_write:
-                latency = self._served_latency(req.node, req.obj)
-                if math.isinf(latency):
-                    # Alive but partitioned from every replica and the origin.
-                    if req.time_s >= self.warmup_s:
-                        stats.unavailable_reads += 1
-                    continue  # nothing was fetched; the heuristic sees nothing
-                if req.time_s >= self.warmup_s:
-                    reads += 1
-                    lat_sum += latency
-                    per_node_reads[req.node] = per_node_reads.get(req.node, 0) + 1
-                    if latency <= self.tlat_ms:
-                        covered += 1
-                        per_node_covered[req.node] = per_node_covered.get(req.node, 0) + 1
-            else:
-                latency = 0.0
-                self.state.record_write(req.obj)
-            heuristic.on_access(req, latency, self.ctx)
-
-        # Trailing fault events (after the last request) still count for
-        # downtime and storage accounting.
-        while fi < len(fevents) and fevents[fi].time_s <= trace.duration_s:
-            self._apply_fault(fevents[fi])
-            fi += 1
-
         self.ctx.now_s = trace.duration_s
         if fstate is not None:
             fstate.finalize(trace.duration_s)
         self.state.finalize(trace.duration_s)
 
-        qos_per_node = {
-            n: per_node_covered.get(n, 0) / cnt for n, cnt in per_node_reads.items()
-        }
+        stats = self.stats
         return SimulationResult(
             heuristic=heuristic.describe(),
             storage_cost=self.state.storage_cost,
@@ -470,8 +405,8 @@ class Simulator:
             reads=reads,
             covered_reads=covered,
             qos_per_node=qos_per_node,
-            peak_occupancy=self.state.peak_occupancy.copy(),
-            max_replicas_per_object=self.state.max_replicas_per_object.copy(),
+            peak_occupancy=self.state.peak_occupancy,
+            max_replicas_per_object=self.state.max_replicas_per_object,
             mean_latency_ms=lat_sum / reads if reads else 0.0,
             unavailable_reads=stats.unavailable_reads,
             repairs=stats.repairs,
@@ -482,6 +417,218 @@ class Simulator:
             healing_cost=stats.healing_creations * self.state.beta,
             node_downtime_s=fstate.node_downtime_s if fstate is not None else 0.0,
         )
+
+    def _demands(self, boundaries: List[float]) -> np.ndarray:
+        """Read counts per period, ``(len(boundaries) + 1, N, K)``.
+
+        Row ``p + 1`` counts the reads served between boundary ``p`` and
+        the next one, so a read at a boundary belongs to the period that
+        boundary opens; row 0 is period 0's empty past.
+        """
+        trace = self.trace
+        times, nodes, objs, writes = trace.columns
+        reads = ~writes
+        row = np.searchsorted(boundaries, times[reads], side="right")
+        shape = (len(boundaries) + 1, trace.num_nodes, trace.num_objects)
+        counts = np.bincount(
+            (row * shape[1] + nodes[reads]) * shape[2] + objs[reads],
+            minlength=shape[0] * shape[1] * shape[2],
+        )
+        return counts.reshape(shape).astype(np.float64)
+
+    def _fire_boundary(self, index: int, boundaries: List[float], demands: np.ndarray) -> None:
+        """``on_interval`` for the period that starts at ``boundaries[index]``."""
+        heuristic = self.heuristic
+        nxt = demands[index + 1] if heuristic.clairvoyant else None
+        self.ctx.now_s = boundaries[index]
+        heuristic.on_interval(index, self.ctx, demands[index], nxt)
+
+    def _replay_periods(self, boundaries: List[float], demands: Optional[np.ndarray]):
+        """Serve each period's reads in one gather.
+
+        Fault-free runs of a heuristic that acts only at boundaries: its
+        placement is fixed between two boundaries, so every read of a
+        period sees the same replicas.  Counts and sums are taken in trace
+        order, so the result equals the per-request loop's to the bit.
+        """
+        times, nodes, objs, writes = self.trace.columns
+        state = self.state
+        at = np.flatnonzero(~writes)
+        r_nodes, r_objs = nodes[at], objs[at]
+        # Period i's requests are served after boundary i fires and before
+        # boundary i + 1 does (a request at a boundary comes after it).
+        cuts = [0, *np.searchsorted(times[at], boundaries).tolist(), len(at)]
+        w_at = np.flatnonzero(writes) if state.delta > 0 else at[:0]
+        w_objs = objs[w_at].tolist()
+        w_cuts = [0, *np.searchsorted(times[w_at], boundaries).tolist(), len(w_at)]
+        access = None if self.assignment is None else np.asarray(self.assignment, dtype=np.int64)
+        latency = np.empty(len(at))
+        for period in range(len(boundaries) + 1):
+            if period:
+                self._fire_boundary(period - 1, boundaries, demands)
+            lo, hi = cuts[period], cuts[period + 1]
+            if hi > lo:
+                scope = self.heuristic.routing
+                node, obj = r_nodes[lo:hi], r_objs[lo:hi]
+                if access is None:
+                    latency[lo:hi] = state.serve_latencies(node, obj, scope)
+                else:
+                    via = access[node]
+                    latency[lo:hi] = self.topology.latency[node, via] + state.serve_latencies(
+                        via, obj, scope
+                    )
+            for obj in w_objs[w_cuts[period] : w_cuts[period + 1]]:
+                state.record_write(obj)
+
+        counted = times[at] >= self.warmup_s
+        live = np.isfinite(latency)
+        self.stats.unavailable_reads += int(np.count_nonzero(counted & ~live))
+        counted &= live
+        latency, who = latency[counted], r_nodes[counted]
+        hit = latency <= self.tlat_ms
+        # The loop's running sum: from 0.0, left to right.
+        lat_sum = float(np.cumsum(np.concatenate(([0.0], latency)))[-1])
+        seen, first = np.unique(who, return_index=True)
+        per_node = np.bincount(who, minlength=self.trace.num_nodes).tolist()
+        per_node_hits = np.bincount(who[hit], minlength=self.trace.num_nodes).tolist()
+        qos_per_node = {
+            n: per_node_hits[n] / per_node[n] for n in seen[np.argsort(first)].tolist()
+        }
+        return len(latency), int(np.count_nonzero(hit)), lat_sum, qos_per_node
+
+    def _replay_requests(self, boundaries: List[float], demands: Optional[np.ndarray]):
+        """Serve one request at a time, firing ``on_access`` after each.
+
+        Fault events and period boundaries fire in time order between
+        requests (faults first on ties, so placement decisions see the
+        post-fault world).  Fault-free serves read the nearest-replica
+        cache inline and count as ``sim.serve.fast`` once, at the end.
+        """
+        trace = self.trace
+        heuristic = self.heuristic
+        ctx = self.ctx
+        state = self.state
+        fstate = self.fault_state
+        fevents = self.fault_events
+        stats = self.stats
+        warmup_s = self.warmup_s
+        tlat_ms = self.tlat_ms
+        inf = math.inf
+
+        origin = self.topology.origin
+        held = state._held
+        best = state._best
+        valid = state._best_valid
+        to_origin = self.topology.latency[:, origin].tolist()
+        access = leg = None
+        if self.assignment is not None:
+            access = [int(a) for a in self.assignment]
+            leg = [float(self.topology.latency[n][a]) for n, a in enumerate(access)]
+        fast = 0
+
+        reads = 0
+        covered = 0
+        lat_sum = 0.0
+        per_node_reads: Dict[int, int] = {}
+        per_node_covered: Dict[int, int] = {}
+        fi = 0
+        bi = 0
+        fault_t = fevents[0].time_s if fevents else inf
+        boundary_t = boundaries[0] if boundaries else inf
+
+        times, nodes, objs, writes = trace.columns
+        for req, t, node, obj, is_write in zip(
+            trace.requests, times.tolist(), nodes.tolist(), objs.tolist(), writes.tolist()
+        ):
+            while fault_t <= t or boundary_t <= t:
+                if fault_t <= boundary_t:
+                    self._apply_fault(fevents[fi])
+                    fi += 1
+                    fault_t = fevents[fi].time_s if fi < len(fevents) else inf
+                else:
+                    self._fire_boundary(bi, boundaries, demands)
+                    bi += 1
+                    boundary_t = boundaries[bi] if bi < len(boundaries) else inf
+
+            ctx.now_s = t
+            if fstate is not None and not fstate.is_alive(node):
+                # The requesting site is down: its users see the outage, not
+                # a slow read.  The request is never issued to the system.
+                if not is_write and t >= warmup_s:
+                    stats.unavailable_reads += 1
+                continue
+            if is_write:
+                state.record_write(obj)
+                heuristic.on_access(req, 0.0, ctx)
+                continue
+            if fstate is not None:
+                latency = self._served_latency(node, obj)
+            else:
+                via = node if access is None else access[node]
+                scope = heuristic.routing
+                if scope == "global":
+                    fast += 1
+                    if not valid[obj]:
+                        state._repair_column(obj)
+                    latency = 0.0 if via == origin or obj in held[via] else best.item(via, obj)
+                elif scope == "local":
+                    latency = 0.0 if via == origin or obj in held[via] else to_origin[via]
+                else:
+                    raise ValueError(f"unknown routing scope: {scope!r}")
+                if leg is not None:
+                    latency = leg[node] + latency
+            if latency == inf:
+                # Alive but partitioned from every replica and the origin.
+                if t >= warmup_s:
+                    stats.unavailable_reads += 1
+                continue  # nothing was fetched; the heuristic sees nothing
+            if t >= warmup_s:
+                reads += 1
+                lat_sum += latency
+                per_node_reads[node] = per_node_reads.get(node, 0) + 1
+                if latency <= tlat_ms:
+                    covered += 1
+                    per_node_covered[node] = per_node_covered.get(node, 0) + 1
+            heuristic.on_access(req, latency, ctx)
+
+        if fast:
+            PERF.count("sim.serve.fast", fast)
+        # Trailing fault events (after the last request) still count for
+        # downtime and storage accounting.
+        while fi < len(fevents) and fevents[fi].time_s <= trace.duration_s:
+            self._apply_fault(fevents[fi])
+            fi += 1
+        qos_per_node = {
+            n: per_node_covered.get(n, 0) / cnt for n, cnt in per_node_reads.items()
+        }
+        return reads, covered, lat_sum, qos_per_node
+
+
+def period_boundaries(period_s: Optional[float], times: np.ndarray) -> List[float]:
+    """The period boundaries a replay fires, in order.
+
+    ``0, period, 2 period, ...`` accumulated by repeated addition, up to
+    the last request's time: none for a non-periodic heuristic or an empty
+    trace, and none after the last request.
+    """
+    boundaries: List[float] = []
+    if period_s is None or len(times) == 0:
+        return boundaries
+    last = times[-1]
+    boundary = 0.0
+    while boundary <= last:
+        boundaries.append(boundary)
+        boundary += period_s
+    return boundaries
+
+
+def acts_on_access(heuristic: PlacementHeuristic) -> bool:
+    """Whether ``heuristic`` overrides :meth:`PlacementHeuristic.on_access`.
+
+    One that does not changes placement only at period boundaries (and on
+    fault hooks), so a fault-free replay may serve a period at a time.
+    """
+    return type(heuristic).on_access is not PlacementHeuristic.on_access
 
 
 def simulate(

@@ -70,9 +70,12 @@ class ReplicaState:
         self.update_cost = 0.0
         self.creations = 0
         self.drops = 0
-        self.peak_occupancy = np.zeros(topology.num_nodes, dtype=np.int64)
-        self.max_replicas_per_object = np.zeros(num_objects, dtype=np.int64)
-        self._replica_counts = np.zeros(num_objects, dtype=np.int64)
+        #: Per-node peak occupancy and per-object live / peak replica counts,
+        #: as plain ints (``peak_occupancy`` and ``max_replicas_per_object``
+        #: hand them out as arrays).
+        self._peak_occupancy = [0] * topology.num_nodes
+        self._replica_counts = [0] * num_objects
+        self._max_replicas = [0] * num_objects
         #: Liveness/link state under fault injection; None = fault-free run
         #: (the masking branches below are then skipped entirely).
         self.faults = None
@@ -95,6 +98,16 @@ class ReplicaState:
     def contents(self, node: int) -> Set[int]:
         return set(self._held[node])
 
+    @property
+    def peak_occupancy(self) -> np.ndarray:
+        """Most objects each node held at once."""
+        return np.array(self._peak_occupancy, dtype=np.int64)
+
+    @property
+    def max_replicas_per_object(self) -> np.ndarray:
+        """Most non-origin replicas each object had at once."""
+        return np.array(self._max_replicas, dtype=np.int64)
+
     # -- mutation -----------------------------------------------------------------
 
     def create(self, node: int, obj: int, time_s: float) -> bool:
@@ -103,27 +116,10 @@ class ReplicaState:
         Under fault injection a creation on a crashed node also fails (and
         charges nothing) — healing policies retry with backoff.
         """
-        if node == self.topology.origin:
+        if not self._install(node, obj, time_s):
             return False
-        if obj in self._held[node]:
-            return False
-        if self.faults is not None and not self.faults.is_alive(node):
-            return False
-        if not 0 <= obj < self.num_objects:
-            raise IndexError(f"object {obj} out of range")
-        self._held[node].add(obj)
-        self._holders[obj].add(node)
-        if self._best_valid[obj]:
-            # A new holder can only lower latencies: fold its column in.
-            np.minimum(self._best[:, obj], self._lat[:, node], out=self._best[:, obj])
-        self._since[(node, obj)] = time_s
         self.creations += 1
         self.creation_cost += self.beta
-        self.peak_occupancy[node] = max(self.peak_occupancy[node], len(self._held[node]))
-        self._replica_counts[obj] += 1
-        self.max_replicas_per_object[obj] = max(
-            self.max_replicas_per_object[obj], self._replica_counts[obj]
-        )
         return True
 
     def adopt(self, node: int, obj: int, time_s: float) -> bool:
@@ -135,24 +131,31 @@ class ReplicaState:
         (:mod:`repro.simulator.continuous`) merely hands it to the next
         simulator instance.  Storage accrues from ``time_s`` as usual.
         """
+        return self._install(node, obj, time_s)
+
+    def _install(self, node: int, obj: int, time_s: float) -> bool:
+        """Record a new replica (no cost charged); False if it cannot be."""
         if node == self.topology.origin:
             return False
-        if obj in self._held[node]:
+        held = self._held[node]
+        if obj in held:
             return False
         if self.faults is not None and not self.faults.is_alive(node):
             return False
         if not 0 <= obj < self.num_objects:
             raise IndexError(f"object {obj} out of range")
-        self._held[node].add(obj)
+        held.add(obj)
         self._holders[obj].add(node)
         if self._best_valid[obj]:
+            # A new holder can only lower latencies: fold its column in.
             np.minimum(self._best[:, obj], self._lat[:, node], out=self._best[:, obj])
         self._since[(node, obj)] = time_s
-        self.peak_occupancy[node] = max(self.peak_occupancy[node], len(self._held[node]))
-        self._replica_counts[obj] += 1
-        self.max_replicas_per_object[obj] = max(
-            self.max_replicas_per_object[obj], self._replica_counts[obj]
-        )
+        if len(held) > self._peak_occupancy[node]:
+            self._peak_occupancy[node] = len(held)
+        count = self._replica_counts[obj] + 1
+        self._replica_counts[obj] = count
+        if count > self._max_replicas[obj]:
+            self._max_replicas[obj] = count
         return True
 
     def record_write(self, obj: int) -> float:
@@ -237,6 +240,32 @@ class ReplicaState:
         if node == self.topology.origin or obj in self._held[node]:
             return 0.0
         return float(self._best[node, obj])
+
+    def serve_latencies(self, nodes: np.ndarray, objs: np.ndarray, scope: str) -> np.ndarray:
+        """Fault-free :meth:`best_latency` of every read ``(nodes[i], objs[i])``.
+
+        One gather against the current placement: the nearest-replica
+        matrix (stale columns repaired first) under global scope, the
+        origin column under local scope, and 0 where the node holds the
+        object or is the origin.  Global reads count as ``sim.serve.fast``
+        exactly as one :meth:`best_latency` call each would.
+        """
+        if scope == "local":
+            latency = self._lat[nodes, self.topology.origin]
+        elif scope == "global":
+            PERF.count("sim.serve.fast", len(nodes))
+            for obj in np.unique(objs[~self._best_valid[objs]]).tolist():
+                self._repair_column(obj)
+            latency = self._best[nodes, objs]
+        else:
+            raise ValueError(f"unknown routing scope: {scope!r}")
+        held = np.zeros((len(self._held), self.num_objects), dtype=bool)
+        for node, objects in enumerate(self._held):
+            if objects:
+                held[node, list(objects)] = True
+        held[self.topology.origin] = True
+        latency[held[nodes, objs]] = 0.0
+        return latency
 
     def scan_latency(
         self, node: int, obj: int, holders: Optional[Set[int]] = None

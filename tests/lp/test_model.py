@@ -115,14 +115,82 @@ def test_add_rows_bulk_repeated_column_named_by_row():
 
 
 def test_rejected_model_is_an_error_not_infeasible():
-    # An infinite matrix entry passes the model but HiGHS refuses it.
+    # An infinite matrix entry, written past add_row's check into the
+    # assembled arrays, reaches HiGHS, which refuses the model.
     lp = LinearProgram()
     x = lp.var("x", upper=5.0, obj=1.0)
-    lp.add_row([x], [np.inf], ">=", 1.0)
+    lp.add_row([x], [1.0], ">=", 1.0)
+    lp.assembled().data[0] = np.inf
     solution = lp.solve()
     assert solution.status is SolveStatus.ERROR
     assert solution.message == "Model error"
     assert solve_mip(lp, [x]).status is SolveStatus.ERROR
+
+
+@pytest.mark.parametrize(
+    "lower, upper, obj, message",
+    [
+        (0.0, 5.0, np.nan, "variable 'x': non-finite cost nan"),
+        (0.0, 5.0, np.inf, "variable 'x': non-finite cost inf"),
+        (0.0, 5.0, -np.inf, "variable 'x': non-finite cost -inf"),
+        (np.nan, 5.0, 1.0, r"variable 'x': NaN bound \[nan, 5.0\]"),
+        (0.0, np.nan, 1.0, r"variable 'x': NaN bound \[0.0, nan\]"),
+    ],
+)
+def test_non_finite_column_input_refused(lower, upper, obj, message):
+    lp = LinearProgram()
+    with pytest.raises(ValidationError, match=message):
+        lp.var("x", lower=lower, upper=upper, obj=obj)
+    assert lp.num_variables == 0
+
+
+def test_non_finite_column_named_within_a_family():
+    lp = LinearProgram()
+    family = Names("store", {"n": [3, 4, 5]})
+    with pytest.raises(ValidationError, match=r"variable 'store\[n4\]': non-finite cost nan"):
+        lp.add_vars_bulk(family, obj=[1.0, np.nan, 1.0])
+
+
+def test_infinite_bounds_stay_legal():
+    lp = LinearProgram()
+    x = lp.var("x", lower=-np.inf, upper=np.inf, obj=0.0)
+    y = lp.var("y", lower=1.0, upper=np.inf, obj=1.0)
+    lp.add_row([x, y], [1.0, 1.0], "<=", np.inf)
+    lp.add_row([x], [1.0], "==", 0.0)
+    solution = lp.solve()
+    assert solution.is_optimal
+    assert solution.objective == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("coeff", [np.nan, np.inf, -np.inf])
+def test_non_finite_coefficient_refused(coeff):
+    # Used to solve to "infeasible" (NaN) or a model error (inf).
+    lp = LinearProgram()
+    x = lp.var("x", upper=5.0, obj=1.0)
+    with pytest.raises(
+        ValidationError, match=f"row 'cover' has a non-finite coefficient {coeff} on column 'x'"
+    ):
+        lp.add_row([x], [coeff], ">=", 1.0, name="cover")
+    assert lp.num_constraints == 0
+
+
+def test_non_finite_coefficient_named_by_row_in_bulk():
+    lp = LinearProgram()
+    lp.add_vars_bulk(["a", "b"])
+    message = "row 'c1' has a non-finite coefficient nan on column 'b'"
+    with pytest.raises(ValidationError, match=message):
+        lp.add_rows_bulk([0, 2, 4], [0, 1, 0, 1], [1.0, 1.0, 1.0, np.nan], ">=", [1.0, 1.0])
+
+
+def test_nan_rhs_refused():
+    lp = LinearProgram()
+    x = lp.var("x", upper=5.0, obj=1.0)
+    with pytest.raises(ValidationError, match="row 'c0' has a NaN right-hand side"):
+        lp.add_row([x], [1.0], ">=", np.nan)
+    family = Names("cap", {"n": [7, 8]})
+    with pytest.raises(ValidationError, match=r"row 'cap\[n8\]' has a NaN right-hand side"):
+        lp.add_rows_bulk([0, 1, 2], [0, 0], [1.0, 1.0], "<=", [1.0, np.nan], names=family)
+    assert lp.num_constraints == 0
 
 
 def test_constraint_activity_and_satisfied():

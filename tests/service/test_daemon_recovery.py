@@ -284,7 +284,9 @@ def test_sigterm_on_continuous_finishes_epoch_and_exits_3(topo, tmp_path):
         [
             sys.executable, "-m", "repro", "continuous",
             "-t", str(topo),
-            "--heuristic", "qiu",
+            # Greedy-global re-plans at every boundary, so its 300 epochs
+            # run for seconds after the traces are generated.
+            "--heuristic", "greedy-global",
             "--epochs", "300",
             "--requests", "1000",
             "--objects", "32",

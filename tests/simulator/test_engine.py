@@ -111,6 +111,29 @@ def test_clairvoyant_receives_next_demand():
     assert probe.calls[0][2][1, 0] == 1
 
 
+class LoopPeriodProbe(PeriodProbe):
+    """The same probe, replayed request by request (it acts on access)."""
+
+    def on_access(self, request, served_ms, ctx):
+        pass
+
+
+@pytest.mark.parametrize("probe_cls", [PeriodProbe, LoopPeriodProbe])
+def test_read_at_an_accumulated_boundary_belongs_to_the_period_it_opens(probe_cls):
+    # Boundaries accumulate 0.1 six times to exactly 0.6, so boundary 6
+    # fires before the read at 0.6, while int(0.6 / 0.1) == 5.
+    topo = far_star()
+    trace = make_trace([(0.6, 1, 0), (0.75, 2, 0)], duration_s=1.0, num_nodes=3, num_objects=1)
+    probe = probe_cls(period_s=0.1, clairvoyant=True)
+    simulate(topo, trace, probe, tlat_ms=150.0)
+    assert [c[0] for c in probe.calls] == list(range(8))
+    coming = [int(c[2][1, 0]) for c in probe.calls]
+    past = [int(c[1][1, 0]) for c in probe.calls]
+    assert coming == [0, 0, 0, 0, 0, 0, 1, 0]
+    assert past == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert probe.calls[7][2][2, 0] == 1
+
+
 def test_non_clairvoyant_gets_no_future():
     topo = far_star()
     trace = make_trace([(100, 1, 0)], duration_s=3600.0, num_nodes=3, num_objects=1)
