@@ -36,6 +36,11 @@ equivalents at Figure-2 scale and records the speedups in
   number list it replaced (``tests/runner/dense_codec.py``).  Identical
   decoded placements; target: the entry shrinks >= 10x.  Byte-based, so
   it is asserted in quick mode too.
+* **Run writer** — ``RunWriter`` plan + record + finalize at 100 and
+  1,000 records.  Each record appends one line to ``records.jsonl`` and
+  ``manifest.json`` is written once, at finalize (asserted in quick mode
+  too); target: the time per record at 1,000 is within 2x of that at 100,
+  where the per-record manifest rewrite it replaced grew with the run.
 
 ``REPRO_BENCH_QUICK=1`` (CI's perf-smoke job) runs single repetitions and
 skips the wall-clock ratio assertions — CI machines are too noisy for
@@ -62,6 +67,8 @@ from repro.core.formulation import build_formulation
 from repro.core.rounding import _Rounder
 from repro.heuristics import CooperativeLRUCaching, GreedyGlobalPlacement, QiuGreedyPlacement
 from repro.perf import PERF
+import repro.runner.artifacts
+from repro.runner.artifacts import RunWriter
 from repro.runner.cache import ResultCache
 from repro.runner.tasks import BoundTask
 from repro.serialize import array_to_jsonable
@@ -502,6 +509,64 @@ def test_cell_payload_bytes(web_problem, tmp_path):
     assert ratio >= 10.0, f"payload shrank only {ratio:.2f}x (target 10x)"
 
 
+# -- 7. run writer ------------------------------------------------------------
+
+
+def test_run_writer_scaling(web_problem, tmp_path, monkeypatch):
+    """Per-record cost of a run directory stays flat as the run grows."""
+    task = BoundTask(web_problem, get_class("general").properties, backend="scipy")
+    result = task.run()
+    payload = json.dumps(task.encode(result))
+    audit = {"mode": "fast", "checks": ["status", "bounds", "rows"], "violations": [],
+             "skipped": []}
+    writes = []
+    atomic_write_text = repro.runner.artifacts.atomic_write_text
+
+    def counted(path, text):
+        writes.append(path.name)
+        atomic_write_text(path, text)
+
+    monkeypatch.setattr(repro.runner.artifacts, "atomic_write_text", counted)
+
+    def write_run(n):
+        writer = RunWriter(root=tmp_path / f"runs-{n}", label=f"scaling-{n}")
+        keys = [f"{i:064x}" for i in range(n)]
+        ids = writer.plan([("bound", f"cell-{i}", key) for i, key in enumerate(keys)])
+        for i, key in zip(ids, keys):
+            writer.record(
+                index=i, kind="bound", label=f"cell-{i}", key=key, cached=True,
+                seconds=0.01, attempts=1, payload=payload, audit=audit,
+                meta={"class": "general", "qos": 0.9},
+            )
+        return writer.finalize()
+
+    per_record = {}
+    for n in (100, 1000):
+        writes.clear()
+        seconds, run_dir = best_of(lambda: write_run(n))
+        assert writes.count("manifest.json") == REPS  # once per run, at finalize
+        lines = (run_dir / "records.jsonl").read_text().splitlines()
+        assert len(lines) == 2 * n
+        per_record[n] = {
+            "total_ms": round(seconds * 1000, 2),
+            "per_record_us": round(seconds / n * 1e6, 1),
+            "records_jsonl_bytes": (run_dir / "records.jsonl").stat().st_size,
+            "manifest_bytes": (run_dir / "manifest.json").stat().st_size,
+        }
+    ratio = per_record[1000]["per_record_us"] / per_record[100]["per_record_us"]
+    RESULTS["run_writer"] = {
+        "records": {str(n): v for n, v in per_record.items()},
+        "payload_bytes": len(payload),
+        "manifest_writes_per_run": 1,
+        "per_record_ratio": round(ratio, 2),
+        "target": 2.0,
+    }
+    if not QUICK:
+        assert ratio <= 2.0, (
+            f"per-record time at 1,000 records is {ratio:.2f}x that at 100 (target <= 2x)"
+        )
+
+
 # -- report ------------------------------------------------------------------
 
 
@@ -509,7 +574,7 @@ def test_write_hot_paths_report():
     """Runs last (file order): persists the JSON record + a readable table."""
     assert {
         "assembly", "resolve", "resolve_warm", "replay", "replay_periodic", "rounding",
-        "audit", "payload",
+        "audit", "payload", "run_writer",
     } <= set(RESULTS), (
         "hot-path benches must run before the report (run the whole module)"
     )
@@ -519,7 +584,7 @@ def test_write_hot_paths_report():
     )
     a, r, s = RESULTS["assembly"], RESULTS["resolve"], RESULTS["replay"]
     w, g, d = RESULTS["resolve_warm"], RESULTS["rounding"], RESULTS["audit"]
-    b = RESULTS["payload"]
+    b, rw = RESULTS["payload"], RESULTS["run_writer"]
     lines = [
         "Hot-path micro-benchmarks (min over %d reps, scale=%s)" % (REPS, SCALE),
         "",
@@ -567,5 +632,11 @@ def test_write_hot_paths_report():
         f"  cell entry: {b['class']} at {b['qos']:.0%}, store {b['store_shape']}"
         f" ({b['store_ones']} ones), identical decoded placement;"
         f" store to JSON {b['dense_store_ms']:.2f}ms -> {b['compressed_store_ms']:.2f}ms",
+        "  run writer: "
+        + ", ".join(
+            f"{n} records {r['total_ms']:.0f}ms ({r['per_record_us']:.0f}us/record)"
+            for n, r in rw["records"].items()
+        )
+        + f"; per-record ratio {rw['per_record_ratio']:.2f}x, one manifest write per run",
     ]
     write_report("hot_paths", "\n".join(lines))

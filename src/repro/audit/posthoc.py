@@ -1,7 +1,9 @@
 """Post-hoc auditing of a completed run directory (``repro audit <run-dir>``).
 
-A run directory (:mod:`repro.runner.artifacts`) records one manifest row and
-one payload file per task.  This module re-opens those artifacts — possibly
+A run directory (:mod:`repro.runner.artifacts`) records one task row and
+one payload file per task: the rows come from ``manifest.json``, or, for a
+run that never finished, from its append-only ``records.jsonl``.  This
+module re-opens those artifacts — possibly
 days later, possibly after the cache or the disk has been touched — and
 re-derives every certificate that the stored data supports:
 
@@ -49,19 +51,19 @@ DEFAULT_SIM_EPS = 1e-3
 
 
 def _load_records(run_dir: Path, report: AuditReport) -> List[Dict[str, object]]:
-    manifest = run_dir / "manifest.json"
+    from repro.runner.artifacts import read_task_records
+
     report.ran("artifact")
-    if not manifest.is_file():
-        report.flag("artifact", str(run_dir), message="manifest.json not found")
-        return []
     try:
-        data = json.loads(manifest.read_text())
+        records = read_task_records(run_dir)
     except (OSError, ValueError) as exc:
-        report.flag("artifact", str(manifest), message=f"unreadable manifest: {exc}")
+        report.flag("artifact", str(run_dir), message=f"unreadable task records: {exc}")
         return []
-    records = data.get("task_records", [])
-    if not isinstance(records, list):
-        report.flag("artifact", str(manifest), message="manifest has no task_records")
+    if records is None:
+        report.flag(
+            "artifact", str(run_dir),
+            message="neither manifest.json nor records.jsonl found",
+        )
         return []
     return records
 

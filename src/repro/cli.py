@@ -1251,27 +1251,25 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    from pathlib import Path
-
     from repro.audit import DEFAULT_EPS, audit_run_dir
     from repro.audit.posthoc import DEFAULT_SIM_EPS
+    from repro.runner.artifacts import read_task_records
 
-    # A torn or truncated manifest is an artifact-integrity failure, not an
-    # audit verdict: nothing in the run can be verified from it.  Diagnose
-    # it up front and exit 2 (configuration/integrity) instead of letting
-    # the audit report a wall of unverifiable cells.
-    manifest = Path(args.run_dir) / "manifest.json"
-    if manifest.is_file():
-        try:
-            json.loads(manifest.read_text())
-        except (OSError, ValueError) as exc:
-            print(
-                f"audit: {manifest} is corrupt (torn or truncated write): {exc}\n"
-                "audit: the run directory cannot be verified; re-run the "
-                "experiment or restore the manifest from backup",
-                file=sys.stderr,
-            )
-            return 2
+    # A torn or truncated manifest (or a torn line inside records.jsonl) is
+    # an artifact-integrity failure, not an audit verdict: nothing in the
+    # run can be verified from it.  Diagnose it up front and exit 2
+    # (configuration/integrity) instead of letting the audit report a wall
+    # of unverifiable cells.
+    try:
+        read_task_records(args.run_dir)
+    except (OSError, ValueError) as exc:
+        print(
+            f"audit: task records are corrupt (torn or truncated write): {exc}\n"
+            "audit: the run directory cannot be verified; re-run the "
+            "experiment or restore the manifest from backup",
+            file=sys.stderr,
+        )
+        return 2
 
     problem_factory = None
     if args.topology and args.workload:

@@ -117,23 +117,31 @@ class GreedyGlobalPlacement(PlacementHeuristic):
         open_nodes = [ns for ns in range(num_nodes) if ns != self._origin]
         if self._origin < num_nodes:
             room[self._origin] = 0
+        # A full node's gains are -inf, so it is never picked, and ``top``
+        # holds each node's largest gain.  A pick only lowers column k, so
+        # only the rows whose maximum may sit in that column are re-reduced.
+        gains[room <= 0] = -np.inf
+        top = gains.max(axis=1)
         while True:
             # The first node holding the largest gain, then its first object.
-            top = gains.max(axis=1)
-            top[room <= 0] = -np.inf
-            ns = int(np.argmax(top))
+            ns = int(top.argmax())
             if top[ns] <= 0.0:
                 break
-            k = int(np.argmax(gains[ns]))
+            k = int(gains[ns].argmax())
             placements[ns].add(k)
             room[ns] -= 1
+            column = gains[:, k]
+            stale = column >= top
             # Demand of k at nodes now covered by ns stops contributing.
-            newly = reach[:, ns] & (uncovered[:, k] > 0)
-            if newly.any():
-                delta = np.where(newly, uncovered[:, k], 0.0)
+            delta = uncovered[:, k] * reach_t[ns]
+            if delta.any():
                 uncovered[:, k] -= delta
-                gains[:, k] -= reach_t @ delta
-            gains[ns][k] = 0.0
+                column -= reach_t @ delta
+            column[ns] = 0.0
+            if room[ns] <= 0:
+                gains[ns] = -np.inf
+            rows = stale.nonzero()[0]
+            top[rows] = gains[rows].max(axis=1)
 
         # Pad with locally hottest objects — capacity is paid for anyway.
         order = np.argsort(-demand, axis=1)

@@ -17,10 +17,11 @@ graphs and runs them through one scheduler with:
   :class:`TaskFailure` records instead of batch-killing exceptions
   (:mod:`repro.runner.resilience`);
 * **run artifacts & resume** — ``runs/<timestamp>-<digest>/`` with an
-  incrementally-flushed ``manifest.json`` (per-task ``ok``/``failed``/
-  ``pending`` status), per-task result JSON and a timing summary; a crashed
-  or partially-failed run resumes via :class:`ResumeState`, re-executing
-  only its incomplete tasks.
+  append-only ``records.jsonl`` (one line per task row as its
+  ``pending``/``ok``/``failed`` status changes), per-task result JSON, and
+  a ``manifest.json`` and timing summary written once at ``finalize``; a
+  crashed or partially-failed run resumes via :class:`ResumeState`,
+  re-executing only its incomplete tasks.
 
 The sweep (:func:`repro.analysis.sweep.qos_sweep`), selection
 (:func:`repro.core.selection.select_heuristic`), deployment

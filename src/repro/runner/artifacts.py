@@ -3,20 +3,24 @@
 Every runner invocation can persist what it did under
 ``<root>/<timestamp>-<digest>/``:
 
-* ``manifest.json`` — run metadata, the task list (label, cache key, status,
-  cached or executed, attempts, seconds) and the cache-hit counters the
-  acceptance checks read;
+* ``records.jsonl`` — the run's task rows as they happen: one JSON line per
+  planned task (status ``pending``) and one per finished task (``ok``,
+  ``failed`` or ``interrupted``), appended with one ``write`` per call;
+* ``manifest.json`` — written once, by :meth:`RunWriter.finalize`: run
+  metadata, the task list (label, cache key, status, cached or executed,
+  attempts, seconds) and the cache-hit counters the acceptance checks read;
 * ``tasks/NNN-<key12>.json`` — each task's full result payload (the same
   encoding the cache uses), or the structured ``failure`` record for a task
   that exhausted every recovery path;
 * ``timing.txt`` — a human-readable per-task timing summary.
 
-Tasks are *planned* before execution (status ``pending``) and updated to
-``ok`` or ``failed`` as they finish; the manifest is flushed incrementally
-(compact JSON; :meth:`RunWriter.finalize` writes it indented) so a run that
-crashes mid-sweep still leaves a resumable record behind
-(:class:`~repro.runner.resume.ResumeState` re-executes only the non-``ok``
-rows).
+Each task file is written atomically before its record line, so the record
+line is the commit point: a run that crashes mid-sweep leaves
+``records.jsonl`` and no manifest, and :func:`read_task_records` folds the
+lines back into the manifest's ``task_records`` (the last line of a record
+index wins).  :class:`~repro.runner.resume.ResumeState` re-executes only the
+non-``ok`` rows.  Appending keeps a run's artifact I/O linear in its task
+count, where rewriting a snapshot per task would grow with its square.
 
 The digest in the directory name is the digest of the run's task keys, so
 identical experiments land in recognizably-related directories while repeat
@@ -31,7 +35,7 @@ import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.digest import SCHEMA_VERSION, digest_of
 
@@ -39,6 +43,73 @@ from repro.runner.digest import SCHEMA_VERSION, digest_of
 #: serialized to JSON text (the scheduler serializes each payload once and
 #: hands the same text to the cache and the run artifact).
 Payload = Union[Dict[str, Any], str]
+
+MANIFEST_NAME = "manifest.json"
+RECORDS_NAME = "records.jsonl"
+
+
+def scan_jsonl(raw: bytes) -> Iterator[Tuple[Any, int]]:
+    """Parse the durable prefix of an append-only JSON-lines log.
+
+    Yields ``(record, end)`` for each newline-terminated, non-blank line,
+    ``end`` being the byte offset just past its newline.  Writers end every
+    record with a newline in the same ``write``, so an unterminated last
+    line is an append a crash cut short: it never became durable and the
+    scan stops before it.  A terminated line that does not parse raises
+    :class:`ValueError`; whether that ends the durable prefix (the
+    service's checkpoint journal) or corrupts the log (a run's
+    ``records.jsonl``) is the caller's call.
+    """
+    pos = 0
+    while True:
+        newline = raw.find(b"\n", pos)
+        if newline == -1:
+            return
+        line = raw[pos:newline]
+        if line.strip():
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"unparseable line at byte {pos}: {exc}") from None
+            yield record, newline + 1
+        pos = newline + 1
+
+
+def read_task_records(run_dir: Union[str, os.PathLike]) -> Optional[List[Dict[str, Any]]]:
+    """A run directory's task rows, or None when it has neither record file.
+
+    ``manifest.json`` wins when present.  Without one (the run never reached
+    :meth:`RunWriter.finalize`), ``records.jsonl`` is folded by record
+    index, the last line of an index winning, past a torn last line.
+    Raises :class:`ValueError` naming the file when the manifest does not
+    parse or holds no list of rows, or when a line before the log's tail
+    is not a task row.
+    """
+    run_dir = Path(run_dir)
+    manifest = run_dir / MANIFEST_NAME
+    if manifest.is_file():
+        try:
+            data = json.loads(manifest.read_text())
+        except ValueError as exc:
+            raise ValueError(f"{manifest}: {exc}") from None
+        records = data.get("task_records") if isinstance(data, dict) else None
+        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+            raise ValueError(f"{manifest}: no task_records list of rows")
+        return records
+    path = run_dir / RECORDS_NAME
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    rows: Dict[int, Dict[str, Any]] = {}
+    try:
+        for row, end in scan_jsonl(raw):
+            if not isinstance(row, dict) or type(row.get("index")) is not int:
+                raise ValueError(f"line ending at byte {end} is not a task row")
+            rows[row["index"]] = row
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    return [rows[i] for i in sorted(rows)]
 
 
 def envelope_json(fields: Dict[str, Any], payload: Payload) -> str:
@@ -52,11 +123,11 @@ def envelope_json(fields: Dict[str, Any], payload: Payload) -> str:
 def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via mkstemp + ``os.replace``.
 
-    The manifest is rewritten after every task; a crash (or a ``kill -9``)
-    mid-flush must never leave a torn ``manifest.json`` behind — readers
-    (``--resume``, ``repro audit``, the service checkpoint recovery) always
-    see either the previous complete snapshot or the new one.
-    :meth:`repro.runner.cache.ResultCache.store` writes through it too.
+    A crash (or a ``kill -9``) mid-write must never leave a torn task file,
+    manifest or cache entry behind: readers (``--resume``, ``repro audit``,
+    warm runs) see either no file or a complete one.  Task files and the
+    final ``manifest.json`` go through it, and so does
+    :meth:`repro.runner.cache.ResultCache.store`.
     """
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -72,9 +143,25 @@ def atomic_write_text(path: Path, text: str) -> None:
         raise
 
 
+def manifest_text(manifest: Dict[str, Any]) -> str:
+    """``manifest`` as JSON with one line per top-level key and per task row.
+
+    ``json.dumps(indent=...)`` runs through ``json``'s pure-Python encoder;
+    encoding each line compactly keeps the whole manifest in the C one.
+    """
+    lines = []
+    for key, value in manifest.items():
+        if key == "task_records" and value:
+            text = "[\n" + ",\n".join(f"    {json.dumps(r)}" for r in value) + "\n  ]"
+        else:
+            text = json.dumps(value)
+        lines.append(f"  {json.dumps(key)}: {text}")
+    return "{\n" + ",\n".join(lines) + "\n}"
+
+
 @dataclass
 class TaskRecord:
-    """One task's row in the manifest."""
+    """One task's row in ``records.jsonl`` and the manifest."""
 
     index: int
     kind: str
@@ -94,7 +181,8 @@ class TaskRecord:
 
 @dataclass
 class RunWriter:
-    """Collects task records and writes the run directory incrementally."""
+    """Collects task records, appends them to ``records.jsonl`` as they
+    change and writes the manifest once, at :meth:`finalize`."""
 
     root: Path
     label: str = ""
@@ -127,8 +215,8 @@ class RunWriter:
         """Register a batch of pending tasks; returns their record indices.
 
         ``entries`` is ``[(kind, label, key), ...]`` in task order.  Planned
-        rows appear in the manifest with status ``pending`` immediately, so a
-        crash before (or during) execution leaves a resumable record.
+        rows are appended with status ``pending`` immediately, so a crash
+        before (or during) execution leaves a resumable record.
         """
         indices: List[int] = []
         for kind, label, key in entries:
@@ -143,7 +231,7 @@ class RunWriter:
             )
             self.records.append(rec)
             indices.append(rec.index)
-        self._flush_manifest()
+        self._append(self.records[len(self.records) - len(indices):])
         return indices
 
     def record(
@@ -163,7 +251,11 @@ class RunWriter:
         audit: Optional[Dict[str, Any]] = None,
         meta: Optional[Dict[str, Any]] = None,
     ) -> None:
-        """Finalize one task's row (updating its planned entry when given)."""
+        """Finalize one task's row (updating its planned entry when given).
+
+        The task file, if any, is written before the row is appended: the
+        row's line is what commits the task.
+        """
         if index is not None:
             rec = self.records[index]
             rec.kind, rec.label, rec.key = kind, label or rec.label, key
@@ -193,7 +285,7 @@ class RunWriter:
             run_dir = self._ensure_dir()
             rec.file = f"tasks/{rec.index:03d}-{key[:12]}.json"
             atomic_write_text(run_dir / rec.file, body)
-        self._flush_manifest()
+        self._append([rec])
 
     def manifest(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         hits = sum(1 for r in self.records if r.cached)
@@ -261,23 +353,19 @@ class RunWriter:
             data.update(extra)
         return data
 
-    def _flush_manifest(self, extra: Optional[Dict[str, Any]] = None) -> None:
-        """Write the current manifest snapshot (called per record).
-
-        Compact on purpose: the snapshot grows with every task, so the
-        flushes' total cost grows quadratically with the task count, and
-        any ``indent`` would run that through ``json``'s pure-Python
-        encoder instead of the C one.  Only :meth:`finalize`, which runs
-        once, writes the indented form.
-        """
-        run_dir = self._ensure_dir()
-        atomic_write_text(run_dir / "manifest.json", json.dumps(self.manifest(extra)))
+    def _append(self, records: Sequence[TaskRecord]) -> None:
+        """Append ``records`` to ``records.jsonl``: one line each, one write."""
+        path = self._ensure_dir() / RECORDS_NAME
+        text = "".join(json.dumps(vars(r)) + "\n" for r in records)
+        if text:
+            with open(path, "a") as fh:
+                fh.write(text)
 
     def finalize(self, extra: Optional[Dict[str, Any]] = None) -> Path:
         """Write the final ``manifest.json`` and ``timing.txt``; return the run dir."""
         run_dir = self._ensure_dir()
         manifest = self.manifest(extra)
-        atomic_write_text(run_dir / "manifest.json", json.dumps(manifest, indent=2))
+        atomic_write_text(run_dir / MANIFEST_NAME, manifest_text(manifest))
 
         width = max([len(r.label) for r in self.records], default=5)
         lines = [

@@ -67,8 +67,8 @@ class ExperimentRunner:
         Optional :class:`ResultCache` (content-addressed, on disk).
     artifacts:
         Optional :class:`RunWriter`; call :meth:`finalize` after the last
-        batch to write the final ``manifest.json`` and ``timing.txt``
-        (the manifest itself is flushed incrementally as tasks finish).
+        batch to write ``manifest.json`` and ``timing.txt`` (each task's
+        row is appended to ``records.jsonl`` as it finishes).
     policy:
         Optional :class:`RetryPolicy` controlling per-task timeouts, retries
         and the ``on_error`` mode.  The default policy reproduces the

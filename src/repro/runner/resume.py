@@ -8,10 +8,14 @@ serves the ``ok`` payloads by content digest, so a resumed sweep re-executes
 :class:`~repro.runner.resilience.TaskFailure` records) costs exactly the
 incomplete work.
 
-The manifest is flushed incrementally while a run progresses, so a run that
-died mid-sweep still resumes.  Even without a readable manifest the payload
-files alone are enough — any task file carrying a result payload counts as
-``ok`` (failed tasks store a ``failure`` record instead, never a payload).
+The task rows come from ``manifest.json`` when the run finished, and from
+its ``records.jsonl`` when it did not: the writer appends each row as it
+changes, so a run that died mid-sweep still resumes (a torn last line is
+ignored; see :func:`~repro.runner.artifacts.read_task_records`).  A row's
+line commits its task: a task file whose planned row never turned ``ok``
+is not served.  Without any readable rows the payload files alone are
+enough — any task file carrying a result payload counts as ``ok`` (failed
+tasks store a ``failure`` record instead, never a payload).
 
 Because tasks are matched by content digest, resuming is safe across CLI
 invocations with edited flags: a task whose inputs changed simply misses and
@@ -25,6 +29,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.runner.artifacts import read_task_records
+
 
 class ResumeState:
     """Completed results of a previous run directory, keyed by content digest."""
@@ -37,22 +43,20 @@ class ResumeState:
         self._seconds: Dict[str, float] = {}
         self._status: Dict[str, str] = {}
 
-        manifest = self.run_dir / "manifest.json"
-        if manifest.is_file():
-            try:
-                data = json.loads(manifest.read_text())
-            except (OSError, ValueError):
-                data = {}
-            for rec in data.get("task_records", []):
-                key = rec.get("key")
-                if not key:
-                    continue
-                # Pre-resilience manifests had no status; every recorded row
-                # was a completed result, so default to "ok".
-                status = rec.get("status", "ok")
-                self._status[key] = status
-                if status == "ok":
-                    self._seconds[key] = float(rec.get("seconds", 0.0))
+        try:
+            records = read_task_records(self.run_dir) or []
+        except (OSError, ValueError):
+            records = []  # corrupt rows: the payload files alone decide
+        for rec in records:
+            key = rec.get("key")
+            if not key:
+                continue
+            # Pre-resilience manifests had no status; every recorded row
+            # was a completed result, so default to "ok".
+            status = rec.get("status", "ok")
+            self._status[key] = status
+            if status == "ok":
+                self._seconds[key] = float(rec.get("seconds", 0.0))
 
         tasks_dir = self.run_dir / "tasks"
         if tasks_dir.is_dir():
@@ -82,7 +86,7 @@ class ResumeState:
         out = {"ok": 0, "failed": 0, "pending": 0}
         for status in self._status.values():
             out[status] = out.get(status, 0) + 1
-        # Payload files without a manifest row still resume as ok.
+        # Payload files without a task row still resume as ok.
         unlisted = sum(
             1 for key, _kind in self._payloads if key not in self._status
         )

@@ -35,6 +35,7 @@ import tempfile
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.runner.artifacts import scan_jsonl
 from repro.simulator.continuous import ContinuousState
 
 #: Bumped when the record layout changes; recovery skips alien schemas.
@@ -170,10 +171,6 @@ class CheckpointStore:
             )
         return ContinuousState.from_dict(payload["state"])
 
-    def _journal_states(self) -> List[ContinuousState]:
-        states, _ = self._scan_journal()
-        return states
-
     def _scan_journal(self) -> tuple:
         """Parse the journal; returns ``(states, intact_byte_length)``.
 
@@ -187,17 +184,10 @@ class CheckpointStore:
             raw = self.journal_path.read_bytes()
         except (OSError, FileNotFoundError):
             return states, 0
-        pos = 0
         intact = 0
-        while pos < len(raw):
-            newline = raw.find(b"\n", pos)
-            if newline == -1:
-                break  # unterminated tail: the record never became durable
-            line = raw[pos:newline].strip()
-            pos = newline + 1
-            if line:
+        try:
+            for payload, end in scan_jsonl(raw):
                 try:
-                    payload = json.loads(line)
                     state = self._decode(payload, where=str(self.journal_path))
                 except CheckpointMismatchError:
                     raise
@@ -205,7 +195,9 @@ class CheckpointStore:
                     break
                 if state is not None:
                     states.append(state)
-            intact = pos
+                intact = end
+        except ValueError:
+            pass  # an unparseable line ends the durable prefix too
         return states, intact
 
     def _repair_journal(self, intact: int) -> None:

@@ -126,3 +126,41 @@ def test_missing_payload_file_is_flagged(run_dir):
 def test_missing_manifest_is_flagged(tmp_path):
     report = audit_run_dir(tmp_path / "nope")
     assert not report.ok
+
+
+# -- a run that never finalized: rows from records.jsonl ----------------------
+
+
+def test_records_without_a_manifest_audit_like_the_manifest(run_dir):
+    want = audit_run_dir(run_dir)
+    (run_dir / "manifest.json").unlink()
+    got = audit_run_dir(run_dir)
+    assert got.ok, got.render()
+    assert got.to_dict() == want.to_dict()
+
+
+def test_torn_last_record_line_is_ignored(run_dir):
+    """The replay's record line is torn: its row folds to ``pending`` and is
+    not audited, while every committed cell still is."""
+    (run_dir / "manifest.json").unlink()
+    path = run_dir / "records.jsonl"
+    data = path.read_bytes()
+    last = data.rstrip(b"\n").rfind(b"\n") + 1
+    assert json.loads(data[last:])["kind"] == "simulate"
+    path.write_bytes(data[: last + (len(data) - last) // 2])
+    report = audit_run_dir(run_dir)
+    assert report.ok, report.render()
+    assert "monotonicity" in report.checks and "sim-gate" not in report.checks
+
+
+def test_torn_middle_record_line_is_flagged(run_dir):
+    (run_dir / "manifest.json").unlink()
+    path = run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = lines[2][: len(lines[2]) // 2] + "\n"
+    path.write_text("".join(lines))
+    report = audit_run_dir(run_dir)
+    assert not report.ok
+    [violation] = report.violations
+    assert violation.check == "artifact"
+    assert "records.jsonl" in violation.message

@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.runner import ExperimentRunner, ResumeState, RunWriter, make_runner
-from repro.runner.artifacts import atomic_write_text
+from repro.runner.artifacts import atomic_write_text, read_task_records, scan_jsonl
 from repro.runner.cache import ResultCache
 from repro.runner.tasks import ContinuousTask, HeuristicSpec
 from repro.simulator.continuous import install_stop_check
@@ -50,8 +50,12 @@ def test_manifest_written_atomically_through_runner(tmp_path):
     assert not list((tmp_path / "runs").glob("*/*.tmp"))
 
 
-def test_mid_run_manifest_is_the_writers_manifest_and_resumes(tmp_path):
-    """A per-record flush is compact JSON of exactly ``manifest()``."""
+def test_mid_run_records_fold_to_the_writers_manifest_and_resume(tmp_path):
+    """Mid-run, ``records.jsonl`` folds to ``manifest()``'s task rows.
+
+    No manifest exists before ``finalize``; the one it writes is exactly
+    ``manifest()`` bar the wall clock.
+    """
     tasks = [probe(tmp_path, ident) for ident in ("a", "b", "c")]
     writer = RunWriter(root=tmp_path / "runs", label="mid-run")
     ids = writer.plan([(t.kind, t.label, t.cache_key()) for t in tasks])
@@ -68,13 +72,10 @@ def test_mid_run_manifest_is_the_writers_manifest_and_resumes(tmp_path):
     )
     # ids[2] stays pending: the run "crashed" before finalize().
 
-    text = (writer.run_dir / "manifest.json").read_text()
-    assert "\n" not in text  # compact: the C encoder, not indent=2
-    on_disk = json.loads(text)
-    expected = writer.manifest()
-    for manifest in (on_disk, expected):
-        del manifest["wall_seconds"]
-    assert on_disk == expected
+    assert not (writer.run_dir / "manifest.json").exists()
+    lines = (writer.run_dir / "records.jsonl").read_text().splitlines()
+    assert len(lines) == 5  # three planned rows, then one line per record
+    assert read_task_records(writer.run_dir) == writer.manifest()["task_records"]
 
     resumed = ExperimentRunner(resume=ResumeState(writer.run_dir))
     results = resumed.map(tasks)
@@ -83,8 +84,44 @@ def test_mid_run_manifest_is_the_writers_manifest_and_resumes(tmp_path):
     assert results[0] == {"ident": "a", "attempts": 1}
 
     final = json.loads((writer.finalize() / "manifest.json").read_text())
-    assert final["pending"] == 1 and final["failed"] == 1  # finalize is indented
+    expected = writer.manifest()
+    for manifest in (final, expected):
+        del manifest["wall_seconds"]
+    assert final == expected
+    assert final["pending"] == 1 and final["failed"] == 1
     assert (writer.run_dir / "manifest.json").read_text().startswith("{\n  ")
+
+
+# -- records.jsonl --------------------------------------------------------------
+
+
+def test_scan_jsonl_stops_before_an_unterminated_tail():
+    raw = b'{"a": 1}\n\n{"a": 2}\n{"a": 3}'
+    assert list(scan_jsonl(raw)) == [({"a": 1}, 9), ({"a": 2}, 19)]
+    assert list(scan_jsonl(b"")) == []
+
+
+def test_scan_jsonl_raises_at_a_terminated_unparseable_line():
+    scan = scan_jsonl(b'{"a": 1}\n{"a": \n{"a": 3}\n')
+    assert next(scan) == ({"a": 1}, 9)
+    with pytest.raises(ValueError, match="byte 9"):
+        next(scan)
+
+
+def test_read_task_records_folds_by_index_last_row_winning(tmp_path):
+    assert read_task_records(tmp_path) is None
+    rows = [
+        {"index": 0, "status": "pending"}, {"index": 1, "status": "pending"},
+        {"index": 1, "status": "ok"}, {"index": 0, "status": "failed"},
+    ]
+    (tmp_path / "records.jsonl").write_text("".join(json.dumps(r) + "\n" for r in rows))
+    assert read_task_records(tmp_path) == [rows[3], rows[2]]
+    (tmp_path / "records.jsonl").write_text('["not", "a", "row"]\n')
+    with pytest.raises(ValueError, match="not a task row"):
+        read_task_records(tmp_path)
+    # The manifest, once written, is the record.
+    (tmp_path / "manifest.json").write_text(json.dumps({"task_records": rows[:1]}))
+    assert read_task_records(tmp_path) == rows[:1]
 
 
 # -- interrupted results ------------------------------------------------------

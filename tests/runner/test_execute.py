@@ -238,14 +238,11 @@ def test_cache_hits_surface_original_solve_seconds(web_problem, tmp_path):
     assert manifest["seconds"] >= 3.25
 
 
-def test_warm_run_writes_the_cold_run_task_files(web_problem, small_topology, web_trace,
-                                                 tmp_path):
-    """A served task's artifact is byte for byte the one its solve wrote."""
-    from pathlib import Path
-
+def artifact_tasks(web_problem, small_topology, web_trace):
+    """Rounded, audited bound cells plus two replays: every kind of task file."""
     from repro.analysis.sweep import sweep_tasks
 
-    tasks = sweep_tasks(
+    return sweep_tasks(
         web_problem, [0.6, 0.7],
         [get_class("storage-constrained"), get_class("caching")],
         do_rounding=True, audit="fast",
@@ -259,17 +256,65 @@ def test_warm_run_writes_the_cold_run_task_files(web_problem, small_topology, we
         )
     ]
 
-    def task_files(runs):
-        runner = make_runner(cache_dir=tmp_path / "cache", run_dir=tmp_path / runs)
-        results = runner.map(tasks)
-        run_dir = Path(runner.finalize())
-        files = {p.name: p.read_bytes() for p in run_dir.glob("tasks/*.json")}
-        return runner, results, files
 
-    cold, results, cold_files = task_files("cold")
-    warm, _, warm_files = task_files("warm")
+def run_task_files(tasks, cache_dir, runs, resume=None):
+    """Run ``tasks`` into a fresh run directory; its task files by name."""
+    from pathlib import Path
+
+    runner = make_runner(cache_dir=cache_dir, run_dir=runs, resume=resume)
+    results = runner.map(tasks)
+    run_dir = Path(runner.finalize())
+    files = {p.name: p.read_bytes() for p in run_dir.glob("tasks/*.json")}
+    return runner, results, files, run_dir
+
+
+def test_warm_run_writes_the_cold_run_task_files(web_problem, small_topology, web_trace,
+                                                 tmp_path):
+    """A served task's artifact is byte for byte the one its solve wrote."""
+    tasks = artifact_tasks(web_problem, small_topology, web_trace)
+    cold, results, cold_files, _ = run_task_files(tasks, tmp_path / "cache", tmp_path / "cold")
+    warm, _, warm_files, _ = run_task_files(tasks, tmp_path / "cache", tmp_path / "warm")
     assert cold.executed == len(tasks)
     assert warm.cache_hits == len(tasks) and warm.audit_quarantined == 0
     assert all(r.rounding is not None and r.audit is not None for r in results[:4])
     assert len(cold_files) == len(tasks)
     assert warm_files == cold_files
+
+
+def test_a_run_stopped_after_any_record_resumes_to_the_same_task_files(
+    web_problem, small_topology, web_trace, tmp_path
+):
+    """Cut ``records.jsonl`` after every line, with and without a torn next
+    line, and drop the manifest: the resumed run writes the uninterrupted
+    run's task files byte for byte, serving exactly the committed ``ok``
+    rows (and task files no row names) from the stopped run."""
+    import shutil
+
+    tasks = artifact_tasks(web_problem, small_topology, web_trace)
+    cache = tmp_path / "cache"
+    _, _, want, full = run_task_files(tasks, cache, tmp_path / "full")
+    lines = (full / "records.jsonl").read_bytes().splitlines(keepends=True)
+    assert len(lines) == 2 * len(tasks)  # the planned rows, then one per record
+    keys = {task.cache_key() for task in tasks}
+
+    for n in range(len(lines) + 1):
+        for torn in (False, True) if n < len(lines) else (False,):
+            stopped = tmp_path / f"stopped-{n}-{int(torn)}"
+            shutil.copytree(full, stopped)
+            (stopped / "manifest.json").unlink()
+            tail = lines[n][: len(lines[n]) // 2] if torn else b""
+            (stopped / "records.jsonl").write_bytes(b"".join(lines[:n]) + tail)
+
+            folded = {}
+            for line in lines[:n]:
+                row = json.loads(line)
+                folded[row["index"]] = row
+            served = {row["key"] for row in folded.values() if row["status"] == "ok"}
+            served |= keys - {row["key"] for row in folded.values()}
+
+            runner, _, got, _ = run_task_files(
+                tasks, cache, tmp_path / f"resumed-{n}-{int(torn)}", resume=stopped
+            )
+            assert got == want, (n, torn)
+            assert runner.resumed == len(served), (n, torn)
+            assert runner.cache_hits == len(tasks) and runner.executed == 0

@@ -93,6 +93,63 @@ def test_resume_state_serves_only_ok_rows(tmp_path):
     assert state.counts() == {"ok": 1, "failed": 1, "pending": 1}
 
 
+def stopped_run(tmp_path):
+    """A run stopped mid-sweep: one ok row, one failed row, one pending row."""
+    writer = RunWriter(root=tmp_path / "runs", label="stopped")
+    ids = writer.plan(
+        [("probe", "probe[ok]", "k-ok"), ("probe", "probe[bad]", "k-bad"),
+         ("probe", "probe[never]", "k-never")]
+    )
+    writer.record(
+        index=ids[0], kind="probe", label="probe[ok]", key="k-ok",
+        cached=False, seconds=1.5, status="ok", attempts=1,
+        payload={"ident": "ok", "attempts": 1},
+    )
+    writer.record(
+        index=ids[1], kind="probe", label="probe[bad]", key="k-bad",
+        cached=False, seconds=0.2, status="failed", attempts=2,
+        error="boom", failure={"error": "boom"},
+    )
+    return writer
+
+
+def test_resume_state_ignores_a_torn_last_record_line(tmp_path):
+    """The third task's file landed but its record line was cut short: the
+    line is the commit point, so the task stays pending."""
+    writer = stopped_run(tmp_path)
+    (writer.run_dir / "tasks" / "002-k-never.json").write_text(
+        json.dumps({"kind": "probe", "key": "k-never", "payload": {"ident": "never"}})
+    )
+    line = json.dumps({**vars(writer.records[2]), "status": "ok"})
+    with open(writer.run_dir / "records.jsonl", "a") as fh:
+        fh.write(line[: len(line) // 2])
+
+    state = ResumeState(writer.run_dir)
+    assert state.load("k-ok", "probe") == {"ident": "ok", "attempts": 1}
+    assert state.load("k-never", "probe") is None
+    assert state.seconds("k-ok") == 1.5
+    assert state.counts() == {"ok": 1, "failed": 1, "pending": 1}
+
+
+@pytest.mark.parametrize("torn", ["middle line", "manifest"])
+def test_resume_state_reads_a_torn_middle_line_as_a_torn_manifest(tmp_path, torn):
+    """Corrupt rows count for nothing: the payload files alone decide."""
+    writer = stopped_run(tmp_path)
+    if torn == "manifest":
+        (writer.run_dir / "manifest.json").write_text('{"task_records": [{"ke')
+    else:
+        path = writer.run_dir / "records.jsonl"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+        path.write_text("".join(lines))
+
+    state = ResumeState(writer.run_dir)
+    assert state.load("k-ok", "probe") == {"ident": "ok", "attempts": 1}
+    assert state.load("k-bad", "probe") is None  # failures never resume as results
+    assert state.seconds("k-ok") == 0.0  # no row, no recorded seconds
+    assert state.counts() == {"ok": 1, "failed": 0, "pending": 0}
+
+
 def test_resume_state_missing_dir_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         ResumeState(tmp_path / "no-such-run")

@@ -284,10 +284,11 @@ def test_sigterm_on_continuous_finishes_epoch_and_exits_3(topo, tmp_path):
         [
             sys.executable, "-m", "repro", "continuous",
             "-t", str(topo),
-            # Greedy-global re-plans at every boundary, so its 300 epochs
-            # run for seconds after the traces are generated.
+            # Greedy-global re-plans at every boundary, so its 1,000 epochs
+            # run for about ten seconds: the signal lands well inside the
+            # epoch loop on a fast machine too.
             "--heuristic", "greedy-global",
-            "--epochs", "300",
+            "--epochs", "1000",
             "--requests", "1000",
             "--objects", "32",
             "--run-dir", str(run_dir),
@@ -306,7 +307,7 @@ def test_sigterm_on_continuous_finishes_epoch_and_exits_3(topo, tmp_path):
     assert "finishing the current epoch" in err
     payload = json.loads(out)
     assert payload["interrupted"] is True
-    assert payload["epochs"] < 300
+    assert payload["epochs"] < 1000
     # The run directory records the partial result as interrupted, so a
     # --resume never serves it as a completed run.
     manifests = list(run_dir.glob("*/manifest.json"))

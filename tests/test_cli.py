@@ -480,6 +480,33 @@ def test_audit_command_flags_corrupted_payload(artifacts, capsys, tmp_path):
     assert "bound-gate" in out
 
 
+def test_audit_command_reads_records_without_a_manifest(artifacts, capsys, tmp_path):
+    """A run that never finalized is audited from its records.jsonl."""
+    topo_path, trace_path = artifacts
+    run_dir = sweep_with_run_dir(artifacts, tmp_path, "unfinished")
+    (run_dir / "manifest.json").unlink()
+    capsys.readouterr()
+    rc = main(["audit", str(run_dir), "-t", topo_path, "-w", trace_path, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert data["violations"] == []
+    assert "monotonicity" in data["checks"] and "cost" in data["checks"]
+
+
+def test_audit_command_torn_middle_record_line_exits_2(artifacts, capsys, tmp_path):
+    run_dir = sweep_with_run_dir(artifacts, tmp_path, "torn")
+    (run_dir / "manifest.json").unlink()
+    path = run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1][: len(lines[1]) // 2] + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    rc = main(["audit", str(run_dir)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "corrupt" in err and "torn or truncated" in err and "records.jsonl" in err
+
+
 def test_audit_command_requires_both_inputs(artifacts, capsys, tmp_path):
     run_dir = sweep_with_run_dir(artifacts, tmp_path, "lonely")
     topo_path, _ = artifacts
