@@ -1,11 +1,11 @@
 """Post-hoc auditing of a completed run directory (``repro audit <run-dir>``).
 
-A run directory (:mod:`repro.runner.artifacts`) records one task row and
-one payload file per task: the rows come from ``manifest.json``, or, for a
-run that never finished, from its append-only ``records.jsonl``.  This
-module re-opens those artifacts — possibly
-days later, possibly after the cache or the disk has been touched — and
-re-derives every certificate that the stored data supports:
+A run directory (:mod:`repro.runner.artifacts`) records one task row per
+task, in ``manifest.json`` or, for a run that never finished, folded from
+its append-only ``records.jsonl``; each ``ok`` task's payload rides in the
+log line that committed it.  This module re-opens those artifacts —
+possibly days later, possibly after the cache or the disk has been touched
+— and re-derives every certificate that the stored data supports:
 
 * **per-cell** — payloads decode, internal consistency holds (status vs
   feasibility, stored ``feasible_cost`` vs the rounding's cost breakdown,
@@ -28,7 +28,6 @@ The command exits nonzero iff any check records a violation.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -68,25 +67,30 @@ def _load_records(run_dir: Path, report: AuditReport) -> List[Dict[str, object]]
     return records
 
 
-def _load_payload(
-    run_dir: Path, rec: Dict[str, object], report: AuditReport
-) -> Optional[Dict[str, object]]:
-    rel = rec.get("file")
-    label = str(rec.get("label", "?"))
-    if not rel:
-        report.flag("artifact", label, message="ok record without a payload file")
-        return None
-    path = run_dir / str(rel)
+def _decode_payloads(
+    run_dir: Path, committed: Dict[object, Dict[str, object]], report: AuditReport
+) -> Dict[object, object]:
+    """Decode, as the log is scanned, the payload of each ``committed`` row's
+    line (same index and key), or map the row to the decoding exception."""
+    from repro.core.bounds import LowerBoundResult
+    from repro.runner.artifacts import task_lines
+    from repro.simulator.engine import SimulationResult
+
+    decoders = {"bound": LowerBoundResult.from_dict, "simulate": SimulationResult.from_dict}
+    decoded: Dict[object, object] = {}
     try:
-        body = json.loads(path.read_text())
+        for line in task_lines(run_dir):
+            rec = committed.get(line["index"])
+            if rec is None or line.get("key") != rec.get("key") or "payload" not in line:
+                continue
+            decode = decoders.get(str(rec.get("kind")), lambda payload: payload)
+            try:
+                decoded[line["index"]] = decode(line["payload"])
+            except Exception as exc:
+                decoded[line["index"]] = exc
     except (OSError, ValueError) as exc:
-        report.flag("artifact", label, message=f"unreadable payload {rel}: {exc}")
-        return None
-    payload = body.get("payload")
-    if not isinstance(payload, dict):
-        report.flag("artifact", label, message=f"payload file {rel} carries no payload")
-        return None
-    return payload
+        report.flag("artifact", str(run_dir), message=f"unreadable task records: {exc}")
+    return decoded
 
 
 def _check_stored_audit(rec: Dict[str, object], report: AuditReport) -> None:
@@ -243,33 +247,30 @@ def audit_run_dir(
     gets the full from-scratch placement re-verification of
     :func:`~repro.audit.certificates.audit_bound_result`.
     """
-    from repro.core.bounds import LowerBoundResult
-    from repro.simulator.engine import SimulationResult
-
     run_dir = Path(run_dir)
     report = AuditReport(mode=mode, subject=str(run_dir))
-    records = _load_records(run_dir, report)
+    records = [rec for rec in _load_records(run_dir, report) if rec.get("status") == "ok"]
+    committed = {rec.get("index"): rec for rec in records}
+    decoded = _decode_payloads(run_dir, committed, report) if committed else {}
 
     bound_cells: List[Tuple[Dict[str, object], object]] = []
     sim_cells: List[Tuple[Dict[str, object], object]] = []
     for rec in records:
-        if rec.get("status") != "ok":
-            continue
         label = str(rec.get("label", "?"))
         _check_stored_audit(rec, report)
-        payload = _load_payload(run_dir, rec, report)
-        if payload is None:
+        index = rec.get("index")
+        if index not in decoded:
+            report.flag("artifact", label, message="ok row without a payload line")
+            continue
+        result = decoded[index]
+        kind = rec.get("kind")
+        if isinstance(result, Exception):
+            report.flag("artifact", label, message=f"undecodable {kind} payload: {result}")
             continue
         meta = rec.get("meta") if isinstance(rec.get("meta"), dict) else {}
         meta = dict(meta)
         meta.setdefault("label", label)
-        kind = rec.get("kind")
         if kind == "bound":
-            try:
-                result = LowerBoundResult.from_dict(payload)
-            except Exception as exc:
-                report.flag("artifact", label, message=f"undecodable bound payload: {exc}")
-                continue
             _audit_bound_payload(result, meta, label, tol, eps, report)
             if problem_factory is not None:
                 problem = problem_factory(meta)
@@ -282,13 +283,8 @@ def audit_run_dir(
                     )
             bound_cells.append((meta, result))
         elif kind == "simulate":
-            try:
-                sim = SimulationResult.from_dict(payload)
-            except Exception as exc:
-                report.flag("artifact", label, message=f"undecodable simulate payload: {exc}")
-                continue
-            report.merge(audit_sim_result(sim, mode=mode, tol=tol, subject=label))
-            sim_cells.append((meta, sim))
+            report.merge(audit_sim_result(result, mode=mode, tol=tol, subject=label))
+            sim_cells.append((meta, result))
 
     _check_monotonicity(bound_cells, tol, report)
     _check_sim_gates(bound_cells, sim_cells, sim_eps, report)

@@ -103,10 +103,14 @@ def meets_goal(
     replica (or the origin) — the optimal routing, matching constraint (8).
     """
     if isinstance(goal, QoSGoal):
-        achieved = qos_by_scope(instance, goal, store)
-        return all(v >= goal.fraction - tol for v in achieved.values())
+        return qos_met(goal, qos_by_scope(instance, goal, store), tol)
     lat = average_latency_by_scope(instance, goal, store)
     return all(v <= goal.tavg_ms + tol for v in lat.values())
+
+
+def qos_met(goal: QoSGoal, achieved: Dict[object, float], tol: float = 1e-9) -> bool:
+    """Whether every scope's achieved QoS (``qos_by_scope``) reaches the goal."""
+    return all(v >= goal.fraction - tol for v in achieved.values())
 
 
 def average_latency_by_scope(

@@ -40,6 +40,7 @@ from repro.core.evaluate import (
     CostBreakdown,
     meets_goal,
     qos_by_scope,
+    qos_met,
     solution_cost,
 )
 from repro.core.formulation import Formulation
@@ -410,11 +411,15 @@ def round_solution(
     # permitted interval (extra storage only — coverage can only grow).
     legalized = _enforce_create_legality(form, store)
 
-    repaired = 0
     inst = form.instance
     goal = form.problem.goal
+    # The final store's QoS is evaluated once, by the repair or here.
+    is_qos = isinstance(goal, QoSGoal)
     if repair:
-        repaired = _repair(form, store)
+        repaired, qos = _repair(form, store)
+    else:
+        repaired, qos = 0, qos_by_scope(inst, goal, store) if is_qos else {}
+    feasible = qos_met(goal, qos) if is_qos else meets_goal(inst, goal, store)
 
     cost = solution_cost(
         inst,
@@ -424,7 +429,6 @@ def round_solution(
         goal=goal,
         count_opening=form.open_index is not None,
     )
-    feasible = meets_goal(inst, goal, store)
     result = RoundingResult(
         store=store,
         cost=cost,
@@ -434,7 +438,7 @@ def round_solution(
         rounded_down=down,
         repaired=repaired,
         legalized=legalized,
-        qos=qos_by_scope(inst, goal, store) if isinstance(goal, QoSGoal) else {},
+        qos=qos,
     )
     return _attach_audit(form, result, audit)
 
@@ -538,7 +542,7 @@ def round_solution_iterative(
     store[store < _FRAC_TOL] = 0.0
     store[store > 1.0 - _FRAC_TOL] = 1.0
     legalized = _enforce_create_legality(form, store)
-    repaired = _repair(form, store) if repair else 0
+    repaired = _repair(form, store)[0] if repair else 0
     inst = form.instance
     goal = form.problem.goal
     cost = solution_cost(
@@ -600,24 +604,27 @@ def _enforce_create_legality(form: Formulation, store: np.ndarray) -> int:
     return padded
 
 
-def _repair(form: Formulation, store: np.ndarray, max_steps: int = 10_000) -> int:
+def _repair(
+    form: Formulation, store: np.ndarray, max_steps: int = 10_000
+) -> Tuple[int, Dict[object, float]]:
     """Greedy round-up repair: add permitted replicas until the goal holds.
 
     Candidates are cells the formulation created store variables for (so all
     class restrictions remain respected).  Each step adds the replica with
-    the best uncovered-demand gain.  Returns the number of replicas added.
+    the best uncovered-demand gain.  Returns the number of replicas added
+    and the repaired store's per-scope QoS (empty for a non-QoS goal).
     """
     inst = form.instance
     goal = form.problem.goal
     if not isinstance(goal, QoSGoal):
-        return 0
+        return 0, {}
     reads = inst.qos_reads()
     steps = 0
     for _ in range(max_steps):
         achieved = qos_by_scope(inst, goal, store)
         failing = {key for key, v in achieved.items() if v < goal.fraction - 1e-9}
         if not failing:
-            return steps
+            return steps, achieved
         best = None
         best_gain = 0.0
         cov = np.einsum("ds,sik->dik", inst.reach.astype(float), store)

@@ -18,8 +18,9 @@ graphs and runs them through one scheduler with:
   (:mod:`repro.runner.resilience`);
 * **run artifacts & resume** — ``runs/<timestamp>-<digest>/`` with an
   append-only ``records.jsonl`` (one line per task row as its
-  ``pending``/``ok``/``failed`` status changes), per-task result JSON, and
-  a ``manifest.json`` and timing summary written once at ``finalize``; a
+  ``pending``/``ok``/``failed`` status changes, a finished task's line
+  carrying its result payload) and a ``manifest.json`` and timing summary
+  written once at ``finalize``; a
   crashed or partially-failed run resumes via :class:`ResumeState`,
   re-executing only its incomplete tasks.
 

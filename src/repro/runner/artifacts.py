@@ -5,22 +5,19 @@ Every runner invocation can persist what it did under
 
 * ``records.jsonl`` — the run's task rows as they happen: one JSON line per
   planned task (status ``pending``) and one per finished task (``ok``,
-  ``failed`` or ``interrupted``), appended with one ``write`` per call;
+  ``failed`` or ``interrupted``), appended with one ``write`` per call; a
+  finished task's line also carries its ``"payload"`` (the JSON text the
+  cache stores, spliced in as is) or its structured ``"failure"`` record;
 * ``manifest.json`` — written once, by :meth:`RunWriter.finalize`: run
-  metadata, the task list (label, cache key, status, cached or executed,
-  attempts, seconds) and the cache-hit counters the acceptance checks read;
-* ``tasks/NNN-<key12>.json`` — each task's full result payload (the same
-  encoding the cache uses), or the structured ``failure`` record for a task
-  that exhausted every recovery path;
+  metadata, the task rows without payloads (label, cache key, status,
+  cached or executed, attempts, seconds) and the cache-hit counters;
 * ``timing.txt`` — a human-readable per-task timing summary.
 
-Each task file is written atomically before its record line, so the record
-line is the commit point: a run that crashes mid-sweep leaves
-``records.jsonl`` and no manifest, and :func:`read_task_records` folds the
-lines back into the manifest's ``task_records`` (the last line of a record
-index wins).  :class:`~repro.runner.resume.ResumeState` re-executes only the
-non-``ok`` rows.  Appending keeps a run's artifact I/O linear in its task
-count, where rewriting a snapshot per task would grow with its square.
+A task's line is its commit point: a run that crashes mid-sweep leaves
+``records.jsonl`` (at worst with a torn last line) and no manifest, and
+:func:`read_task_records` folds the lines back into the manifest's
+``task_records`` (the last line of a record index wins).  Appending costs
+one ``write`` per call, where a file per task costs a create each.
 
 The digest in the directory name is the digest of the run's task keys, so
 identical experiments land in recognizably-related directories while repeat
@@ -29,13 +26,14 @@ runs still get fresh timestamped homes.
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Any, BinaryIO, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.runner.digest import SCHEMA_VERSION, digest_of
 
@@ -48,8 +46,9 @@ MANIFEST_NAME = "manifest.json"
 RECORDS_NAME = "records.jsonl"
 
 
-def scan_jsonl(raw: bytes) -> Iterator[Tuple[Any, int]]:
-    """Parse the durable prefix of an append-only JSON-lines log.
+def scan_jsonl(raw: Union[bytes, BinaryIO]) -> Iterator[Tuple[Any, int]]:
+    """Parse the durable prefix of an append-only JSON-lines log, given as
+    bytes or as a binary file (read a line at a time).
 
     Yields ``(record, end)`` for each newline-terminated, non-blank line,
     ``end`` being the byte offset just past its newline.  Writers end every
@@ -61,29 +60,45 @@ def scan_jsonl(raw: bytes) -> Iterator[Tuple[Any, int]]:
     ``records.jsonl``) is the caller's call.
     """
     pos = 0
-    while True:
-        newline = raw.find(b"\n", pos)
-        if newline == -1:
+    for line in io.BytesIO(raw) if isinstance(raw, bytes) else raw:
+        if not line.endswith(b"\n"):
             return
-        line = raw[pos:newline]
         if line.strip():
             try:
                 record = json.loads(line)
             except ValueError as exc:
                 raise ValueError(f"unparseable line at byte {pos}: {exc}") from None
-            yield record, newline + 1
-        pos = newline + 1
+            yield record, pos + len(line)
+        pos += len(line)
+
+
+def task_lines(run_dir: Union[str, os.PathLike]) -> Iterator[Dict[str, Any]]:
+    """A run's ``records.jsonl`` rows as written, payloads included, up to a
+    torn last line (none without a log); :class:`ValueError` names the file
+    at a line before the tail that is not a task row."""
+    path = Path(run_dir) / RECORDS_NAME
+    try:
+        log = open(path, "rb")
+    except FileNotFoundError:
+        return
+    with log:
+        try:
+            for row, end in scan_jsonl(log):
+                if not isinstance(row, dict) or type(row.get("index")) is not int:
+                    raise ValueError(f"line ending at byte {end} is not a task row")
+                yield row
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 def read_task_records(run_dir: Union[str, os.PathLike]) -> Optional[List[Dict[str, Any]]]:
     """A run directory's task rows, or None when it has neither record file.
 
     ``manifest.json`` wins when present.  Without one (the run never reached
-    :meth:`RunWriter.finalize`), ``records.jsonl`` is folded by record
-    index, the last line of an index winning, past a torn last line.
+    :meth:`RunWriter.finalize`), the :func:`task_lines` are folded by record
+    index, the last line of an index winning, without their payloads.
     Raises :class:`ValueError` naming the file when the manifest does not
-    parse or holds no list of rows, or when a line before the log's tail
-    is not a task row.
+    parse or holds no list of rows, or when the log is corrupt.
     """
     run_dir = Path(run_dir)
     manifest = run_dir / MANIFEST_NAME
@@ -96,19 +111,13 @@ def read_task_records(run_dir: Union[str, os.PathLike]) -> Optional[List[Dict[st
         if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
             raise ValueError(f"{manifest}: no task_records list of rows")
         return records
-    path = run_dir / RECORDS_NAME
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
+    if not (run_dir / RECORDS_NAME).is_file():
         return None
     rows: Dict[int, Dict[str, Any]] = {}
-    try:
-        for row, end in scan_jsonl(raw):
-            if not isinstance(row, dict) or type(row.get("index")) is not int:
-                raise ValueError(f"line ending at byte {end} is not a task row")
-            rows[row["index"]] = row
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    for row in task_lines(run_dir):
+        row.pop("payload", None)
+        row.pop("failure", None)
+        rows[row["index"]] = row
     return [rows[i] for i in sorted(rows)]
 
 
@@ -123,10 +132,10 @@ def envelope_json(fields: Dict[str, Any], payload: Payload) -> str:
 def atomic_write_text(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via mkstemp + ``os.replace``.
 
-    A crash (or a ``kill -9``) mid-write must never leave a torn task file,
-    manifest or cache entry behind: readers (``--resume``, ``repro audit``,
-    warm runs) see either no file or a complete one.  Task files and the
-    final ``manifest.json`` go through it, and so does
+    A crash (or a ``kill -9``) mid-write must never leave a torn manifest
+    or cache entry behind: readers (``repro audit``, warm runs) see either
+    no file or a complete one.  The final ``manifest.json`` and
+    ``timing.txt`` go through it, and so does
     :meth:`repro.runner.cache.ResultCache.store`.
     """
     path = Path(path)
@@ -172,7 +181,6 @@ class TaskRecord:
     status: str = "ok"
     attempts: int = 0
     error: str = ""
-    file: Optional[str] = None
     #: Serialized AuditReport for this task (None when auditing was off).
     audit: Optional[Dict[str, Any]] = None
     #: Task-described metadata (class, goal level, ...) for post-hoc audits.
@@ -207,7 +215,6 @@ class RunWriter:
                 suffix += 1
                 path = self.root / f"{stamp}-{run_key}.{suffix}"
             path.mkdir(parents=True)
-            (path / "tasks").mkdir()
             self._dir = path
         return self._dir
 
@@ -218,9 +225,9 @@ class RunWriter:
         rows are appended with status ``pending`` immediately, so a crash
         before (or during) execution leaves a resumable record.
         """
-        indices: List[int] = []
+        start = len(self.records)
         for kind, label, key in entries:
-            rec = TaskRecord(
+            self.records.append(TaskRecord(
                 index=len(self.records),
                 kind=kind,
                 label=label or f"{kind}-{len(self.records)}",
@@ -228,11 +235,9 @@ class RunWriter:
                 cached=False,
                 seconds=0.0,
                 status="pending",
-            )
-            self.records.append(rec)
-            indices.append(rec.index)
-        self._append(self.records[len(self.records) - len(indices):])
-        return indices
+            ))
+        self._append(json.dumps(vars(r)) for r in self.records[start:])
+        return list(range(start, len(self.records)))
 
     def record(
         self,
@@ -253,8 +258,8 @@ class RunWriter:
     ) -> None:
         """Finalize one task's row (updating its planned entry when given).
 
-        The task file, if any, is written before the row is appended: the
-        row's line is what commits the task.
+        The row's line carries the task's ``payload`` (or ``failure``) and
+        commits the task.
         """
         if index is not None:
             rec = self.records[index]
@@ -276,16 +281,13 @@ class RunWriter:
         rec.error = error
         rec.audit = audit
         rec.meta = meta
-        body: Optional[str] = None
         if failure is not None:
-            body = json.dumps({"kind": kind, "key": key, "failure": failure})
+            line = json.dumps({**vars(rec), "failure": failure})
         elif payload is not None:
-            body = envelope_json({"kind": kind, "key": key}, payload)
-        if body is not None:
-            run_dir = self._ensure_dir()
-            rec.file = f"tasks/{rec.index:03d}-{key[:12]}.json"
-            atomic_write_text(run_dir / rec.file, body)
-        self._append([rec])
+            line = envelope_json(vars(rec), payload)
+        else:
+            line = json.dumps(vars(rec))
+        self._append([line])
 
     def manifest(self, extra: Optional[Dict[str, Any]] = None) -> Dict[str, Any]:
         hits = sum(1 for r in self.records if r.cached)
@@ -310,7 +312,7 @@ class RunWriter:
             "task_records": [vars(r) for r in self.records],
         }
         # Audit violations are first-class manifest rows, not crashes: the
-        # acceptance gates read them here without re-opening payload files.
+        # acceptance gates read them here without decoding payloads.
         audit_violations: List[Dict[str, Any]] = []
         audited = 0
         for r in self.records:
@@ -353,12 +355,11 @@ class RunWriter:
             data.update(extra)
         return data
 
-    def _append(self, records: Sequence[TaskRecord]) -> None:
-        """Append ``records`` to ``records.jsonl``: one line each, one write."""
-        path = self._ensure_dir() / RECORDS_NAME
-        text = "".join(json.dumps(vars(r)) + "\n" for r in records)
+    def _append(self, lines: Iterable[str]) -> None:
+        """Append ``lines`` to ``records.jsonl``, newline-terminated, in one write."""
+        text = "".join(line + "\n" for line in lines)
         if text:
-            with open(path, "a") as fh:
+            with open(self._ensure_dir() / RECORDS_NAME, "a") as fh:
                 fh.write(text)
 
     def finalize(self, extra: Optional[Dict[str, Any]] = None) -> Path:

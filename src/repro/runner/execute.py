@@ -334,8 +334,8 @@ class ExperimentRunner:
             # its manifest row carries status "interrupted", which
             # ResumeState refuses to serve.
             interrupted = bool(getattr(outcome.result, "interrupted", False))
-            # Encoded and serialized once; the cache entry and the task
-            # artifact splice in the same JSON text.
+            # Encoded and serialized once; the cache entry and the task's
+            # records.jsonl line splice in the same JSON text.
             cache = self.cache is not None and not interrupted
             payload = None
             if cache or self.artifacts is not None:
@@ -361,7 +361,7 @@ class ExperimentRunner:
         describe = getattr(task, "describe", None)
         meta = describe() if describe is not None else None
         # Availability digests ride in the meta row so the manifest can
-        # aggregate them without re-opening per-task payload files.
+        # aggregate them without decoding payloads.
         summarize = getattr(task, "summarize", None)
         if summarize is not None and result is not None:
             meta = dict(meta or {})

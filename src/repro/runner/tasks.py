@@ -24,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Optional
 
 from repro.core.bounds import LowerBoundResult, compute_lower_bound
@@ -118,7 +119,12 @@ class BoundTask:
         Only the QoS fraction may differ inside a group — everything else
         (topology, demand, scope, threshold, costs, class) is part of the
         key, matching what :meth:`Formulation.set_qos_fraction` can re-target.
+        Digested once per task, and cached in ``__dict__`` across pickling.
         """
+        return self._reuse_key
+
+    @cached_property
+    def _reuse_key(self) -> Optional[str]:
         if not self.reuse_formulation or not isinstance(self.problem.goal, QoSGoal):
             return None
         normalized = dataclasses.replace(

@@ -158,9 +158,32 @@ def test_run_artifacts_manifest(web_problem, tmp_path):
 
     from pathlib import Path
 
-    task_files = sorted(Path(run_dir).glob("tasks/*.json"))
-    assert len(task_files) == len(tasks)
-    assert (Path(run_dir) / "timing.txt").exists()
+    # Each task's payload rides in its records.jsonl line: no per-task files.
+    assert sorted(p.name for p in Path(run_dir).iterdir()) == [
+        "manifest.json", "records.jsonl", "timing.txt"
+    ]
+    assert len(payload_texts(Path(run_dir))) == len(tasks)
+
+
+def test_reuse_key_is_digested_once_per_task(web_problem, monkeypatch):
+    """The scheduler's chunking and the task's run share one digest of the
+    problem, also across pickling to a worker."""
+    import pickle
+
+    import repro.runner.tasks
+
+    digest = repro.runner.tasks.digest_of
+    calls = []
+    monkeypatch.setattr(
+        repro.runner.tasks, "digest_of", lambda *args: calls.append(args[0]) or digest(*args)
+    )
+    tasks = bound_tasks(web_problem)
+    key = tasks[0].reuse_key()
+    assert key is not None and tasks[0].reuse_key() == key
+    assert pickle.loads(pickle.dumps(tasks[0])).reuse_key() == key
+    assert calls == ["formulation"]
+    ExperimentRunner(jobs=1).map(tasks)
+    assert calls.count("formulation") == len(tasks)
 
 
 def test_simulate_task_matches_direct_simulate(small_topology, web_trace):
@@ -257,52 +280,76 @@ def artifact_tasks(web_problem, small_topology, web_trace):
     ]
 
 
-def run_task_files(tasks, cache_dir, runs, resume=None):
-    """Run ``tasks`` into a fresh run directory; its task files by name."""
+def payload_texts(run_dir):
+    """Each task's payload JSON text as spliced into its ``records.jsonl``
+    line, by ``(index, key)``."""
+    texts = {}
+    for line in (run_dir / "records.jsonl").read_text().splitlines():
+        row = json.loads(line)
+        if "payload" not in row:
+            continue
+        del row["payload"]
+        prefix = json.dumps(row)[:-1] + ', "payload": '
+        assert line.startswith(prefix) and line.endswith("}"), line
+        texts[row["index"], row["key"]] = line[len(prefix):-1]
+    return texts
+
+
+def run_payloads(tasks, cache_dir, runs, resume=None):
+    """Run ``tasks`` into a fresh run directory; its payload texts."""
     from pathlib import Path
 
     runner = make_runner(cache_dir=cache_dir, run_dir=runs, resume=resume)
     results = runner.map(tasks)
     run_dir = Path(runner.finalize())
-    files = {p.name: p.read_bytes() for p in run_dir.glob("tasks/*.json")}
-    return runner, results, files, run_dir
+    return runner, results, payload_texts(run_dir), run_dir
 
 
 def test_warm_run_writes_the_cold_run_task_files(web_problem, small_topology, web_trace,
                                                  tmp_path):
-    """A served task's artifact is byte for byte the one its solve wrote."""
+    """A served task's payload is byte for byte the text its solve wrote."""
     tasks = artifact_tasks(web_problem, small_topology, web_trace)
-    cold, results, cold_files, _ = run_task_files(tasks, tmp_path / "cache", tmp_path / "cold")
-    warm, _, warm_files, _ = run_task_files(tasks, tmp_path / "cache", tmp_path / "warm")
+    cold, results, cold_texts, _ = run_payloads(tasks, tmp_path / "cache", tmp_path / "cold")
+    warm, _, warm_texts, _ = run_payloads(tasks, tmp_path / "cache", tmp_path / "warm")
     assert cold.executed == len(tasks)
     assert warm.cache_hits == len(tasks) and warm.audit_quarantined == 0
     assert all(r.rounding is not None and r.audit is not None for r in results[:4])
-    assert len(cold_files) == len(tasks)
-    assert warm_files == cold_files
+    assert len(cold_texts) == len(tasks)
+    assert warm_texts == cold_texts
+
+
+def cuts(line):
+    """Byte offsets to tear ``line`` at: its middle, and for a payload line
+    also inside its row fields, inside its payload and just before its
+    newline (complete JSON that never got its terminator)."""
+    marker = line.find(b', "payload": ')
+    if marker == -1:
+        return [len(line) // 2]
+    start = marker + len(b', "payload": ')
+    return [marker // 2, start + 1, (start + len(line)) // 2, len(line) - 1]
 
 
 def test_a_run_stopped_after_any_record_resumes_to_the_same_task_files(
     web_problem, small_topology, web_trace, tmp_path
 ):
     """Cut ``records.jsonl`` after every line, with and without a torn next
-    line, and drop the manifest: the resumed run writes the uninterrupted
-    run's task files byte for byte, serving exactly the committed ``ok``
-    rows (and task files no row names) from the stopped run."""
+    line (cut inside its row fields or its payload), and drop the manifest:
+    the resumed run writes the uninterrupted run's payload texts byte for
+    byte, serving exactly the complete ``ok`` lines of the stopped run."""
     import shutil
 
     tasks = artifact_tasks(web_problem, small_topology, web_trace)
     cache = tmp_path / "cache"
-    _, _, want, full = run_task_files(tasks, cache, tmp_path / "full")
+    _, _, want, full = run_payloads(tasks, cache, tmp_path / "full")
     lines = (full / "records.jsonl").read_bytes().splitlines(keepends=True)
     assert len(lines) == 2 * len(tasks)  # the planned rows, then one per record
-    keys = {task.cache_key() for task in tasks}
 
     for n in range(len(lines) + 1):
-        for torn in (False, True) if n < len(lines) else (False,):
-            stopped = tmp_path / f"stopped-{n}-{int(torn)}"
+        for cut in [None] + (cuts(lines[n]) if n < len(lines) else []):
+            stopped = tmp_path / f"stopped-{n}-{cut}"
             shutil.copytree(full, stopped)
             (stopped / "manifest.json").unlink()
-            tail = lines[n][: len(lines[n]) // 2] if torn else b""
+            tail = b"" if cut is None else lines[n][:cut]
             (stopped / "records.jsonl").write_bytes(b"".join(lines[:n]) + tail)
 
             folded = {}
@@ -310,11 +357,10 @@ def test_a_run_stopped_after_any_record_resumes_to_the_same_task_files(
                 row = json.loads(line)
                 folded[row["index"]] = row
             served = {row["key"] for row in folded.values() if row["status"] == "ok"}
-            served |= keys - {row["key"] for row in folded.values()}
 
-            runner, _, got, _ = run_task_files(
-                tasks, cache, tmp_path / f"resumed-{n}-{int(torn)}", resume=stopped
+            runner, _, got, _ = run_payloads(
+                tasks, cache, tmp_path / f"resumed-{n}-{cut}", resume=stopped
             )
-            assert got == want, (n, torn)
-            assert runner.resumed == len(served), (n, torn)
+            assert got == want, (n, cut)
+            assert runner.resumed == len(served), (n, cut)
             assert runner.cache_hits == len(tasks) and runner.executed == 0

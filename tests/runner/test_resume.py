@@ -114,15 +114,19 @@ def stopped_run(tmp_path):
 
 
 def test_resume_state_ignores_a_torn_last_record_line(tmp_path):
-    """The third task's file landed but its record line was cut short: the
-    line is the commit point, so the task stays pending."""
+    """The third task's line, payload and all, was cut short: the line is
+    the commit point, so the task stays pending."""
     writer = stopped_run(tmp_path)
-    (writer.run_dir / "tasks" / "002-k-never.json").write_text(
-        json.dumps({"kind": "probe", "key": "k-never", "payload": {"ident": "never"}})
+    line = json.dumps(
+        {**vars(writer.records[2]), "status": "ok", "payload": {"ident": "never"}}
     )
-    line = json.dumps({**vars(writer.records[2]), "status": "ok"})
-    with open(writer.run_dir / "records.jsonl", "a") as fh:
-        fh.write(line[: len(line) // 2])
+    for cut in (len(line) // 2, len(line) - 1, len(line)):
+        path = writer.run_dir / "records.jsonl"
+        committed = path.read_bytes()
+        path.write_bytes(committed + line[:cut].encode())
+        state = ResumeState(writer.run_dir)
+        path.write_bytes(committed)
+        assert state.load("k-never", "probe") is None, cut
 
     state = ResumeState(writer.run_dir)
     assert state.load("k-ok", "probe") == {"ident": "ok", "attempts": 1}
@@ -133,7 +137,8 @@ def test_resume_state_ignores_a_torn_last_record_line(tmp_path):
 
 @pytest.mark.parametrize("torn", ["middle line", "manifest"])
 def test_resume_state_reads_a_torn_middle_line_as_a_torn_manifest(tmp_path, torn):
-    """Corrupt rows count for nothing: the payload files alone decide."""
+    """An unparseable line counts for nothing (nor does the manifest): every
+    other complete ``ok`` line still resumes, with its recorded seconds."""
     writer = stopped_run(tmp_path)
     if torn == "manifest":
         (writer.run_dir / "manifest.json").write_text('{"task_records": [{"ke')
@@ -146,27 +151,13 @@ def test_resume_state_reads_a_torn_middle_line_as_a_torn_manifest(tmp_path, torn
     state = ResumeState(writer.run_dir)
     assert state.load("k-ok", "probe") == {"ident": "ok", "attempts": 1}
     assert state.load("k-bad", "probe") is None  # failures never resume as results
-    assert state.seconds("k-ok") == 0.0  # no row, no recorded seconds
-    assert state.counts() == {"ok": 1, "failed": 0, "pending": 0}
+    assert state.seconds("k-ok") == 1.5
+    assert state.counts() == {"ok": 1, "failed": 1, "pending": 1}
 
 
 def test_resume_state_missing_dir_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         ResumeState(tmp_path / "no-such-run")
-
-
-def test_resume_without_manifest_uses_payload_files(tmp_path):
-    run_dir = tmp_path / "orphan"
-    (run_dir / "tasks").mkdir(parents=True)
-    (run_dir / "tasks" / "000-abc.json").write_text(
-        json.dumps({"kind": "probe", "key": "k1", "payload": {"ident": "a", "attempts": 1}})
-    )
-    (run_dir / "tasks" / "001-def.json").write_text(
-        json.dumps({"kind": "probe", "key": "k2", "failure": {"error": "boom"}})
-    )
-    state = ResumeState(run_dir)
-    assert state.load("k1", "probe") == {"ident": "a", "attempts": 1}
-    assert state.load("k2", "probe") is None  # failures never resume as results
 
 
 def test_resumed_tasks_report_original_seconds(tmp_path):
@@ -211,13 +202,14 @@ def test_resume_from_a_schema_2_run_dir_re_executes(web_problem, tmp_path, monke
             patch.setattr(repro.runner.digest, "SCHEMA_VERSION", "2")
             patch.setattr(repro.runner.artifacts, "SCHEMA_VERSION", "2")
         _runner, want, run_dir = run_once(tmp_path, tasks)
-    for path in (run_dir / "tasks").glob("*.json"):
-        body = json.loads(path.read_text())
-        rounding = body["payload"]["rounding"]
-        rounding["store"] = dense_array_to_jsonable(
-            next(r for r in want if r.lp_cost == body["payload"]["lp_cost"]).rounding.store
-        )
-        path.write_text(json.dumps(body))
+    log = run_dir / "records.jsonl"
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    for row in rows:
+        if "payload" in row:
+            row["payload"]["rounding"]["store"] = dense_array_to_jsonable(
+                want[row["index"]].rounding.store
+            )
+    log.write_text("".join(json.dumps(row) + "\n" for row in rows))
 
     resumed = ExperimentRunner(resume=ResumeState(run_dir))
     got = resumed.map(tasks)

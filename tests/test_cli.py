@@ -468,11 +468,14 @@ def test_audit_command_clean_run_exits_zero(artifacts, capsys, tmp_path):
 def test_audit_command_flags_corrupted_payload(artifacts, capsys, tmp_path):
     run_dir = sweep_with_run_dir(artifacts, tmp_path, "corrupt")
     capsys.readouterr()
-    manifest = json.loads((run_dir / "manifest.json").read_text())
-    rec = next(r for r in manifest["task_records"] if r["kind"] == "bound" and r["file"])
-    body = json.loads((run_dir / rec["file"]).read_text())
+    path = run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    at = next(i for i, line in enumerate(lines) if '"payload": ' in line)
+    body = json.loads(lines[at])
+    assert body["kind"] == "bound"
     body["payload"]["lp_cost"] = body["payload"]["lp_cost"] * 5.0 + 1.0
-    (run_dir / rec["file"]).write_text(json.dumps(body))
+    lines[at] = json.dumps(body) + "\n"
+    path.write_text("".join(lines))
 
     rc = main(["audit", str(run_dir)])
     out = capsys.readouterr().out
@@ -505,6 +508,35 @@ def test_audit_command_torn_middle_record_line_exits_2(artifacts, capsys, tmp_pa
     err = capsys.readouterr().err
     assert rc == 2
     assert "corrupt" in err and "torn or truncated" in err and "records.jsonl" in err
+
+
+def test_audit_command_torn_payload_line_exits_2_despite_the_manifest(
+    artifacts, capsys, tmp_path
+):
+    """The payloads live only in records.jsonl: a torn line before its last
+    is corruption even when the manifest is intact."""
+    run_dir = sweep_with_run_dir(artifacts, tmp_path, "torn-payload")
+    path = run_dir / "records.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    assert '"payload": ' in lines[-2]
+    lines[-2] = lines[-2][: len(lines[-2]) // 2] + "\n"
+    path.write_text("".join(lines))
+    capsys.readouterr()
+    assert main(["audit", str(run_dir)]) == 2
+    assert "records.jsonl" in capsys.readouterr().err
+
+
+def test_audit_command_ignores_a_torn_last_payload_line(artifacts, capsys, tmp_path):
+    topo_path, trace_path = artifacts
+    run_dir = sweep_with_run_dir(artifacts, tmp_path, "torn-tail")
+    (run_dir / "manifest.json").unlink()
+    path = run_dir / "records.jsonl"
+    data = path.read_text()
+    path.write_text(data[: len(data) - 40])
+    capsys.readouterr()
+    rc = main(["audit", str(run_dir), "-t", topo_path, "-w", trace_path, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0 and data["violations"] == []
 
 
 def test_audit_command_requires_both_inputs(artifacts, capsys, tmp_path):
