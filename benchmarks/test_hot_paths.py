@@ -545,6 +545,7 @@ def test_run_writer_scaling(web_problem, tmp_path, monkeypatch):
         writes.clear()
         seconds, run_dir = best_of(lambda: write_run(n))
         assert writes.count("manifest.json") == REPS  # once per run, at finalize
+        assert set(writes) == {"manifest.json", "timing.txt"}  # record() creates no file
         lines = (run_dir / "records.jsonl").read_text().splitlines()
         assert len(lines) == 2 * n
         per_record[n] = {
