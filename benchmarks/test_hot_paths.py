@@ -23,10 +23,12 @@ equivalents at Figure-2 scale and records the speedups in
   per-request loop.  Bit-identical results and serve counts in every
   mode; target: >= 2.5x for qiu, >= 1.4x for greedy-global (whose own
   planning is about half of its batched replay).
-* **Greedy rounding** — the Appendix-C rounder on arrays vs the per-cell
-  loop it replaced (``tests/core/rounding_oracle.py``) on the WEB
-  replica-constrained 90% cell, the slowest of the Figure-2 sweep.
-  Identical placements in every mode; target: >= 3x.
+* **Greedy rounding** — the Appendix-C rounder, which re-prices only the
+  units a step touches, vs the per-cell loop that re-priced every pending
+  unit (``tests/core/rounding_oracle.py``) on the WEB replica-constrained
+  90% cell, the slowest of the Figure-2 sweep.  Identical placements in
+  every mode; steps, units re-priced per step and time per step are
+  recorded; target: >= 3x.
 * **Fast LP audit** — ``audit_lp_solution(mode="fast")`` checking every
   bound and row in one NumPy pass vs the per-row audit it replaced
   (``tests/audit/fast_audit_oracle.py``, every row) on the WEB general
@@ -394,7 +396,7 @@ def test_periodic_replay_speedup(topology, web_trace, name, cls, size, target):
 
 
 def test_rounding_speedup(web_problem):
-    """The array rounder against the per-cell loop on one LP point."""
+    """The incremental rounder against the per-cell loop on one LP point."""
     form = build_formulation(web_problem, get_class("replica-constrained").properties)
     solution = form.lp.solve(backend="scipy").require_optimal()
     lp_store = form.store_array(solution.values)
@@ -406,19 +408,27 @@ def test_rounding_speedup(web_problem):
         return rounder
 
     t_loop, loop = best_of(lambda: rounded(LoopRounder))
-    t_array, array = best_of(lambda: rounded(_Rounder))
+    t_new, new = best_of(lambda: rounded(_Rounder))
     # Same choices, same placement, to the byte.
-    assert array.store.tobytes() == loop.store.tobytes()
-    assert (array.rounded_up, array.rounded_down) == (loop.rounded_up, loop.rounded_down)
-    speedup = t_loop / t_array
+    assert new.store.tobytes() == loop.store.tobytes()
+    assert (new.rounded_up, new.rounded_down) == (loop.rounded_up, loop.rounded_down)
+    units = len(new.units)
+    steps = new.rounded_up + new.rounded_down
+    # A step re-prices only the units it touched, never every pending one.
+    assert new.repriced < units * steps
+    speedup = t_loop / t_new
     RESULTS["rounding"] = {
         "class": "replica-constrained",
         "qos": web_problem.goal.fraction,
-        "units": len(array.units),
-        "rounded_up": array.rounded_up,
-        "rounded_down": array.rounded_down,
+        "units": units,
+        "rounded_up": new.rounded_up,
+        "rounded_down": new.rounded_down,
+        "steps": steps,
+        "repriced": new.repriced,
+        "repriced_per_step": round(new.repriced / steps, 2),
+        "us_per_step": round(t_new / steps * 1e6, 1),
         "loop_ms": round(t_loop * 1000, 2),
-        "array_ms": round(t_array * 1000, 2),
+        "incremental_ms": round(t_new * 1000, 2),
         "speedup": round(speedup, 2),
         "target": 3.0,
     }
@@ -606,7 +616,7 @@ def test_write_hot_paths_report():
             f"{p['per_request_ms']:7.1f}ms {p['batched_ms']:7.1f}ms  {p['speedup']:7.2f}x"
             for name, p in RESULTS["replay_periodic"].items()
         ),
-        f"  rounding (greedy) {g['loop_ms']:7.1f}ms {g['array_ms']:7.1f}ms"
+        f"  rounding (greedy) {g['loop_ms']:7.1f}ms {g['incremental_ms']:7.1f}ms"
         f"  {g['speedup']:7.2f}x",
         f"  audit (fast LP)   {d['loop_ms']:7.1f}ms {d['vectorized_ms']:7.1f}ms"
         f"  {d['speedup']:7.2f}x",
@@ -627,7 +637,8 @@ def test_write_hot_paths_report():
         f" {w['warm_starts']} warm starts / {w['warm_degraded']} degraded,"
         f" setBasis start {w['set_basis_ms']:.0f}ms",
         f"  rounding: {g['class']} at {g['qos']:.0%}, {g['units']} units"
-        f" ({g['rounded_up']} up / {g['rounded_down']} down), identical placements",
+        f" ({g['rounded_up']} up / {g['rounded_down']} down), identical placements;"
+        f" {g['repriced_per_step']:.2f} units re-priced and {g['us_per_step']:.0f}us per step",
         f"  fast audit: {d['class']} LP, every one of {d['rows_checked']} rows"
         f" and {d['variables']} bounds checked, identical reports",
         f"  cell entry: {b['class']} at {b['qos']:.0%}, store {b['store_shape']}"

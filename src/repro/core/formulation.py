@@ -73,6 +73,9 @@ class Formulation:
     # QoS-row metadata for set_qos_fraction(): scope key ->
     # (row index or -1, total reads, origin-covered reads, max coverable).
     qos_meta: Dict[object, Tuple[int, float, float, float]] = field(default_factory=dict)
+    # The greedy rounder's index of ``instance`` (repro.core.rounding), built
+    # on first use; a QoS re-target leaves the instance, so it stays.
+    rounding_index: Optional[object] = field(default=None, init=False, repr=False, compare=False)
 
     # -- solution accessors --------------------------------------------------
 

@@ -20,17 +20,25 @@ The run-length optimization the paper reports (rounding runs of consecutive
 intervals with the same fractional value as one unit, ~10× faster for <5 %
 extra cost) is available via ``run_length=True``.
 
-The loop runs on arrays: each step prices every pending unit in one NumPy
-pass (``bincount``/``add.at`` sums in the cell-by-cell order, the same
-float expressions and tie-break keys), so it makes exactly the choices of
-the per-cell Python loop it replaced — frozen as the test oracle in
-``tests/core/rounding_oracle.py`` — at ~8× its speed on the slowest
-Figure-2 cell.  ``PERF`` records the ``round.greedy`` timer and the
-``round.greedy.up``/``round.greedy.down`` step counts.
+Each unit is priced once and its prices are kept: the round-up key
+(cost/reward ratio, cost, then ``(ns, start, k)``) and, when rounding it
+down saves cost, the round-down key with the per-scope QoS deltas behind
+it.  A step changes only the coverage of the rounded unit's demand cells
+and the store cells of its run, so afterwards only the units with a demand
+cell in common and the units right next to the run are re-priced; whether
+a round-down fits the goal is checked against the live per-scope coverage
+when the unit is picked.  Every float expression and every sum order is
+the per-cell Python loop's — frozen as the test oracle in
+``tests/core/rounding_oracle.py`` — so the choices are identical to the
+byte.  ``PERF`` records the ``round.greedy`` timer, the
+``round.greedy.up``/``round.greedy.down`` step counts and
+``round.greedy.repriced``, the unit pricings after the first.
 """
 
 from __future__ import annotations
 
+import heapq
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -38,7 +46,6 @@ import numpy as np
 
 from repro.core.evaluate import (
     CostBreakdown,
-    meets_goal,
     qos_by_scope,
     qos_met,
     solution_cost,
@@ -109,17 +116,86 @@ class RoundingResult:
         )
 
 
-class _Rounder:
-    """The Figure-5 loop on arrays: one NumPy pricing pass per step.
+class _InstanceIndex:
+    """The rounder's view of one instance under one goal scope.
 
-    Each unit owns a contiguous block of *entries*, one per demand cell it
-    can move toward the goal: a (reaching demander, interval) pair with
-    reads that the origin does not already cover, demander outer and
-    interval inner.  An entry holds the flat cell index into ``cov`` /
-    ``int_cov``, the QoS read and the goal-scope id of its demander/object.
-    Consecutive entries of one unit with one scope id form a *pair*, in
-    first-appearance order.  Every sum is a ``bincount`` or ``add.at`` in
-    entry order, so the float results equal a cell-by-cell loop's.
+    Every cell with QoS reads, in ``np.nonzero`` order: its read, its
+    goal-scope id (``nd``, ``0``, ``k`` or ``nd·K+k``) and whether a replica
+    must cover it (*live*: the origin does not cover its demander), with a
+    live cell's flat ``(nd, i, k)`` index; each scope's total reads; and,
+    per storer, the reaching demanders the origin does not cover.  None of
+    it depends on the LP point or the QoS fraction, so rounding every level
+    of a sweep that re-targets one formulation builds it once
+    (``Formulation.rounding_index``).
+    """
+
+    def __init__(self, inst, scope: GoalScope):
+        reads = np.asarray(inst.qos_reads(), dtype=float)
+        num_d, intervals, num_k = reads.shape
+        self.scope, self.num_k = scope, num_k
+        origin = inst.origin_covers.astype(bool)
+        nd, i, k = np.nonzero(reads)
+        self.read = reads[nd, i, k]
+        self.scope_id = self.scope_ids(nd, k)
+        # Scope ids are dense: the last (demander, object) has the largest.
+        self.num_scopes = int(self.scope_ids(np.array([num_d - 1]), np.array([num_k - 1]))[0]) + 1
+        self.reads_per_scope = np.zeros(self.num_scopes)
+        np.add.at(self.reads_per_scope, self.scope_id, self.read)
+        self.live = ~origin[nd]
+        self.live_nd = nd[self.live]
+        self.live_ik = (i * num_k + k)[self.live]
+        self.live_cell = self.live_nd * (intervals * num_k) + self.live_ik
+        self.reach = inst.reach.astype(float)
+        self.reach_by_storer = np.ascontiguousarray(self.reach.T)
+        live_ns, self.live_demander = np.nonzero(
+            (inst.reach.astype(bool) & ~origin[:, None]).T
+        )
+        self.demander_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(live_ns, minlength=self.reach.shape[1])))
+        )
+
+    def scope_ids(self, nd: np.ndarray, k: np.ndarray) -> np.ndarray:
+        if self.scope is GoalScope.PER_USER:
+            return nd
+        if self.scope is GoalScope.OVERALL:
+            return np.zeros_like(nd)
+        if self.scope is GoalScope.PER_OBJECT:
+            return k
+        return nd * self.num_k + k
+
+    def coverage(self, store: np.ndarray) -> np.ndarray:
+        """Each live cell's fractional coverage: the store summed over the
+        reaching storers, storer by storer from zero.
+
+        That is ``np.einsum("ds,sik->dik", reach, store)``'s sum order, so
+        the floats are its floats, except on a store of one (interval,
+        object) column, which einsum sums as a dot product in its own order.
+        """
+        columns = store.reshape(store.shape[0], -1)
+        if columns.shape[1] == 1:
+            cov = np.einsum("ds,sik->dik", self.reach, store)
+            return cov.reshape(cov.shape[0], -1)[self.live_nd, self.live_ik]
+        cov = np.zeros(self.live_nd.size)
+        for s in range(columns.shape[0]):
+            cov += self.reach_by_storer[s, self.live_nd] * columns[s, self.live_ik]
+        return cov
+
+
+class _Rounder:
+    """The Figure-5 loop: each unit priced once, re-priced only on change.
+
+    Each unit owns a block of *entries*, one per demand cell it can move
+    toward the goal: a (reaching demander, interval) pair with reads that
+    the origin does not already cover, demander outer and interval inner.
+    Consecutive entries of one unit with one goal scope form a *pair*.
+    A unit's prices read only its own value, the two store cells around its
+    run and its entry cells' coverage, so a step re-prices just the units
+    with an entry on the rounded unit's cells and the units next to its
+    run.  The cached round-down price keeps per-pair QoS deltas; whether
+    they fit the goal is checked at pick time against the live per-scope
+    coverage.  Every float expression is the per-cell loop's
+    (``tests/core/rounding_oracle.py``) and every sum runs in entry order
+    from zero, so the choices are the loop's to the byte.
     """
 
     def __init__(self, form: Formulation, store: np.ndarray, run_length: bool):
@@ -130,59 +206,41 @@ class _Rounder:
             raise TypeError("rounding is defined for the QoS goal metric")
         self.costs = form.problem.costs
         self.store = store
-        self.initial = (
-            self.inst.initial_store.astype(float)
-            if self.inst.initial_store is not None
-            else np.zeros((store.shape[0], store.shape[2]))
-        )
         self.run_length = run_length
+        index = form.rounding_index
+        if index is None:
+            index = form.rounding_index = _InstanceIndex(self.inst, self.goal.scope)
 
-        reads = np.asarray(self.inst.qos_reads(), dtype=float)
-        # Fractional coverage sums and integral-replica counts (for Figure
-        # 6's reward) per demand cell, flattened for entry lookups.
-        cov = np.einsum("ds,sik->dik", self.inst.reach.astype(float), store)
-        self.int_cov = np.einsum(
-            "ds,sik->dik",
-            self.inst.reach.astype(np.int64),
-            (store >= 1.0 - _FRAC_TOL).astype(np.int64),
-        ).ravel()
-
-        # Per-scope satisfied coverage and requirements, indexed by scope id.
-        self._init_scope_tracking(reads, cov)
-        self.cov = cov.ravel()
+        # Per-scope satisfied coverage of the LP point (before snapping),
+        # and the floor no scope may fall below: its requirement minus the
+        # QoS slack.
+        cov = index.coverage(store)
+        covered = index.read.copy()
+        covered[index.live] *= np.minimum(1.0, cov)
+        sat = np.zeros(index.num_scopes)
+        np.add.at(sat, index.scope_id, covered)
+        req = index.reads_per_scope * self.goal.fraction
+        self._sat = sat.tolist()
+        self._floor = (req - _QOS_TOL * np.maximum(1.0, req)).tolist()
 
         self.units = self._collect_units()
-        self._index_units(reads)
+        self._index_units(index, cov)
+        n = len(self.units)
+        self._pending = [True] * n
+        # Cached keys (a unit's key tuple ends with the unit) and the heaps
+        # they were pushed on; a popped key that is no longer its unit's
+        # cached one is stale.  Round-down keys that did not fit the goal
+        # are parked with their goal scopes.
+        self._up_key: List[Optional[tuple]] = [None] * n
+        self._down_key: List[Optional[tuple]] = [None] * n
+        self._keyed: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
+        self._up_heap: List[tuple] = []
+        self._down_heap: List[tuple] = []
+        self._parked: Dict[int, Tuple[tuple, frozenset]] = {}
         self.rounded_up = 0
         self.rounded_down = 0
-
-    # -- scope bookkeeping ---------------------------------------------------
-
-    def _scope_ids(self, nd: np.ndarray, k: np.ndarray) -> np.ndarray:
-        scope = self.goal.scope
-        if scope is GoalScope.PER_USER:
-            return nd
-        if scope is GoalScope.OVERALL:
-            return np.zeros_like(nd)
-        if scope is GoalScope.PER_OBJECT:
-            return k
-        return nd * self.store.shape[2] + k
-
-    def _init_scope_tracking(self, reads: np.ndarray, cov: np.ndarray) -> None:
-        num_d, _intervals, num_k = reads.shape
-        # Scope ids are dense: the last (demander, object) has the largest.
-        num_scopes = int(self._scope_ids(np.array([num_d - 1]), np.array([num_k - 1]))[0]) + 1
-        nd, i, k = np.nonzero(reads)
-        r = reads[nd, i, k]
-        origin = self.inst.origin_covers.astype(bool)[nd]
-        scope = self._scope_ids(nd, k)
-        self.req = np.zeros(num_scopes)
-        np.add.at(self.req, scope, r)
-        self.req *= self.goal.fraction
-        self.sat = np.zeros(num_scopes)
-        np.add.at(self.sat, scope, np.where(origin, r, r * np.minimum(1.0, cov[nd, i, k])))
-        # A scope may not fall below its requirement minus the QoS slack.
-        self._floor = self.req - _QOS_TOL * np.maximum(1.0, self.req)
+        #: Unit pricings after the first, one per unit a step touched.
+        self.repriced = 0
 
     # -- unit collection -------------------------------------------------------
 
@@ -211,153 +269,236 @@ class _Rounder:
             units.append((ns, k, start, prev))
         return np.array(units, dtype=np.int64).reshape(-1, 4)
 
-    def _index_units(self, reads: np.ndarray) -> None:
-        """Unit columns, run neighbours, and the entry and pair index."""
+    def _index_units(self, index: _InstanceIndex, cov: np.ndarray) -> None:
+        """Unit columns, run neighbours, entries, pairs and the cell map."""
         ns_count, intervals, objects = self.store.shape
         ns, k, start, end = self.units.T
-        self._ns, self._k, self._start, self._end = ns, k, start, end
-        self._value = self.store[ns, start, k]
-        self._length = (end - start + 1).astype(float)
+        n = len(self.units)
+        self._ns, self._k, self._start, self._end = (
+            ns.tolist(), k.tolist(), start.tolist(), end.tolist()
+        )
+        self._value = self.store[ns, start, k].tolist()
+        self._length = (end - start + 1).astype(float).tolist()
         # Run boundaries for the creation-cost delta: the cell before the
         # run (or the initial placement) and the cell after it, if any.
-        self._has_prev, self._has_succ = start > 0, end + 1 < intervals
-        self._prev_at = (ns * intervals + np.maximum(start - 1, 0)) * objects + k
-        self._succ_at = (ns * intervals + np.minimum(end + 1, intervals - 1)) * objects + k
-        self._initial_at = self.initial[ns, k]
+        flat = self.store.reshape(-1)
+        initial = self.inst.initial_store
+        initial_at = initial[ns, k].astype(float) if initial is not None else np.zeros(n)
+        prev_at = (ns * intervals + np.maximum(start - 1, 0)) * objects + k
+        succ_at = (ns * intervals + np.minimum(end + 1, intervals - 1)) * objects + k
+        self._prev = np.where(start > 0, flat[prev_at], initial_at).tolist()
+        self._succ = flat[succ_at].tolist()
+        self._has_succ = (end + 1 < intervals).tolist()
+        # The units whose run ends right before / starts right after each
+        # run: the only ones whose boundary cells a step writes.
+        rows = list(zip(self._ns, self._k, self._start, self._end))
+        by_start = {(a, b, lo): u for u, (a, b, lo, _hi) in enumerate(rows)}
+        by_end = {(a, b, hi): u for u, (a, b, _lo, hi) in enumerate(rows)}
+        self._left = [by_end.get((a, b, lo - 1), -1) for a, b, lo, _hi in rows]
+        self._right = [by_start.get((a, b, hi + 1), -1) for a, b, _lo, hi in rows]
 
         # Entries: per unit, reaching non-origin-covered demanders x the
         # run's intervals, keeping the cells with reads.
-        live = self.inst.reach.astype(bool) & ~self.inst.origin_covers.astype(bool)[:, None]
-        live_ns, live_nd = np.nonzero(live.T)
-        ptr = np.concatenate(([0], np.cumsum(np.bincount(live_ns, minlength=ns_count))))
+        ptr = index.demander_ptr
         span = (ptr[ns + 1] - ptr[ns]) * (end - start + 1)
-        unit = np.repeat(np.arange(len(self.units)), span)
+        unit = np.repeat(np.arange(n), span)
         offset = np.arange(unit.size) - np.repeat(np.cumsum(span) - span, span)
         length = end[unit] - start[unit] + 1
-        nd = live_nd[ptr[ns[unit]] + offset // length]
+        nd = index.live_demander[ptr[ns[unit]] + offset // length]
         cell = (nd * intervals + start[unit] + offset % length) * objects + k[unit]
-        read = reads.ravel()[cell]
-        keep = read > 0
-        self._e_unit, self._e_cell, self._e_read = unit[keep], cell[keep], read[keep]
-        self._e_scope = self._scope_ids(nd[keep], k[unit[keep]])
-        self._first = np.searchsorted(self._e_unit, np.arange(len(self.units) + 1))
-        # Under every scope a unit's entries for one key are contiguous and
-        # keys ascend, so sorted (unit, scope) pairs are in first-appearance
-        # order.
-        pairs, self._e_pair = np.unique(
-            self._e_unit * self.sat.size + self._e_scope, return_inverse=True
-        )
-        self._p_unit, self._p_scope = np.divmod(pairs, self.sat.size)
+        # Keep the live cells, those with reads (the demander lists already
+        # leave out the demanders the origin covers).
+        slot = np.searchsorted(index.live_cell, cell)
+        keep = slot < index.live_cell.size
+        keep[keep] = index.live_cell[slot[keep]] == cell[keep]
+        unit, slot = unit[keep], slot[keep]
+        read = index.read[index.live][slot]
+        scope = index.scope_ids(nd[keep], k[unit])
+        # Entry cells get local numbers: their coverage and their count of
+        # integral replicas (Figure 6's reward); snapping kept exactly the
+        # cells at or above 1 - tol there.
+        live, local = np.unique(slot, return_inverse=True)
+        self._cov = cov[live].tolist()
+        held = self.store.reshape(ns_count, -1)[:, index.live_ik[live]] >= 1.0 - _FRAC_TOL
+        reach = index.reach_by_storer[:, index.live_nd[live]] > 0
+        self._int_cov = (held & reach).sum(axis=0).tolist()
+
+        first = np.searchsorted(unit, np.arange(n + 1)).tolist()
+        entries = list(zip(scope.tolist(), local.tolist(), read.tolist()))
+        # Per unit, its pairs in entry order: (scope, [(cell, read), ...]).
+        self._pairs: List[List[Tuple[int, List[Tuple[int, float]]]]] = []
+        self._cell_units: List[List[int]] = [[] for _ in range(live.size)]
+        for u in range(n):
+            pairs: List[Tuple[int, List[Tuple[int, float]]]] = []
+            for s, c, r in entries[first[u] : first[u + 1]]:
+                if not pairs or pairs[-1][0] != s:
+                    pairs.append((s, []))
+                pairs[-1][1].append((c, r))
+                self._cell_units[c].append(u)
+            self._pairs.append(pairs)
 
     # -- pricing ------------------------------------------------------------------
 
-    def _cost_delta(self, target: float) -> np.ndarray:
-        """Storage + creation cost change of setting each unit to target.
+    def _cost_delta(self, u: int, target: float) -> float:
+        """Storage + creation cost change of setting unit ``u`` to target.
 
         Only the run boundaries change the creation cost: the create into
         ``start`` and the create into ``end + 1`` (interior creates of an
         equal-valued run are zero before and after).
         """
-        flat = self.store.reshape(-1)
-        prev = np.where(self._has_prev, flat[self._prev_at], self._initial_at)
-        succ = flat[self._succ_at]
-        value = self._value
+        value, prev = self._value[u], self._prev[u]
         delta = _pos(target - prev) - _pos(value - prev)
-        delta = np.where(
-            self._has_succ, delta + (_pos(succ - target) - _pos(succ - value)), delta
-        )
-        alpha_part = self.costs.alpha * (target - value) * self._length
-        return alpha_part + self.costs.beta * delta
+        if self._has_succ[u]:
+            succ = self._succ[u]
+            delta = delta + (_pos(succ - target) - _pos(succ - value))
+        return self.costs.alpha * (target - value) * self._length[u] + self.costs.beta * delta
 
-    def _gains(self, target: float) -> np.ndarray:
-        """Per-entry coverage gain of setting each entry's unit to target."""
-        old = self.cov[self._e_cell]
-        new = old + (target - self._value)[self._e_unit]
-        return np.minimum(1.0, new) - np.minimum(1.0, old)
+    def _price(self, u: int) -> None:
+        """Cache unit ``u``'s round-up key and, when rounding it down saves
+        cost, its round-down key and QoS deltas; push the keys."""
+        self._parked.pop(u, None)
+        tie = (self._ns[u], self._start[u], self._k[u], u)
+        # Round-up: cost over the Figure-6 reward, the reachable demand no
+        # integral replica covers yet.
+        cost = self._cost_delta(u, 1.0)
+        if 0.0 > cost:
+            cost = 0.0
+        int_cov = self._int_cov
+        reward = 0.0
+        for _scope, cells in self._pairs[u]:
+            for cell, read in cells:
+                if int_cov[cell] == 0:
+                    reward += read
+        key = (cost / reward if reward > 0 else math.inf, cost) + tie
+        self._up_key[u] = key
+        heapq.heappush(self._up_heap, key)
 
-    def _reward(self) -> np.ndarray:
-        """Figure-6 reward: reachable demand no integral replica covers yet."""
-        uncovered = self.int_cov[self._e_cell] == 0
-        return np.bincount(
-            self._e_unit,
-            weights=np.where(uncovered, self._e_read, 0.0),
-            minlength=len(self.units),
-        )
+        # Round-down: savings per coverage lost; the pairs whose coverage
+        # moves are the ones the goal check reads.
+        savings = -self._cost_delta(u, 0.0)
+        if not savings > 0:
+            self._down_key[u] = None
+            return
+        change = 0.0 - self._value[u]
+        cov = self._cov
+        keyed = []
+        lost = 0.0
+        for scope, cells in self._pairs[u]:
+            delta = 0.0
+            moved = False
+            for cell, read in cells:
+                old = cov[cell]
+                new = old + change
+                gain = (new if new < 1.0 else 1.0) - (old if old < 1.0 else 1.0)
+                delta += read * gain
+                moved = moved or gain != 0.0
+            if moved:
+                keyed.append((scope, delta))
+            lost += 0.0 if 0.0 < delta else delta
+        key = (-(savings / (-lost + 1e-12)), -savings) + tie
+        self._down_key[u] = key
+        self._keyed[u] = keyed
+        heapq.heappush(self._down_heap, key)
 
-    def _down_price(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(feasible, savings, savings per coverage lost) of rounding down."""
-        n = len(self.units)
-        gain = self._gains(0.0)
-        delta = np.bincount(
-            self._e_pair, weights=self._e_read * gain, minlength=self._p_unit.size
-        )
-        keyed = np.zeros(self._p_unit.size, dtype=bool)
-        keyed[self._e_pair[gain != 0.0]] = True
-        scope = self._p_scope
-        breaks = keyed & (self.sat[scope] + delta < self._floor[scope])
-        feasible = np.bincount(self._p_unit, weights=breaks, minlength=n) == 0
-        savings = -self._cost_delta(0.0)
-        lost = -np.bincount(
-            self._p_unit, weights=np.where(0.0 < delta, 0.0, delta), minlength=n
-        )
-        return feasible, savings, savings / (lost + 1e-12)
+    def _fits(self, u: int) -> bool:
+        """Whether rounding ``u`` down keeps every scope above its floor."""
+        sat, floor = self._sat, self._floor
+        return all(not sat[scope] + delta < floor[scope] for scope, delta in self._keyed[u])
 
-    def _pick(self, mask: np.ndarray, *keys: np.ndarray) -> Optional[int]:
-        """The unit under ``mask`` with the smallest key tuple, or None."""
-        idx = np.flatnonzero(mask)
-        if idx.size == 0:
-            return None
-        tie_break = (self._k[idx], self._start[idx], self._ns[idx])
-        order = np.lexsort(tie_break + tuple(key[idx] for key in reversed(keys)))
-        return int(idx[order[0]])
+    def _pick_up(self) -> int:
+        """The pending unit with the smallest ``(ratio, cost, ns, start, k)``."""
+        while True:
+            key = heapq.heappop(self._up_heap)
+            u = key[-1]
+            if self._pending[u] and self._up_key[u] is key:
+                return u
+
+    def _pick_down(self) -> Optional[int]:
+        """The pending unit with the smallest ``(-ratio, -savings, ns,
+        start, k)`` among those that save cost and fit the goal, or None.
+
+        One that does not fit is parked: the live coverage only falls in a
+        round-down sweep, so it cannot fit again before a round-up raises
+        the coverage of one of its scopes (:meth:`_unpark`) or a step
+        re-prices it.
+        """
+        while self._down_heap:
+            key = heapq.heappop(self._down_heap)
+            u = key[-1]
+            if not self._pending[u] or self._down_key[u] is not key:
+                continue
+            if self._fits(u):
+                return u
+            self._parked[u] = (key, frozenset(scope for scope, _delta in self._keyed[u]))
+        return None
+
+    def _unpark(self, u: int) -> None:
+        """Return the parked units sharing a goal scope with ``u`` to the
+        round-down heap, after rounding ``u`` up raised those scopes."""
+        raised = {scope for scope, _cells in self._pairs[u]}
+        for v in [v for v, (_key, scopes) in self._parked.items() if not raised.isdisjoint(scopes)]:
+            heapq.heappush(self._down_heap, self._parked.pop(v)[0])
 
     # -- mutation -------------------------------------------------------------------
 
     def _apply(self, u: int, target: float) -> None:
-        entries = slice(self._first[u], self._first[u + 1])
-        cells = self._e_cell[entries]
-        old = self.cov[cells]
-        new = old + (target - self._value[u])
-        self.cov[cells] = new
-        if target >= 1.0 - _FRAC_TOL:
-            # A fractional unit became an integral replica.
-            self.int_cov[cells] += 1
-        gain = np.minimum(1.0, new) - np.minimum(1.0, old)
-        np.add.at(self.sat, self._e_scope[entries], self._e_read[entries] * gain)
+        """Round ``u`` to target and re-price the units that step touched."""
+        change = target - self._value[u]
+        integral = target >= 1.0 - _FRAC_TOL  # a fractional unit became a replica
+        cov, int_cov, sat = self._cov, self._int_cov, self._sat
+        for scope, cells in self._pairs[u]:
+            for cell, read in cells:
+                old = cov[cell]
+                new = old + change
+                cov[cell] = new
+                if integral:
+                    int_cov[cell] += 1
+                sat[scope] += read * ((new if new < 1.0 else 1.0) - (old if old < 1.0 else 1.0))
         self.store[self._ns[u], self._start[u] : self._end[u] + 1, self._k[u]] = target
         self._value[u] = target
+        self._pending[u] = False
+        self._parked.pop(u, None)
+        left, right = self._left[u], self._right[u]
+        if left >= 0:
+            self._succ[left] = target
+        if right >= 0:
+            self._prev[right] = target
+        cell_units = self._cell_units
+        touched = {v for _s, cells in self._pairs[u] for c, _r in cells for v in cell_units[c]}
+        touched.update((left, right))
+        for v in touched:
+            if v >= 0 and self._pending[v]:
+                self._price(v)
+                self.repriced += 1
 
     # -- the Figure-5 loop ---------------------------------------------------------
 
     def run(self) -> Tuple[int, int]:
-        pending = np.ones(len(self.units), dtype=bool)
-        while pending.any():
+        remaining = len(self.units)
+        for u in range(remaining):
+            self._price(u)
+        while remaining:
             # Round-up step: lowest cost / reward ratio.
-            cost = self._cost_delta(1.0)
-            cost = np.where(0.0 > cost, 0.0, cost)
-            reward = self._reward()
-            ratio = np.full(cost.shape, np.inf)
-            np.divide(cost, reward, out=ratio, where=reward > 0)
-            best = self._pick(pending, ratio, cost)
+            best = self._pick_up()
             self._apply(best, 1.0)
             self.rounded_up += 1
-            pending[best] = False
+            remaining -= 1
+            self._unpark(best)
 
             # Round-down sweep: best savings per coverage lost, repeatedly.
             while True:
-                feasible, savings, ratio = self._down_price()
-                candidate = self._pick(pending & feasible & (savings > 0), -ratio, -savings)
+                candidate = self._pick_down()
                 if candidate is None:
                     break
                 self._apply(candidate, 0.0)
                 self.rounded_down += 1
-                pending[candidate] = False
+                remaining -= 1
         return self.rounded_up, self.rounded_down
 
 
-def _pos(x: np.ndarray) -> np.ndarray:
-    """Elementwise ``max(0.0, x)`` with Python's tie rule (a zero stays 0.0)."""
-    return np.where(x > 0.0, x, 0.0)
+def _pos(x: float) -> float:
+    """``max(0.0, x)`` with Python's tie rule (a zero stays 0.0)."""
+    return x if x > 0.0 else 0.0
 
 
 def _attach_audit(form: Formulation, result: RoundingResult, audit) -> RoundingResult:
@@ -404,43 +545,16 @@ def round_solution(
         up, down = rounder.run()
     PERF.count("round.greedy.up", up)
     PERF.count("round.greedy.down", down)
-    store = rounder.store
-    # Proposition 1 keeps zeros at zero, but independent up/down roundings in
-    # one column can still imply a creation at a forbidden interval for
-    # Know/Hist/React classes; backfill moves such creations to the latest
-    # permitted interval (extra storage only — coverage can only grow).
-    legalized = _enforce_create_legality(form, store)
-
-    inst = form.instance
-    goal = form.problem.goal
-    # The final store's QoS is evaluated once, by the repair or here.
-    is_qos = isinstance(goal, QoSGoal)
-    if repair:
-        repaired, qos = _repair(form, store)
-    else:
-        repaired, qos = 0, qos_by_scope(inst, goal, store) if is_qos else {}
-    feasible = qos_met(goal, qos) if is_qos else meets_goal(inst, goal, store)
-
-    cost = solution_cost(
-        inst,
-        form.properties,
-        form.problem.costs,
-        store,
-        goal=goal,
-        count_opening=form.open_index is not None,
-    )
-    result = RoundingResult(
-        store=store,
-        cost=cost,
-        feasible=feasible,
+    PERF.count("round.greedy.repriced", rounder.repriced)
+    return _finish(
+        form,
+        rounder.store,
+        repair,
+        audit,
         fractional_units=num_units,
         rounded_up=up,
         rounded_down=down,
-        repaired=repaired,
-        legalized=legalized,
-        qos=qos,
     )
-    return _attach_audit(form, result, audit)
 
 
 def round_solution_iterative(
@@ -541,10 +655,33 @@ def round_solution_iterative(
     np.clip(store, 0.0, 1.0, out=store)
     store[store < _FRAC_TOL] = 0.0
     store[store > 1.0 - _FRAC_TOL] = 1.0
+    return _finish(
+        form,
+        store,
+        repair,
+        audit,
+        fractional_units=num_units,
+        rounded_up=rounded_up,
+        rounded_down=rounded_down,
+    )
+
+
+def _finish(form: Formulation, store: np.ndarray, repair: bool, audit, **counts) -> RoundingResult:
+    """Legalize, repair and price a rounder's integral store.
+
+    Proposition 1 keeps zeros at zero, but independent up/down roundings in
+    one column can still imply a creation at a forbidden interval for
+    Know/Hist/React classes; backfill moves such creations to the latest
+    permitted interval (extra storage only — coverage can only grow).  The
+    final store's QoS is evaluated once, by the repair or here.
+    """
     legalized = _enforce_create_legality(form, store)
-    repaired = _repair(form, store)[0] if repair else 0
     inst = form.instance
     goal = form.problem.goal
+    if repair:
+        repaired, qos = _repair(form, store)
+    else:
+        repaired, qos = 0, qos_by_scope(inst, goal, store)
     cost = solution_cost(
         inst,
         form.properties,
@@ -556,13 +693,11 @@ def round_solution_iterative(
     result = RoundingResult(
         store=store,
         cost=cost,
-        feasible=meets_goal(inst, goal, store),
-        fractional_units=num_units,
-        rounded_up=rounded_up,
-        rounded_down=rounded_down,
+        feasible=qos_met(goal, qos),
         repaired=repaired,
         legalized=legalized,
-        qos=qos_by_scope(inst, goal, store),
+        qos=qos,
+        **counts,
     )
     return _attach_audit(form, result, audit)
 

@@ -1,20 +1,31 @@
 """Tests for the greedy rounding algorithm, including brute-force and
 property-based soundness checks."""
 
+import dataclasses
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.bounds import compute_lower_bound
-from repro.core.classes import FIGURE1_CLASSES, get_class
+from repro.core.classes import FIGURE1_CLASSES, STANDARD_CLASSES, get_class
 from repro.core.costs import CostModel
 from repro.core.evaluate import meets_goal, qos_by_scope
 from repro.core.formulation import build_formulation
 from repro.core.goals import GoalScope, QoSGoal
 from repro.core.problem import MCPerfProblem
 from repro.core.properties import HeuristicProperties, StorageConstraint
-from repro.core.rounding import _repair, _Rounder, round_solution
+from repro.core.rounding import (
+    _FRAC_TOL,
+    _InstanceIndex,
+    _repair,
+    _Rounder,
+    round_solution,
+    round_solution_iterative,
+)
 from repro.topology.generators import as_level_topology, star_topology
 from repro.workload.demand import DemandMatrix
 from tests.core.brute import brute_force_optimum
@@ -292,11 +303,127 @@ def test_array_rounder_matches_loop_oracle(case):
         return
     store = form.store_array(sol.values)
     np.clip(store, 0.0, 1.0, out=store)
+    assert_rounds_like_loop(form, store, run_length)
+
+
+def assert_rounds_like_loop(form, store, run_length):
     oracle = LoopRounder(form, store.copy(), run_length=run_length)
     rounder = _Rounder(form, store.copy(), run_length=run_length)
     assert len(rounder.units) == len(oracle.units)
     assert rounder.run() == oracle.run()
     assert rounder.store.tobytes() == oracle.store.tobytes()
+
+
+@st.composite
+def striped_cases(draw):
+    """A bigger instance (up to 9 nodes, 8 intervals, 4 objects) with its LP
+    point or with a synthetic store whose columns are runs of fractional
+    values back to back.  Adjacent units share a run boundary, so rounding
+    one changes its neighbours' creation cost: a neighbour priced from a
+    stale boundary value picks differently.  Values within 1e-9 of a run's
+    first value join the run without equalling it, and values at the snap
+    and integral-count thresholds sit next to them."""
+    nodes = draw(st.integers(min_value=5, max_value=9))
+    intervals = draw(st.integers(min_value=3, max_value=8))
+    objects = draw(st.integers(min_value=1, max_value=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    reads = rng.choice([0.0, 0.0, 1.0, 2.0, 5.0], size=(nodes, intervals, objects))
+    initial = (rng.random((nodes, objects)) < 0.3).astype(float) if draw(st.booleans()) else None
+    problem = MCPerfProblem(
+        topology=as_level_topology(num_nodes=nodes, seed=draw(st.integers(0, 20))),
+        demand=DemandMatrix(reads=reads),
+        goal=QoSGoal(
+            tlat_ms=draw(st.sampled_from([120.0, 150.0, 200.0])),
+            fraction=draw(st.sampled_from([0.3, 0.5, 0.7, 0.9])),
+            scope=draw(st.sampled_from(list(GoalScope))),
+        ),
+        costs=CostModel.paper_defaults(),
+        initial_placement=initial,
+        warmup_intervals=draw(st.integers(min_value=0, max_value=1)),
+    )
+    form = build_formulation(problem, get_class(draw(st.sampled_from(FIGURE1_CLASSES))).properties)
+    run_length = draw(st.booleans())
+    if draw(st.booleans()):
+        if form.structurally_infeasible:
+            return form, None, run_length
+        sol = form.lp.solve()
+        if not sol.is_optimal:
+            return form, None, run_length
+        store = form.store_array(sol.values)
+        np.clip(store, 0.0, 1.0, out=store)
+        return form, store, run_length
+    palette = [0.0, 1.0, 0.25, 0.5, 0.75, 0.4, 1e-7, 1.0 - _FRAC_TOL, 1.0 - 1e-7]
+    store = np.zeros(form.store_idx.shape)
+    for ns in range(store.shape[0]):
+        for k in range(store.shape[2]):
+            i = 0
+            while i < intervals:
+                run = int(rng.integers(1, 4))
+                value = palette[int(rng.integers(len(palette)))]
+                jitter = rng.choice([0.0, 4e-10, -4e-10], size=run)
+                store[ns, i : i + run, k] = np.clip(value + jitter[: intervals - i], 0.0, 1.0)
+                i += run
+    return form, store, run_length
+
+
+@settings(max_examples=120, deadline=None)
+@given(striped_cases())
+def test_array_rounder_matches_loop_oracle_on_bigger_and_striped_stores(case):
+    form, store, run_length = case
+    if store is None:
+        return
+    assert_rounds_like_loop(form, store, run_length)
+
+
+@pytest.mark.parametrize("intervals, objects", [(1, 1), (1, 3), (4, 2)])
+def test_coverage_is_the_einsum_coverage_to_the_bit(intervals, objects):
+    """The rounder sums coverage at the live cells only; it must be the
+    full einsum's floats, including the one-column store einsum takes as a
+    dot product."""
+    rng = np.random.default_rng(3)
+    reads = rng.choice([0.0, 1.0, 2.0], size=(24, intervals, objects))
+    problem = MCPerfProblem(
+        topology=as_level_topology(num_nodes=24, seed=4),
+        demand=DemandMatrix(reads=reads),
+        goal=QoSGoal(tlat_ms=400.0, fraction=0.5),
+    )
+    form = build_formulation(problem, get_class("general").properties)
+    index = _InstanceIndex(form.instance, problem.goal.scope)
+    assert index.live_nd.size > 0
+    for _ in range(5):
+        store = rng.random(form.store_idx.shape) ** 3
+        full = np.einsum("ds,sik->dik", form.instance.reach.astype(float), store)
+        expected = full.reshape(full.shape[0], -1)[index.live_nd, index.live_ik]
+        assert index.coverage(store).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("cls", ["general", "storage-constrained"])
+def test_retargeted_formulation_rounds_like_fresh_ones(cls, web_problem):
+    """One formulation re-targeted across drift-sized and coarse levels
+    rounds each LP point exactly as a formulation built fresh at that level:
+    the instance index it reuses carries nothing of an earlier level."""
+    props = get_class(cls).properties
+    form = build_formulation(web_problem, props)
+    index = None
+    for fraction in (0.9, 0.9001, 0.9002, 0.95, 0.7, 0.7001, 0.9):
+        form.set_qos_fraction(fraction)
+        sol = form.lp.solve().require_optimal()
+        fresh = build_formulation(_at_level(web_problem, fraction), props)
+        assert fresh.store_idx.tobytes() == form.store_idx.tobytes()
+        store = form.store_array(sol.values)
+        np.clip(store, 0.0, 1.0, out=store)
+        reused = _Rounder(form, store.copy(), run_length=False)
+        built = _Rounder(fresh, store.copy(), run_length=False)
+        index = index or form.rounding_index
+        assert form.rounding_index is index is not fresh.rounding_index
+        assert reused._floor == built._floor
+        assert reused._sat == built._sat
+        assert reused.run() == built.run()
+        assert reused.store.tobytes() == built.store.tobytes()
+        assert_rounds_like_loop(form, store, run_length=False)
+        assert _payload_line(round_solution(form, sol, audit="off")) == _payload_line(
+            round_solution(fresh, sol, audit="off")
+        )
 
 
 @pytest.mark.parametrize("cls, fraction", [("general", 0.9), ("cooperative-caching", 0.8)])
@@ -354,3 +481,92 @@ def test_rounding_reports_the_final_placements_qos_once_evaluated(web_problem):
     assert repaired.repaired > 0
     assert repaired.qos == qos_by_scope(form.instance, goal, repaired.store)
     assert repaired.feasible is True and meets_goal(form.instance, goal, repaired.store)
+
+
+# -- pinned placements ------------------------------------------------------------
+
+#: SHA-256 over every class's ``RoundingResult.to_dict()`` (one JSON line
+#: per level and run-length mode, "infeasible" for an infeasible LP) on the
+#: tier-1 fixtures.  A rounder rewrite must reproduce each to the byte.
+GREEDY_PINS = {
+    "web": {
+        "general": "2a9246dbf01253a26d833f83a9d0b7ee81ac29a5535041897fa604042d89488d",
+        "storage-constrained": "7b658e8a81873c2f9c0778400a1d94518d1f1b1d4fddc1afe562c8a46a2b1920",
+        "storage-constrained-per-node": "d6ed2e61a36c84c3f619f522a715e0d9fa355fb25b090baa54d5d703b2737e98",
+        "replica-constrained": "af9d9c808a5b9e7334192222d214f51b6912ec7d85a6e6651e49629991d85854",
+        "replica-constrained-per-object": "622327002f9e776671989f5a73bb28a2c8f7c4096f42c07f2ae00836484e21dd",
+        "decentralized-local-routing": "49c0baf56a323fd5c1b9af4320f135088ac84df12e564ff3246797d47c688bac",
+        "caching": "2285e1c92dabd4d9aa9cd11930cf8f46011d532f05b1f01df343570846ee3fcc",
+        "cooperative-caching": "f7e49f54779aa039211659d8e1cd2fe355ba6b12859dc044f478b40fa4bf3b1d",
+        "caching-prefetch": "f131ba4e8b1dedf3111e76bedc1a93e4c6ce03c83ecfd2c1ebd2541c25360469",
+        "cooperative-caching-prefetch": "7717ba5d034ae03dea34093e77a7f5605be9ddfc6032940cc6a48048e3eaa1cf",
+        "reactive": "96f3fa45761093c56807f6c1a6fa45e71f80d9207902512d302231b8b2c131a6",
+    },
+    "group": {
+        "general": "0d3d8b99a46ec88aab4536650dea5b874a98c7d1b6e18c6716c732f64d0c427b",
+        "storage-constrained": "b6467d9a898b6249d7c3a43687c4c0cdae7f86352429bde3370bc338ddd392e6",
+        "storage-constrained-per-node": "6410cc9440573a6c6648f120435bef4664de16815e40c4978552446626f4dadf",
+        "replica-constrained": "bea5e562382bc4e127631f87f2b392931e12b7d8e768bb2d47cbb95bdc4de5f6",
+        "replica-constrained-per-object": "7d887a30dd6ea1d3e20f11243a20b2efa115e61d8094b106630f6ee78ca4a9ba",
+        "decentralized-local-routing": "5e2ce9b1d0e2ded591386e0b387b4abac396dc3356fef7e0eb4d547d141f1229",
+        "caching": "c3ada654827ecf8c450112c557e194745d98078161aaf9580a686dd3d25bbd66",
+        "cooperative-caching": "11a7783fd3e955555653ceeee099df9108f7213beb6da53e953f74498ee3c3a8",
+        "caching-prefetch": "f97ffaf527a7fbe48c8943ad13891f0fbb705fa978cf1b4edb0ed4eae6dfd9a7",
+        "cooperative-caching-prefetch": "eda76a63b4489bab49bea950edaabbd04731295569281623ad189184f035a431",
+        "reactive": "9e1916223c257e89bd4b1fcc42eb29e9bcde167fb9913dd546aa586ac2e81db8",
+    },
+}
+PIN_LEVELS = {"web": (0.6, 0.75, 0.9), "group": (0.5, 0.8, 0.95)}
+
+
+def _at_level(problem, fraction):
+    return dataclasses.replace(problem, goal=dataclasses.replace(problem.goal, fraction=fraction))
+
+
+def _payload_line(result):
+    return json.dumps(result.to_dict(), sort_keys=True).encode() + b"\n"
+
+
+@pytest.mark.parametrize("family", sorted(GREEDY_PINS))
+def test_greedy_rounding_is_pinned_for_every_class(family, web_problem, group_problem):
+    """Every class at three QoS levels, with and without run-length units."""
+    problem = {"web": web_problem, "group": group_problem}[family]
+    digests = {}
+    for cls in STANDARD_CLASSES:
+        digest = hashlib.sha256()
+        for fraction in PIN_LEVELS[family]:
+            form = build_formulation(_at_level(problem, fraction), get_class(cls).properties)
+            sol = form.lp.solve()
+            if not sol.is_optimal:
+                digest.update(b"infeasible\n")
+                continue
+            for run_length in (False, True):
+                rounded = round_solution(form, sol, run_length=run_length, audit="off")
+                digest.update(_payload_line(rounded))
+        digests[cls] = digest.hexdigest()
+    assert digests == GREEDY_PINS[family]
+
+
+#: ``round_solution_iterative`` payload digests, with repair on and off.
+ITERATIVE_PINS = {
+    ("web", "general"): "957bc6cb661bba1af8c4b2d0bc7cbef716bbbde8382b45ee62c251fea1a7d5a4",
+    ("web", "storage-constrained"): "1da433ed8be22baf2812f85fed6a3f12818e757d9b5fd5bf1b4507a390d1d35c",
+    ("web", "replica-constrained"): "62140090c4a91dbae2f819884b283ea0a949cda24463b06359fe0fd620e9fe02",
+    ("web", "caching-prefetch"): "8c70c02f276f350b3680d3d9003605adf15b72ef2b43fd429d33d195596b195f",
+    ("group", "general"): "49e90d7ecb574e7139e2f82740bd71540b3cd658edf0fdd1335651ffcb0a3767",
+    ("group", "storage-constrained"): "4c8eedc9a1d58f24652a8c26fc8dbfd67ef4268548c26721efb67400bd7888c5",
+    ("group", "replica-constrained"): "101eb248c7993f625f13bc6232678481f8eb7c2bcfc92e3cce370752f54aebdb",
+    ("group", "caching-prefetch"): "4f7f817aa6a86ec18d6cb0eee524da9178f4cf12092b876d40bd736cc0c19e93",
+}
+
+
+@pytest.mark.parametrize("family, cls", sorted(ITERATIVE_PINS))
+def test_iterative_rounding_is_pinned(family, cls, web_problem, group_problem):
+    problem = {"web": web_problem, "group": group_problem}[family]
+    form = build_formulation(problem, get_class(cls).properties)
+    sol = form.lp.solve().require_optimal()
+    digest = hashlib.sha256()
+    for repair in (True, False):
+        rounded = round_solution_iterative(form, sol, repair=repair, audit="off")
+        digest.update(_payload_line(rounded))
+    assert digest.hexdigest() == ITERATIVE_PINS[family, cls]
