@@ -49,15 +49,18 @@ from repro.audit.report import DEFAULT_EPS, DEFAULT_TOL, AuditReport
 DEFAULT_SIM_EPS = 1e-3
 
 
-def _load_records(run_dir: Path, report: AuditReport) -> List[Dict[str, object]]:
+def _load_records(run_dir: Path, report: AuditReport, run) -> List[Dict[str, object]]:
     from repro.runner.artifacts import read_task_records
 
     report.ran("artifact")
-    try:
-        records = read_task_records(run_dir)
-    except (OSError, ValueError) as exc:
-        report.flag("artifact", str(run_dir), message=f"unreadable task records: {exc}")
-        return []
+    if run is not None:
+        records = run[0]
+    else:
+        try:
+            records = read_task_records(run_dir)
+        except (OSError, ValueError) as exc:
+            report.flag("artifact", str(run_dir), message=f"unreadable task records: {exc}")
+            return []
     if records is None:
         report.flag(
             "artifact", str(run_dir),
@@ -68,10 +71,11 @@ def _load_records(run_dir: Path, report: AuditReport) -> List[Dict[str, object]]
 
 
 def _decode_payloads(
-    run_dir: Path, committed: Dict[object, Dict[str, object]], report: AuditReport
+    run_dir: Path, committed: Dict[object, Dict[str, object]], report: AuditReport, lines
 ) -> Dict[object, object]:
-    """Decode, as the log is scanned, the payload of each ``committed`` row's
-    line (same index and key), or map the row to the decoding exception."""
+    """Decode the payload of each ``committed`` row's log line (same index
+    and key), or map the row to the decoding exception.  ``lines`` are the
+    log's lines already read, or None to scan the log here."""
     from repro.core.bounds import LowerBoundResult
     from repro.runner.artifacts import task_lines
     from repro.simulator.engine import SimulationResult
@@ -79,7 +83,7 @@ def _decode_payloads(
     decoders = {"bound": LowerBoundResult.from_dict, "simulate": SimulationResult.from_dict}
     decoded: Dict[object, object] = {}
     try:
-        for line in task_lines(run_dir):
+        for line in task_lines(run_dir) if lines is None else lines:
             rec = committed.get(line["index"])
             if rec is None or line.get("key") != rec.get("key") or "payload" not in line:
                 continue
@@ -238,6 +242,7 @@ def audit_run_dir(
     tol: float = DEFAULT_TOL,
     eps: float = DEFAULT_EPS,
     sim_eps: float = DEFAULT_SIM_EPS,
+    run=None,
 ) -> AuditReport:
     """Re-verify every cell of a completed run directory.
 
@@ -245,13 +250,18 @@ def audit_run_dir(
     its rebuilt :class:`~repro.core.problem.MCPerfProblem`; when provided
     (the CLI builds one from ``-t``/``-w``), each bound cell additionally
     gets the full from-scratch placement re-verification of
-    :func:`~repro.audit.certificates.audit_bound_result`.
+    :func:`~repro.audit.certificates.audit_bound_result`.  ``run`` is the
+    directory's ``(rows, lines)`` as :func:`~repro.runner.artifacts.read_run`
+    read it (the CLI reads it once to check its integrity); None reads the
+    directory here.
     """
     run_dir = Path(run_dir)
     report = AuditReport(mode=mode, subject=str(run_dir))
-    records = [rec for rec in _load_records(run_dir, report) if rec.get("status") == "ok"]
+    rows = _load_records(run_dir, report, run)
+    records = [rec for rec in rows if rec.get("status") == "ok"]
     committed = {rec.get("index"): rec for rec in records}
-    decoded = _decode_payloads(run_dir, committed, report) if committed else {}
+    lines = None if run is None else run[1]
+    decoded = _decode_payloads(run_dir, committed, report, lines) if committed else {}
 
     bound_cells: List[Tuple[Dict[str, object], object]] = []
     sim_cells: List[Tuple[Dict[str, object], object]] = []

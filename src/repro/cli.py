@@ -24,7 +24,7 @@ import argparse
 import json
 import logging
 import sys
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.core.classes import STANDARD_CLASSES, get_class, render_table3
 from repro.errors import ValidationError
@@ -1253,17 +1253,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_audit(args) -> int:
     from repro.audit import DEFAULT_EPS, audit_run_dir
     from repro.audit.posthoc import DEFAULT_SIM_EPS
-    from repro.runner.artifacts import read_task_records, task_lines
+    from repro.runner.artifacts import read_run
 
     # A torn or truncated manifest (or a torn line inside records.jsonl) is
     # an artifact-integrity failure, not an audit verdict: nothing in the
     # run can be verified from it.  Diagnose it up front and exit 2
     # (configuration/integrity) instead of letting the audit report a wall
-    # of unverifiable cells.
+    # of unverifiable cells.  The audit then works from this one read.
     try:
-        read_task_records(args.run_dir)
-        for _ in task_lines(args.run_dir):  # the log holds the payloads
-            pass
+        run = read_run(args.run_dir)
     except (OSError, ValueError) as exc:
         print(
             f"audit: task records are corrupt (torn or truncated write): {exc}\n"
@@ -1277,6 +1275,7 @@ def _cmd_audit(args) -> int:
     if args.topology and args.workload:
         topology = load_topology(args.topology)
         trace = load_trace(args.workload)
+        demands: Dict[int, DemandMatrix] = {}  # by interval count
 
         def problem_factory(meta):
             """Rebuild a bound cell's problem from its manifest metadata."""
@@ -1284,9 +1283,12 @@ def _cmd_audit(args) -> int:
             if qos is None:
                 return None
             try:
-                demand = DemandMatrix.from_trace(
-                    trace, num_intervals=int(meta.get("intervals", 8))
-                )
+                intervals = int(meta.get("intervals", 8))
+                demand = demands.get(intervals)
+                if demand is None:
+                    demand = demands[intervals] = DemandMatrix.from_trace(
+                        trace, num_intervals=intervals
+                    )
                 return MCPerfProblem(
                     topology=topology,
                     demand=demand,
@@ -1312,6 +1314,7 @@ def _cmd_audit(args) -> int:
 
     report = audit_run_dir(
         args.run_dir,
+        run=run,
         problem_factory=problem_factory,
         eps=args.eps if args.eps is not None else DEFAULT_EPS,
         sim_eps=args.sim_eps if args.sim_eps is not None else DEFAULT_SIM_EPS,

@@ -62,33 +62,39 @@ def coverage_matrix(instance: PlacementInstance, store: np.ndarray) -> np.ndarra
 def qos_by_scope(
     instance: PlacementInstance, goal: QoSGoal, store: np.ndarray
 ) -> Dict[object, float]:
-    """Achieved covered-read fraction per goal-scope key."""
+    """Achieved covered-read fraction per goal-scope key.
+
+    The reads and the covered reads are laid out one goal scope per row and
+    each row is reduced along itself: a row sums in the order its scope's
+    ``(demander, interval, object)`` slice sums, so every value is the
+    per-scope slice's to the bit.
+    """
     cov = coverage_matrix(instance, store)
     reads = instance.qos_reads()
-    out: Dict[object, float] = {}
+    num_d, intervals, num_k = reads.shape
     scope = goal.scope
+    # Axis order and row shape that put one scope per row.
+    axes, shape = {
+        GoalScope.OVERALL: ((0, 1, 2), (1, num_d * intervals * num_k)),
+        GoalScope.PER_USER: ((0, 1, 2), (num_d, intervals * num_k)),
+        GoalScope.PER_OBJECT: ((2, 0, 1), (num_k, num_d * intervals)),
+        GoalScope.PER_USER_OBJECT: ((0, 2, 1), (num_d * num_k, intervals)),
+    }[scope]
+
+    def row_sums(values: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(values.transpose(axes)).reshape(shape).sum(axis=1)
+
+    denom, covered = row_sums(reads), row_sums(reads * cov)
     if scope is GoalScope.OVERALL:
-        denom = reads.sum()
-        out["all"] = float((reads * cov).sum() / denom) if denom > 0 else 1.0
-    elif scope is GoalScope.PER_USER:
-        for nd in range(instance.num_demanders):
-            denom = reads[nd].sum()
-            if denom > 0:
-                out[nd] = float((reads[nd] * cov[nd]).sum() / denom)
+        return {"all": float(covered[0] / denom[0]) if denom[0] > 0 else 1.0}
+    rows = np.flatnonzero(denom > 0)
+    if scope is GoalScope.PER_USER:
+        keys = rows.tolist()
     elif scope is GoalScope.PER_OBJECT:
-        for k in range(instance.num_objects):
-            denom = reads[:, :, k].sum()
-            if denom > 0:
-                out[("k", k)] = float((reads[:, :, k] * cov[:, :, k]).sum() / denom)
-    else:  # PER_USER_OBJECT
-        for nd in range(instance.num_demanders):
-            for k in range(instance.num_objects):
-                denom = reads[nd, :, k].sum()
-                if denom > 0:
-                    out[(nd, k)] = float(
-                        (reads[nd, :, k] * cov[nd, :, k]).sum() / denom
-                    )
-    return out
+        keys = [("k", k) for k in rows.tolist()]
+    else:
+        keys = [(nd, k) for nd, k in zip((rows // num_k).tolist(), (rows % num_k).tolist())]
+    return dict(zip(keys, (covered[rows] / denom[rows]).tolist()))
 
 
 def meets_goal(

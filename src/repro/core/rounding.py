@@ -123,7 +123,8 @@ class _InstanceIndex:
     goal-scope id (``nd``, ``0``, ``k`` or ``nd·K+k``) and whether a replica
     must cover it (*live*: the origin does not cover its demander), with a
     live cell's flat ``(nd, i, k)`` index; each scope's total reads; and,
-    per storer, the reaching demanders the origin does not cover.  None of
+    per storer, the reaching demanders the origin does not cover and which
+    live cells it reaches (``live_reach``, storer x live cell).  None of
     it depends on the LP point or the QoS fraction, so rounding every level
     of a sweep that re-targets one formulation builds it once
     (``Formulation.rounding_index``).
@@ -146,7 +147,8 @@ class _InstanceIndex:
         self.live_ik = (i * num_k + k)[self.live]
         self.live_cell = self.live_nd * (intervals * num_k) + self.live_ik
         self.reach = inst.reach.astype(float)
-        self.reach_by_storer = np.ascontiguousarray(self.reach.T)
+        # Storer x live cell: does the storer reach the cell's demander?
+        self.live_reach = np.ascontiguousarray(inst.reach.T[:, self.live_nd] > 0)
         live_ns, self.live_demander = np.nonzero(
             (inst.reach.astype(bool) & ~origin[:, None]).T
         )
@@ -165,7 +167,8 @@ class _InstanceIndex:
 
     def coverage(self, store: np.ndarray) -> np.ndarray:
         """Each live cell's fractional coverage: the store summed over the
-        reaching storers, storer by storer from zero.
+        reaching storers, storer by storer from zero (one gather of the
+        store at the live cells, reduced over the storer axis).
 
         That is ``np.einsum("ds,sik->dik", reach, store)``'s sum order, so
         the floats are its floats, except on a store of one (interval,
@@ -175,10 +178,11 @@ class _InstanceIndex:
         if columns.shape[1] == 1:
             cov = np.einsum("ds,sik->dik", self.reach, store)
             return cov.reshape(cov.shape[0], -1)[self.live_nd, self.live_ik]
-        cov = np.zeros(self.live_nd.size)
-        for s in range(columns.shape[0]):
-            cov += self.reach_by_storer[s, self.live_nd] * columns[s, self.live_ik]
-        return cov
+        # C order (``columns[:, live_ik]`` would be Fortran order), so the
+        # reduction adds the storer rows one after another.
+        cov = np.take(columns, self.live_ik, axis=1)
+        cov *= self.live_reach
+        return cov.sum(axis=0)
 
 
 class _Rounder:
@@ -320,8 +324,7 @@ class _Rounder:
         live, local = np.unique(slot, return_inverse=True)
         self._cov = cov[live].tolist()
         held = self.store.reshape(ns_count, -1)[:, index.live_ik[live]] >= 1.0 - _FRAC_TOL
-        reach = index.reach_by_storer[:, index.live_nd[live]] > 0
-        self._int_cov = (held & reach).sum(axis=0).tolist()
+        self._int_cov = (held & index.live_reach[:, live]).sum(axis=0).tolist()
 
         first = np.searchsorted(unit, np.arange(n + 1)).tolist()
         entries = list(zip(scope.tolist(), local.tolist(), read.tolist()))

@@ -28,6 +28,13 @@ This backend keeps the basis and the instance:
   rows, column bounds and costs the patch API changed since the last run,
   and HiGHS's dual simplex restarts from its retained basis and factor —
   the hot start every QoS sweep level takes.
+* A re-solve whose patches since the last HiGHS run touched only row
+  bounds is first answered from the retained factor, without a run: the
+  retained optimal basis stays optimal while its basic solution
+  ``B x_B = r_N - A_N x_N`` keeps every column bound and row within
+  HiGHS's own primal feasibility tolerance (costs and column bounds did
+  not change, so it stays dual feasible).  Such a solve counts
+  ``lp.simplex.basis_kept`` and returns the retained duals and basis.
 * A :class:`~repro.lp.basis.Basis` from another LP of the same shape (the
   service's per-class warm store) enters a fresh instance through
   ``setBasis``.
@@ -189,17 +196,23 @@ class _HighsRun:
 
     Valid for re-solves while the model's assembled arrays are the same
     object (no structural edit since) and the options are unchanged; the
-    copies are what a re-solve diffs the patched arrays against.
+    copies are what a re-solve diffs the patched arrays against.  After an
+    optimal run it also keeps that run's outcome (``optimum``): private
+    copies of the values and duals, the basis handle and HiGHS's message,
+    which a re-solve answered from the retained factor (:meth:`keep`) starts
+    from, and the run's basic variables (``basic``, read on first use).
     """
 
     __slots__ = (
         "highs", "accepted", "cache", "options", "c", "lb", "ub", "row_lower", "row_upper",
+        "optimum", "basic",
     )
 
     def __init__(self, h, cache, options):
         self.cache, self.options = cache, options
         self._remember(cache)
         self.highs, self.accepted = _load(h, cache, options)
+        self.optimum = self.basic = None
 
     def _remember(self, cache) -> None:
         self.c, self.lb, self.ub = cache.c.copy(), cache.lb.copy(), cache.ub.copy()
@@ -223,6 +236,72 @@ class _HighsRun:
             )
         if len(changed_c):
             highs.changeColsCost(len(changed_c), changed_c.astype(np.int32), cache.c[changed_c])
+
+    def keep(self, h) -> "LPSolution | None":
+        """The retained optimal basis re-certified for the patched row bounds.
+
+        Applies only when the patches since the last run touched row bounds
+        alone.  The basic values are solved fresh on HiGHS's retained factor,
+        ``B x_B = r_N - A_N x_N``: ``r_N`` is each nonbasic row's active
+        bound (``row_lower`` for ``>=`` rows, ``row_upper`` for ``<=`` and
+        ``==`` rows, 0 for a basic row) and ``A_N x_N`` the activity of the
+        nonbasic columns at their retained values.  If the point keeps every
+        column bound and row within HiGHS's ``primal_feasibility_tolerance``,
+        the basis is still optimal: costs and column bounds did not change,
+        so it stays dual feasible, and the retained duals and basis hold.
+        Returns None when it does not apply or the point is infeasible; the
+        caller then runs HiGHS.
+        """
+        cache, highs, optimum = self.cache, self.highs, self.optimum
+        if optimum is None or not (
+            np.array_equal(cache.c, self.c)
+            and np.array_equal(cache.lb, self.lb)
+            and np.array_equal(cache.ub, self.ub)
+        ):
+            return None
+        values, duals, basis, message = optimum
+        ok = h.HighsStatus.kOk
+        if self.basic is None:  # one read per run: a kept solve pivots nothing
+            status, self.basic = highs.getBasicVariables()
+            if status != ok:
+                return None
+        basic = self.basic
+        is_col = basic >= 0
+        cols = basic[is_col]
+        nonbasic = values.copy()
+        nonbasic[cols] = 0.0
+        rows = cache.entry_rows()
+        bound = np.where(cache.sense == _GE, cache.row_lower, cache.row_upper)
+        bound[-1 - basic[~is_col]] = 0.0
+        # Solved as HiGHS solves it, negated: x_B = -B^-1 (A_N x_N - r_N),
+        # so a basic zero comes out as HiGHS's -0.0.
+        status, solved = highs.getBasisSolve(
+            np.bincount(rows, weights=cache.data * nonbasic[cache.indices], minlength=cache.nrows)
+            - bound
+        )
+        if status != ok:
+            return None
+        x = values.copy()
+        x[cols] = -solved[is_col]
+        status, tol = highs.getOptionValue("primal_feasibility_tolerance")
+        if status != ok or not (np.all(x >= cache.lb - tol) and np.all(x <= cache.ub + tol)):
+            return None
+        activity = np.bincount(rows, weights=cache.data * x[cache.indices], minlength=cache.nrows)
+        if not (
+            np.all(activity >= cache.row_lower - tol) and np.all(activity <= cache.row_upper + tol)
+        ):
+            return None
+        self.optimum = (x, duals, basis, message)
+        return LPSolution(
+            status=SolveStatus.OPTIMAL,
+            # Summed in column order, as HiGHS sums its objective.
+            objective=float(np.cumsum(cache.c * x)[-1]),
+            values=x.copy(),
+            backend="scipy",
+            message=message,
+            duals=duals.copy(),
+            basis=basis,
+        )
 
     def set_basis(self, h, basis: Basis) -> bool:
         """Start from a foreign basis; False if rejected.
@@ -256,6 +335,7 @@ class _HighsRun:
     def solve(self, h) -> LPSolution:
         """Run HiGHS and read the outcome back in model terms."""
         cache, highs = self.cache, self.highs
+        self.optimum = self.basic = None
         model_status = h.HighsModelStatus.kModelError
         if self.accepted:
             highs.run()
@@ -282,17 +362,23 @@ class _HighsRun:
             )
 
         snapshot = highs.getBasis()
+        # HiGHS's row duals in model order are shadow prices already:
+        # >= 0 on >= rows, <= 0 on <= rows.
+        duals = np.array(solution.row_dual, dtype=float)
+        basis = (
+            Basis.deferred(_HighsSnapshot(snapshot, cache), cache.nvars, cache.nrows)
+            if snapshot.valid else None
+        )
+        # Private copies: callers may mutate the arrays they receive.
+        self.optimum = (values.copy(), duals.copy(), basis, message)
         return LPSolution(
             status=SolveStatus.OPTIMAL,
             objective=float(highs.getInfo().objective_function_value),
             values=values,
             backend="scipy",
             message=message,
-            # HiGHS's row duals in model order are shadow prices already:
-            # >= 0 on >= rows, <= 0 on <= rows.
-            duals=np.array(solution.row_dual, dtype=float),
-            basis=Basis.deferred(_HighsSnapshot(snapshot, cache), cache.nvars, cache.nrows)
-            if snapshot.valid else None,
+            duals=duals,
+            basis=basis,
         )
 
 
@@ -375,6 +461,12 @@ def solve_with_scipy(model, warm_start=None, **options) -> LPSolution:
         )
     warm = warm_starts_enabled()
     if run is not None and warm and run.cache is cache and run.options == options:
+        kept = run.keep(h)
+        if kept is not None:
+            PERF.count("lp.simplex.basis_kept")
+            PERF.count("lp.simplex.warm_starts")
+            model._highs = run
+            return kept
         run.push()
     else:
         run = None

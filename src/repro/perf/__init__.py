@@ -31,6 +31,9 @@ Counter names in use across the tree::
     lp.simplex.iterations        HiGHS simplex pivots
     lp.simplex.warm_starts       solves started hot or from a caller-provided basis
     lp.simplex.warm_degraded     warm attempts that fell back to a cold solve
+    lp.simplex.basis_kept        row-bound-only re-solves answered from the retained
+                                 optimal basis and factor, without a HiGHS run
+                                 (also counted as warm_starts)
     lp.basis.materialized        deferred basis handles whose statuses were derived
     form.build.vectorized  build_formulation() calls (its time: timer form.build)
     form.retarget         set_qos_fraction() RHS-only re-target

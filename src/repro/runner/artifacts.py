@@ -101,24 +101,55 @@ def read_task_records(run_dir: Union[str, os.PathLike]) -> Optional[List[Dict[st
     parse or holds no list of rows, or when the log is corrupt.
     """
     run_dir = Path(run_dir)
+    rows = _manifest_rows(run_dir)
+    if rows is not None or not (run_dir / RECORDS_NAME).is_file():
+        return rows
+    return _fold(task_lines(run_dir))
+
+
+def read_run(
+    run_dir: Union[str, os.PathLike],
+) -> Tuple[Optional[List[Dict[str, Any]]], List[Dict[str, Any]]]:
+    """A run directory's task rows and its log's lines, payloads included,
+    from one scan of ``records.jsonl``.
+
+    The rows are :func:`read_task_records`'s and the lines
+    :func:`task_lines`'s; a corrupt manifest or log raises
+    :class:`ValueError` naming the file, as they do.
+    """
+    run_dir = Path(run_dir)
+    rows = _manifest_rows(run_dir)
+    lines = list(task_lines(run_dir))
+    if rows is None and (run_dir / RECORDS_NAME).is_file():
+        rows = _fold(lines)
+    return rows, lines
+
+
+def _manifest_rows(run_dir: Path) -> Optional[List[Dict[str, Any]]]:
+    """The manifest's ``task_records``, or None without a manifest."""
     manifest = run_dir / MANIFEST_NAME
-    if manifest.is_file():
-        try:
-            data = json.loads(manifest.read_text())
-        except ValueError as exc:
-            raise ValueError(f"{manifest}: {exc}") from None
-        records = data.get("task_records") if isinstance(data, dict) else None
-        if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
-            raise ValueError(f"{manifest}: no task_records list of rows")
-        return records
-    if not (run_dir / RECORDS_NAME).is_file():
+    if not manifest.is_file():
         return None
-    rows: Dict[int, Dict[str, Any]] = {}
-    for row in task_lines(run_dir):
-        row.pop("payload", None)
-        row.pop("failure", None)
-        rows[row["index"]] = row
-    return [rows[i] for i in sorted(rows)]
+    try:
+        data = json.loads(manifest.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{manifest}: {exc}") from None
+    records = data.get("task_records") if isinstance(data, dict) else None
+    if not isinstance(records, list) or not all(isinstance(r, dict) for r in records):
+        raise ValueError(f"{manifest}: no task_records list of rows")
+    return records
+
+
+def _fold(lines: Iterable[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Log lines folded by record index, the last line of an index winning,
+    without their payloads or failures (the lines are left as they are)."""
+    last: Dict[int, Dict[str, Any]] = {}
+    for line in lines:
+        last[line["index"]] = line
+    return [
+        {key: value for key, value in last[i].items() if key not in ("payload", "failure")}
+        for i in sorted(last)
+    ]
 
 
 def envelope_json(fields: Dict[str, Any], payload: Payload) -> str:

@@ -104,7 +104,8 @@ class BoundTask:
     def cache_key(self) -> str:
         return digest_of(
             "bound-task",
-            self.problem,
+            self._problem_key,
+            self.problem.goal,
             self.properties,
             self.do_rounding,
             self.run_length,
@@ -119,18 +120,30 @@ class BoundTask:
         Only the QoS fraction may differ inside a group — everything else
         (topology, demand, scope, threshold, costs, class) is part of the
         key, matching what :meth:`Formulation.set_qos_fraction` can re-target.
-        Digested once per task, and cached in ``__dict__`` across pickling.
+        Cached in ``__dict__`` across pickling.
         """
         return self._reuse_key
 
     @cached_property
-    def _reuse_key(self) -> Optional[str]:
-        if not self.reuse_formulation or not isinstance(self.problem.goal, QoSGoal):
-            return None
-        normalized = dataclasses.replace(
-            self.problem, goal=dataclasses.replace(self.problem.goal, fraction=1.0)
+    def _problem_key(self) -> str:
+        """Digest of the problem without its goal: the one walk of the
+        topology and demand both keys derive from, cached in ``__dict__``
+        across pickling."""
+        fields = dataclasses.fields(self.problem)
+        return digest_of(
+            "problem",
+            {f.name: getattr(self.problem, f.name) for f in fields if f.name != "goal"},
         )
-        return digest_of("formulation", normalized, self.properties)
+
+    @cached_property
+    def _reuse_key(self) -> Optional[str]:
+        goal = self.problem.goal
+        if not self.reuse_formulation or not isinstance(goal, QoSGoal):
+            return None
+        return digest_of(
+            "formulation", self._problem_key, dataclasses.replace(goal, fraction=1.0),
+            self.properties,
+        )
 
     def run(self) -> LowerBoundResult:
         problem = self.problem

@@ -81,6 +81,55 @@ def test_qos_fractions_in_unit_interval(case):
             assert -1e-12 <= value <= 1 + 1e-12
 
 
+def qos_by_scope_loop(instance, goal, store):
+    """Reference: each goal scope's reads and covered reads summed as the
+    scope's own ``(demander, interval, object)`` slice."""
+    cov = coverage_matrix(instance, store)
+    reads = instance.qos_reads()
+    num_d, _, num_k = reads.shape
+    if goal.scope is GoalScope.OVERALL:
+        denom = reads.sum()
+        return {"all": float((reads * cov).sum() / denom) if denom > 0 else 1.0}
+    slices = {
+        GoalScope.PER_USER: [(nd, (nd,)) for nd in range(num_d)],
+        GoalScope.PER_OBJECT: [(("k", k), (slice(None), slice(None), k)) for k in range(num_k)],
+        GoalScope.PER_USER_OBJECT: [
+            ((nd, k), (nd, slice(None), k)) for nd in range(num_d) for k in range(num_k)
+        ],
+    }[goal.scope]
+    out = {}
+    for key, at in slices:
+        denom = reads[at].sum()
+        if denom > 0:
+            out[key] = float((reads[at] * cov[at]).sum() / denom)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("scope", list(GoalScope))
+def test_qos_by_scope_equals_the_per_scope_slices_to_the_bit(seed, scope):
+    """Long rows (pairwise-summed by NumPy) and fractional coverage: the
+    row reductions must give each slice's own sums, in its key order."""
+    rng = np.random.default_rng(seed)
+    nodes, intervals, objects = 12, 1 + 9 * (seed % 3), 40 + 30 * seed
+    reads = rng.choice([0.0, 1.0, 2.0, 5.0], size=(nodes, intervals, objects))
+    reads *= rng.random(reads.shape) < 0.6
+    reads[0, :, 0] = 0.0  # a (demander, object) scope without reads
+    topo = as_level_topology(num_nodes=nodes, seed=seed)
+    problem = MCPerfProblem(
+        topology=topo, demand=DemandMatrix(reads=reads),
+        goal=QoSGoal(tlat_ms=150.0, fraction=0.5, scope=scope),
+        warmup_intervals=(seed % 2) * (intervals > 1),
+    )
+    inst = problem.instance(HeuristicProperties())
+    store = rng.random((nodes - 1, intervals, objects)) ** 2 / 3.0
+    got = qos_by_scope(inst, problem.goal, store)
+    want = qos_by_scope_loop(inst, problem.goal, store)
+    assert list(got) == list(want)
+    assert [type(key) for key in got] == [type(key) for key in want]
+    assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(instances())
 def test_creations_telescope(case):

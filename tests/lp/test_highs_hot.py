@@ -4,7 +4,9 @@ The scipy backend keeps its HiGHS instance on the model after an optimal
 solve; a re-solve pushes only what the patch API changed and restarts
 HiGHS's dual simplex from its retained basis.  The invariant: for any
 sequence of patches the hot re-solve lands where a fresh cold solve does,
-in status and objective.
+in status and objective.  A re-solve after row-bound patches alone is
+first answered from the retained basis and factor without running HiGHS,
+and then it is HiGHS's own re-run of that step to the bit.
 """
 
 import copy
@@ -432,3 +434,153 @@ def test_post_solve_row_check_rejects_a_point_breaking_a_row(monkeypatch, excess
         np.testing.assert_array_equal(sol.values, point)
     else:
         assert sol.status is SolveStatus.OPTIMAL
+
+
+# -- re-solves answered from the retained basis ----------------------------------
+
+
+def kept_count():
+    return PERF.get("lp.simplex.basis_kept")
+
+
+def kept_solve(lp):
+    """Solve ``lp``; True with the solution if the retained basis answered it."""
+    kept0, warm0 = kept_count(), PERF.get("lp.simplex.warm_starts")
+    sol = lp.solve(backend="scipy")
+    kept = kept_count() - kept0
+    assert kept in (0, 1)
+    if kept:
+        assert PERF.get("lp.simplex.warm_starts") == warm0 + 1  # a kept solve is warm
+    return bool(kept), sol
+
+
+def forced_run(lp):
+    """Re-solve ``lp`` by pushing its patches to the retained instance and
+    running HiGHS, as every hot re-solve did before bases were kept."""
+    from repro.lp.scipy_backend import highs_core
+
+    run = lp._highs
+    run.push()
+    return run.solve(highs_core())
+
+
+def assert_bit_identical(a, b):
+    assert a.status is b.status
+    assert a.values.tobytes() == b.values.tobytes()
+    assert a.objective == b.objective
+    assert a.duals.tobytes() == b.duals.tobytes()
+
+
+@pytest.mark.parametrize("cls", ["general", "storage-constrained"])
+def test_kept_solve_is_highs_own_rerun_to_the_bit(cls, web_problem):
+    """A drift-sized re-target answered from the retained basis equals, in
+    values, objective and duals, HiGHS re-running the same step on an
+    identical twin formulation."""
+    from repro.core.classes import get_class
+
+    problem, props = web_problem, get_class(cls).properties
+    kept_steps = 0
+    for step in range(4):
+        level, nxt = round(0.9 + step * 1e-4, 4), round(0.9 + (step + 1) * 1e-4, 4)
+        twins = [build_formulation(problem, props) for _ in range(2)]
+        for form in twins:
+            form.set_qos_fraction(level)
+            assert form.lp.solve(backend="scipy").is_optimal
+            form.set_qos_fraction(nxt)
+        kept, sol = kept_solve(twins[0].lp)
+        assert_bit_identical(sol, forced_run(twins[1].lp))
+        kept_steps += kept
+    assert kept_steps == 4
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kept_solve_on_random_lps_is_highs_own_rerun_to_the_bit(seed):
+    rng = np.random.default_rng(seed)
+    twins = [random_lp(seed), random_lp(seed)]
+    for lp in twins:
+        assert lp.solve(backend="scipy").is_optimal
+    row = int(rng.integers(0, twins[0].num_constraints))
+    rhs = twins[0].assembled().rhs()[row] * (1.0 + 1e-6)
+    for lp in twins:
+        lp.set_rhs(row, rhs)
+    kept, sol = kept_solve(twins[0])
+    assert kept
+    assert_bit_identical(sol, forced_run(twins[1]))
+
+
+rhs_step = st.tuples(
+    st.integers(0, 1_000), st.sampled_from([1e-6, 1e-3, 0.05, 0.5]), st.floats(-1.0, 1.0)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000), steps=st.lists(rhs_step, min_size=1, max_size=8))
+def test_rhs_only_sequences_equal_cold_and_keep_only_feasible_points(seed, steps):
+    lp = random_lp(seed)
+    assert_same_outcome(lp.solve(backend="scipy"), cold_solve(lp))
+    for pick, scale, u in steps:
+        row = pick % lp.num_constraints
+        rhs = lp.assembled().rhs()[row]
+        lp.set_rhs(row, rhs + scale * u * max(1.0, abs(rhs)))
+        kept, sol = kept_solve(lp)
+        assert_same_outcome(sol, cold_solve(lp))
+        if kept:
+            a = lp.assembled()
+            activity, _, _ = lp.row_activities(sol.values)
+            assert np.all(sol.values >= a.lb - 1e-7) and np.all(sol.values <= a.ub + 1e-7)
+            assert np.all(activity >= a.row_lower - 1e-7)
+            assert np.all(activity <= a.row_upper + 1e-7)
+            assert sol.objective == float(np.cumsum(a.c * sol.values)[-1])
+
+
+def test_first_solve_keeps_nothing():
+    lp = random_lp(31)
+    before = kept_count()
+    assert lp.solve(backend="scipy").is_optimal
+    assert kept_count() == before
+
+
+def test_a_cost_or_column_bound_patch_runs_highs():
+    lp = random_lp(32)
+    lp.solve(backend="scipy")
+    j = next(j for j in range(lp.num_variables) if lp.assembled().ub[j] > lp.assembled().lb[j])
+    before = kept_count()
+    lp.set_objective(j, lp.assembled().c[j] + 0.25)
+    assert lp.solve(backend="scipy").is_optimal
+    assert kept_count() == before
+    lo, hi = lp.assembled().lb[j], lp.assembled().ub[j]
+    lp.set_bounds(j, lower=lo, upper=hi + 1.0)
+    assert lp.solve(backend="scipy").is_optimal
+    assert kept_count() == before
+    # Row bounds alone, once more: the retained basis answers again.
+    lp.set_rhs(0, lp.assembled().rhs()[0])
+    kept, _ = kept_solve(lp)
+    assert kept
+
+
+def test_a_coarse_jump_that_breaks_feasibility_runs_highs(web_problem):
+    form = build_formulation(web_problem)
+    assert form.lp.solve(backend="scipy").is_optimal
+    before = kept_count()
+    iters0 = PERF.get("lp.simplex.iterations")
+    form.set_qos_fraction(0.99)
+    sol = form.lp.solve(backend="scipy")
+    assert kept_count() == before
+    assert PERF.get("lp.simplex.iterations") > iters0  # HiGHS pivoted to the new vertex
+    assert_same_outcome(sol, cold_solve(form.lp))
+
+
+def test_mutating_a_returned_solution_cannot_change_the_next_kept_solve(web_problem):
+    """The instance keeps its own copies of the point and duals it hands
+    out, after a HiGHS run and after a kept solve alike."""
+    form, twin = build_formulation(web_problem), build_formulation(web_problem)
+    sol = form.lp.solve(backend="scipy")
+    twin.lp.solve(backend="scipy")
+    for level in (0.9001, 0.9002):
+        sol.values[:] = 123.0
+        sol.duals[:] = -7.0
+        for f in (form, twin):
+            f.set_qos_fraction(level)
+        kept, sol = kept_solve(form.lp)
+        assert kept
+        assert_bit_identical(sol, kept_solve(twin.lp)[1])

@@ -166,24 +166,40 @@ def test_run_artifacts_manifest(web_problem, tmp_path):
 
 
 def test_reuse_key_is_digested_once_per_task(web_problem, monkeypatch):
-    """The scheduler's chunking and the task's run share one digest of the
-    problem, also across pickling to a worker."""
+    """The scheduler's chunking, the cache key and the task's run share one
+    walk of the problem's topology and demand, also across pickling to a
+    worker."""
     import pickle
 
+    import repro.runner.digest
     import repro.runner.tasks
+    from repro.topology.graph import Topology
+    from repro.workload.demand import DemandMatrix
 
-    digest = repro.runner.tasks.digest_of
-    calls = []
+    digest, walk = repro.runner.tasks.digest_of, repro.runner.digest._walk
+    calls, walks = [], []
     monkeypatch.setattr(
         repro.runner.tasks, "digest_of", lambda *args: calls.append(args[0]) or digest(*args)
     )
+
+    def counting_walk(h, obj):
+        if isinstance(obj, (Topology, DemandMatrix)):
+            walks.append(type(obj).__name__)
+        walk(h, obj)
+
+    monkeypatch.setattr(repro.runner.digest, "_walk", counting_walk)
     tasks = bound_tasks(web_problem)
     key = tasks[0].reuse_key()
     assert key is not None and tasks[0].reuse_key() == key
-    assert pickle.loads(pickle.dumps(tasks[0])).reuse_key() == key
-    assert calls == ["formulation"]
+    clone = pickle.loads(pickle.dumps(tasks[0]))
+    assert clone.reuse_key() == key
+    assert clone.cache_key() == tasks[0].cache_key()
+    assert calls.count("problem") == 1 and calls.count("formulation") == 1
+    assert sorted(walks) == ["DemandMatrix", "Topology"]
     ExperimentRunner(jobs=1).map(tasks)
+    assert calls.count("problem") == len(tasks)
     assert calls.count("formulation") == len(tasks)
+    assert walks.count("Topology") == walks.count("DemandMatrix") == len(tasks)
 
 
 def test_simulate_task_matches_direct_simulate(small_topology, web_trace):

@@ -539,6 +539,38 @@ def test_audit_command_ignores_a_torn_last_payload_line(artifacts, capsys, tmp_p
     assert rc == 0 and data["violations"] == []
 
 
+@pytest.mark.parametrize("manifest", [True, False])
+def test_audit_command_decodes_the_log_once(artifacts, capsys, tmp_path, monkeypatch, manifest):
+    """`repro audit` checks the run's integrity and audits it from one scan
+    of records.jsonl, and rebuilds the demand once per interval count."""
+    import repro.runner.artifacts
+    from repro.workload.demand import DemandMatrix
+
+    topo_path, trace_path = artifacts
+    run_dir = sweep_with_run_dir(artifacts, tmp_path, f"once-{manifest}")
+    if not manifest:
+        (run_dir / "manifest.json").unlink()
+    scan, decodes = repro.runner.artifacts.scan_jsonl, []
+
+    def counting_scan(raw):
+        decodes.append(getattr(raw, "name", raw))
+        return scan(raw)
+
+    monkeypatch.setattr(repro.runner.artifacts, "scan_jsonl", counting_scan)
+    build, builds = DemandMatrix.from_trace, []
+    monkeypatch.setattr(
+        DemandMatrix, "from_trace",
+        classmethod(lambda cls, *args, **kwargs: builds.append(1) or build(*args, **kwargs)),
+    )
+    capsys.readouterr()
+    rc = main(["audit", str(run_dir), "-t", topo_path, "-w", trace_path, "--json"])
+    data = json.loads(capsys.readouterr().out)
+    assert rc == 0 and data["violations"] == []
+    assert "cost" in data["checks"]  # the cells were rebuilt and re-verified
+    assert len(decodes) == 1 and str(decodes[0]).endswith("records.jsonl")
+    assert len(builds) == 1
+
+
 def test_audit_command_requires_both_inputs(artifacts, capsys, tmp_path):
     run_dir = sweep_with_run_dir(artifacts, tmp_path, "lonely")
     topo_path, _ = artifacts
