@@ -8,9 +8,9 @@ equivalents at Figure-2 scale and records the speedups in
   (``tests/core/formulation_oracle.py``, the equivalence oracle) vs the
   vectorized block builder.  Target: >= 3x.  Each class's build time and
   pickled LP bytes are recorded alongside (report only).
-* **Incremental re-solve** — re-solving after ``fix_var`` patches in place
-  vs a cold solve of a copy of the patched model (what every re-solve cost
-  before patches were kept in place).  Correctness here is counter-based:
+* **Incremental re-solve** — re-solving after ``set_bounds`` fixes columns
+  in place vs a cold solve of a copy of the patched model (what every
+  re-solve cost before patches were kept in place).  Correctness here is counter-based:
   zero rebuilds on the patched path.
 * **Hot re-solve** — QoS re-targets (drift-sized steps and coarse sweep
   levels) re-solved inside the retained HiGHS instance vs cold solves of
@@ -146,7 +146,8 @@ def test_incremental_resolve_speedup(web_problem):
 
     def resolve(force_rebuild):
         for j in store_vars:
-            lp.fix_var(j, 1.0 if solution.values[j] > 0.5 else 0.0)
+            value = 1.0 if solution.values[j] > 0.5 else 0.0
+            lp.set_bounds(j, value, value)
         # The rebuild path solves a copy of the patched model, which starts
         # cold: what every re-solve paid before patches were kept in place.
         target = pickle.loads(pickle.dumps(lp)) if force_rebuild else lp
@@ -603,7 +604,7 @@ def test_write_hot_paths_report():
         "  ----------------  --------  ---------  ---------",
         f"  assembly          {a['legacy_ms']:7.1f}ms {a['vectorized_ms']:7.1f}ms"
         f"  {a['speedup']:7.2f}x",
-        f"  re-solve (fix_var){r['rebuild_ms']:7.1f}ms {r['patched_ms']:7.1f}ms"
+        f"  re-solve (fixed)  {r['rebuild_ms']:7.1f}ms {r['patched_ms']:7.1f}ms"
         f"  {r['speedup']:7.2f}x",
         f"  re-solve (drift)  {w['cold_ms']:7.1f}ms {w['warm_ms']:7.1f}ms"
         f"  {w['speedup']:7.2f}x",

@@ -7,7 +7,7 @@ Two measurements against a real ``repro serve`` subprocess:
   (non-stale 2xx answers per second) and latency percentiles over 2xx
   answers;
 * **crash** — the same workload while the daemon takes an injected
-  ``crash_at_epoch`` kill mid-run and is restarted on the same state
+  ``crash:epoch=`` kill mid-run and is restarted on the same state
   directory and port.  The service's accounting contract is asserted, not
   eyeballed: every request the generator issued resolves to a counted
   outcome (the crash window shows up as connection errors), ``lost`` is
@@ -115,7 +115,7 @@ def test_service_load(tmp_path):
     server = subprocess.Popen(
         serve_cmd(
             topo, crash_state, port,
-            "--epoch-interval", "0.3", "--chaos", "crash_at_epoch=2",
+            "--epoch-interval", "0.3", "--chaos", "crash:epoch=2",
         ),
         stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=serve_env(),
     )

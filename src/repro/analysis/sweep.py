@@ -145,7 +145,6 @@ def sweep_tasks(
     run_length: bool = False,
     backend: str = "scipy",
     reuse_formulation: bool = True,
-    rounding_mode: str = "greedy",
     audit: Optional[str] = None,
 ) -> List["BoundTask"]:
     """The sweep's task graph: one bound task per (class, level).
@@ -170,7 +169,6 @@ def sweep_tasks(
                     run_length=run_length,
                     backend=backend,
                     reuse_formulation=reuse_formulation,
-                    rounding_mode=rounding_mode,
                     label=f"bound[{cls.name}@{level:g}]",
                     audit=audit,
                 )
@@ -187,7 +185,6 @@ def qos_sweep(
     backend: str = "scipy",
     reuse_formulation: bool = True,
     runner: Optional["ExperimentRunner"] = None,
-    rounding_mode: str = "greedy",
     audit: Optional[str] = None,
 ) -> SweepResult:
     """Compute class bounds across QoS levels (the Figure-1 computation).
@@ -222,7 +219,6 @@ def qos_sweep(
         run_length=run_length,
         backend=backend,
         reuse_formulation=reuse_formulation,
-        rounding_mode=rounding_mode,
         audit=audit,
     )
     results = run_tasks(tasks, runner)

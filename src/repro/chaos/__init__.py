@@ -11,10 +11,10 @@ injection to every layer that can fail:
 * the topology fault schedule (zone outages/partitions, node crashes),
 * the workload emulator (flash crowds, diurnal cycles, clock skew).
 
-The legacy ``REPRO_CHAOS`` / ``REPRO_SERVICE_CHAOS`` env grammars parse
-through the same plan (:func:`~repro.chaos.plan.plan_from_task_env`,
-:func:`~repro.chaos.plan.plan_from_service_env`), so old specs keep
-working while new code composes scenarios the old hooks could not.
+The ``REPRO_CHAOS`` and ``REPRO_SERVICE_CHAOS`` environment variables
+(and ``repro serve --chaos``) take the same grammar, restricted to the
+clauses their layer can inject (``parse_plan(spec, layers=…)``), so a spec
+that works there composes unchanged into a campaign.
 
 :mod:`repro.chaos.campaign` executes a plan end-to-end — baseline run,
 supervised chaos run under closed-loop load, invariant checks, report
@@ -28,8 +28,6 @@ from repro.chaos.plan import (
     TaskChaos,
     chaos_draw,
     parse_plan,
-    plan_from_service_env,
-    plan_from_task_env,
 )
 
 __all__ = [
@@ -38,7 +36,5 @@ __all__ = [
     "TaskChaos",
     "chaos_draw",
     "parse_plan",
-    "plan_from_service_env",
-    "plan_from_task_env",
     "run_campaign",
 ]

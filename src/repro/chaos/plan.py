@@ -1,27 +1,20 @@
-"""The unified chaos-plan grammar and its per-layer routing.
+"""The chaos-plan grammar and its per-layer routing.
 
-Fault injection historically lived in three ad-hoc hooks that could not be
-composed into one reproducible scenario:
-
-* ``REPRO_CHAOS`` (``fail=<p>,seed=<n>``) — injected task-attempt failures
-  in the runner scheduler (:mod:`repro.runner.resilience`);
-* ``REPRO_SERVICE_CHAOS`` (``drop=…,slow=…,crash_at_epoch=…``) — dropped
-  connections, slow solves and injected crashes in the placement service
-  (:mod:`repro.service.chaos`);
-* ``--faults`` — seeded topology fault schedules
-  (:mod:`repro.faults.spec`).
-
-A :class:`ChaosPlan` subsumes all three.  One spec string — semicolon-
-separated ``kind:key=value,…`` clauses, with ``kind=value`` shorthand for
-the clause's primary parameter — parses once and routes each clause to the
-layer that injects it:
+One spec string — semicolon-separated ``kind:key=value,…`` clauses, with
+``kind=value`` shorthand for the clause's primary parameter — parses once
+into a :class:`ChaosPlan` and routes each clause to the layer that injects
+it.  It is the only fault-spec grammar: ``repro chaos`` takes clauses of
+every layer, ``REPRO_CHAOS`` (:mod:`repro.runner.resilience`) only
+runner-scheduler clauses, and ``REPRO_SERVICE_CHAOS`` / ``repro serve
+--chaos`` (:mod:`repro.service.chaos`) only service and checkpoint clauses
+(``parse_plan(spec, layers=…)``):
 
 ==================  =========================================================
 layer               clauses
 ==================  =========================================================
 runner scheduler    ``crash:p=<prob>[,seed=<n>]`` — probabilistic
                     :class:`~repro.runner.resilience.ChaosError` per task
-                    attempt (the old ``REPRO_CHAOS fail=``).
+                    attempt.
 service front-end   ``drop:p=…``, ``slow:p=…[,ms=…]`` (optionally windowed
                     with ``epochs=a-b``), ``crash:epoch=<n>`` (die
                     mid-epoch), ``crash:checkpoint=<n>`` (die between
@@ -38,9 +31,8 @@ workload emulator   every :func:`repro.workload.emulate.parse_emulation`
                     ``writes:…``, ``clock_skew:ms=…``.
 ==================  =========================================================
 
-Every probabilistic draw is a SHA-256 of ``(seed, site, counter)`` — the
-idiom both legacy hooks already used — so a fixed-seed plan injects the
-same faults every run.  Parsing failures raise
+Every probabilistic draw is a SHA-256 of ``(seed, site, counter)``, so a
+fixed-seed plan injects the same faults every run.  Parsing failures raise
 :class:`~repro.errors.ValidationError` naming the offending clause.
 """
 
@@ -73,8 +65,8 @@ FAULT_KINDS = (
 def chaos_draw(seed: int, site: str, counter) -> float:
     """The shared deterministic injection draw in ``[0, 1)``.
 
-    Both legacy hooks computed exactly this; centralizing it here makes
-    "same seed → same faults" a property of the engine, not a convention.
+    Every injector draws through here, which makes "same seed → same
+    faults" a property of the engine, not a convention.
     """
     token = f"{seed}:{site}:{counter}".encode()
     return int.from_bytes(hashlib.sha256(token).digest()[:4], "big") / 2**32
@@ -313,8 +305,13 @@ def _normalize_clause(raw: str) -> str:
     return f"{kind}:{primary}={value.strip()}"
 
 
-def parse_plan(spec: str) -> ChaosPlan:
+def parse_plan(spec: str, layers: Optional[Tuple[str, ...]] = None) -> ChaosPlan:
     """Parse a chaos-plan spec string into a :class:`ChaosPlan`.
+
+    ``layers`` restricts the plan to clauses of those layers (``"task"``,
+    ``"service"``, ``"checkpoint"``, ``"faults"``, ``"workload"``), for
+    entry points that can inject only some of them; a clause of any other
+    layer is refused rather than silently dropped.
 
     Raises :class:`~repro.errors.ValidationError` naming the offending
     clause on any grammar error; an empty spec is an error too (an empty
@@ -332,6 +329,12 @@ def parse_plan(spec: str) -> ChaosPlan:
         clause = _normalize_clause(raw)
         clauses.append(clause)
         layer = _clause_layer(clause)
+        if layers is not None and layer not in layers:
+            raise _bad(
+                clause,
+                f"not a {layers[0]}-layer clause; 'repro chaos' runs "
+                "plans for every layer",
+            )
         if layer == "workload":
             # Validated by the emulator's own parser at materialize time;
             # validate eagerly here so a bad plan fails at parse, not mid-run.
@@ -400,87 +403,3 @@ def parse_plan(spec: str) -> ChaosPlan:
         workload_clauses=tuple(workload_clauses),
         **fields,
     )
-
-
-# -- legacy-grammar shims ----------------------------------------------------
-
-
-def plan_from_task_env(raw: str) -> ChaosPlan:
-    """``REPRO_CHAOS`` shim: legacy ``fail=<p>,seed=<n>`` or a plan string.
-
-    The legacy comma grammar re-routes through the unified plan (a
-    ``crash:p=…`` clause); a spec containing ``:`` or ``;`` is parsed as a
-    full plan, of which only runner-layer clauses make sense here.
-    """
-    raw = raw.strip()
-    if ":" in raw or ";" in raw:
-        return parse_plan(raw)
-    fields = {"fail": 0.0, "seed": 0.0}
-    for clause in raw.split(","):
-        name, sep, value = clause.partition("=")
-        name = name.strip()
-        if name not in fields or not sep or not value.strip():
-            raise ValidationError(f"bad REPRO_CHAOS clause: {clause!r}")
-        try:
-            fields[name] = float(value)
-        except ValueError:
-            raise ValidationError(f"bad REPRO_CHAOS clause: {clause!r}") from None
-    if not 0.0 <= fields["fail"] <= 1.0:
-        raise ValidationError(f"bad REPRO_CHAOS clause: fail={fields['fail']:g}")
-    clause = f"crash:p={fields['fail']:g},seed={int(fields['seed'])}"
-    return parse_plan(clause) if fields["fail"] > 0 else ChaosPlan(clauses=(clause,))
-
-
-def plan_from_service_env(raw: str) -> ChaosPlan:
-    """``REPRO_SERVICE_CHAOS`` shim: the legacy comma grammar or a plan string.
-
-    Legacy clauses (``drop=…,slow=…,slow_ms=…,crash_at_epoch=…,
-    crash_checkpoint_at=…,seed=…``) map onto plan clauses one-for-one; a
-    spec containing ``:`` or ``;`` is parsed as a plan directly, restricted
-    to service/checkpoint-layer clauses (topology faults and workload
-    shaping belong to ``--faults`` / ``--workload`` / ``repro chaos``).
-    """
-    raw = raw.strip()
-    if ":" in raw or ";" in raw:
-        plan = parse_plan(raw)
-        for clause in plan.clauses:
-            if _clause_layer(clause) not in ("service", "checkpoint"):
-                raise ValidationError(
-                    f"chaos clause {clause!r} is not a service-layer clause; "
-                    "use 'repro chaos', --faults or --workload for it"
-                )
-        return plan
-    fields = {
-        "drop": 0.0,
-        "slow": 0.0,
-        "slow_ms": 100.0,
-        "crash_at_epoch": -1.0,
-        "crash_checkpoint_at": -1.0,
-        "seed": 0.0,
-    }
-    for clause in raw.split(","):
-        name, sep, value = clause.partition("=")
-        name = name.strip()
-        if name not in fields or not sep or not value.strip():
-            raise ValidationError(f"bad REPRO_SERVICE_CHAOS clause: {clause!r}")
-        try:
-            fields[name] = float(value)
-        except ValueError:
-            raise ValidationError(
-                f"bad REPRO_SERVICE_CHAOS clause: {clause!r}"
-            ) from None
-    translated: List[str] = []
-    seed = int(fields["seed"])
-    if fields["drop"] > 0:
-        translated.append(f"drop:p={fields['drop']:g},seed={seed}")
-    if fields["slow"] > 0:
-        translated.append(
-            f"slow:p={fields['slow']:g},ms={fields['slow_ms']:g},seed={seed}"
-        )
-    if fields["crash_at_epoch"] >= 0:
-        translated.append(f"crash:epoch={int(fields['crash_at_epoch'])}")
-    if fields["crash_checkpoint_at"] >= 0:
-        translated.append(f"crash:checkpoint={int(fields['crash_checkpoint_at'])}")
-    if not translated:
-        return ChaosPlan()
-    return parse_plan(";".join(translated))

@@ -205,15 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "repro.solvers; structure introspects the problem and picks"
         ),
     )
-    bounds.add_argument(
-        "--rounding-mode",
-        choices=["greedy", "iterative"],
-        default="greedy",
-        help=(
-            "greedy = the paper's Appendix-C rounder; iterative = LP-guided "
-            "rounding whose re-solves patch the cached assembly in place"
-        ),
-    )
 
     select = sub.add_parser("select", help="run the §6.1 selection methodology")
     problem_args(select)
@@ -528,12 +519,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--rounding", action="store_true", help="also round each bound to a feasible cost"
     )
-    sweep.add_argument(
-        "--rounding-mode",
-        choices=["greedy", "iterative"],
-        default="greedy",
-        help="rounding algorithm when --rounding is on (see `bounds --help`)",
-    )
 
     aud = sub.add_parser(
         "audit", help="re-verify a completed run directory's artifacts"
@@ -674,7 +659,6 @@ def _cmd_bounds(args) -> int:
         do_rounding=not args.no_rounding,
         backend=args.backend,
         diagnose=True,
-        rounding_mode=args.rounding_mode,
         label=f"bound[{cls.name}]",
         audit=args.audit,
     )
@@ -1223,7 +1207,6 @@ def _cmd_sweep(args) -> int:
         levels=args.levels,
         classes=args.classes,
         do_rounding=args.rounding,
-        rounding_mode=args.rounding_mode,
         runner=runner,
         audit=args.audit,
     )

@@ -147,7 +147,6 @@ def compute_lower_bound(
     keep_store: bool = False,
     formulation: Optional[Formulation] = None,
     diagnose: bool = False,
-    rounding_mode: str = "greedy",
     audit: Optional[str] = None,
     audit_subject: str = "",
     warm_start: Optional[object] = None,
@@ -171,7 +170,7 @@ def compute_lower_bound(
         ``"auto"``/``"scipy"`` solve the monolithic LP with HiGHS;
         ``"tree-dp"`` and ``"decomposed"`` route to the structural
         backends in :mod:`repro.solvers` (which ignore ``formulation``,
-        ``run_length``, ``diagnose`` and ``rounding_mode``); and
+        ``run_length`` and ``diagnose``); and
         ``"structure"`` introspects the problem to pick among them
         (:func:`~repro.solvers.registry.select_backend`).
     keep_store:
@@ -182,12 +181,6 @@ def compute_lower_bound(
         On LP infeasibility, run the constraint-family deletion filter
         (:mod:`repro.lp.diagnose`) and name the binding families in
         ``reason`` — a few extra solves, only on the failure path.
-    rounding_mode:
-        ``"greedy"`` (default) — the paper's Appendix-C closed-form
-        rounder; ``"iterative"`` — LP-guided rounding via the patch API
-        (:func:`~repro.core.rounding.round_solution_iterative`), whose
-        re-solves are assembly-free.  QoS goals only; average-latency
-        goals always use the add-then-trim constructor.
     audit:
         Audit mode (``"off"``/``"fast"``/``"full"``); None reads the
         ``REPRO_AUDIT`` environment variable.  When on, the solve and the
@@ -294,20 +287,11 @@ def compute_lower_bound(
     if do_rounding:
         t0 = time.perf_counter()
         if isinstance(problem.goal, QoSGoal):
-            if rounding_mode == "iterative":
-                from repro.core.rounding import round_solution_iterative
-
-                # audit="off": the certificate runs below with the true
-                # lp_cost, so the bound gate is included exactly once.
-                rounding = round_solution_iterative(
-                    form, solution, backend=backend, audit="off"
-                )
-            elif rounding_mode == "greedy":
-                rounding = round_solution(
-                    form, solution, run_length=run_length, audit="off"
-                )
-            else:
-                raise ValueError(f"unknown rounding mode: {rounding_mode!r}")
+            # audit="off": the certificate runs below with the true
+            # lp_cost, so the bound gate is included exactly once.
+            rounding = round_solution(
+                form, solution, run_length=run_length, audit="off"
+            )
         else:
             from repro.core.rounding_avg import round_average_latency
 

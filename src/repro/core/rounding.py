@@ -560,115 +560,6 @@ def round_solution(
     )
 
 
-def round_solution_iterative(
-    form: Formulation,
-    solution,
-    backend: str = "auto",
-    repair: bool = True,
-    up_threshold: float = 0.9,
-    audit: Optional[str] = None,
-) -> RoundingResult:
-    """LP-guided iterative rounding built on the patch API.
-
-    Alternative to the Appendix-C greedy rounder: repeatedly fix fractional
-    ``store`` variables to a bound (``fix_var``) and re-solve the patched
-    LP, letting the solver re-optimize everything else.  Because fixings go
-    through the patch API, every re-solve is assembly-free — the profile of
-    a rounding run shows exactly one ``lp.assembly.rebuild`` (the initial
-    assembly) and one ``round.iterative.fix`` per fixing.
-
-    Each round fixes every variable at or above ``up_threshold`` to 1 in
-    one batch (one re-solve for many fixings); when none qualify, the
-    single largest fractional variable is pushed up instead.  Pushing up
-    can violate capacity rows (16)/(17), so an infeasible batch falls back
-    to fixing just the largest variable, and an infeasible single fix-up is
-    retried as a fix-down before giving up.
-
-    The original bounds of every touched variable are restored before
-    returning (also via the patch API), so a formulation can be reused
-    across sweep levels afterwards.
-    """
-    from repro.lp.solution import SolveStatus
-
-    if not isinstance(form.problem.goal, QoSGoal):
-        raise TypeError("rounding is defined for the QoS goal metric")
-    lp = form.lp
-    # Patches write these arrays in place; rounding adds no columns.
-    cols = lp.assembled()
-    store_idx = form.store_idx
-    var_list = [int(j) for j in store_idx[store_idx >= 0].ravel()]
-    saved = [(j, float(cols.lb[j]), float(cols.ub[j])) for j in var_list]
-    values = np.asarray(solution.values, dtype=float)
-
-    def fractional():
-        return [
-            j for j in var_list
-            if cols.lb[j] != cols.ub[j]
-            and _FRAC_TOL < values[j] < 1.0 - _FRAC_TOL
-        ]
-
-    num_units = len(fractional())
-    rounded_up = 0
-    rounded_down = 0
-
-    def fix_batch(targets: List[Tuple[int, float]]):
-        nonlocal rounded_up, rounded_down
-        undo = [(j, float(cols.lb[j]), float(cols.ub[j])) for j, _ in targets]
-        for j, value in targets:
-            lp.fix_var(j, value)
-            PERF.count("round.iterative.fix")
-        sol = lp.solve(backend=backend)
-        if sol.status is not SolveStatus.OPTIMAL:
-            for j, lo, up in undo:
-                lp.set_bounds(j, lo, up)
-            return None
-        rounded_up += sum(1 for _, v in targets if v >= 0.5)
-        rounded_down += sum(1 for _, v in targets if v < 0.5)
-        return sol
-
-    def can_reach_one(j: int) -> bool:
-        return cols.ub[j] >= 1.0 - _FRAC_TOL
-
-    try:
-        while True:
-            frac = fractional()
-            if not frac:
-                break
-            batch = [j for j in frac if values[j] >= up_threshold and can_reach_one(j)]
-            sol = fix_batch([(j, 1.0) for j in batch]) if batch else None
-            if sol is None:
-                # No near-integral batch (or it broke a capacity row):
-                # push the single most-committed variable up.
-                j = max(frac, key=lambda idx: values[idx])
-                sol = fix_batch([(j, 1.0)]) if can_reach_one(j) else None
-                if sol is None:
-                    sol = fix_batch([(j, 0.0)])
-                if sol is None:
-                    raise RuntimeError(
-                        f"iterative rounding wedged: fixing variable {j} "
-                        "either way leaves the LP infeasible"
-                    )
-            values = np.asarray(sol.values, dtype=float)
-            solution = sol
-    finally:
-        for j, lo, up in saved:
-            lp.set_bounds(j, lo, up)
-
-    store = form.store_array(values)
-    np.clip(store, 0.0, 1.0, out=store)
-    store[store < _FRAC_TOL] = 0.0
-    store[store > 1.0 - _FRAC_TOL] = 1.0
-    return _finish(
-        form,
-        store,
-        repair,
-        audit,
-        fractional_units=num_units,
-        rounded_up=rounded_up,
-        rounded_down=rounded_down,
-    )
-
-
 def _finish(form: Formulation, store: np.ndarray, repair: bool, audit, **counts) -> RoundingResult:
     """Legalize, repair and price a rounder's integral store.
 

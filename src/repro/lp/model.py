@@ -1,8 +1,8 @@
 """LP model container.
 
 :class:`LinearProgram` holds a minimization LP in the one form HiGHS
-takes, which every reader (the backend, the audits, rounding, branch and
-bound, the diagnosis) reads as well:
+takes, which every reader (the backend and its MIP path, the audits, the
+diagnosis) reads as well:
 
 * columns — float64 arrays ``c``, ``lb`` and ``ub``, with ``+inf`` where a
   column has no upper bound (``-inf`` where it has no lower one);
@@ -22,7 +22,7 @@ the path for MC-PERF's O(N*I*K) families::
 
 Additions are kept as chunks and joined when :meth:`~LinearProgram.assembled`
 runs.  Numeric edits — :meth:`~LinearProgram.set_objective`,
-:meth:`~LinearProgram.set_bounds`, :meth:`~LinearProgram.fix_var`,
+:meth:`~LinearProgram.set_bounds` (``set_bounds(j, v, v)`` fixes a column),
 :meth:`~LinearProgram.set_rhs` — write the joined arrays in place, so a
 re-solve after a patch is assembly-free.
 
@@ -442,11 +442,6 @@ class LinearProgram:
         arrays.lb[index] = lower
         arrays.ub[index] = up
         PERF.count("lp.patch.bound")
-
-    def fix_var(self, index: int, value: float) -> None:
-        """Fix a column to a constant in place."""
-        self.set_bounds(index, value, value)
-        PERF.count("lp.patch.fix_var")
 
     def set_rhs(self, row: int, rhs: float) -> None:
         """Patch one row's right-hand side: the bound (or bounds) its sense selects."""

@@ -24,7 +24,6 @@ Counter names in use across the tree::
     lp.assembly.rebuild   assembled() joined the columns and rows added since its last run
     lp.assembly.reuse     assembled() served the arrays as they stand
     lp.highs.load         timer: loading HiGHS's bindings, once per process (outside lp.solve)
-    lp.patch.fix_var      fix_var() fixed a column in place
     lp.patch.bound        set_bounds() patched column bounds in place
     lp.patch.rhs          set_rhs() patched a row bound in place
     lp.solve              LinearProgram.solve() calls
@@ -39,7 +38,6 @@ Counter names in use across the tree::
     form.retarget         set_qos_fraction() RHS-only re-target
     form.store.pruned     store cells dropped outside their (storer, object) demand window
     form.store.dominated  in-window store cells of dominated (storer, object) pairs, dropped
-    round.iterative.fix   LP-guided rounding fixings (== re-solves)
     audit.lp.rows         LP rows audit_lp_solution checked (its time: timer audit.lp)
     audit.lp.dual         timer: the full audit's weak-duality check (inside audit.lp)
     sim.serve.fast        reads answered from the replica cache (the replay adds them in bulk)

@@ -25,12 +25,12 @@ from installing a signal handler where that is illegal.
 The ``REPRO_CHAOS`` environment variable deterministically injects
 :class:`ChaosError` into execution attempts; CI's chaos smoke job uses it to
 prove a sweep survives an intermittently-failing backend and that
-``--resume`` converges the run afterwards.  The legacy grammar
-(``fail=<probability>,seed=<int>``) and unified chaos-plan clauses
-(``crash:p=…,seed=…``; see :mod:`repro.chaos`) both work — parsing routes
-through :func:`repro.chaos.plan.plan_from_task_env`, is cached per raw
-string (not re-parsed every attempt), and raises
-:class:`~repro.errors.ValidationError` naming the offending clause.
+``--resume`` converges the run afterwards.  It takes the chaos-plan
+grammar (:mod:`repro.chaos`) restricted to the runner layer, i.e.
+``crash:p=<probability>[,seed=<int>]``; parsing is cached per raw string
+(not re-parsed every attempt) and raises
+:class:`~repro.errors.ValidationError` naming the offending clause, also
+for a clause of another layer, which this hook could not inject.
 """
 
 from __future__ import annotations
@@ -262,9 +262,8 @@ def _chaos_spec():
     """The active :class:`~repro.chaos.plan.TaskChaos`, or None when unset.
 
     Parsed once per distinct ``REPRO_CHAOS`` value (workers inherit the
-    env, so each process pays a single parse).  Both the legacy
-    ``fail=<p>,seed=<n>`` grammar and unified plan clauses
-    (``crash:p=…``) are accepted; errors raise
+    env, so each process pays a single parse).  Only runner-layer plan
+    clauses (``crash:p=…``) are accepted; errors raise
     :class:`~repro.errors.ValidationError` naming the offending clause.
     """
     global _CHAOS_CACHE
@@ -274,10 +273,10 @@ def _chaos_spec():
     cached_raw, cached = _CHAOS_CACHE
     if raw == cached_raw:
         return cached
-    from repro.chaos.plan import plan_from_task_env
+    from repro.chaos.plan import parse_plan
 
     try:
-        chaos = plan_from_task_env(raw).task_chaos()
+        chaos = parse_plan(raw, layers=("task",)).task_chaos()
     except ValidationError as exc:
         raise ValidationError(f"{CHAOS_ENV}: {exc}") from None
     _CHAOS_CACHE = (raw, chaos)

@@ -79,8 +79,6 @@ class BoundTask:
     run_length: bool = False
     backend: str = "auto"
     diagnose: bool = False
-    #: "greedy" (Appendix-C) or "iterative" (patch-API LP-guided rounding).
-    rounding_mode: str = "greedy"
     #: Allow RHS-only formulation reuse across tasks sharing ``reuse_key()``.
     reuse_formulation: bool = False
     #: Display name for artifacts/reports; not part of the cache key.
@@ -111,7 +109,6 @@ class BoundTask:
             self.run_length,
             self.backend,
             self.diagnose,
-            self.rounding_mode,
         )
 
     def reuse_key(self) -> Optional[str]:
@@ -173,7 +170,6 @@ class BoundTask:
             backend=self.backend,
             formulation=form,
             diagnose=self.diagnose,
-            rounding_mode=self.rounding_mode,
             audit=self.audit,
             audit_subject=audit_subject,
             warm_start=self.warm_basis,
@@ -219,7 +215,6 @@ class BoundTask:
             "intervals": self.problem.demand.num_intervals,
             "warmup": self.problem.warmup_intervals,
             "backend": self.backend,
-            "rounding_mode": self.rounding_mode,
             "do_rounding": self.do_rounding,
         }
         if isinstance(goal, QoSGoal):

@@ -3,23 +3,13 @@
 Every recovery path the service claims to have must be drivable from a
 test, so the failure modes are injected, not hoped for.  Injection is
 configured by the ``REPRO_SERVICE_CHAOS`` environment variable (or the
-``--chaos`` flag), which accepts both grammars:
+``--chaos`` flag), which takes chaos-plan clauses (:mod:`repro.chaos`)
+restricted to the service and checkpoint layers::
 
-* the legacy comma grammar::
+    REPRO_SERVICE_CHAOS="drop:p=0.1,seed=7;slow:p=0.5,ms=200,seed=7"
+    REPRO_SERVICE_CHAOS="crash:epoch=2;corrupt_checkpoint:at=1"
 
-      REPRO_SERVICE_CHAOS="drop=0.1,slow=0.5,slow_ms=200,seed=7"
-      REPRO_SERVICE_CHAOS="crash_at_epoch=2"
-      REPRO_SERVICE_CHAOS="crash_checkpoint_at=3"
-
-* unified chaos-plan clauses (:mod:`repro.chaos`), restricted to the
-  service/checkpoint layers::
-
-      REPRO_SERVICE_CHAOS="drop:p=0.1,seed=7;slow:p=0.5,ms=200"
-      REPRO_SERVICE_CHAOS="crash:epoch=2;corrupt_checkpoint:at=1"
-
-Both parse through one :class:`~repro.chaos.plan.ChaosPlan`
-(:func:`repro.chaos.plan.plan_from_service_env`), so a spec that works
-here composes unchanged into a ``repro chaos`` campaign.
+A spec that works here composes unchanged into a ``repro chaos`` campaign.
 
 Injection sites:
 
@@ -28,11 +18,11 @@ Injection sites:
     windowed to an epoch range with ``epochs=a-b`` in plan grammar).  A
     dropped connection must surface to clients as a connection error,
     never a hang; a slowdown sleeps ``slow_ms`` inside the solver tier.
-``crash:epoch=<n>`` (legacy ``crash_at_epoch``)
+``crash:epoch=<n>``
     ``os._exit`` while epoch ``n`` is being computed, *before* its journal
     record is written — the "kill -9 mid-epoch" case; recovery replays
     epoch ``n`` from the previous boundary.
-``crash:checkpoint=<n>`` (legacy ``crash_checkpoint_at``)
+``crash:checkpoint=<n>``
     ``os._exit`` after epoch ``n``'s journal append but *before* the
     snapshot is rewritten — the torn-checkpoint case; recovery must take
     the journal record over the stale snapshot.
@@ -54,7 +44,7 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from repro.chaos.plan import chaos_draw, plan_from_service_env
+from repro.chaos.plan import chaos_draw, parse_plan
 
 #: Environment hook configuring service-level fault injection.
 SERVICE_CHAOS_ENV = "REPRO_SERVICE_CHAOS"
@@ -124,8 +114,8 @@ def _crash(where: str) -> None:
 def parse_service_chaos(raw: Optional[str] = None) -> Optional[ServiceChaos]:
     """Parse a chaos spec string (default: the env var); None when unset.
 
-    Accepts the legacy comma grammar and service-layer plan clauses alike;
-    both route through :mod:`repro.chaos.plan`.  Raises
+    Accepts service- and checkpoint-layer plan clauses
+    (:func:`repro.chaos.plan.parse_plan`).  Raises
     :class:`~repro.errors.ValidationError` naming the offending clause.
     """
     if raw is None:
@@ -133,4 +123,4 @@ def parse_service_chaos(raw: Optional[str] = None) -> Optional[ServiceChaos]:
     raw = raw.strip()
     if not raw:
         return None
-    return plan_from_service_env(raw).service_chaos()
+    return parse_plan(raw, layers=("service", "checkpoint")).service_chaos()

@@ -1,4 +1,4 @@
-"""Chaos-plan grammar: parsing, layer routing, shims, deterministic draws."""
+"""Chaos-plan grammar: parsing, layer routing, restricted entry points, draws."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from repro.chaos import (
     TaskChaos,
     chaos_draw,
     parse_plan,
-    plan_from_service_env,
-    plan_from_task_env,
 )
 from repro.errors import ValidationError
 from repro.service.chaos import ServiceChaos
@@ -175,42 +173,89 @@ def test_windowed_injection_only_fires_inside_the_window():
     assert not chaos.should_drop(0, epoch=None)
 
 
-# -- legacy-grammar shims ---------------------------------------------------
+# -- layer-restricted entry points ------------------------------------------
+
+TASK = ("task",)
+SERVICE = ("service", "checkpoint")
 
 
-def test_task_env_legacy_and_plan_grammars_agree():
-    legacy = plan_from_task_env("fail=0.25,seed=3")
-    modern = plan_from_task_env("crash:p=0.25,seed=3")
-    assert legacy.task_chaos() == modern.task_chaos() == TaskChaos(0.25, 3)
+def test_task_layer_plan_projects_task_chaos():
+    plan = parse_plan("crash:p=0.25,seed=3", layers=TASK)
+    assert plan.task_chaos() == TaskChaos(0.25, 3)
 
 
-def test_task_env_fail_zero_is_inert():
-    assert plan_from_task_env("fail=0,seed=3").task_chaos() is None
+def test_task_layer_zero_probability_is_inert():
+    assert parse_plan("crash:p=0,seed=3", layers=TASK).task_chaos() is None
 
 
-@pytest.mark.parametrize("raw", ["fail=lots", "nope=1", "fail=1.5", "fail"])
-def test_task_env_rejects_garbage(raw):
+@pytest.mark.parametrize("raw", ["crash:p=lots", "nope=1", "crash:p=1.5", "crash"])
+def test_task_layer_rejects_garbage(raw):
     with pytest.raises(ValidationError):
-        plan_from_task_env(raw)
+        parse_plan(raw, layers=TASK)
 
 
-def test_service_env_legacy_and_plan_grammars_agree():
-    legacy = plan_from_service_env(
-        "drop=0.1,slow=0.2,slow_ms=250,crash_at_epoch=2,crash_checkpoint_at=1,seed=5"
+def test_service_layer_plan_projects_service_chaos():
+    plan = parse_plan(
+        "drop:p=0.1,seed=5;slow:p=0.2,ms=250;crash:epoch=2;crash:checkpoint=1",
+        layers=SERVICE,
     )
-    modern = plan_from_service_env(
-        "drop:p=0.1,seed=5;slow:p=0.2,ms=250;crash:epoch=2;crash:checkpoint=1"
+    assert plan.service_chaos() == ServiceChaos(
+        drop=0.1, slow=0.2, slow_ms=250.0, crash_at_epoch=2,
+        crash_checkpoint_at=1, seed=5,
     )
-    assert legacy.service_chaos() == modern.service_chaos()
-    assert legacy.service_chaos().seed == 5
 
 
-def test_service_env_rejects_non_service_clauses():
+def test_service_layer_rejects_non_service_clauses():
     with pytest.raises(ValidationError, match="not a service-layer clause"):
-        plan_from_service_env("zoneout:zone=1,at=10,down=5")
+        parse_plan("zoneout:zone=1,at=10,down=5", layers=SERVICE)
     with pytest.raises(ValidationError, match="not a service-layer clause"):
-        plan_from_service_env("crash:p=0.5")
+        parse_plan("crash:p=0.5", layers=SERVICE)
 
 
-def test_service_env_empty_legacy_spec_is_inert():
-    assert plan_from_service_env("drop=0,slow=0").service_chaos() is None
+def test_service_layer_zero_probabilities_are_inert():
+    assert parse_plan("drop:p=0;slow:p=0", layers=SERVICE).service_chaos() is None
+
+
+@pytest.fixture()
+def topo_file(tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "topo.json"
+    assert main(["topology", "--nodes", "6", "--seed", "7", "-o", str(path)]) == 0
+    return path
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "fail=0.5,seed=3",
+        "crash_at_epoch=1",
+        "crash_checkpoint_at=2",
+        "drop=0.1,slow=0.5,slow_ms=200,seed=7",
+    ],
+)
+@pytest.mark.parametrize("entry", ["REPRO_CHAOS", "REPRO_SERVICE_CHAOS", "--chaos"])
+def test_comma_specs_are_refused_everywhere(spec, entry, monkeypatch, capsys, topo_file):
+    """Comma-grammar specs are refused by every entry point, not re-read."""
+    monkeypatch.delenv("REPRO_CHAOS", raising=False)
+    monkeypatch.delenv("REPRO_SERVICE_CHAOS", raising=False)
+    if entry == "REPRO_CHAOS":
+        from repro.runner.resilience import chaos_should_fail
+
+        monkeypatch.setenv(entry, spec)
+        with pytest.raises(ValidationError, match="bad chaos clause"):
+            chaos_should_fail("task-x", 0)
+    elif entry == "REPRO_SERVICE_CHAOS":
+        from repro.service import parse_service_chaos
+
+        monkeypatch.setenv(entry, spec)
+        with pytest.raises(ValidationError, match="bad chaos clause"):
+            parse_service_chaos()
+    else:
+        from repro.cli import main
+
+        # ``serve`` reports the ValidationError and exits 2 before it starts.
+        argv = ["serve", "-t", str(topo_file), "--heuristic", "qiu",
+                "--state-dir", str(topo_file.parent / "state"), "--chaos", spec]
+        assert main(argv) == 2
+        assert "bad chaos clause" in capsys.readouterr().err

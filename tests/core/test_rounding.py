@@ -24,7 +24,6 @@ from repro.core.rounding import (
     _repair,
     _Rounder,
     round_solution,
-    round_solution_iterative,
 )
 from repro.topology.generators import as_level_topology, star_topology
 from repro.workload.demand import DemandMatrix
@@ -545,28 +544,3 @@ def test_greedy_rounding_is_pinned_for_every_class(family, web_problem, group_pr
                 digest.update(_payload_line(rounded))
         digests[cls] = digest.hexdigest()
     assert digests == GREEDY_PINS[family]
-
-
-#: ``round_solution_iterative`` payload digests, with repair on and off.
-ITERATIVE_PINS = {
-    ("web", "general"): "957bc6cb661bba1af8c4b2d0bc7cbef716bbbde8382b45ee62c251fea1a7d5a4",
-    ("web", "storage-constrained"): "1da433ed8be22baf2812f85fed6a3f12818e757d9b5fd5bf1b4507a390d1d35c",
-    ("web", "replica-constrained"): "62140090c4a91dbae2f819884b283ea0a949cda24463b06359fe0fd620e9fe02",
-    ("web", "caching-prefetch"): "8c70c02f276f350b3680d3d9003605adf15b72ef2b43fd429d33d195596b195f",
-    ("group", "general"): "49e90d7ecb574e7139e2f82740bd71540b3cd658edf0fdd1335651ffcb0a3767",
-    ("group", "storage-constrained"): "4c8eedc9a1d58f24652a8c26fc8dbfd67ef4268548c26721efb67400bd7888c5",
-    ("group", "replica-constrained"): "101eb248c7993f625f13bc6232678481f8eb7c2bcfc92e3cce370752f54aebdb",
-    ("group", "caching-prefetch"): "4f7f817aa6a86ec18d6cb0eee524da9178f4cf12092b876d40bd736cc0c19e93",
-}
-
-
-@pytest.mark.parametrize("family, cls", sorted(ITERATIVE_PINS))
-def test_iterative_rounding_is_pinned(family, cls, web_problem, group_problem):
-    problem = {"web": web_problem, "group": group_problem}[family]
-    form = build_formulation(problem, get_class(cls).properties)
-    sol = form.lp.solve().require_optimal()
-    digest = hashlib.sha256()
-    for repair in (True, False):
-        rounded = round_solution_iterative(form, sol, repair=repair, audit="off")
-        digest.update(_payload_line(rounded))
-    assert digest.hexdigest() == ITERATIVE_PINS[family, cls]

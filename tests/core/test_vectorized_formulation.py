@@ -11,7 +11,6 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core.bounds import compute_lower_bound
 from repro.core.classes import FIGURE1_CLASSES, get_class
 from repro.core.formulation import build_formulation
 from repro.perf import PERF
@@ -82,51 +81,3 @@ def test_retarget_reuses_assembly(web_problem):
         form.lp.assembled()
     assert PERF.get("lp.assembly.rebuild") == rebuilds
     assert PERF.get("form.retarget") == retargets + 3
-
-
-# -- iterative (patch-API) rounding ------------------------------------------
-
-
-def test_iterative_rounding_matches_greedy_feasibility(web_problem):
-    greedy = compute_lower_bound(web_problem, None, rounding_mode="greedy")
-    iterative = compute_lower_bound(web_problem, None, rounding_mode="iterative")
-    assert greedy.feasible and iterative.feasible
-    # Both roundings must be valid upper bounds on the same LP lower bound.
-    assert iterative.lp_cost == pytest.approx(greedy.lp_cost, rel=1e-6)
-    assert iterative.feasible_cost >= iterative.lp_cost - 1e-6
-    assert iterative.rounding is not None and iterative.rounding.feasible
-
-
-def test_iterative_rounding_is_assembly_free(web_problem):
-    """The acceptance criterion: zero rebuilds after the initial assembly —
-    every rounding iteration re-solves through the patch API instead."""
-    PERF.reset()
-    result = compute_lower_bound(web_problem, None, rounding_mode="iterative")
-    assert result.feasible
-    assert PERF.get("lp.assembly.rebuild") == 1  # the initial build, nothing else
-    fixes = PERF.get("round.iterative.fix")
-    assert fixes > 0
-    assert PERF.get("lp.patch.fix_var") == fixes
-    assert PERF.get("lp.assembly.reuse") >= 1
-
-
-def test_iterative_rounding_restores_bounds(web_problem):
-    """Rounding must leave the formulation reusable: original bounds back."""
-    from repro.core.rounding import round_solution_iterative
-
-    form = build_formulation(web_problem, None)
-    arrays = form.lp.assembled()
-    saved = (arrays.lb.copy(), arrays.ub.copy())
-    solution = form.lp.solve(backend="auto")
-    result = round_solution_iterative(form, solution)
-    assert result.feasible
-    np.testing.assert_array_equal(arrays.lb, saved[0])
-    np.testing.assert_array_equal(arrays.ub, saved[1])
-    # And the formulation still solves to the same relaxation optimum.
-    again = form.lp.solve(backend="auto")
-    assert again.objective == pytest.approx(solution.objective, abs=1e-6)
-
-
-def test_bounds_rejects_unknown_rounding_mode(web_problem):
-    with pytest.raises(ValueError, match="rounding mode"):
-        compute_lower_bound(web_problem, None, rounding_mode="mystery")

@@ -1,7 +1,7 @@
 """Patch API and assembled-array tests (ISSUE 4 hot-path layer).
 
 The invariant under test throughout: a model mutated through the patch API
-(``fix_var`` / ``set_bounds`` / ``set_rhs`` / ``set_objective``) hands the
+(``set_bounds`` / ``set_rhs`` / ``set_objective``) hands the
 solver exactly the arrays a model built with the patched values would —
 without joining its chunks again.
 """
@@ -95,11 +95,11 @@ def test_bulk_rows_invalidate():
 # -- patches equal a cold rebuild -------------------------------------------
 
 
-def test_fix_var_patches_cached_arrays():
+def test_fixing_a_column_patches_cached_arrays():
     lp = small_lp()
     lp.assembled()
     rebuilds = PERF.get("lp.assembly.rebuild")
-    lp.fix_var(1, 0.75)
+    lp.set_bounds(1, 0.75, 0.75)
     # The patched model never joined again.
     assert PERF.get("lp.assembly.rebuild") == rebuilds
     assert_arrays_match(lp, small_lp(bounds={1: (0.75, 0.75)}))
@@ -141,7 +141,7 @@ def test_ge_rhs_is_the_row_lower_bound():
 def test_patch_before_assembly_is_safe():
     """Patching before any assembly edits the model; every later read sees it."""
     lp = small_lp()
-    lp.fix_var(0, 1.0)
+    lp.set_bounds(0, 1.0, 1.0)
     lp.set_rhs(2, 9.0)
     arrays = lp.assembled()
     assert (arrays.lb[0], arrays.ub[0]) == (1.0, 1.0)
@@ -160,18 +160,18 @@ def test_objective_patches():
 
 
 def test_incremental_resolve_matches_cold_solve():
-    """A solve after fix_var patches equals a cold solve of the fixed model."""
+    """A solve after fixing columns equals a cold solve of the fixed model."""
     lp = bulk_lp()
     lp.solve(backend="auto")  # prime cache via initial solve
     rebuilds = PERF.get("lp.assembly.rebuild")
-    lp.fix_var(0, 1.0)
-    lp.fix_var(3, 0.0)
+    lp.set_bounds(0, 1.0, 1.0)
+    lp.set_bounds(3, 0.0, 0.0)
     warm = lp.solve(backend="auto")
     assert PERF.get("lp.assembly.rebuild") == rebuilds  # assembly-free re-solve
 
     cold = bulk_lp()
-    cold.fix_var(0, 1.0)
-    cold.fix_var(3, 0.0)
+    cold.set_bounds(0, 1.0, 1.0)
+    cold.set_bounds(3, 0.0, 0.0)
     cold_sol = cold.solve(backend="auto")
     assert warm.status == cold_sol.status
     assert warm.objective == pytest.approx(cold_sol.objective, abs=1e-9)

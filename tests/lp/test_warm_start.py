@@ -46,7 +46,8 @@ def apply_random_patch(lp, rng):
         lp.set_bounds(var, lower=0.0, upper=float(rng.uniform(0.5, 3.0)))
     else:
         var = int(rng.integers(0, lp.num_variables))
-        lp.fix_var(var, float(rng.uniform(0.0, 0.5)))
+        value = float(rng.uniform(0.0, 0.5))
+        lp.set_bounds(var, value, value)
 
 
 @settings(max_examples=25, deadline=None)

@@ -248,7 +248,7 @@ def test_poison_task_raises_under_fail_mode(tmp_path):
 
 
 def test_chaos_hook_injects_failures(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "fail=1.0,seed=1")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=1.0,seed=1")
     runner = ExperimentRunner(
         policy=RetryPolicy(retries=1, backoff_s=0.0, on_error="skip")
     )
@@ -259,7 +259,7 @@ def test_chaos_hook_injects_failures(tmp_path, monkeypatch):
 
 
 def test_chaos_draw_is_deterministic(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "fail=0.5,seed=7")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=0.5,seed=7")
     draws = [chaos_should_fail("task-x", attempt) for attempt in range(32)]
     assert draws == [chaos_should_fail("task-x", attempt) for attempt in range(32)]
     assert any(draws) and not all(draws)  # a fair 0.5 coin over 32 flips
@@ -271,7 +271,7 @@ def test_chaos_off_by_default(monkeypatch):
 
 
 def test_chaos_rejects_garbage_spec(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "fail=lots")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=lots")
     with pytest.raises(ValueError, match="REPRO_CHAOS"):
         chaos_should_fail("task-x", 0)
 
@@ -286,11 +286,39 @@ def test_chaos_accepts_unified_plan_grammar(tmp_path, monkeypatch):
     assert failure.error_type == "ChaosError"
 
 
-def test_legacy_and_plan_grammars_draw_identically(monkeypatch):
-    monkeypatch.setenv("REPRO_CHAOS", "fail=0.5,seed=7")
-    legacy = [chaos_should_fail("task-x", a) for a in range(32)]
+#: ``crash:p=0.5,seed=7``'s draws for attempts 0..31 of ``task-x``
+#: (``x`` = injected failure).
+PINNED_DRAWS = "xx.x.x.....xx.x...xx.xxxxx...xxx"
+
+
+def test_plan_grammar_draws_are_pinned(monkeypatch):
+    """A fixed-seed spec injects the same failures from release to release."""
     monkeypatch.setenv("REPRO_CHAOS", "crash:p=0.5,seed=7")
-    assert [chaos_should_fail("task-x", a) for a in range(32)] == legacy
+    draws = "".join("x" if chaos_should_fail("task-x", a) else "." for a in range(32))
+    assert draws == PINNED_DRAWS
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        "drop:p=0.5;flashcrowd:mult=3",
+        "slow:p=0.5",
+        "crash:epoch=1",
+        "corrupt_checkpoint:at=1",
+        "crash:node=2,at=10,down=5",
+        "zoneout:zone=1,at=10,down=5",
+        "crash:p=0.5;flashcrowd:mult=3",
+    ],
+)
+def test_chaos_refuses_clauses_it_cannot_inject(monkeypatch, raw):
+    """A service, checkpoint, fault or workload clause is refused, not
+    silently dropped: the runner can inject only ``crash:p=``."""
+    from repro.errors import ValidationError
+
+    monkeypatch.setenv("REPRO_CHAOS", raw)
+    with pytest.raises(ValidationError, match="not a task-layer clause") as excinfo:
+        chaos_should_fail("task-x", 0)
+    assert "REPRO_CHAOS" in str(excinfo.value)
 
 
 def test_chaos_validation_error_names_the_clause(monkeypatch):
@@ -306,17 +334,17 @@ def test_chaos_spec_is_parsed_once_per_value(monkeypatch):
     """The spec is checked on every attempt; parsing must not be."""
     import repro.chaos.plan as plan_mod
 
-    monkeypatch.setenv("REPRO_CHAOS", "fail=0.5,seed=7")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=0.5,seed=7")
     first = chaos_should_fail("task-x", 0)
 
-    def exploding(raw):
+    def exploding(raw, layers=None):
         raise AssertionError("re-parsed a cached chaos spec")
 
-    monkeypatch.setattr(plan_mod, "plan_from_task_env", exploding)
+    monkeypatch.setattr(plan_mod, "parse_plan", exploding)
     assert chaos_should_fail("task-x", 0) == first  # served from cache
 
     # A *changed* value must re-parse (and here, trip the sentinel).
-    monkeypatch.setenv("REPRO_CHAOS", "fail=0.9,seed=7")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=0.9,seed=7")
     with pytest.raises(AssertionError, match="re-parsed"):
         chaos_should_fail("task-x", 0)
 
@@ -352,7 +380,7 @@ def test_timeout_off_main_thread_degrades_to_one_warning(monkeypatch):
 
 def test_chaos_survivors_are_cached_not_chaos_tainted(tmp_path, monkeypatch):
     """A chaos-failed task leaves no cache entry; survivors do."""
-    monkeypatch.setenv("REPRO_CHAOS", "fail=1.0,seed=1")
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=1.0,seed=1")
     cache = ResultCache(tmp_path / "cache")
     runner = ExperimentRunner(cache=cache, policy=RetryPolicy(on_error="skip"))
     dead = probe(tmp_path, "victim")

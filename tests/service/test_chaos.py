@@ -15,7 +15,7 @@ def test_unset_means_no_chaos(monkeypatch):
 
 def test_parse_full_spec():
     chaos = parse_service_chaos(
-        "drop=0.25,slow=0.5,slow_ms=200,crash_at_epoch=2,crash_checkpoint_at=3,seed=9"
+        "drop:p=0.25,seed=9;slow:p=0.5,ms=200,seed=9;crash:epoch=2;crash:checkpoint=3"
     )
     assert chaos == ServiceChaos(
         drop=0.25,
@@ -28,7 +28,7 @@ def test_parse_full_spec():
 
 
 def test_parse_reads_environment(monkeypatch):
-    monkeypatch.setenv(SERVICE_CHAOS_ENV, "drop=0.5,seed=2")
+    monkeypatch.setenv(SERVICE_CHAOS_ENV, "drop:p=0.5,seed=2")
     chaos = parse_service_chaos()
     assert chaos is not None
     assert chaos.drop == 0.5

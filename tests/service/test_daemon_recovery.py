@@ -178,10 +178,10 @@ def finish_and_compare(topo, state, baseline_result):
 @pytest.mark.parametrize(
     "chaos, expect_note",
     [
-        ("crash_at_epoch=1", "mid-epoch 1"),
+        ("crash:epoch=1", "mid-epoch 1"),
         # After the snapshot_every=2 boundary: the journal record for epoch
         # 3 exists but the snapshot still says epoch 2 — journal must win.
-        ("crash_checkpoint_at=2", "checkpoint after epoch 2"),
+        ("crash:checkpoint=2", "checkpoint after epoch 2"),
     ],
 )
 def test_injected_crash_recovers_and_converges(topo, baseline_result, tmp_path, chaos, expect_note):

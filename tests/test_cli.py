@@ -350,8 +350,8 @@ def test_chaos_sweep_then_resume_converges(artifacts, capsys, tmp_path, monkeypa
         "--json", "--on-error", "skip",
         "--cache-dir", str(tmp_path / "cache"), "--run-dir", str(tmp_path / "runs"),
     ]
-    # Seed 0 deterministically fails 2 of these 4 task labels at fail=0.5.
-    monkeypatch.setenv("REPRO_CHAOS", "fail=0.5,seed=0")
+    # Seed 0 deterministically fails 2 of these 4 task labels at p=0.5.
+    monkeypatch.setenv("REPRO_CHAOS", "crash:p=0.5,seed=0")
     assert main(base) == 0
     captured = capsys.readouterr()
     partial = json.loads(captured.out)
