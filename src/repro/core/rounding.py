@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -234,13 +234,14 @@ class _Rounder:
         # Cached keys (a unit's key tuple ends with the unit) and the heaps
         # they were pushed on; a popped key that is no longer its unit's
         # cached one is stale.  Round-down keys that did not fit the goal
-        # are parked with their goal scopes.
+        # are parked, and indexed by the goal scopes they move.
         self._up_key: List[Optional[tuple]] = [None] * n
         self._down_key: List[Optional[tuple]] = [None] * n
         self._keyed: List[List[Tuple[int, float]]] = [[] for _ in range(n)]
         self._up_heap: List[tuple] = []
         self._down_heap: List[tuple] = []
-        self._parked: Dict[int, Tuple[tuple, frozenset]] = {}
+        self._parked: Dict[int, tuple] = {}
+        self._parked_in: Dict[int, Set[int]] = {}
         self.rounded_up = 0
         self.rounded_down = 0
         #: Unit pricings after the first, one per unit a step touched.
@@ -359,7 +360,7 @@ class _Rounder:
     def _price(self, u: int) -> None:
         """Cache unit ``u``'s round-up key and, when rounding it down saves
         cost, its round-down key and QoS deltas; push the keys."""
-        self._parked.pop(u, None)
+        self._release(u)
         tie = (self._ns[u], self._start[u], self._k[u], u)
         # Round-up: cost over the Figure-6 reward, the reachable demand no
         # integral replica covers yet.
@@ -432,15 +433,29 @@ class _Rounder:
                 continue
             if self._fits(u):
                 return u
-            self._parked[u] = (key, frozenset(scope for scope, _delta in self._keyed[u]))
+            self._parked[u] = key
+            for scope, _delta in self._keyed[u]:
+                self._parked_in.setdefault(scope, set()).add(u)
         return None
+
+    def _release(self, u: int) -> Optional[tuple]:
+        """Take ``u`` out of the parked units; its parked key, if it had one."""
+        key = self._parked.pop(u, None)
+        if key is not None:
+            for scope, _delta in self._keyed[u]:
+                self._parked_in[scope].discard(u)
+        return key
 
     def _unpark(self, u: int) -> None:
         """Return the parked units sharing a goal scope with ``u`` to the
-        round-down heap, after rounding ``u`` up raised those scopes."""
-        raised = {scope for scope, _cells in self._pairs[u]}
-        for v in [v for v, (_key, scopes) in self._parked.items() if not raised.isdisjoint(scopes)]:
-            heapq.heappush(self._down_heap, self._parked.pop(v)[0])
+        round-down heap, after rounding ``u`` up raised those scopes.
+
+        Keys are unique (they end in the unit), so the order they are
+        pushed in cannot change a pick.
+        """
+        for scope, _cells in self._pairs[u]:
+            for v in list(self._parked_in.get(scope, ())):
+                heapq.heappush(self._down_heap, self._release(v))
 
     # -- mutation -------------------------------------------------------------------
 
@@ -460,7 +475,7 @@ class _Rounder:
         self.store[self._ns[u], self._start[u] : self._end[u] + 1, self._k[u]] = target
         self._value[u] = target
         self._pending[u] = False
-        self._parked.pop(u, None)
+        self._release(u)
         left, right = self._left[u], self._right[u]
         if left >= 0:
             self._succ[left] = target

@@ -43,6 +43,8 @@ Counter names in use across the tree::
     sim.serve.fast        reads answered from the replica cache (the replay adds them in bulk)
     sim.serve.scan        reads served by the full scan (fault windows, explicit holders)
     sim.cache.repair      nearest-replica cache column recomputed
+    trace.requests.materialized  a trace built its per-request record view (the
+                                 per-request replay, filter()); zero in a bounds-only run
     service.requests      HTTP requests the placement service accepted
     service.epoch         daemon epochs stepped (also a timer)
     service.cache.hit / service.cache.miss   bound-query result cache

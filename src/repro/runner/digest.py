@@ -14,9 +14,8 @@ are stable across Python versions and process boundaries:
 * dataclasses hash field-by-field in sorted field order;
 * a :class:`~repro.workload.trace.Trace` hashes its name, extent and
   universe sizes, then its four request columns (time, node, object,
-  write flag) from :attr:`~repro.workload.trace.Trace.columns`, which the
-  immutable trace builds once — every later digest of the same trace
-  hashes its arrays without touching a ``Request``;
+  write flag) from :attr:`~repro.workload.trace.Trace.columns`, the
+  arrays the immutable trace is stored as;
 * enums hash by their value; dicts by sorted key.
 """
 

@@ -40,6 +40,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.faults.slo import AvailabilitySLO, apply_slo
 from repro.heuristics.base import PlacementHeuristic
 from repro.simulator.engine import SimulationResult, Simulator
@@ -236,12 +238,14 @@ def shed_to_capacity(
 
 def _epoch_demand(trace: Trace) -> Dict[Tuple[int, int], float]:
     """Per-``(node, obj)`` read counts — the shed-value signal."""
-    demand: Dict[Tuple[int, int], float] = {}
-    for req in trace.requests:
-        if not req.is_write:
-            key = (req.node, req.obj)
-            demand[key] = demand.get(key, 0.0) + 1.0
-    return demand
+    _times, nodes, objects, writes = trace.columns
+    keys, counts = np.unique(
+        nodes[~writes] * trace.num_objects + objects[~writes], return_counts=True
+    )
+    return {
+        divmod(key, trace.num_objects): float(count)
+        for key, count in zip(keys.tolist(), counts.tolist())
+    }
 
 
 @dataclass

@@ -16,11 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.workload.trace import Request, Trace
+from repro.workload.trace import Trace
 
 
 @dataclass
@@ -67,20 +68,24 @@ def _build(
 ) -> ImportedTrace:
     nodes = _Densifier()
     objects = _Densifier()
-    requests: List[Request] = []
+    columns: Tuple[List[float], List[int], List[int], List[bool]] = ([], [], [], [])
     max_time = 0.0
     for time_s, node, obj, op in rows:
         t = float(time_s)
         if t < 0:
             raise ValueError(f"negative timestamp: {t}")
+        if not t < math.inf:
+            raise ValueError(f"request time must be finite and non-negative, got {t}")
         max_time = max(max_time, t)
-        is_write = bool(op) and str(op).strip().lower() in _WRITE_OPS
-        requests.append(Request(t, nodes(node), objects(obj), is_write))
-    if not requests:
+        columns[0].append(t)
+        columns[1].append(nodes(node))
+        columns[2].append(objects(obj))
+        columns[3].append(bool(op) and str(op).strip().lower() in _WRITE_OPS)
+    if not columns[0]:
         raise ValueError("no requests parsed")
     extent = duration_s if duration_s is not None else max_time + 1.0
-    trace = Trace(
-        requests=requests,
+    trace = Trace.from_columns(
+        columns,
         duration_s=extent,
         num_nodes=len(nodes.mapping),
         num_objects=len(objects.mapping),

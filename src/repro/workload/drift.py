@@ -104,20 +104,16 @@ def epoch_slices(trace: Trace, epoch_s: float) -> List[Trace]:
     """
     if epoch_s <= 0:
         raise ValueError("epoch length must be positive")
-    from repro.workload.trace import Request
-
+    times, nodes, objects, writes = trace.columns
     traces: List[Trace] = []
     start = 0.0
     index = 0
     while start < trace.duration_s:
         end = min(start + epoch_s, trace.duration_s)
-        requests = [
-            Request(r.time_s - start, r.node, r.obj, r.is_write)
-            for r in trace.between(start, end)
-        ]
+        lo, hi = np.searchsorted(times, [start, end]).tolist()
         traces.append(
-            Trace(
-                requests=requests,
+            Trace.from_columns(
+                (times[lo:hi] - start, nodes[lo:hi], objects[lo:hi], writes[lo:hi]),
                 duration_s=end - start,
                 num_nodes=trace.num_nodes,
                 num_objects=trace.num_objects,

@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.errors import ValidationError
 from repro.workload.generators import WorkloadSpec, synthetic_workload
-from repro.workload.trace import Request, Trace
+from repro.workload.trace import Trace
 from repro.workload.zipf import zipf_weights
 
 
@@ -346,17 +346,10 @@ def _burst_populations(
 def _skewed(trace: Trace, skew: ClockSkew, epoch: int, epoch_s: float) -> Trace:
     rng = np.random.default_rng(skew.seed + 104_729 * epoch)
     offsets = (rng.random(trace.num_nodes) * 2.0 - 1.0) * skew.ms / 1000.0
-    requests = [
-        Request(
-            min((r.time_s + offsets[r.node]) % epoch_s, epoch_s * (1 - 1e-12)),
-            r.node,
-            r.obj,
-            r.is_write,
-        )
-        for r in trace.requests
-    ]
-    return Trace(
-        requests=requests,
+    times, nodes, objects, writes = trace.columns
+    times = np.minimum((times + offsets[nodes]) % epoch_s, epoch_s * (1 - 1e-12))
+    return Trace.from_columns(
+        (times, nodes, objects, writes),
         duration_s=trace.duration_s,
         num_nodes=trace.num_nodes,
         num_objects=trace.num_objects,

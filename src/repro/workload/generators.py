@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.workload.trace import Request, Trace
+from repro.workload.trace import Trace
 from repro.workload.zipf import zipf_mandelbrot_counts
 
 DAY_S = 86_400.0
@@ -99,8 +99,7 @@ def synthetic_workload(spec: WorkloadSpec) -> Trace:
     Each object's accesses are spread across nodes with a multinomial draw
     proportional to node populations, and across time per
     ``spec.diurnal``.  The draws are made object by object, node by node;
-    the requests are then built in trace order from one ``np.lexsort`` of
-    the collected arrays.
+    the trace sorts the collected arrays once.
     """
     rng = np.random.default_rng(spec.seed)
     pops = (
@@ -127,16 +126,14 @@ def synthetic_workload(spec: WorkloadSpec) -> Trace:
             nodes.append(np.full(int(node_count), node))
             objs.append(np.full(int(node_count), obj))
 
-    requests = []
+    columns = ((), (), (), ())
     if times:
         # Guard the open upper end of the trace extent.
         times = np.minimum(np.concatenate(times), spec.duration_s * (1 - 1e-12))
-        nodes, objs, writes = (np.concatenate(a) for a in (nodes, objs, writes))
-        order = np.lexsort((writes, objs, nodes, times))
-        requests = list(map(Request, *(a[order].tolist() for a in (times, nodes, objs, writes))))
+        columns = (times, *(np.concatenate(a) for a in (nodes, objs, writes)))
 
-    return Trace(
-        requests=requests,
+    return Trace.from_columns(
+        columns,
         duration_s=spec.duration_s,
         num_nodes=spec.num_nodes,
         num_objects=spec.num_objects,
@@ -148,7 +145,7 @@ def synthetic_request_stream(spec: WorkloadSpec, chunk_size: int = 65_536):
     """Stream a :class:`WorkloadSpec` as ``(nodes, times_s, objs, is_write)`` batches.
 
     The streaming counterpart of :func:`synthetic_workload` for traces too
-    large to materialize as :class:`~repro.workload.trace.Request` lists:
+    large to hold in memory as one :class:`~repro.workload.trace.Trace`:
     each yielded batch holds at most ``chunk_size`` requests as parallel
     numpy arrays, ready for
     :meth:`~repro.workload.demand.DemandMatrix.from_stream`.  Requests are
@@ -275,15 +272,15 @@ def flash_crowd_workload(
     start = flash_start_frac * duration_s
     width = flash_duration_frac * duration_s
     node_counts = rng.multinomial(extra, probs)
-    flash_requests = []
-    for node, count in enumerate(node_counts):
-        times = rng.uniform(start, start + width, size=int(count))
-        for t in times:
-            flash_requests.append(
-                Request(min(float(t), duration_s * (1 - 1e-12)), node, flash_object)
-            )
-    return Trace(
-        requests=[*base.requests, *flash_requests],
+    times = [rng.uniform(start, start + width, size=int(count)) for count in node_counts]
+    flash = (
+        np.minimum(np.concatenate(times), duration_s * (1 - 1e-12)),
+        np.repeat(np.arange(len(node_counts)), node_counts),
+        np.full(extra, flash_object),
+        np.zeros(extra, dtype=bool),
+    )
+    return Trace.from_columns(
+        [np.concatenate(pair) for pair in zip(base.columns, flash)],
         duration_s=duration_s,
         num_nodes=num_nodes,
         num_objects=num_objects,

@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.workload.trace import Request, Trace
+from repro.workload.trace import Trace
 
 _FORMAT_VERSION = 1
 
@@ -69,9 +69,19 @@ def trace_from_dict(data: dict) -> Trace:
     if not data["times"]:
         raise ValidationError("trace contains no requests")
 
-    requests = []
-    for idx, (t, n, k, w) in enumerate(zip(*columns)):
-        time_s, node, obj = float(t), int(n), int(k)
+    times, nodes, objects, writes = (
+        np.asarray(column, dtype=dtype)
+        for column, dtype in zip(columns, (np.float64, np.int64, np.int64, np.bool_))
+    )
+    bad = (
+        ~((times >= 0) & (times < duration_s))
+        | (nodes < 0) | (nodes >= num_nodes)
+        | (objects < 0) | (objects >= num_objects)
+    )
+    if bad.any():
+        # Name the first offending row by its index in the file.
+        idx = int(bad.argmax())
+        time_s, node, obj = times[idx].item(), nodes[idx].item(), objects[idx].item()
         if not math.isfinite(time_s) or time_s < 0:
             raise ValidationError(
                 f"request {idx}: time {time_s!r} is negative or non-finite"
@@ -84,13 +94,11 @@ def trace_from_dict(data: dict) -> Trace:
             raise ValidationError(
                 f"request {idx}: node {node} outside [0, {num_nodes})"
             )
-        if not 0 <= obj < num_objects:
-            raise ValidationError(
-                f"request {idx}: object {obj} outside [0, {num_objects})"
-            )
-        requests.append(Request(time_s, node, obj, bool(w)))
-    return Trace(
-        requests=requests,
+        raise ValidationError(
+            f"request {idx}: object {obj} outside [0, {num_objects})"
+        )
+    return Trace.from_columns(
+        (times, nodes, objects, writes),
         duration_s=duration_s,
         num_nodes=num_nodes,
         num_objects=num_objects,

@@ -8,7 +8,7 @@ for Theorem 3's per-access evaluation-interval selection.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,11 +45,8 @@ class WorkloadStats:
 
 def object_counts(trace: Trace) -> np.ndarray:
     """Read counts per object id."""
-    counts = np.zeros(trace.num_objects, dtype=np.int64)
-    for req in trace.requests:
-        if not req.is_write:
-            counts[req.obj] += 1
-    return counts
+    _times, _nodes, objects, writes = trace.columns
+    return np.bincount(objects[~writes], minlength=trace.num_objects)
 
 
 def fit_zipf_exponent(counts: np.ndarray) -> Optional[float]:
@@ -69,10 +66,8 @@ def characterize(trace: Trace) -> WorkloadStats:
     """Compute a :class:`WorkloadStats` summary for a trace."""
     counts = object_counts(trace)
     active = counts[counts > 0]
-    per_node = np.zeros(trace.num_nodes, dtype=np.int64)
-    for req in trace.requests:
-        if not req.is_write:
-            per_node[req.node] += 1
+    _times, nodes, _objects, writes = trace.columns
+    per_node = np.bincount(nodes[~writes], minlength=trace.num_nodes)
     return WorkloadStats(
         name=trace.name,
         num_requests=len(trace),
@@ -101,33 +96,16 @@ def min_interarrival(
 
     Returns ``(m1, m2)``; ``m2 == inf`` when no second distinct gap exists.
     """
-    groups: Dict[int, List[float]] = {}
+    times, nodes, _objects, _writes = trace.columns
     if interaction is None:
-        times = sorted(r.time_s for r in trace.requests)
-        gaps = _distinct_gaps(times)
+        gaps = np.diff(times)
     else:
-        interaction = np.asarray(interaction)
-        gaps = []
         # Times visible to each node = accesses on nodes in its sphere.
-        for n in range(trace.num_nodes):
-            groups[n] = []
-        for req in trace.requests:
-            for n in range(trace.num_nodes):
-                if interaction[n][req.node]:
-                    groups[n].append(req.time_s)
-        for times in groups.values():
-            gaps.extend(_distinct_gaps(sorted(times)))
-    gaps = sorted(set(gaps))
+        sees = np.asarray(interaction, dtype=bool)[:, nodes]
+        gaps = np.concatenate([np.diff(times[sees[n]]) for n in range(trace.num_nodes)])
+    gaps = np.unique(gaps[gaps > 0]).tolist()
     if not gaps:
         return float("inf"), float("inf")
     m1 = gaps[0]
     m2 = gaps[1] if len(gaps) > 1 else float("inf")
     return m1, m2
-
-
-def _distinct_gaps(sorted_times: List[float]) -> List[float]:
-    return [
-        b - a
-        for a, b in zip(sorted_times, sorted_times[1:])
-        if b - a > 0
-    ]

@@ -111,8 +111,10 @@ def test_digest_of_trace_is_order_sensitive():
 
 
 def _request_walk_digest(trace):
-    """The per-request digest walk the column cache replaced (the oracle):
-    each column rebuilt from the ``Request`` objects, in trace order."""
+    """The per-request digest walk: each column rebuilt from the request
+    records, in trace order.  The records are a view of the columns, so
+    the literal pins in ``tests/workload/test_trace_pins.py`` anchor the
+    bytes themselves."""
     import hashlib
 
     from repro.runner.digest import SCHEMA_VERSION, _walk
@@ -156,29 +158,25 @@ def test_trace_digest_matches_the_request_walk(built):
     assert digest_of(trace) == _request_walk_digest(trace)
 
 
-def test_trace_columns_are_built_once(monkeypatch):
+def test_trace_digest_never_builds_the_request_view():
+    from repro.perf import PERF
     from repro.workload.generators import web_workload
 
     trace = web_workload(num_nodes=5, num_objects=12, requests_scale=0.002, seed=3)
-    calls = []
-    fromiter = np.fromiter
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs.get("dtype"))
-        return fromiter(*args, **kwargs)
-
-    monkeypatch.setattr(np, "fromiter", counting)
+    before = PERF.get("trace.requests.materialized")
     digests = {digest_of(trace) for _ in range(5)}
     assert len(digests) == 1
-    assert len(calls) == 4  # one build: four columns
+    assert "requests" not in trace.__dict__
+    assert PERF.get("trace.requests.materialized") == before
+    assert trace.columns is trace.columns
 
 
-def test_pickled_trace_rebuilds_read_only_columns():
+def test_pickled_trace_keeps_read_only_columns():
     import pickle
 
     trace = _trace([Request(1.0, 0, 0), Request(2.0, 1, 1, True)])
     before = digest_of(trace)
     copy = pickle.loads(pickle.dumps(trace))
-    assert "columns" not in copy.__dict__
+    assert "requests" not in copy.__dict__
     assert digest_of(copy) == before
     assert not any(column.flags.writeable for column in copy.columns)

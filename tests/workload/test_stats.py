@@ -79,3 +79,38 @@ def test_min_interarrival_duplicate_timestamps_skipped():
     t = make_trace([(5, 0, 0), (5, 1, 0), (8, 0, 0)])
     m1, _ = min_interarrival(t)
     assert m1 == pytest.approx(3.0)
+
+
+def _loop_gaps(times):
+    return [b - a for a, b in zip(times, times[1:]) if b - a > 0]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_column_statistics_match_a_walk_over_the_records(seed):
+    from repro.simulator.continuous import _epoch_demand
+    from repro.workload.drift import drifting_traces
+
+    trace = drifting_traces(
+        4, 7, epochs=1, epoch_s=50.0, requests_per_epoch=120, write_fraction=0.3, seed=seed
+    )[0]
+    reads = [r for r in trace.requests if not r.is_write]
+    counts = [0] * trace.num_objects
+    per_node = [0] * trace.num_nodes
+    demand = {}
+    for r in reads:
+        counts[r.obj] += 1
+        per_node[r.node] += 1
+        demand[(r.node, r.obj)] = demand.get((r.node, r.obj), 0.0) + 1.0
+    assert object_counts(trace).tolist() == counts
+    assert characterize(trace).reads_per_node.tolist() == per_node
+    assert _epoch_demand(trace) == demand
+
+    rng = np.random.default_rng(seed)
+    interaction = rng.random((4, 4)) < 0.5
+    gaps = []
+    for n in range(trace.num_nodes):
+        gaps += _loop_gaps([r.time_s for r in trace.requests if interaction[n][r.node]])
+    gaps = sorted(set(gaps)) + [math.inf, math.inf]
+    assert min_interarrival(trace, interaction) == (gaps[0], gaps[1])
+    everything = sorted(set(_loop_gaps([r.time_s for r in trace.requests])))
+    assert min_interarrival(trace) == (everything[0], everything[1])
