@@ -3,8 +3,8 @@
 Runs the CI campaign plan — flash crowd + zone partition + injected daemon
 crash + checkpoint corruption + slow solves — through
 :func:`repro.chaos.run_campaign` and records what the engine measured:
-invariant verdicts, supervised restarts, load accounting, brownout
-counters, and wall-clock split between the baseline and chaos phases.
+invariant verdicts, supervised restarts, load accounting, degrade-ladder
+tier counts, and wall-clock split between the baseline and chaos phases.
 
 Results land in ``benchmarks/out/chaos_campaign.txt`` (table) and
 ``benchmarks/out/BENCH_chaos.json`` (machine-readable record).
@@ -51,8 +51,10 @@ def test_chaos_campaign(tmp_path):
     assert report.load["lost"] == 0
     # Server counters plus what the client saw, as overload_adaptation
     # counts them: a crash can beat the last /stats poll of a launch.
-    engaged = sum(report.brownout.values()) + report.load["shed"] + report.load["stale"]
-    assert engaged > 0, "brownout ladder never engaged"
+    tiers = report.tiers
+    engaged = (tiers["approx"] + tiers["stale"] + tiers["shed"]
+               + report.load["shed"] + report.load["stale"])
+    assert engaged > 0, "degrade ladder never engaged"
     assert report.baseline_digest == report.recovered_digest
 
     record = {
@@ -66,7 +68,7 @@ def test_chaos_campaign(tmp_path):
         "restarts": report.restarts,
         "launches": len(report.launches),
         "load": report.load,
-        "brownout": report.brownout,
+        "tiers": report.tiers,
     }
     OUT_DIR.mkdir(exist_ok=True)
     (OUT_DIR / "BENCH_chaos.json").write_text(json.dumps(record, indent=2) + "\n")
@@ -85,9 +87,7 @@ def test_chaos_campaign(tmp_path):
         f"  load: issued={report.load['issued']} ok={report.load['ok']} "
         f"shed={report.load['shed']} stale={report.load['stale']} "
         f"conn={report.load['connection_errors']} lost={report.load['lost']}",
-        f"  brownout: approx={report.brownout.get('approx_served', 0)} "
-        f"stale={report.brownout.get('stale_served', 0)} "
-        f"shed={report.brownout.get('shed_hard', 0)}",
+        "  tiers: " + " ".join(f"{k}={v}" for k, v in report.tiers.items()),
         f"  {inv}",
         "",
         "  recovery converged byte-identically with the uninterrupted baseline",

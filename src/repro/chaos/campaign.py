@@ -31,10 +31,11 @@ Then the invariants are checked, each one a promise another module makes:
     The recovered artifact passes
     :func:`~repro.audit.certificates.audit_continuous_result`.
 ``overload_adaptation``
-    The brownout ladder actually engaged under load — approximate solves,
-    TTL-bounded stale answers or accounted hard sheds
-    (``service.brownout.*`` counters, or the 429s and stale answers the
-    load generator saw), never silent degradation.
+    The degrade ladder actually engaged under load — approximate solves,
+    TTL-bounded stale answers or accounted sheds (the ``approx``,
+    ``stale`` and ``shed`` tier counts of ``/stats``' policy block, or the
+    429s and stale answers the load generator saw), never silent
+    degradation.
 ``service_completed``
     The final launch exited 0 within the restart budget.
 
@@ -62,8 +63,11 @@ from repro.errors import ValidationError
 #: Exit status of an injected service crash (repro.service.chaos).
 CHAOS_EXIT = 57
 
+#: The degrade-ladder tiers ``overload_adaptation`` counts as engagement.
+DEGRADED_TIERS = ("approx", "stale", "shed")
+
 #: Bound-heavy query mix: enough concurrent solver work to push the
-#: admission queue past the brownout threshold, with cheap lookups mixed in
+#: admission depth past the approx threshold, with cheap lookups mixed in
 #: so the cheap path's availability under pressure is exercised too.
 CAMPAIGN_MIX: Sequence[Dict[str, object]] = tuple(
     [{"kind": "placement"}, {"kind": "cost"}]
@@ -90,7 +94,7 @@ class CampaignReport:
     launches: List[Dict[str, object]] = field(default_factory=list)
     restarts: int = 0
     load: Dict[str, object] = field(default_factory=dict)
-    brownout: Dict[str, int] = field(default_factory=dict)
+    tiers: Dict[str, int] = field(default_factory=dict)
     baseline_digest: str = ""
     recovered_digest: str = ""
     duration_s: float = 0.0
@@ -114,7 +118,7 @@ class CampaignReport:
             "launches": self.launches,
             "restarts": self.restarts,
             "load": self.load,
-            "brownout": self.brownout,
+            "tiers": self.tiers,
             "baseline_digest": self.baseline_digest,
             "recovered_digest": self.recovered_digest,
             "duration_s": self.duration_s,
@@ -130,7 +134,7 @@ class CampaignReport:
             f"  launches={len(self.launches)} restarts={self.restarts} "
             f"load_issued={self.load.get('issued', 0)} "
             f"lost={self.load.get('lost', 0)} "
-            f"brownout={self.brownout}"
+            f"tiers={self.tiers}"
         )
         verdict = "PASSED" if self.passed else "FAILED"
         lines.append(f"-> campaign {verdict} in {self.duration_s:.1f}s")
@@ -139,7 +143,7 @@ class CampaignReport:
 
 def _campaign_topology(num_nodes: int, num_zones: int):
     """The campaign's fixed scenario: a zoned line (a tree, so every solver
-    backend — including the brownout ``structure`` path — has its exact
+    backend — including the approx tier's ``structure`` path — has its exact
     regime available)."""
     from repro.topology.generators import line_topology
     from repro.topology.graph import Topology
@@ -290,9 +294,7 @@ def run_campaign(
     }
 
     total_load = LoadReport()
-    brownout_totals: Dict[str, int] = {
-        "approx_served": 0, "stale_served": 0, "shed_hard": 0
-    }
+    tier_totals = dict.fromkeys(("exact",) + DEGRADED_TIERS, 0)
     chaos_spec = plan.service_spec()
     final_code: Optional[int] = None
     failure_detail = ""
@@ -358,10 +360,9 @@ def run_campaign(
             }
         )
         if last_stats:
-            for key in brownout_totals:
-                brownout_totals[key] += int(
-                    (last_stats.get("brownout") or {}).get(key, 0)
-                )
+            tiers = (last_stats.get("policy") or {}).get("tiers") or {}
+            for key in tier_totals:
+                tier_totals[key] += int(tiers.get(key, 0))
         if code == CHAOS_EXIT:
             # An injected crash: supervise.  Restarts run the plan minus
             # its one-shot clauses — a deterministic crash would otherwise
@@ -372,7 +373,7 @@ def run_campaign(
         final_code = code
         break
     report.load = total_load.to_dict()
-    report.brownout = brownout_totals
+    report.tiers = tier_totals
 
     # -- invariants ----------------------------------------------------------
     report.check(
@@ -406,8 +407,9 @@ def run_campaign(
     # generator itself saw count as evidence too.
     report.check(
         "overload_adaptation",
-        sum(brownout_totals.values()) + total_load.shed + total_load.stale > 0,
-        f"brownout counters {brownout_totals}, client saw "
+        sum(tier_totals[t] for t in DEGRADED_TIERS) + total_load.shed + total_load.stale
+        > 0,
+        f"tier counts {tier_totals}, client saw "
         f"shed={total_load.shed} stale={total_load.stale}",
     )
     report.duration_s = time.monotonic() - t_start

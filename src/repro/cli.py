@@ -421,19 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--admission-limit", type=int, default=8, metavar="N",
-        help="concurrent bound solves before requests are shed with 429",
-    )
-    serve.add_argument(
-        "--retry-after", type=float, default=1.0, metavar="S",
-        help="Retry-After hint on shed requests",
-    )
-    serve.add_argument(
-        "--breaker-failures", type=int, default=3, metavar="N",
-        help="consecutive solver failures before the circuit opens",
-    )
-    serve.add_argument(
-        "--breaker-cooldown", type=float, default=5.0, metavar="S",
-        help="open-state cooldown before a half-open probe",
+        help="concurrent bound solves before queries are answered stale or "
+             "shed with 429; past half of it, solves go approximate",
     )
     serve.add_argument(
         "--solve-timeout", type=float, default=30.0, metavar="S",
@@ -450,16 +439,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--chaos", default=None, metavar="SPEC",
         help="fault-injection spec (overrides $REPRO_SERVICE_CHAOS); see docs/CHAOS.md",
-    )
-    serve.add_argument(
-        "--brownout-depth", type=float, default=0.5, metavar="FRACTION",
-        help="admission-queue fill fraction past which bound solves degrade "
-             "to the approximate path (marked approx:true)",
-    )
-    serve.add_argument(
-        "--stale-ttl", type=float, default=60.0, metavar="S",
-        help="max age of a last-known-good answer served while shedding or "
-             "with the breaker open",
     )
     serve.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -503,7 +482,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     chaos.add_argument(
         "--admission-limit", type=int, default=2, metavar="N",
-        help="small on purpose: the campaign must push the service into brownout",
+        help="small on purpose: the campaign must push the service down its "
+             "degrade ladder",
     )
     chaos.add_argument("--load-workers", type=int, default=6, metavar="N")
     chaos.add_argument("--json", action="store_true", help="machine-readable output")
@@ -986,9 +966,8 @@ def _cmd_serve(args) -> int:
     from repro.runner import ContinuousTask
     from repro.runner.artifacts import atomic_write_text
     from repro.service import (
-        AdmissionQueue,
         CheckpointStore,
-        CircuitBreaker,
+        DegradePolicy,
         PlacementDaemon,
         PlacementService,
         Supervisor,
@@ -1050,29 +1029,16 @@ def _cmd_serve(args) -> int:
     if resumed_at:
         print(f"serve: recovered checkpoint, resuming at epoch {resumed_at}", file=sys.stderr)
     supervisor = Supervisor(daemon, max_restarts=args.max_restarts)
-    from repro.service import BrownoutController
-
-    admission = AdmissionQueue(
-        limit=args.admission_limit, retry_after_s=args.retry_after
-    )
     try:
-        brownout = BrownoutController(
-            admission,
-            brownout_depth=args.brownout_depth,
-            stale_ttl_s=args.stale_ttl,
-        )
+        policy = DegradePolicy(limit=args.admission_limit)
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
     service = PlacementService(
         daemon,
-        admission=admission,
-        breaker=CircuitBreaker(
-            failure_threshold=args.breaker_failures, cooldown_s=args.breaker_cooldown
-        ),
+        policy=policy,
         supervisor=supervisor,
         chaos=chaos,
-        brownout=brownout,
         solve_timeout_s=args.solve_timeout,
     )
 

@@ -49,9 +49,13 @@ Counter names in use across the tree::
     service.epoch         daemon epochs stepped (also a timer)
     service.cache.hit / service.cache.miss   bound-query result cache
     service.coalesced     queries folded into an identical in-flight solve
-    service.shed          admission-queue rejections (HTTP 429)
+    service.tier.exact / service.tier.approx / service.tier.stale
+                          bound answers (HTTP 200) by degrade-ladder tier, one each
+    service.tier.shed     bound queries refused: HTTP 429 (admission full) or
+                          503 (breaker open), no fresh last-known-good answer
+    service.stale.expired last-known-good answers too old to serve
     service.deadline      per-request deadlines that expired (HTTP 504)
-    service.stale         degraded last-known-good answers (stale=true)
+    service.error         bound solves that failed (HTTP 500)
     service.breaker.trip  circuit breaker transitions to open
     service.drop          connections dropped by chaos injection
     service.recover       daemon restarts that resumed from a checkpoint

@@ -13,15 +13,11 @@ This package keeps answering — robustness-first:
   write-ahead journal + atomic snapshots (:mod:`repro.service.checkpoint`),
   so a ``kill -9`` mid-epoch restarts from the last epoch boundary and
   converges to the same placements an uninterrupted run produces;
-* :mod:`repro.service.admission` / :mod:`repro.service.breaker` — overload
-  and failure hardening: a bounded admission queue shedding load with
-  429-style rejections, and a circuit breaker around the solver tier
-  (:mod:`repro.solvers.registry`) that trips on repeated timeouts and
-  degrades to serving last-known-good answers marked ``stale``;
-* :mod:`repro.service.brownout` — tiered overload adaptation above the
-  admission queue: past a pressure threshold bound solves degrade to a
-  cheap approximation (``approx: true``), and shed requests are answered
-  from a TTL-bounded last-known-good store before the 429 goes out;
+* :mod:`repro.service.policy` — overload and failure hardening as one
+  degrade ladder: by admission depth and circuit-breaker state each bound
+  query is answered ``exact``, ``approx`` (a cheap one-interval bound),
+  ``stale`` (a TTL-bounded last-known-good answer with its age) or
+  ``shed`` (429 when admission is full, 503 when the breaker is open);
 * :mod:`repro.service.chaos` — deterministic ``REPRO_SERVICE_CHAOS`` fault
   injection (dropped connections, slow solves, crash-on-checkpoint, torn
   checkpoints), one injector of the unified :mod:`repro.chaos` plan
@@ -37,25 +33,20 @@ Entry point: ``repro serve`` (see :mod:`repro.cli`); docs in
 
 from __future__ import annotations
 
-from repro.service.admission import AdmissionQueue, QueueFullError
-from repro.service.breaker import BreakerOpenError, CircuitBreaker
-from repro.service.brownout import BrownoutController
 from repro.service.chaos import SERVICE_CHAOS_ENV, ServiceChaos, parse_service_chaos
 from repro.service.checkpoint import CheckpointStore
 from repro.service.client import ServiceClient
 from repro.service.daemon import PlacementDaemon, Supervisor
 from repro.service.loadgen import run_load
+from repro.service.policy import BreakerOpenError, DegradePolicy
 from repro.service.server import PlacementService
 
 __all__ = [
-    "AdmissionQueue",
     "BreakerOpenError",
-    "BrownoutController",
     "CheckpointStore",
-    "CircuitBreaker",
+    "DegradePolicy",
     "PlacementDaemon",
     "PlacementService",
-    "QueueFullError",
     "SERVICE_CHAOS_ENV",
     "ServiceChaos",
     "ServiceClient",

@@ -40,8 +40,8 @@ class LoadReport:
     duration_s: float = 0.0
     issued: int = 0
     ok: int = 0
-    shed: int = 0  # 429: admission rejected, Retry-After honoured
-    stale: int = 0  # 200 with stale=true: breaker-degraded answers
+    shed: int = 0  # 429: admission full and no fresh LKG, Retry-After honoured
+    stale: int = 0  # 200 with stale=true: LKG answers, breaker open or admission full
     unready: int = 0  # 503: not ready / circuit open with no LKG
     errors: int = 0  # other non-2xx (400/404/500/504)
     connection_errors: int = 0  # refused / reset / chaos-dropped

@@ -16,7 +16,7 @@ Endpoints
     Readiness: 503 until the daemon has completed (or recovered) at least
     one epoch, 200 afterwards.
 ``GET /stats``
-    Admission, breaker, cache, checkpoint, supervisor and perf-counter
+    Degrade-policy, cache, checkpoint, supervisor and perf-counter
     snapshot.
 ``POST /query``
     JSON body, dispatched on ``kind``:
@@ -26,33 +26,30 @@ Endpoints
     * ``cost`` — serve cost / migration / availability aggregates over
       completed epochs (cheap);
     * ``bound`` — a lower-bound solve for a heuristic class against one
-      epoch's workload (expensive: admission-gated, breaker-guarded,
-      cached, single-flighted).
+      epoch's workload (expensive: cached, single-flighted and answered
+      through the degrade ladder).
 
-Hardening on the ``bound`` path, in order:
+A bound query walks, in order:
 
-1. **admission** — over ``--admission-limit`` concurrent solves the
-   request is shed with 429 + ``Retry-After`` (never queued);
-2. **cache** — results are keyed by the runner's content digest
+1. **cache** — results are keyed by the runner's content digest
    (:meth:`~repro.runner.tasks.BoundTask.cache_key`), so a repeated query
    is a dict hit, not a second solve;
-3. **single-flight** — concurrent identical queries coalesce onto one
+2. **single-flight** — concurrent identical queries coalesce onto one
    in-flight solve and all receive its result (this is the service's
    batching strategy: dedup beats reorder for an idempotent,
    content-addressed workload);
+3. **degrade ladder** (:mod:`repro.service.policy`) — the admission depth
+   picks an exact or an approximate (one interval, ``structure`` backend,
+   ``"approx": true``) solve; with the breaker open or every admission
+   slot taken, the class's last-known-good answer within its TTL is served
+   with ``"stale": true`` and ``age_s``, else the query is shed (429 +
+   ``Retry-After`` when admission is full, 503 when the breaker is open);
 4. **deadline** — ``deadline_ms`` in the body bounds the wait; expiry is
    504 and counts a breaker failure (the guard inside the solver thread
-   cannot observe the caller abandoning it);
-5. **circuit breaker** — while open, solves are refused instantly and the
-   service degrades to the last-known-good answer for that class, marked
-   ``"stale": true``, or 503 when none exists yet.
+   cannot observe the caller abandoning it).
 
-Overload adaptation (:mod:`repro.service.brownout`) sits across 1–3:
-when admission-queue depth crosses the brownout threshold, bound solves
-switch to a cheap approximation (one demand interval, ``structure``
-backend) marked ``"approx": true``; when admission sheds, a
-last-known-good answer within the staleness TTL is served before the
-429 goes out.  Both are counted under ``service.brownout.*``.
+Every 200 bound answer carries its ``tier`` (exact / approx / stale),
+counted once under ``service.tier.*``.
 """
 
 from __future__ import annotations
@@ -71,11 +68,15 @@ from repro.core.problem import MCPerfProblem
 from repro.core.properties import Knowledge
 from repro.perf import PERF
 from repro.runner.digest import digest_of
-from repro.service.admission import AdmissionQueue, QueueFullError
-from repro.service.breaker import OPEN, BreakerOpenError, CircuitBreaker
-from repro.service.brownout import BrownoutController
 from repro.service.chaos import ServiceChaos
 from repro.service.daemon import PlacementDaemon, Supervisor
+from repro.service.policy import (
+    ADMISSION_FULL,
+    APPROX,
+    BREAKER_OPEN,
+    BreakerOpenError,
+    DegradePolicy,
+)
 from repro.solvers.registry import (
     BACKEND_STRUCTURE,
     BOUND_BACKENDS,
@@ -109,21 +110,17 @@ class PlacementService:
         self,
         daemon: PlacementDaemon,
         *,
-        admission: Optional[AdmissionQueue] = None,
-        breaker: Optional[CircuitBreaker] = None,
+        policy: Optional[DegradePolicy] = None,
         supervisor: Optional[Supervisor] = None,
         chaos: Optional[ServiceChaos] = None,
-        brownout: Optional[BrownoutController] = None,
         solve_timeout_s: float = 30.0,
         cache_size: int = 256,
         bound_intervals: int = 4,
     ):
         self.daemon = daemon
-        self.admission = admission or AdmissionQueue()
-        self.breaker = breaker or CircuitBreaker()
+        self.policy = policy or DegradePolicy()
         self.supervisor = supervisor
         self.chaos = chaos
-        self.brownout = brownout or BrownoutController(self.admission)
         self.solve_timeout_s = solve_timeout_s
         self.bound_intervals = bound_intervals
         self._cache: "collections.OrderedDict[str, Dict[str, object]]" = (
@@ -144,7 +141,6 @@ class PlacementService:
         self.coalesced = 0
         self.cache_hits = 0
         self.cache_misses = 0
-        self.stale_served = 0
         self.deadline_expired = 0
 
     # -- lifecycle -----------------------------------------------------------
@@ -153,7 +149,7 @@ class PlacementService:
         """Bind and start serving; returns the actual (host, port)."""
         # Process-wide: every LP dispatch — query- or daemon-driven — feeds
         # the same breaker and is refused fast while it is open.
-        install_solve_guard(self.breaker.guard)
+        install_solve_guard(self.policy.guard)
         self._server = await asyncio.start_server(self._handle, host, port)
         sock = self._server.sockets[0].getsockname()
         return sock[0], sock[1]
@@ -331,11 +327,11 @@ class PlacementService:
             except (TypeError, ValueError):
                 return 400, {"error": "deadline_ms must be a number"}
 
-        # Brownout: past the pressure threshold the solve is downgraded to
-        # a cheap approximation.  The approx task has its own cache key
-        # (different demand resolution + backend), so exact and approximate
-        # answers never alias in the cache.
-        approx = self.brownout.wants_approx()
+        # Past the approx depth the solve is downgraded to a cheap
+        # approximation.  The approx task has its own cache key (different
+        # demand resolution + backend), so exact and approximate answers
+        # never alias in the cache.
+        approx = self.policy.solve_tier() == APPROX
         task = self._bound_task(klass, qos, backend, epoch, approx=approx)
         key = digest_of("service-bound", task.cache_key())
         if not approx:
@@ -347,14 +343,9 @@ class PlacementService:
         if cached is not None:
             self.cache_hits += 1
             PERF.count("service.cache.hit")
-            return 200, dict(cached, cached=True, stale=False)
+            return self.policy.answer(cached, cached=True)
         self.cache_misses += 1
         PERF.count("service.cache.miss")
-
-        if self.breaker.state == OPEN:
-            # Refuse before burning admission or an executor thread: the
-            # solve would be rejected at dispatch anyway.
-            return self._degraded(class_name)
 
         # Single-flight: identical queries coalesce onto one solve.
         existing = self._inflight.get(key)
@@ -362,6 +353,12 @@ class PlacementService:
             self.coalesced += 1
             PERF.count("service.coalesced")
             return await self._await_solve(existing, class_name, timeout)
+
+        # Breaker open or admission full: stale or shed, before an executor
+        # thread is spent on a solve the guard would refuse anyway.
+        cause = self.policy.enter()
+        if cause is not None:
+            return self.policy.degrade(class_name, cause)
 
         loop = asyncio.get_running_loop()
         future = loop.create_future()
@@ -379,25 +376,8 @@ class PlacementService:
             else:
                 payload = task_future.result()
                 self._cache_put(key, payload)
-                self.brownout.note_result(class_name, payload)
+                self.policy.remember(class_name, payload)
                 future.set_result(payload)
-
-        try:
-            self.admission.acquire()
-        except QueueFullError as exc:
-            self._inflight.pop(key, None)
-            # Shed tier: a bounded-staleness answer beats a refusal.
-            stale = self.brownout.stale_answer(class_name)
-            if stale is not None:
-                return 200, dict(stale, cached=True, stale=True, shed=True)
-            self.brownout.note_shed()
-            return 429, {
-                "error": "overloaded, request shed",
-                "retry_after_s": exc.retry_after_s,
-            }
-
-        if approx:
-            self.brownout.note_approx()
 
         def _solve() -> Dict[str, object]:
             try:
@@ -425,7 +405,7 @@ class PlacementService:
                     "digest": key[:16],
                 }
             finally:
-                self.admission.release()
+                self.policy.leave()
 
         solve_future = asyncio.ensure_future(loop.run_in_executor(None, _solve))
         solve_future.add_done_callback(_finish)
@@ -436,37 +416,20 @@ class PlacementService:
     ) -> Tuple[int, Dict[str, object]]:
         try:
             payload = await asyncio.wait_for(asyncio.shield(future), timeout=timeout)
-            return 200, dict(payload, cached=False, stale=False)
+            return self.policy.answer(payload, cached=False)
         except asyncio.TimeoutError:
             # The solver thread is still running; the guard inside it cannot
             # see this caller abandoning the wait, so account the failure
             # here — repeated deadline expiries must trip the breaker.
             self.deadline_expired += 1
             PERF.count("service.deadline")
-            self.breaker.record_failure()
+            self.policy.record_failure()
             return 504, {"error": "deadline expired", "class": class_name}
         except BreakerOpenError:
-            return self._degraded(class_name)
+            return self.policy.degrade(class_name, BREAKER_OPEN)
         except Exception as exc:
+            PERF.count("service.error")
             return 500, {"error": f"{type(exc).__name__}: {exc}", "class": class_name}
-
-    def _degraded(self, class_name: str) -> Tuple[int, Dict[str, object]]:
-        """Answer from last-known-good while the breaker is open.
-
-        The LKG must be within the brownout controller's staleness TTL —
-        an unbounded-staleness answer would silently serve yesterday's
-        placement long after the solver tier died.
-        """
-        lkg = self.brownout.stale_answer(class_name)
-        if lkg is None:
-            return 503, {
-                "error": "solver circuit open and no fresh last-known-good result",
-                "class": class_name,
-                "breaker": self.breaker.state,
-            }
-        self.stale_served += 1
-        PERF.count("service.stale")
-        return 200, dict(lkg, cached=True, stale=True, breaker=self.breaker.state)
 
     def _bound_task(
         self, klass, qos: float, backend: str, epoch: int, approx: bool = False
@@ -475,7 +438,7 @@ class PlacementService:
 
         properties = klass.properties
         if approx:
-            # Brownout approximation: one demand interval (coarsest
+            # The approx tier: one demand interval (coarsest
             # resolution) and the structure backend, which picks one of
             # three routes: the exact tree DP on a tree metric, the
             # separable per-object fan-out for a large per-object scope,
@@ -538,19 +501,24 @@ class PlacementService:
             for name, count in PERF.counters.items()
             if name.startswith("service.")
         }
+        policy = self.policy.status()
         payload: Dict[str, object] = {
             "requests": self.requests,
             "dropped_by_chaos": self.dropped,
-            "admission": self.admission.status(),
-            "breaker": self.breaker.status(),
-            "brownout": self.brownout.status(),
+            "policy": policy,
+            # Views of the policy's tiers under their earlier names, which
+            # benchmarks/e2e's service layers read from /stats.
+            "admission": {"shed": policy["shed_by_cause"][ADMISSION_FULL]},
+            "brownout": {
+                "approx_served": policy["tiers"]["approx"],
+                "stale_served": policy["tiers"]["stale"],
+            },
             "cache": {
                 "size": len(self._cache),
                 "capacity": self._cache_size,
                 "hits": self.cache_hits,
                 "misses": self.cache_misses,
                 "coalesced": self.coalesced,
-                "stale_served": self.stale_served,
                 "deadline_expired": self.deadline_expired,
             },
             "checkpoint": self.daemon.store.status(),

@@ -102,9 +102,10 @@ register_backend(
 
 
 #: Optional dispatch guard: ``guard(backend_name, solve_thunk) -> result``.
-#: The placement service installs its circuit breaker here so *every* LP
-#: dispatch in the process — bound queries, daemon re-solves — feeds the
-#: breaker's failure accounting and is refused fast while it is open.
+#: The placement service installs its degrade policy's breaker here so
+#: *every* LP dispatch in the process — bound queries, daemon re-solves —
+#: feeds the breaker's failure accounting and is refused fast while it is
+#: open.
 _GUARD: Optional[Callable[[str, Callable[[], object]], object]] = None
 
 
@@ -132,7 +133,7 @@ def solve_lp(model, backend: str = BACKEND_AUTO, warm_start=None, **kwargs):
 
     This is the registry-backed implementation behind
     :meth:`repro.lp.model.LinearProgram.solve`.  When a guard is installed
-    (the service's circuit breaker), the dispatch routes through it.
+    (the service's degrade-policy breaker), the dispatch routes through it.
 
     ``warm_start`` (a :class:`~repro.lp.basis.Basis` or a previous
     :class:`~repro.lp.solution.LPSolution`) is handed to the backend

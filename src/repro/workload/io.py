@@ -42,9 +42,10 @@ def trace_from_dict(data: dict) -> Trace:
 
     Raises :class:`~repro.errors.ValidationError` on empty traces,
     non-positive durations/dimensions, NaN/±inf request times, times at or
-    past ``duration_s``, or out-of-range node/object ids: a NaN timestamp
-    lands the request in no demand interval at all, silently shrinking
-    request counts downstream.
+    past ``duration_s``, non-integral or out-of-range node/object ids, or
+    write flags outside {0, 1}: a NaN timestamp lands the request in no
+    demand interval at all, silently shrinking request counts downstream,
+    and a truncated id moves a request onto another site or object.
     """
     version = data.get("version", _FORMAT_VERSION)
     if version != _FORMAT_VERSION:
@@ -69,19 +70,19 @@ def trace_from_dict(data: dict) -> Trace:
     if not data["times"]:
         raise ValidationError("trace contains no requests")
 
-    times, nodes, objects, writes = (
-        np.asarray(column, dtype=dtype)
-        for column, dtype in zip(columns, (np.float64, np.int64, np.int64, np.bool_))
-    )
+    # Ids and write flags are read as floats first, so a non-integral id or
+    # a flag outside {0, 1} is refused instead of truncated.
+    times, nodes, objects, writes = (np.asarray(col, dtype=np.float64) for col in columns)
     bad = (
         ~((times >= 0) & (times < duration_s))
-        | (nodes < 0) | (nodes >= num_nodes)
-        | (objects < 0) | (objects >= num_objects)
+        | (nodes != np.trunc(nodes)) | (nodes < 0) | (nodes >= num_nodes)
+        | (objects != np.trunc(objects)) | (objects < 0) | (objects >= num_objects)
+        | ((writes != 0) & (writes != 1))
     )
     if bad.any():
         # Name the first offending row by its index in the file.
         idx = int(bad.argmax())
-        time_s, node, obj = times[idx].item(), nodes[idx].item(), objects[idx].item()
+        time_s, node, obj, write = (col[idx].item() for col in (times, nodes, objects, writes))
         if not math.isfinite(time_s) or time_s < 0:
             raise ValidationError(
                 f"request {idx}: time {time_s!r} is negative or non-finite"
@@ -90,15 +91,16 @@ def trace_from_dict(data: dict) -> Trace:
             raise ValidationError(
                 f"request {idx}: time {time_s!r} outside [0, {duration_s!r})"
             )
-        if not 0 <= node < num_nodes:
-            raise ValidationError(
-                f"request {idx}: node {node} outside [0, {num_nodes})"
-            )
-        raise ValidationError(
-            f"request {idx}: object {obj} outside [0, {num_objects})"
-        )
+        for field, value, count in (("node", node, num_nodes), ("object", obj, num_objects)):
+            if not value.is_integer():
+                raise ValidationError(f"request {idx}: {field} {value!r} is not an integer id")
+            if not 0 <= value < count:
+                raise ValidationError(
+                    f"request {idx}: {field} {int(value)} outside [0, {count})"
+                )
+        raise ValidationError(f"request {idx}: write flag {write:g} is not 0 or 1")
     return Trace.from_columns(
-        (times, nodes, objects, writes),
+        (times, nodes.astype(np.int64), objects.astype(np.int64), writes.astype(np.bool_)),
         duration_s=duration_s,
         num_nodes=num_nodes,
         num_objects=num_objects,

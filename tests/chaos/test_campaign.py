@@ -76,10 +76,12 @@ def test_campaign_accounts_every_request(campaign):
     _, report = campaign
     assert report.load["issued"] > 0
     assert report.load["lost"] == 0
-    # The overload_adaptation quantity: a launch's server-side brownout
-    # counters are lost when its injected crash beats the next /stats
-    # poll, so the 429s and stale answers the client saw count too.
-    assert sum(report.brownout.values()) + report.load["shed"] + report.load["stale"] > 0
+    # The overload_adaptation quantity: a launch's server-side tier counts
+    # are lost when its injected crash beats the next /stats poll, so the
+    # 429s and stale answers the client saw count too.
+    tiers = report.tiers
+    engaged = tiers["approx"] + tiers["stale"] + tiers["shed"]
+    assert engaged + report.load["shed"] + report.load["stale"] > 0
 
 
 def test_campaign_writes_report_artifact(campaign):

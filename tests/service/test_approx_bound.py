@@ -1,4 +1,4 @@
-"""The brownout approximation never exceeds the exact bound it stands in for.
+"""The approx tier's bound never exceeds the exact bound it stands in for.
 
 Under pressure the service answers a bound query with a one-interval solve
 (``PlacementService._bound_task(..., approx=True)``).  Aggregating any

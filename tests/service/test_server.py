@@ -11,15 +11,15 @@ import pytest
 
 from repro.runner.tasks import ContinuousTask, HeuristicSpec
 from repro.service import (
-    AdmissionQueue,
     CheckpointStore,
-    CircuitBreaker,
+    DegradePolicy,
     PlacementDaemon,
     PlacementService,
     ServiceChaos,
     ServiceClient,
 )
 from repro.service.client import ServiceConnectionError
+from repro.service.policy import BREAKER_FAILURES, RETRY_AFTER_S
 from repro.solvers.registry import SolverBackend, register_backend
 from repro.topology.generators import line_topology
 from repro.topology.graph import Topology
@@ -171,7 +171,7 @@ def test_unknown_backend_is_rejected_before_any_work(harness):
     def build_counts():
         return PERF.get("form.build.vectorized")
 
-    builds0, admitted0 = build_counts(), harness.service.admission.admitted
+    builds0, admitted0 = build_counts(), harness.service.policy.admitted
     for name in ("simplex", "bogus"):
         response = harness.client.bound("general", qos=0.9, backend=name)
         assert response.status == 400, response.payload
@@ -179,7 +179,7 @@ def test_unknown_backend_is_rejected_before_any_work(harness):
         assert {"auto", "scipy", "structure"} <= set(response.payload["known"])
         assert "simplex" not in response.payload["known"]
     assert build_counts() == builds0
-    assert harness.service.admission.admitted == admitted0
+    assert harness.service.policy.admitted == admitted0
 
 
 def test_admission_sheds_with_retry_after(tmp_path):
@@ -191,7 +191,7 @@ def test_admission_sheds_with_retry_after(tmp_path):
         )
     )
     h = Harness(
-        make_service(tmp_path, admission=AdmissionQueue(limit=1, retry_after_s=0.25))
+        make_service(tmp_path, policy=DegradePolicy(limit=1))
     )
     try:
         blocker = threading.Thread(
@@ -202,10 +202,10 @@ def test_admission_sheds_with_retry_after(tmp_path):
         time.sleep(0.3)  # let the stalling solve occupy the only slot
         shed = h.client.bound("general", backend="test-stall", qos=0.6)
         assert shed.status == 429
-        assert shed.retry_after_s == 0.25
-        assert shed.payload["retry_after_s"] == 0.25
+        assert shed.retry_after_s == RETRY_AFTER_S
+        assert shed.payload["retry_after_s"] == RETRY_AFTER_S
         blocker.join(10)
-        assert h.service.admission.shed == 1
+        assert h.service.policy.shed_by_cause["admission-full"] == 1
     finally:
         h.close()
 
@@ -218,27 +218,28 @@ def test_breaker_trips_and_serves_stale(tmp_path):
             description="always fails",
         )
     )
-    h = Harness(
-        make_service(tmp_path, breaker=CircuitBreaker(failure_threshold=2, cooldown_s=60.0))
-    )
+    # A frozen clock: the breaker stays open however slow the machine is.
+    h = Harness(make_service(tmp_path, policy=DegradePolicy(clock=lambda: 0.0)))
     try:
         # Populate last-known-good for the class with a healthy solve.
         good = h.client.bound("general", qos=0.9)
         assert good.ok
-        for _ in range(2):
+        for _ in range(BREAKER_FAILURES):
             assert h.client.bound("general", qos=0.95, backend="test-broken").status == 500
-        assert h.service.breaker.state == "open"
+        assert h.service.policy.breaker == "open"
         degraded = h.client.bound("general", qos=0.95, backend="test-broken")
         assert degraded.ok
         assert degraded.payload["stale"] is True
+        assert degraded.payload["tier"] == "stale"
+        assert degraded.payload["cause"] == "breaker-open"
         assert degraded.payload["lp_cost"] == good.payload["lp_cost"]
         # A class with no LKG has nothing to degrade to.
         missing = h.client.bound("caching", qos=0.9)
         assert missing.status == 503
         stats = h.client.stats().payload
-        assert stats["breaker"]["state"] == "open"
-        assert stats["breaker"]["trips"] == 1
-        assert stats["cache"]["stale_served"] == 1
+        assert stats["policy"]["breaker"] == "open"
+        assert stats["policy"]["trips"] == 1
+        assert stats["policy"]["tiers"]["stale"] == 1
     finally:
         h.close()
 
@@ -251,11 +252,11 @@ def test_deadline_expiry_is_504_and_counts_breaker_failure(tmp_path):
             description="slower than any deadline",
         )
     )
-    h = Harness(make_service(tmp_path, breaker=CircuitBreaker(failure_threshold=5)))
+    h = Harness(make_service(tmp_path))
     try:
         response = h.client.bound("general", backend="test-slow", deadline_ms=100)
         assert response.status == 504
-        assert h.service.breaker.failures_total == 1
+        assert h.service.policy.failures == 1
         assert h.service.deadline_expired == 1
     finally:
         h.close()
@@ -304,5 +305,5 @@ def test_single_flight_coalesces_identical_queries(tmp_path):
 
 def test_stats_shape(harness):
     stats = harness.client.stats().payload
-    assert {"requests", "admission", "breaker", "cache", "checkpoint", "perf"} <= set(stats)
+    assert {"requests", "policy", "cache", "checkpoint", "perf"} <= set(stats)
     assert stats["checkpoint"]["journal_records"] >= 0

@@ -1,6 +1,7 @@
 """Trace serialization round-trips."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -121,6 +122,43 @@ def test_out_of_range_object_rejected():
     data = corrupt(lambda d: d["objects"].__setitem__(1, -1))
     with pytest.raises(ValidationError, match="object -1"):
         trace_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "column, row, value, message",
+    [
+        ("nodes", 0, 1.7, "request 0: node 1.7 is not an integer id"),
+        ("objects", 1, 1.9, "request 1: object 1.9 is not an integer id"),
+        ("nodes", 1, float("inf"), "request 1: node inf is not an integer id"),
+        ("writes", 1, 2, "request 1: write flag 2 is not 0 or 1"),
+        ("writes", 0, -1, "request 0: write flag -1 is not 0 or 1"),
+        ("writes", 1, 0.5, "request 1: write flag 0.5 is not 0 or 1"),
+    ],
+)
+def test_non_integral_ids_and_bad_write_flags_rejected(column, row, value, message):
+    from repro.errors import ValidationError
+
+    data = corrupt(lambda d: d[column].__setitem__(row, value))
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        trace_from_dict(data)
+
+
+def test_first_offending_row_is_named_across_checks():
+    from repro.errors import ValidationError
+
+    def mutate(d):
+        d["writes"][1] = 2
+        d["nodes"][0] = 0.5
+
+    with pytest.raises(ValidationError, match="request 0: node 0.5"):
+        trace_from_dict(corrupt(mutate))
+
+
+def test_integral_floats_and_bool_flags_load():
+    data = corrupt(lambda d: d.update(nodes=[1.0, 0.0], writes=[True, False]))
+    back = trace_from_dict(data)
+    assert back.columns[1].dtype == np.int64
+    assert [(r.node, r.is_write) for r in back] == [(1, True), (0, False)]
 
 
 def test_time_at_or_past_duration_rejected():
